@@ -36,23 +36,19 @@ Schema (``schema_version`` 2)::
          "speedup_vs_serial": …},
         {"name": "serve.dispatch", "wall_s": …, "n_jobs": …,
          "batch_size": …, "fast_path_engaged": true,
-         "decisions_per_s": …, "speedup_vs_pr8": …,
+         "decisions_per_s": …,
          "latency_p50_us": …, "latency_p95_us": …, "latency_p99_us": …,
          "intake_ms": …, "route_ms": …, "commit_ms": …},
         {"name": "serve.dispatch.batch", "batch_size": …, …},
-        {"name": "serve.dispatch.faulted", "availability": …, …},
-        {"name": "serve.dispatch.sharded", "n_shards": …, "router": "sita",
-         "aggregate_decisions_per_s": …, "wall_decisions_per_s": …,
-         "speedup_vs_pr9": …, "merge_ms": …, "per_shard": […],
-         "exceeds_single_process": …}, …
+        {"name": "serve.dispatch.faulted", "availability": …, …}
       ]
     }
 
 The benchmarks are grouped into named **families** (``kernel``,
-``backend``, ``search``, ``experiment.fig2``, ``serve.dispatch``,
-``serve.dispatch.sharded``); ``repro bench --only 'serve.*'`` runs just
-the families matching the glob (``fnmatch``) — the CI smoke uses this to
-exercise the sharded rows without paying for the kernel sweeps.  A
+``backend``, ``search``, ``experiment.fig2``, ``serve.dispatch``);
+``repro bench --only 'serve.*'`` runs just the families matching the
+glob (``fnmatch``), so one family can be re-measured without paying for
+the kernel sweeps.  A
 filtered run records ``"only"`` in the document so a partial baseline
 can never be mistaken for a full trajectory point; committed baselines
 are always full runs.
@@ -110,7 +106,6 @@ FAMILY_NAMES = (
     "search",
     "experiment.fig2",
     "serve.dispatch",
-    "serve.dispatch.sharded",
 )
 
 
@@ -350,20 +345,6 @@ def _bench_sweep(scale: float, workers: int, oversubscribed: bool) -> list[dict]
     ]
 
 
-#: ``serve.dispatch`` ``decisions_per_s`` from the committed PR 8
-#: baseline (BENCH_2026-08-08.json before the fast path landed), kept as
-#: a constant because each bench run overwrites the same-day file.  The
-#: ≥50x CI smoke assertion and the ``speedup_vs_pr8`` field both anchor
-#: on this number.
-PR8_DISPATCH_BASELINE = 1264.4323422617022
-
-#: ``serve.dispatch`` ``decisions_per_s`` from the committed PR 9
-#: baseline (the fault-free fast path, batch 1024) — the single-process
-#: row the sharded engine has to beat on aggregate capacity.  Frozen for
-#: the same reason as :data:`PR8_DISPATCH_BASELINE`.
-PR9_DISPATCH_BASELINE = 1338924.3242649774
-
-
 def _serve_stream(n_jobs: int) -> list[tuple[float, float]]:
     """The C90 stream every serve bench drives (PR 8's exact workload)."""
     from .workloads.catalog import get_workload
@@ -382,9 +363,7 @@ def _bench_serve(quick: bool) -> list[dict]:
     Three entry families over the same seeded C90 stream PR 8 measured:
 
     * ``serve.dispatch`` — the fault-free batched fast path, with
-      per-stage wall-clock (intake / route / commit) and
-      ``speedup_vs_pr8`` against the committed PR 8 baseline
-      (:data:`PR8_DISPATCH_BASELINE`);
+      per-stage wall-clock (intake / route / commit);
     * ``serve.dispatch.batch`` — a batch-size sweep showing where the
       per-call overhead amortises;
     * ``serve.dispatch.faulted`` — PR 8's exact configuration (a
@@ -435,7 +414,6 @@ def _bench_serve(quick: bool) -> list[dict]:
             "batch_size": 1024,
             "fast_path_engaged": status["fast_path"]["engaged"],
             "decisions_per_s": lat["decisions_per_s"],
-            "speedup_vs_pr8": lat["decisions_per_s"] / PR8_DISPATCH_BASELINE,
             "latency_p50_us": lat["p50_us"],
             "latency_p95_us": lat["p95_us"],
             "latency_p99_us": lat["p99_us"],
@@ -481,86 +459,6 @@ def _bench_serve(quick: bool) -> list[dict]:
             "invariant_holds": True,
         }
     )
-    return entries
-
-
-def _bench_serve_sharded(quick: bool) -> list[dict]:
-    """The multi-process sharded dispatcher at 1, 2 and 4 shards.
-
-    Same seeded C90 stream as ``serve.dispatch``, SITA routing over 4
-    hosts, process transport (real workers, shared-memory rings).  Two
-    rates per row:
-
-    * ``aggregate_decisions_per_s`` — the sum of per-shard decision
-      rates, i.e. the fleet's dispatch *capacity* if each shard owned a
-      core.  This is the scaling claim and what ``speedup_vs_pr9``
-      anchors on (:data:`PR9_DISPATCH_BASELINE`, the single-process fast
-      path).
-    * ``wall_decisions_per_s`` — jobs over coordinator wall-clock, the
-      honest number on this machine.  On a starved box the shards
-      time-slice one core and this stays *below* the single-process
-      rate; that is expected and documented, not a regression
-      (see ``docs/PERFORMANCE.md``).
-
-    The merge stage is timed separately (``merge_ms``) and the global
-    accounting invariant is asserted on every row.
-    """
-    from .core.policies import SITAPolicy
-    from .serve.shard import ShardedDispatchServer
-
-    n_jobs = 2_000 if quick else 20_000
-    jobs = _serve_stream(n_jobs)
-    sizes = np.array([s for _, s in jobs])
-    cutoffs = [float(np.quantile(sizes, q)) for q in (0.25, 0.5, 0.75)]
-    entries: list[dict] = []
-    for n_shards in (1, 2, 4):
-        server = ShardedDispatchServer(
-            4,
-            SITAPolicy(cutoffs, name="sita-bench"),
-            n_shards=n_shards,
-            router="sita",
-            seed=1,
-        )
-        try:
-            start = time.perf_counter()
-            status = server.run_stream(jobs, batch_size=1024)
-            wall = time.perf_counter() - start
-        finally:
-            server.close()
-        if not all(status["invariant"].values()):
-            raise AssertionError(
-                f"sharded serve bench ({n_shards} shards) broke the "
-                f"accounting invariant: {status['counters']}"
-            )
-        lat = status["latency"]
-        aggregate = lat["aggregate_decisions_per_s"]
-        entries.append(
-            {
-                "name": "serve.dispatch.sharded",
-                "wall_s": wall,
-                "n_jobs": n_jobs,
-                "batch_size": 1024,
-                "n_shards": n_shards,
-                "router": "sita",
-                "transport": status["sharding"]["transport"],
-                "aggregate_decisions_per_s": aggregate,
-                "wall_decisions_per_s": lat["wall_decisions_per_s"],
-                "speedup_vs_pr9": aggregate / PR9_DISPATCH_BASELINE,
-                "exceeds_single_process": aggregate > PR9_DISPATCH_BASELINE,
-                "intake_ms": lat["stages"]["intake_ms"],
-                "route_ms": lat["stages"]["route_ms"],
-                "merge_ms": lat["stages"]["merge_ms"],
-                "per_shard": [
-                    {
-                        "shard": p["shard"],
-                        "accepted": p["counters"]["accepted"],
-                        "decisions_per_s": p["latency"].get("decisions_per_s"),
-                    }
-                    for p in status["shards"]
-                ],
-                "invariant_holds": True,
-            }
-        )
     return entries
 
 
@@ -618,7 +516,6 @@ def run_benchmarks(
             lambda: _bench_sweep(sweep_scale, workers, oversubscribed),
         ),
         ("serve.dispatch", lambda: _bench_serve(quick)),
-        ("serve.dispatch.sharded", lambda: _bench_serve_sharded(quick)),
     ]
     assert tuple(name for name, _ in families) == FAMILY_NAMES
     if only is not None:
@@ -673,17 +570,9 @@ def render(doc: dict) -> str:
                 f"{e['decisions_per_s']:6.0f} decisions/s  "
                 f"p50 {e['latency_p50_us']:.0f}us  p99 {e['latency_p99_us']:.0f}us"
             )
-        if e.get("aggregate_decisions_per_s"):
-            extra.append(
-                f"{e['n_shards']} shards  "
-                f"{e['aggregate_decisions_per_s']:8.0f} agg/s  "
-                f"wall {e['wall_decisions_per_s']:6.0f}/s  "
-                f"merge {e['merge_ms']:.1f}ms"
-            )
         for key in ("speedup_vs_event", "speedup_vs_loop",
                     "speedup_vs_unshared", "speedup_vs_serial",
-                    "speedup_vs_python", "speedup_vs_pr8",
-                    "speedup_vs_pr9"):
+                    "speedup_vs_python"):
             if e.get(key):
                 extra.append(f"{e[key]:.2f}x {key.split('_vs_')[1]}")
         label = e["name"]

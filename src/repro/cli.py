@@ -37,21 +37,12 @@ Subcommands
     default (batched through the fault-free fast path, ``--batch-size``,
     see ``docs/PERFORMANCE.md``), or serves newline-JSON over
     ``--socket``/``--tcp`` (see ``docs/ROBUSTNESS.md``).
-``repro serve c90 --policy sita --hosts 4 --shards 2 --router sita``
-    The same dispatcher sharded across worker processes: hosts are
-    partitioned per shard, jobs are routed by ``--router``
-    (``sita``/``hash``/``pow2``), and the per-shard accounting is merged
-    deterministically — fault-free SITA-sharded runs are bit-identical
-    to ``--shards 0`` (see ``docs/PERFORMANCE.md``, "Sharding the
-    dispatcher").  ``--snapshot DIR`` writes per-shard snapshots plus a
-    coordinator manifest, and ``--resume`` restores the consistent
-    boundary after a crash of either the coordinator or a shard worker.
 ``repro bench [--quick] [--only GLOB] [--workers N] [--out PATH]``
     Performance baseline harness: time the simulation kernels, the
     event engine vs the fast path, the shared-computation cutoff-search
     engine vs the pre-engine per-candidate loops (``search.*``), a
-    serial-vs-parallel sweep, and the online dispatcher single-process
-    and sharded, and write a machine-readable ``BENCH_<date>.json``
+    serial-vs-parallel sweep, and the online dispatcher, and write a
+    machine-readable ``BENCH_<date>.json``
     (see ``docs/PERFORMANCE.md``).  ``--only 'serve.*'`` runs a subset
     of the named benchmark families.  Sweep workers default to
     ``min(4, max(2, cpu_count))``; when the resolved pool exceeds the

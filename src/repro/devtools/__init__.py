@@ -10,7 +10,7 @@ docstrings:
   per-file AST rules ``SIM001`` … ``SIM007``
   (:mod:`repro.devtools.rules`), the whole-program flow rules
   ``SIM101`` … ``SIM106`` (:mod:`repro.devtools.flow`), the
-  kernel-contract / concurrency rules ``SIM201`` … ``SIM210``
+  kernel-contract / concurrency rules ``SIM201`` … ``SIM211``
   (:mod:`repro.devtools.contracts`), and the compile-readiness rules
   ``SIM301`` … ``SIM308`` (:mod:`repro.devtools.compile_rules`, which
   also certify the :mod:`repro.sim.compiled` kernel tier through a

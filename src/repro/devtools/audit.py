@@ -46,19 +46,10 @@ them legitimately).  This is the runtime enforcement of the guarantee
 documented in :mod:`repro.experiments.parallel` and
 ``docs/PERFORMANCE.md``.
 
-A sixth, optional check (``--sharded``) targets the sharded dispatch
-engine (:mod:`repro.serve.shard`): the same seeded C90 stream is driven
-through the single-process :class:`~repro.serve.DispatchServer` and a
-2-shard SITA-routed :class:`~repro.serve.ShardedDispatchServer`, and
-everything the ordered merge reconstructs — counters, the merged clock,
-the global Jain index and the per-job host/start/completion columns —
-must be **bit-identical**.  This is the determinism contract the
-sharding chapter of ``docs/PERFORMANCE.md`` promises.
-
 CLI::
 
     repro audit --experiment fig2_3 --replays 2 [--scale 0.1] [--seed N]
-               [--workers 4] [--sharded]
+               [--workers 4]
 
 Exit codes: **0** deterministic, **1** divergence found, **2** usage
 error (unknown experiment).
@@ -89,13 +80,11 @@ __all__ = [
     "Divergence",
     "ParallelCheck",
     "ReplayRecord",
-    "ShardedCheck",
     "TierCheck",
     "add_audit_arguments",
     "audit_experiment",
     "check_parallel_equivalence",
     "cross_check_backends",
-    "cross_check_sharded",
     "cross_check_tiers",
     "find_first_divergence",
     "main",
@@ -545,111 +534,6 @@ def check_parallel_equivalence(
 
 
 # ---------------------------------------------------------------------------
-# sharded vs unsharded dispatch equivalence
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShardedCheck:
-    """Bit-identity of the sharded dispatcher against the unsharded one."""
-
-    n_shards: int
-    n_jobs: int
-    first_mismatch: str | None
-
-    @property
-    def ok(self) -> bool:
-        return self.first_mismatch is None
-
-    def render(self) -> str:
-        if self.ok:
-            return (
-                f"{self.n_shards}-shard SITA dispatch merges bit-identically "
-                f"to the unsharded server over {self.n_jobs} jobs"
-            )
-        return (
-            f"{self.n_shards}-shard vs unsharded dispatch DISAGREE: "
-            f"{self.first_mismatch}"
-        )
-
-
-def cross_check_sharded(
-    seed: int = 0, n_jobs: int = 1500, n_shards: int = 2
-) -> ShardedCheck:
-    """Drive one seeded C90 stream through both dispatcher shapes.
-
-    The unsharded :class:`~repro.serve.DispatchServer` and an inline
-    ``n_shards``-shard SITA-routed
-    :class:`~repro.serve.ShardedDispatchServer` process the identical
-    ``(arrival, size)`` stream; the merged counters, clock, global Jain
-    index and per-job host/start/completion columns must be
-    bit-identical (``np.array_equal``, not ``allclose`` — the merge
-    reorders work, it never recomputes it).
-    """
-    from ..core.policies import SITAPolicy
-    from ..serve import DispatchServer
-    from ..serve.shard import ShardedDispatchServer
-    from ..workloads.catalog import get_workload
-
-    trace = get_workload("c90").make_trace(
-        load=0.7, n_hosts=4, n_jobs=n_jobs, rng=seed
-    )
-    t0 = float(trace.arrival_times[0])
-    jobs = [
-        (float(a) - t0, float(s))
-        for a, s in zip(trace.arrival_times, trace.service_times)
-    ]
-    sizes = np.array([s for _, s in jobs])
-    cutoffs = [float(np.quantile(sizes, q)) for q in (0.25, 0.5, 0.75)]
-
-    ref = DispatchServer(4, SITAPolicy(cutoffs, name="sita-audit"), seed=seed)
-    reference = ref.run_stream(jobs, batch_size=256)
-    sharded = ShardedDispatchServer(
-        4,
-        SITAPolicy(cutoffs, name="sita-audit"),
-        n_shards=n_shards,
-        router="sita",
-        seed=seed,
-        transport="inline",
-    )
-    with sharded:
-        status = sharded.run_stream(jobs, batch_size=256)
-        merged = sharded.merged_job_table()
-
-    def scalar(label: str, got: object, want: object) -> str | None:
-        if got == want:
-            return None
-        return f"{label}: sharded {got!r} != unsharded {want!r}"
-
-    mismatch = (
-        scalar("counters", status["counters"], reference["counters"])
-        or scalar("clock", status["clock"], reference["clock"])
-        or scalar(
-            "jain_slowdown",
-            status["jain_slowdown"],
-            reference["jain_slowdown"],
-        )
-    )
-    if mismatch is None and not all(status["invariant"].values()):
-        mismatch = f"merge invariant violated: {status['invariant']!r}"
-    if mismatch is None:
-        table = ref.job_table()
-        for column in ("host", "start", "completion"):
-            if not np.array_equal(merged[column], table[column]):
-                i = int(
-                    np.flatnonzero(merged[column] != table[column])[0]
-                )
-                mismatch = (
-                    f"job {i} {column}: sharded {merged[column][i]!r} != "
-                    f"unsharded {table[column][i]!r}"
-                )
-                break
-    return ShardedCheck(
-        n_shards=n_shards, n_jobs=n_jobs, first_mismatch=mismatch
-    )
-
-
-# ---------------------------------------------------------------------------
 # the audit itself
 # ---------------------------------------------------------------------------
 
@@ -689,7 +573,6 @@ class AuditReport:
     cross_check: CrossCheck | None
     parallel_check: ParallelCheck | None = None
     tier_check: TierCheck | None = None
-    sharded_check: ShardedCheck | None = None
 
     @property
     def ok(self) -> bool:
@@ -698,7 +581,6 @@ class AuditReport:
             and (self.cross_check is None or self.cross_check.ok)
             and (self.parallel_check is None or self.parallel_check.ok)
             and (self.tier_check is None or self.tier_check.ok)
-            and (self.sharded_check is None or self.sharded_check.ok)
         )
 
     def render(self) -> str:
@@ -718,8 +600,6 @@ class AuditReport:
             lines.append(self.tier_check.render())
         if self.parallel_check is not None:
             lines.append(self.parallel_check.render())
-        if self.sharded_check is not None:
-            lines.append(self.sharded_check.render())
         lines.append("audit PASSED" if self.ok else "audit FAILED")
         return "\n".join(lines)
 
@@ -731,7 +611,6 @@ def audit_experiment(
     seed: int | None = None,
     cross_check: bool = True,
     workers: int | None = None,
-    sharded: bool = False,
 ) -> AuditReport:
     """Run ``experiment`` ``replays`` times with identical seeds; compare.
 
@@ -767,7 +646,6 @@ def audit_experiment(
         if workers is not None
         else None
     )
-    sharded_check = cross_check_sharded(seed=config.seed) if sharded else None
     return AuditReport(
         experiment=experiment,
         experiment_ids=ids,
@@ -779,7 +657,6 @@ def audit_experiment(
         cross_check=check,
         parallel_check=par_check,
         tier_check=tier_check,
-        sharded_check=sharded_check,
     )
 
 
@@ -823,14 +700,6 @@ def add_audit_arguments(parser: argparse.ArgumentParser) -> None:
             "require the rows to match the serial run exactly"
         ),
     )
-    parser.add_argument(
-        "--sharded",
-        action="store_true",
-        help=(
-            "also drive one seeded stream through the unsharded and the "
-            "2-shard dispatcher and require a bit-identical merge"
-        ),
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -852,7 +721,6 @@ def run_from_args(args: argparse.Namespace) -> int:
             seed=args.seed,
             cross_check=not args.no_cross_check,
             workers=args.workers,
-            sharded=args.sharded,
         )
     except AuditError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,7 +30,6 @@ SIM208     signal.alarm/SIGALRM installed off the main thread
 SIM209     file write in experiments/ bypassing the atomic tmp+fsync+replace pattern
 SIM210     RNG object smuggled through a pickled closure into a worker
 SIM211     await between read and write of shared async-server state, no lock
-SIM212     root SeedSequence/Generator crossing a process boundary unspawned
 =========  ===========================================================
 
 The static analysis is deliberately **conservative**: a fact it cannot
@@ -103,7 +102,7 @@ def run_contract_rules(
 PROFILES: dict[str, frozenset[str]] = {
     "kernels": frozenset({"SIM201", "SIM202", "SIM203", "SIM204", "SIM205"}),
     "concurrency": frozenset(
-        {"SIM206", "SIM207", "SIM208", "SIM209", "SIM210", "SIM211", "SIM212"}
+        {"SIM206", "SIM207", "SIM208", "SIM209", "SIM210", "SIM211"}
     ),
 }
 
@@ -1731,138 +1730,3 @@ class AwaitSharedMutationRule(ProjectRule):
                 # written (locked or not): later writes pair with later reads.
                 pending.pop(attr, None)
                 awaited.discard(attr)
-
-
-# ---------------------------------------------------------------------------
-# SIM212 — root SeedSequence shipped across a process boundary unspawned
-# ---------------------------------------------------------------------------
-
-
-#: receiver-name words that mark a Connection/pipe-like endpoint whose
-#: ``.send(...)`` crosses a process boundary (the sharded coordinator's
-#: transport).
-_PIPE_WORDS = frozenset({"conn", "connection", "pipe", "chan", "channel"})
-
-
-@register_contract
-class UnspawnedSeedRule(ProjectRule):
-    """SIM212: spawn before you ship — seed state crossing a process
-    boundary must come from ``.spawn()``.
-
-    SIM210 catches a ``Generator`` pickled into a pool task; the sharded
-    dispatcher added a second way to lose stream independence: handing
-    the *same* root ``SeedSequence`` to N shard workers.  Each worker
-    then derives identical children — every shard's policy jitter and
-    fault schedule replays the same stream, which is exactly the
-    correlated-replication bug the coordinator's ``root.spawn(n)``
-    fan-out exists to prevent.  The rule flags
-
-    * a name bound to a direct ``SeedSequence(...)`` construction (and
-      never rebound from a ``.spawn()`` result) appearing in a
-      ``Process``/process-pool payload, and
-    * a root ``SeedSequence`` *or* ``Generator`` name in a
-      ``<conn>.send(...)`` on a pipe/connection-named receiver — the
-      shard transport SIM210's pool patterns cannot see.
-
-    Names unpacked from ``.spawn(...)`` are the sanctioned currency and
-    are never reported.
-    """
-
-    id = "SIM212"
-    summary = "root SeedSequence/Generator crosses a process boundary unspawned"
-
-    def applies_module(self, module: ModuleInfo) -> bool:
-        return module.ctx.in_library
-
-    def check(self) -> None:
-        from .flow import _build_scope
-
-        for module in self.modules():
-            kinds = _pool_kinds(module)
-            for fn, nodes in _module_units(module):
-                scope = _build_scope(fn, nodes, module)
-                roots = self._root_seed_names(nodes)
-                if not roots and not scope.rng_names:
-                    continue
-                for node in nodes:
-                    if not isinstance(node, ast.Call):
-                        continue
-                    if PickledRngRule._crosses_process(node, kinds):
-                        payloads = PickledRngRule._rng_payloads(node, roots)
-                        for name, via in payloads:
-                            self.report(
-                                module,
-                                node,
-                                f"root SeedSequence `{name}` is shipped to a "
-                                f"worker process{via}: every worker derives "
-                                "identical child streams — call "
-                                "`.spawn(n_workers)` once in the parent and "
-                                "send one child per worker",
-                            )
-                    elif self._is_pipe_send(node):
-                        names = roots | scope.rng_names
-                        payloads = PickledRngRule._rng_payloads(node, names)
-                        for name, via in payloads:
-                            what = (
-                                "root SeedSequence"
-                                if name in roots
-                                else "RNG"
-                            )
-                            self.report(
-                                module,
-                                node,
-                                f"{what} `{name}` is sent over a process "
-                                f"pipe{via}: the receiving worker gets a "
-                                "copy of the parent's stream state — send a "
-                                "`.spawn()` child (or a plain seed) instead",
-                            )
-
-    @staticmethod
-    def _root_seed_names(nodes: list[ast.AST]) -> set[str]:
-        """Names bound to a direct ``SeedSequence(...)`` construction.
-
-        A name that is (also) ever bound from a ``.spawn(...)`` result —
-        directly, via tuple/star unpack, or via a subscript of the
-        returned list — is excluded: rebinding to spawned children is
-        the fix this rule prescribes, so it must never re-trigger it.
-        """
-        roots: set[str] = set()
-        spawned: set[str] = set()
-        for node in nodes:
-            if not isinstance(node, ast.Assign):
-                continue
-            names: list[str] = []
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    names.append(target.id)
-                elif isinstance(target, (ast.Tuple, ast.List)):
-                    for elt in target.elts:
-                        if isinstance(elt, ast.Starred):
-                            elt = elt.value
-                        if isinstance(elt, ast.Name):
-                            names.append(elt.id)
-            if not names:
-                continue
-            mentions_spawn = any(
-                isinstance(sub, ast.Call)
-                and _terminal_name(sub.func) == "spawn"
-                for sub in ast.walk(node.value)
-            )
-            if mentions_spawn:
-                spawned.update(names)
-            elif (
-                isinstance(node.value, ast.Call)
-                and _terminal_name(node.value.func) == "SeedSequence"
-            ):
-                roots.update(names)
-        return roots - spawned
-
-    @staticmethod
-    def _is_pipe_send(call: ast.Call) -> bool:
-        func = call.func
-        if not (isinstance(func, ast.Attribute) and func.attr == "send"):
-            return False
-        receiver = _terminal_name(func.value)
-        if receiver is None:
-            return False
-        return bool(set(_snake_words(receiver)) & _PIPE_WORDS)

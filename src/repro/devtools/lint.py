@@ -15,7 +15,7 @@ Selection defaults come from ``[tool.repro.lint]`` in ``pyproject.toml``
 (``select``/``ignore`` arrays, plus a ``baseline`` file path), so CI and
 developers run the same configuration with no flags.  ``--profile``
 names one or more curated rule sets, comma-separated (``kernels`` =
-SIM201–SIM205, ``concurrency`` = SIM206–SIM212, ``compile`` =
+SIM201–SIM205, ``concurrency`` = SIM206–SIM211, ``compile`` =
 SIM301–SIM308, ``all`` = every registered rule across all four tiers);
 multiple profiles union.  ``--list-rules`` prints every registered rule
 with its tier.  A finding can be suppressed at a single line with the
@@ -591,7 +591,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="NAMES",
         help="named rule sets, comma-separated: kernels (SIM201-205), "
-        "concurrency (SIM206-212), compile (SIM301-308), or all "
+        "concurrency (SIM206-211), compile (SIM301-308), or all "
         "registered rules; several profiles union",
     )
     parser.add_argument(

@@ -5,20 +5,12 @@ trace"; this package runs the same policies as a *server*: jobs arrive
 one at a time, hosts crash and repair underneath, intake is admission-
 controlled, and the accounting survives SIGKILL.  See
 ``docs/ROBUSTNESS.md`` ("Online dispatch under faults").
-
-``repro serve --shards N`` scales the server past one process: the
-sharded coordinator (:mod:`repro.serve.shard`) partitions the hosts
-across worker processes behind a pluggable shard router
-(:mod:`repro.serve.router`) and merges their accounting
-deterministically — bit-identically, for fault-free SITA routing.
 """
 
 from .admission import AdmissionController, TokenBucket
 from .health import CircuitBreaker, HealthMonitor
 from .refit import CutoffManager, RefitRejected
-from .router import HashShardRouter, PowerOfDRouter, ShardRouter, SitaShardRouter
 from .server import DispatchServer, OnlineDispatchError
-from .shard import ShardedDispatchServer
 from .snapshot import SnapshotStore, serve_signature
 
 __all__ = [
@@ -26,14 +18,9 @@ __all__ = [
     "CircuitBreaker",
     "CutoffManager",
     "DispatchServer",
-    "HashShardRouter",
     "HealthMonitor",
     "OnlineDispatchError",
-    "PowerOfDRouter",
     "RefitRejected",
-    "ShardRouter",
-    "ShardedDispatchServer",
-    "SitaShardRouter",
     "SnapshotStore",
     "TokenBucket",
     "serve_signature",

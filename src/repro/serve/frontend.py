@@ -28,15 +28,7 @@ __all__ = ["ServeFrontend"]
 
 
 class ServeFrontend:
-    """Serve a dispatch core over a Unix or TCP socket.
-
-    The core is a :class:`DispatchServer` or anything duck-typing its
-    driving surface — notably the sharded coordinator
-    (:class:`repro.serve.shard.ShardedDispatchServer`), which makes the
-    socket front end multi-process without a line of transport code
-    here: the lock discipline is identical because the coordinator is
-    just as synchronous as the single-process core.
-    """
+    """Serve a :class:`DispatchServer` over a Unix or TCP socket."""
 
     def __init__(self, core: DispatchServer, max_batch: int = 4096) -> None:
         if max_batch < 1:
@@ -184,20 +176,6 @@ class ServeFrontend:
                 return {"ok": True, "results": records}
             if op == "status":
                 return {"ok": True, "status": self._core.status()}
-            if op == "shards":
-                status = self._core.status()
-                sharding = status.get("sharding")
-                if sharding is None:
-                    return {
-                        "ok": False,
-                        "error": "this server is not sharded (run with "
-                        "--shards N)",
-                    }
-                return {
-                    "ok": True,
-                    "sharding": sharding,
-                    "shards": status.get("shards"),
-                }
             if op == "drain":
                 self._core.drain()
                 return {"ok": True, "counters": self._core.counters()}

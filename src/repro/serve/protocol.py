@@ -5,7 +5,6 @@ carry an ``op`` field::
 
     {"op": "submit", "size": 3.5, "arrival": 12.0}
     {"op": "status"}
-    {"op": "shards"}
     {"op": "drain"}
 
 Replies always carry ``ok``; errors carry ``error`` with a message and
@@ -26,10 +25,8 @@ __all__ = ["KNOWN_OPS", "MAX_LINE", "ProtocolError", "decode_line", "encode"]
 #: longest accepted request line, in bytes (including the newline).
 MAX_LINE = 1 << 16
 
-#: every operation the front end routes; ``shards`` answers only when the
-#: core is a sharded coordinator (a single-process server replies with an
-#: error, not a protocol violation).
-KNOWN_OPS = ("submit", "submit_batch", "status", "shards", "drain")
+#: every operation the front end routes.
+KNOWN_OPS = ("submit", "submit_batch", "status", "drain")
 
 
 class ProtocolError(ValueError):

@@ -48,24 +48,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         ),
     )
 
-    shard = parser.add_argument_group("sharding")
-    shard.add_argument(
-        "--shards", type=int, default=0, metavar="N",
-        help=(
-            "partition the hosts across N worker processes (0 = the "
-            "single-process server); SITA-sharded fault-free runs merge "
-            "bit-identically to --shards 0"
-        ),
-    )
-    shard.add_argument(
-        "--router", choices=("sita", "hash", "pow2"), default="sita",
-        help=(
-            "shard routing family: per-size-class (sita, needs --policy "
-            "sita), consistent-hash over job indices, or power-of-d "
-            "sampling of shard load summaries"
-        ),
-    )
-
     fault = parser.add_argument_group("fault model")
     fault.add_argument(
         "--mtbf", type=float, default=math.inf,
@@ -144,8 +126,7 @@ def _build_policy(name: str, workload, load: float, n_hosts: int):
 
 
 def build_server(args: argparse.Namespace) -> DispatchServer:
-    """Assemble a :class:`DispatchServer` (or its sharded twin) from
-    parsed CLI arguments."""
+    """Assemble a :class:`DispatchServer` from parsed CLI arguments."""
     from ..sim.faults import FaultModel
     from ..workloads.catalog import get_workload
 
@@ -159,8 +140,6 @@ def build_server(args: argparse.Namespace) -> DispatchServer:
             semantics=args.fault_semantics,
             seed=args.fault_seed,
         )
-    if getattr(args, "shards", 0) > 0:
-        return _build_sharded(args, workload, policy, faults)
     manager = None
     if args.refit:
         cutoff = getattr(policy, "cutoffs", None)
@@ -210,50 +189,6 @@ def build_server(args: argparse.Namespace) -> DispatchServer:
         snapshot_store=store,
         snapshot_every=args.snapshot_every,
     )
-
-
-def _build_sharded(args, workload, policy, faults):
-    """Assemble the multi-process coordinator (``--shards N``)."""
-    from .shard import ShardedDispatchServer
-
-    if args.refit:
-        raise SystemExit(
-            "error: --refit is not supported with --shards (online cutoff "
-            "re-fit would retune each shard's interior cutoffs "
-            "independently of the routing boundaries)"
-        )
-    if math.isfinite(args.rate):
-        raise SystemExit(
-            "error: a finite --rate is not supported with --shards (the "
-            "token bucket is global admission state; per-shard buckets "
-            "would admit a different stream than --shards 0)"
-        )
-    if args.heartbeat is not None:
-        heartbeat = args.heartbeat
-    elif faults is not None:
-        heartbeat = faults.mttr
-    else:
-        heartbeat = 10.0 * workload.service_dist.mean
-    description = (
-        f"serve:{args.workload}:{args.policy}:load={args.load!r}:"
-        f"h={args.hosts}:jobs={args.jobs}:seed={args.seed}:"
-        f"faults={faults.describe() if faults else 'none'}"
-    )
-    try:
-        return ShardedDispatchServer(
-            args.hosts,
-            policy,
-            n_shards=args.shards,
-            router=args.router,
-            seed=args.seed,
-            faults=faults,
-            heartbeat_interval=heartbeat,
-            snapshot_dir=args.snapshot,
-            snapshot_every=args.snapshot_every,
-            signature=description,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from exc
 
 
 def _make_stream(args: argparse.Namespace) -> list[tuple[float, float]]:
@@ -316,20 +251,15 @@ def run_from_args(args: argparse.Namespace) -> int:
         print("error: --batch-size must be >= 1", file=sys.stderr)
         return 2
     core = build_server(args)
+    if args.socket or args.tcp:
+        return _run_socket(core, args)
     try:
-        if args.socket or args.tcp:
-            return _run_socket(core, args)
-        try:
-            status = core.run_stream(
-                _make_stream(args), resume=args.resume, batch_size=args.batch_size
-            )
-        except OnlineDispatchError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(json.dumps(status, indent=2, sort_keys=True))
-        holds = all(status["invariant"].values())
-        return 0 if holds else 1
-    finally:
-        closer = getattr(core, "close", None)
-        if closer is not None:
-            closer()
+        status = core.run_stream(
+            _make_stream(args), resume=args.resume, batch_size=args.batch_size
+        )
+    except OnlineDispatchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print(json.dumps(status, indent=2, sort_keys=True))
+    holds = all(status["invariant"].values())
+    return 0 if holds else 1

@@ -236,12 +236,9 @@ class DispatchServer:
         immediate-dispatch policies (``kind`` of ``"static"`` or
         ``"state"``) are servable.
     seed:
-        Root of the server's RNG tree — an integer, or a
-        :class:`~numpy.random.SeedSequence` so a coordinator (the
-        sharded engine) can hand each shard a spawned child instead of
-        a re-rooted integer.  Spawned grandchildren feed the policy and
-        the retry jitter; the fault schedule has its own root inside
-        ``faults`` (exactly the batch discipline).
+        Root of the server's RNG tree.  Spawned children feed the
+        policy and the retry jitter; the fault schedule has its own root
+        inside ``faults`` (exactly the batch discipline).
     faults:
         Optional :class:`~repro.sim.faults.FaultModel`; its injector is
         attached immediately, so crashes interleave with the stream.
@@ -280,7 +277,7 @@ class DispatchServer:
         n_hosts: int,
         policy,
         *,
-        seed: int | np.random.SeedSequence = 0,
+        seed: int = 0,
         host_speeds: Sequence[float] | None = None,
         strict: bool | None = None,
         faults: FaultModel | None = None,
@@ -316,12 +313,7 @@ class DispatchServer:
         self.cutoff_manager = cutoff_manager
         self.snapshot_store = snapshot_store
         self.snapshot_every = int(snapshot_every)
-        root_seq = (
-            seed
-            if isinstance(seed, np.random.SeedSequence)
-            else np.random.SeedSequence(seed)
-        )
-        policy_seq, jitter_seq = root_seq.spawn(2)
+        policy_seq, jitter_seq = np.random.SeedSequence(seed).spawn(2)
         self._inner = _OnlineServer(
             n_hosts,
             policy,
@@ -759,35 +751,15 @@ class DispatchServer:
             "crashes": 0 if injector is None else injector.total_crashes,
         }
 
-    def load_summary(self) -> dict:
-        """In-flight count plus remaining-work backlog, in service time.
-
-        This is what a load-aware shard router samples: the host-level
-        virtual completion horizon (fast path) or the engine's
-        ``work_left`` plus deferred/parked sizes (event path).  Belief
-        food, not accounting — nothing here enters the counters.
-        """
-        now = self.now
-        fp = self._fastpath
-        if fp is not None:
-            backlog = float(np.maximum(fp.v - now, 0.0).sum())
-        else:
-            inner = self._inner
-            backlog = float(np.sum(inner.state.work_left()))
-            backlog += sum(j.size for j in inner._deferred)
-            backlog += sum(j.size for j in inner._parked.values())
-        return {"in_flight": int(self.in_flight), "backlog": backlog}
-
     def job_table(self) -> dict[str, np.ndarray]:
         """Columnar per-job outcomes, keyed by local submission index.
 
-        Meant for post-drain merging by the sharded coordinator: while
-        the fast path is engaged the columns are the record arrays
+        While the fast path is engaged the columns are the record arrays
         themselves (every routed job, all of them complete after a
         fault-free drain); on the event path they cover the completed
-        jobs, sorted back into submission order.  ``index`` is the local
-        ``Job.index`` — the coordinator owns the local→global mapping.
-        Hosts are local ids; the coordinator re-bases them.
+        jobs, sorted back into submission order.  The columns are equal
+        either way, which is what the fast-path bit-identity checks
+        compare.
         """
         fp = self._fastpath
         if fp is not None:
@@ -811,10 +783,6 @@ class DispatchServer:
                 [j.completion_time for j in jobs], dtype=np.float64
             ),
         }
-
-    def latency_pairs(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """The raw ``(nanoseconds, decisions)`` stage pairs, for merging."""
-        return list(self._intake_ns), list(self._decision_ns)
 
     def latency_summary(self) -> dict:
         """Wall-clock decision latency (observability, not state).

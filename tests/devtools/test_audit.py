@@ -16,10 +16,8 @@ import pytest
 from repro.devtools.audit import (
     AuditError,
     ReplayRecord,
-    ShardedCheck,
     audit_experiment,
     cross_check_backends,
-    cross_check_sharded,
     find_first_divergence,
     record_replay,
     resolve_experiment_ids,
@@ -267,44 +265,6 @@ def test_cross_check_backends_agree_on_clean_tree():
     check = cross_check_backends(seed=123, n_jobs=500)
     assert check.ok
     assert check.max_abs_deviation < 1e-6
-
-
-def test_cross_check_sharded_merges_bit_identically():
-    check = cross_check_sharded(seed=42, n_jobs=800)
-    assert check.ok, check.first_mismatch
-    assert check.n_shards == 2
-    assert "bit-identically" in check.render()
-
-
-def test_sharded_check_failure_renders_the_mismatch():
-    check = ShardedCheck(
-        n_shards=2, n_jobs=100, first_mismatch="clock: sharded 1.0 != unsharded 2.0"
-    )
-    assert not check.ok
-    assert "DISAGREE" in check.render()
-    assert "clock" in check.render()
-
-
-def test_audit_sharded_flag_attaches_the_check(toy_experiments):
-    report = audit_experiment(
-        "toy_det", replays=2, cross_check=False, sharded=True
-    )
-    assert report.sharded_check is not None
-    assert report.sharded_check.ok
-    assert report.ok
-    assert "bit-identically" in report.render()
-
-
-def test_audit_cli_sharded_flag(toy_experiments, capsys):
-    from repro.cli import main
-
-    rc = main(
-        ["audit", "--experiment", "toy_det", "--no-cross-check", "--sharded"]
-    )
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "bit-identically" in out
-    assert "audit PASSED" in out
 
 
 def test_audit_cli_exit_codes(toy_experiments, capsys):

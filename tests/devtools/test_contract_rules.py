@@ -1,4 +1,4 @@
-"""Positive + negative fixtures for the contract tier SIM201–SIM212.
+"""Positive + negative fixtures for the contract tier SIM201–SIM211.
 
 Mirrors ``test_flow_rules.py``: every rule registered in
 ``CONTRACT_RULES`` must have at least one fixture that triggers it and
@@ -350,45 +350,6 @@ class Frontend:
             depth = self.depth
             self.depth = depth + 1
             self.pending.append(line)
-""",
-        "src/repro/serve/fixture.py",
-    ),
-    "SIM212": (
-        # positive: the same root SeedSequence handed to every worker
-        """\
-import numpy as np
-import multiprocessing as mp
-
-def worker(spec, conn):
-    pass
-
-def launch(seed, pipes, n):
-    root = np.random.SeedSequence(seed)
-    procs = [
-        mp.Process(target=worker, args=(root, None)) for _ in range(n)
-    ]
-    for conn in pipes:
-        conn.send(root)
-    return procs
-""",
-        "src/repro/serve/fixture.py",
-        # negative: spawn once, ship one child per worker
-        """\
-import numpy as np
-import multiprocessing as mp
-
-def worker(spec, conn):
-    pass
-
-def launch(seed, pipes, n):
-    root = np.random.SeedSequence(seed)
-    children = root.spawn(n)
-    procs = [
-        mp.Process(target=worker, args=(child, None)) for child in children
-    ]
-    for conn, child in zip(pipes, children):
-        conn.send(child)
-    return procs
 """,
         "src/repro/serve/fixture.py",
     ),

@@ -141,6 +141,16 @@ def test_pyproject_defaults_are_picked_up(tree, capsys):
     assert lint_main([str(target), "--select", "SIM001"]) == 1
 
 
+def test_repo_select_lists_every_registered_rule():
+    """The repo's ``select`` is "all rules on": exactly the registries."""
+    from repro.devtools import COMPILE_RULES, CONTRACT_RULES, PROJECT_RULES, RULES
+    from repro.devtools.lint import load_config
+
+    config = load_config(Path(__file__).resolve().parents[2])
+    registered = set(RULES) | set(PROJECT_RULES) | set(CONTRACT_RULES) | set(COMPILE_RULES)
+    assert set(config["select"]) == registered
+
+
 def test_repro_cli_lint_subcommand(tree, capsys):
     target = tree / "src" / "repro" / "sim" / "dirty.py"
     assert repro_main(["lint", str(target), "--select", "SIM001"]) == 1

@@ -124,6 +124,10 @@ class TestBitIdentity:
         engine.drain()
         assert fast.counters() == engine.counters()
         assert_same_jobs(fast, engine)
+        fast_table, engine_table = fast.job_table(), engine.job_table()
+        assert fast_table.keys() == engine_table.keys()
+        for column in fast_table:
+            assert np.array_equal(fast_table[column], engine_table[column]), column
 
     def test_mid_stream_status_matches_engine(self):
         jobs = stream(200, 21)
