@@ -21,6 +21,11 @@ op for op, so starts, completions, waits and host picks are
 **bit-identical** to the event path; the hypothesis suite in
 ``tests/serve/test_fastpath.py`` asserts this.
 
+Completed records stay in those columns.  Counters, the Jain index in
+``status()`` and ``job_table()`` read them directly, so an engaged
+server builds no :class:`~repro.sim.jobs.Job` object per job, not even
+on drain.  Only a handover materialises them.
+
 The fast path is *exact* but *narrow*.  It refuses to engage (or hands
 over, see below) whenever anything it cannot model appears:
 
@@ -91,9 +96,9 @@ class FastPathState:
     """Columnar record of every decision made while the path is engaged.
 
     Record ``k`` is the ``k``-th *admitted* job (its engine-path
-    ``Job.index``).  Completed records are materialised into real
-    :class:`~repro.sim.jobs.Job` objects lazily — on drain, handover or
-    a status call — with every field the event path would have set.
+    ``Job.index``).  Records are turned into real
+    :class:`~repro.sim.jobs.Job` objects, with every field the event
+    path would have set, only by :meth:`hand_over`.
     """
 
     def __init__(self, n_hosts: int, host_speeds, mode: str, policy) -> None:
@@ -115,10 +120,6 @@ class FastPathState:
         self._comp = np.empty(cap, dtype=np.float64)
         #: records routed so far (== next engine Job.index).
         self.m = 0
-        #: prefix of records already materialised as Job objects.
-        self.mat = 0
-        #: next per-host FCFS sequence stamp (Job.host_seq continuity).
-        self._hseq_next = [0] * self.n_hosts
         #: "sq" only: per-host completion epochs of in-system jobs.
         self._in_system = (
             [deque() for _ in range(self.n_hosts)] if mode == "sq" else None
@@ -273,6 +274,22 @@ class FastPathState:
         """Latest completion epoch on record (0.0 with no records)."""
         return float(self.v.max()) if self.m else 0.0
 
+    def host_seq(self) -> np.ndarray:
+        """Each record's FCFS submission rank on its host.
+
+        The stamp the engine path sets as ``Job.host_seq`` (the host's
+        running submission count): a stable sort by host, minus the
+        offset of each host's first record.
+        """
+        m = self.m
+        hosts = self._host[:m]
+        order = np.argsort(hosts, kind="stable")
+        first = np.zeros(self.n_hosts, dtype=np.int64)
+        np.cumsum(np.bincount(hosts, minlength=self.n_hosts)[:-1], out=first[1:])
+        seq = np.empty(m, dtype=np.int64)
+        seq[order] = np.arange(m, dtype=np.int64) - first[hosts[order]]
+        return seq
+
     def _make_job(self, k: int, hseq: int) -> Job:
         h = int(self._host[k])
         job = Job(
@@ -290,30 +307,26 @@ class FastPathState:
 
         Jobs are appended to ``inner._completed`` in completion order
         (ties by submission, the calendar's tie-break) with every field
-        the event path sets at ``_finish``.  ``host_seq`` stamps stay
-        per-host sequential because a FCFS host completes its jobs in
-        submission order.
+        the event path sets at ``_finish``.  Only :meth:`hand_over`
+        calls this, once: an engaged server keeps its completed records
+        columnar.
         """
         m = self.m
-        if self.mat == m:
+        sel = np.flatnonzero(self._comp[:m] <= now)
+        if not sel.size:
             return
-        sel = np.flatnonzero(self._comp[self.mat : m] <= now) + self.mat
-        if sel.size:
-            order = sel[np.argsort(self._comp[sel], kind="stable")]
-            completed = inner._completed
-            sp = self._speeds_list
-            nxt = self._hseq_next
-            for k in order.tolist():
-                h = int(self._host[k])
-                job = self._make_job(k, nxt[h])
-                nxt[h] += 1
-                job.start_time = float(self._start[k])
-                job.completion_time = float(self._comp[k])
-                if sp[h] != 1.0:
-                    job.processing_time = float(self._size[k]) / sp[h]
-                completed.append(job)
-            if sel.size == m - self.mat:
-                self.mat = m
+        order = sel[np.argsort(self._comp[sel], kind="stable")]
+        hseq = self.host_seq().tolist()
+        completed = inner._completed
+        sp = self._speeds_list
+        for k in order.tolist():
+            h = int(self._host[k])
+            job = self._make_job(k, hseq[k])
+            job.start_time = float(self._start[k])
+            job.completion_time = float(self._comp[k])
+            if sp[h] != 1.0:
+                job.processing_time = float(self._size[k]) / sp[h]
+            completed.append(job)
 
     # ------------------------------------------------------------------
     # handover to the event path
@@ -336,7 +349,7 @@ class FastPathState:
         """
         self.materialize_completed(inner, now)
         m = self.m
-        pend = np.flatnonzero(self._comp[self.mat : m] > now) + self.mat
+        pend = np.flatnonzero(self._comp[:m] > now)
         pend_set = set(pend.tolist())
         n_hosts = self.n_hosts
         by_host: list[list[int]] = [[] for _ in range(n_hosts)]
@@ -358,7 +371,7 @@ class FastPathState:
                 busy[h] += size_col[k] / sp[h]
                 done_count[h] += 1
         sim = inner.sim
-        nxt = self._hseq_next
+        hseq = self.host_seq().tolist()
         for i, host in enumerate(inner.hosts):
             host._virtual_completion = float(self.v[i])
             host._submit_seq = total[i]
@@ -366,8 +379,7 @@ class FastPathState:
             host.busy_time = busy[i]
             running_set = False
             for k in by_host[i]:
-                job = self._make_job(k, nxt[i])
-                nxt[i] += 1
+                job = self._make_job(k, hseq[k])
                 start = float(self._start[k])
                 if not running_set and start <= now:
                     job.start_time = start

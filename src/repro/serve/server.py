@@ -669,7 +669,8 @@ class DispatchServer:
                     # The calendar is empty while engaged, so this is an
                     # O(1) clock advance past the last completion epoch.
                     sim.run(until=horizon)
-                fp.materialize_completed(self._inner, sim.now)
+                # Completed records stay columnar: counters, status()
+                # and job_table() read the columns directly.
                 if self.snapshot_store is not None and not self._replaying:
                     self._write_snapshot()
                 return
@@ -757,7 +758,8 @@ class DispatchServer:
         While the fast path is engaged the columns are the record arrays
         themselves (every routed job, all of them complete after a
         fault-free drain); on the event path they cover the completed
-        jobs, sorted back into submission order.  The columns are equal
+        jobs, sorted back into submission order.  ``host_seq`` is the
+        job's FCFS submission rank on its host.  The columns are equal
         either way, which is what the fast-path bit-identity checks
         compare.
         """
@@ -769,6 +771,7 @@ class DispatchServer:
                 "arrival": fp._arrival[:m].copy(),
                 "size": fp._size[:m].copy(),
                 "host": fp._host[:m].copy(),
+                "host_seq": fp.host_seq(),
                 "start": fp._start[:m].copy(),
                 "completion": fp._comp[:m].copy(),
             }
@@ -778,6 +781,7 @@ class DispatchServer:
             "arrival": np.array([j.arrival_time for j in jobs], dtype=np.float64),
             "size": np.array([j.size for j in jobs], dtype=np.float64),
             "host": np.array([j.assigned_host for j in jobs], dtype=np.int64),
+            "host_seq": np.array([j.host_seq for j in jobs], dtype=np.int64),
             "start": np.array([j.start_time for j in jobs], dtype=np.float64),
             "completion": np.array(
                 [j.completion_time for j in jobs], dtype=np.float64
@@ -842,7 +846,7 @@ class DispatchServer:
         )
         fp = self._fastpath
         if fp is not None:
-            # Materialisation is lazy while engaged; the columnar records
+            # No Job objects exist while engaged; the columnar records
             # yield the same (completion - arrival) / size slowdowns in
             # the same completion order.
             slowdowns = fp.slowdowns(now)

@@ -20,6 +20,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -72,19 +73,16 @@ def make_pair(policy_name, n_hosts, **kwargs):
     return servers
 
 
+JOB_COLUMNS = (
+    "index", "arrival", "size", "host", "host_seq", "start", "completion"
+)
+
+
 def assert_same_jobs(a, b):
-    ja = sorted(a._inner._completed, key=lambda j: j.index)
-    jb = sorted(b._inner._completed, key=lambda j: j.index)
-    assert len(ja) == len(jb)
-    for x, y in zip(ja, jb):
-        assert x.index == y.index
-        assert x.assigned_host == y.assigned_host
-        assert x.host_seq == y.host_seq
-        assert x.arrival_time == y.arrival_time
-        assert x.size == y.size
-        assert x.start_time == y.start_time
-        assert x.completion_time == y.completion_time
-        assert x.processing_time == y.processing_time
+    ta, tb = a.job_table(), b.job_table()
+    assert ta.keys() == tb.keys() == set(JOB_COLUMNS)
+    for column in JOB_COLUMNS:
+        assert np.array_equal(ta[column], tb[column]), column
 
 
 class TestBitIdentity:
@@ -124,10 +122,19 @@ class TestBitIdentity:
         engine.drain()
         assert fast.counters() == engine.counters()
         assert_same_jobs(fast, engine)
-        fast_table, engine_table = fast.job_table(), engine.job_table()
-        assert fast_table.keys() == engine_table.keys()
-        for column in fast_table:
-            assert np.array_equal(fast_table[column], engine_table[column]), column
+
+    @pytest.mark.parametrize("policy", ["lwl", "sita"])
+    def test_batched_heterogeneous_speeds(self, policy):
+        # Completions are start + size/speed on both paths.
+        jobs = stream(400, 17)
+        fast, engine = make_pair(policy, 3, host_speeds=[1.0, 2.0, 0.5])
+        fast.submit_batch([t for t, _ in jobs], [s for _, s in jobs])
+        for t, s in jobs:
+            engine.submit(s, t)
+        fast.drain()
+        engine.drain()
+        assert fast.counters() == engine.counters()
+        assert_same_jobs(fast, engine)
 
     def test_mid_stream_status_matches_engine(self):
         jobs = stream(200, 21)
@@ -265,6 +272,30 @@ class TestHandover:
         assert fast.now == engine.now
         assert_same_jobs(fast, engine)
 
+    def test_handover_after_drain(self):
+        # A drained fast path holds every record as columns only; the
+        # handover must materialise all of them, each exactly once.
+        first, more = stream(300, 9), stream(200, 10)
+        fast, engine = self.breaker_pair("lwl")
+        for server in (fast, engine):
+            server.submit_batch([t for t, _ in first], [s for _, s in first])
+            server.drain()
+        reference = engine.job_table()
+        fast.health.probe(0, False, fast.now)
+        offset = fast.now
+        fast.submit_batch([t + offset for t, _ in more], [s for _, s in more])
+        fast.drain()
+        status = fast.status()
+        assert not status["fast_path"]["engaged"]
+        assert all(status["invariant"].values())
+        assert status["counters"]["in_flight"] == 0
+        table = fast.job_table()
+        assert np.array_equal(table["index"], np.arange(fast.n_accepted))
+        for column in JOB_COLUMNS:
+            assert np.array_equal(
+                table[column][: len(first)], reference[column]
+            ), column
+
     def test_faulted_server_never_engages(self):
         from repro.sim.faults import FaultModel
 
@@ -283,6 +314,28 @@ class TestHandover:
         st = server.status()["fast_path"]
         assert not st["engaged"]
         assert st["mode"] is None
+
+
+class TestColumnarDrain:
+    def test_drain_builds_no_jobs(self):
+        jobs = stream(50_000, 6)
+        server = DispatchServer(
+            2, LeastWorkLeftPolicy(), seed=4, heartbeat_interval=10.0
+        )
+        arrivals = [t for t, _ in jobs]
+        sizes = [s for _, s in jobs]
+        for i in range(0, len(jobs), 1024):
+            server.submit_batch(arrivals[i : i + 1024], sizes[i : i + 1024])
+        tracemalloc.start()
+        try:
+            server.drain()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert server.counters()["completed"] == len(jobs)
+        assert server.counters()["in_flight"] == 0
+        assert not server._inner._completed
+        assert peak < 64 * 1024, peak
 
 
 class TestSigkillBatched:

@@ -78,11 +78,11 @@ class TestFaultFreeBitIdentity:
         status = server.run_stream(jobs)
 
         assert status["counters"]["completed"] == len(jobs)
-        done = sorted(server._inner._completed, key=lambda j: j.index)
-        waits = [j.wait_time for j in done]
-        hosts = [j.assigned_host for j in done]
-        assert waits == pytest.approx(list(reference.wait_times))
-        assert hosts == list(reference.host_assignments)
+        table = server.job_table()
+        assert table["index"].tolist() == list(range(len(jobs)))
+        waits = table["start"] - table["arrival"]
+        assert waits.tolist() == pytest.approx(list(reference.wait_times))
+        assert table["host"].tolist() == list(reference.host_assignments)
 
 
 class TestAccounting:
