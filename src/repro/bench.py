@@ -30,8 +30,7 @@ Schema (``schema_version`` 2)::
         …,
         {"name": "search.sim_pair", "wall_s": …, "loop_wall_s": …,
          "speedup_vs_loop": …, "argmin_identical_to_loop": true},
-        {"name": "search.analytic_sweep", "wall_s": …,
-         "speedup_vs_unshared": …},
+        {"name": "search.analytic_sweep", "wall_s": …, "loads": […]},
         {"name": "experiment.fig2.parallel", "wall_s": …,
          "speedup_vs_serial": …},
         {"name": "serve.dispatch", "wall_s": …, "n_jobs": …,
@@ -226,13 +225,12 @@ def _bench_search(quick: bool, repeats: int) -> list[dict]:
     and asserts the grid argmins are bit-identical.  The refined search
     is timed alongside for reference.
 
-    ``search.analytic_sweep`` times a 3-load analytic opt+fair sweep with
-    one shared :class:`~repro.core.search.MomentMemo` against the same
-    sweep with a fresh memo per load — the cross-load win that every
-    figure sweep (and each ``--workers`` process) inherits.
+    ``search.analytic_sweep`` times a 3-load analytic opt+fair sweep on
+    the training sample's ``Empirical`` — the search behind every
+    SITA-U-opt/fair figure point, whose slice moments come from the
+    sample's power-sum table.
     """
     from .core.search import (
-        MomentMemo,
         analytic_cutoff_pair,
         sim_cutoff_pair,
         sim_pair_reference,
@@ -271,16 +269,12 @@ def _bench_search(quick: bool, repeats: int) -> list[dict]:
     dist = Empirical(train.service_times)
     loads = (0.5, 0.7, 0.9)
 
-    def analytic_sweep(shared: bool) -> None:
-        memo = MomentMemo()
+    def analytic_sweep() -> None:
         for load in loads:
-            analytic_cutoff_pair(
-                load, dist, memo=memo if shared else MomentMemo()
-            )
+            analytic_cutoff_pair(load, dist)
 
-    analytic_sweep(shared=True)  # warm
-    shared_s = _time(lambda: analytic_sweep(shared=True), repeats)
-    unshared_s = _time(lambda: analytic_sweep(shared=False), repeats)
+    analytic_sweep()  # warm
+    analytic_s = _time(analytic_sweep, repeats)
     return [
         {
             "name": "search.sim_pair",
@@ -294,11 +288,9 @@ def _bench_search(quick: bool, repeats: int) -> list[dict]:
         },
         {
             "name": "search.analytic_sweep",
-            "wall_s": shared_s,
+            "wall_s": analytic_s,
             "n_jobs": n_jobs,
             "loads": list(loads),
-            "unshared_wall_s": unshared_s,
-            "speedup_vs_unshared": unshared_s / shared_s if shared_s > 0 else None,
         },
     ]
 
@@ -571,8 +563,7 @@ def render(doc: dict) -> str:
                 f"p50 {e['latency_p50_us']:.0f}us  p99 {e['latency_p99_us']:.0f}us"
             )
         for key in ("speedup_vs_event", "speedup_vs_loop",
-                    "speedup_vs_unshared", "speedup_vs_serial",
-                    "speedup_vs_python"):
+                    "speedup_vs_serial", "speedup_vs_python"):
             if e.get(key):
                 extra.append(f"{e[key]:.2f}x {key.split('_vs_')[1]}")
         label = e["name"]

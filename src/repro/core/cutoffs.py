@@ -28,6 +28,8 @@ All searches run on a log-size axis (job sizes span 4–6 decades).
 from __future__ import annotations
 
 import math
+from functools import partial
+from typing import Callable
 
 import numpy as np
 from scipy import optimize
@@ -67,6 +69,17 @@ def _load_below(dist: ServiceDistribution, c: float) -> float:
     return dist.partial_moment(1.0, 0.0, c) / dist.mean
 
 
+def _residual(log_c: float, fn: Callable[[float], float], target: float) -> float:
+    """``fn(exp(log_c)) − target``: a root-finding objective on the log axis.
+
+    Module-level, with its state passed through ``args=``: ``brentq``
+    wraps its objective in a self-referencing closure that lives until
+    the next full GC, and an objective closing over a distribution would
+    keep the distribution alive with it.
+    """
+    return fn(math.exp(log_c)) - target
+
+
 def _solve_load_quantile(dist: ServiceDistribution, frac: float) -> float:
     """Size ``c`` with ``E[X; X ≤ c] = frac · E[X]`` (load quantile).
 
@@ -79,7 +92,7 @@ def _solve_load_quantile(dist: ServiceDistribution, frac: float) -> float:
         raise ValueError(f"load fraction must be in (0,1), got {frac}")
     lo = max(dist.lower, 1e-300)
     hi = _finite_upper(dist)
-    f = lambda log_c: _load_below(dist, math.exp(log_c)) - frac
+    load_below = partial(_load_below, dist)
 
     def best_side(c: float) -> float:
         # Step-function aware: a root-find (or an endpoint affected by
@@ -87,15 +100,17 @@ def _solve_load_quantile(dist: ServiceDistribution, frac: float) -> float:
         # curve; pick the side whose realised load fraction is nearest the
         # target.  The nudge must exceed the solvers' relative error.
         candidates = [c * (1.0 - 1e-9), c, c * (1.0 + 1e-9)]
-        return min(candidates, key=lambda x: abs(_load_below(dist, x) - frac))
+        return min(candidates, key=lambda x: abs(load_below(x) - frac))
 
     a, b = math.log(lo), math.log(hi)
-    fa, fb = f(a), f(b)
+    fa, fb = _residual(a, load_below, frac), _residual(b, load_below, frac)
     if fa >= 0.0:
         return best_side(lo)
     if fb <= 0.0:
         return best_side(hi)
-    c = math.exp(optimize.brentq(f, a, b, xtol=_XTOL))
+    c = math.exp(
+        optimize.brentq(_residual, a, b, args=(load_below, frac), xtol=_XTOL)
+    )
     return best_side(c)
 
 
@@ -169,9 +184,10 @@ def feasible_cutoff_range(
     else:
         c_max = math.exp(
             optimize.brentq(
-                lambda lc: rho_short(math.exp(lc)) - (1.0 - margin),
+                _residual,
                 math.log(lo_bound),
                 math.log(hi_bound),
+                args=(rho_short, 1.0 - margin),
                 xtol=_XTOL,
             )
         )
@@ -181,9 +197,10 @@ def feasible_cutoff_range(
     else:
         c_min = math.exp(
             optimize.brentq(
-                lambda lc: rho_long(math.exp(lc)) - (1.0 - margin),
+                _residual,
                 math.log(lo_bound),
                 math.log(hi_bound),
+                args=(rho_long, 1.0 - margin),
                 xtol=_XTOL,
             )
         )

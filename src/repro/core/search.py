@@ -18,11 +18,16 @@ points instead of recomputing them:
 * **Analytic pair** (:func:`analytic_cutoff_pair`): ``opt_cutoff`` and
   ``fair_cutoff`` both drive :func:`~repro.analysis.sita_analysis.analyze_sita`
   over a log-cutoff axis.  The truncated-distribution partial moments
-  inside it depend only on ``(dist, cutoff)`` — not on load — so they are
-  memoised in a bounded, explicitly-keyed :class:`MomentMemo` shared
-  across the opt/fair pair, across loads, and across policies within a
-  sweep.  :func:`analyze_sita_cached` rebuilds the full
-  :class:`~repro.analysis.sita_analysis.SITAAnalysis` from the memoised
+  inside it depend only on ``(dist, cutoff)`` — not on load.  For a
+  continuous distribution they are closed forms or quadratures, memoised
+  in a bounded, explicitly-keyed :class:`MomentMemo` shared across the
+  opt/fair pair, across loads, and across policies within a sweep.  For
+  an :class:`~repro.workloads.distributions.Empirical` (the paper's
+  training-half fit) they are read off the sample's cumulative
+  power-sum table in O(log n), which is as cheap as a memo hit, so the
+  memo neither stores nor pins empirical distributions.
+  :func:`analyze_sita_cached` rebuilds the full
+  :class:`~repro.analysis.sita_analysis.SITAAnalysis` from the slice
   moments with the exact floating-point operations of the direct path,
   so cached and direct analyses agree bit for bit.
 
@@ -348,24 +353,6 @@ class _CutoffMoments:
     long: _IntervalMoments | None
 
 
-def _cutoff_key(dist: ServiceDistribution, cutoff: float) -> float | int:
-    """The memo key a cutoff reduces to for ``dist``.
-
-    For :class:`~repro.workloads.distributions.Empirical` distributions
-    every partial moment is a function of the cutoff's **size rank**
-    only — ``searchsorted`` on the sorted sample, exactly the slicing
-    ``partial_moment``/``conditional`` perform — so any two cutoffs
-    falling between the same adjacent observed sizes share one memo row.
-    That makes the 1e-10-resolution refinement steps of the analytic
-    searches (which revisit the same step of the piecewise-constant
-    moment functions dozens of times) memo hits instead of O(n) moment
-    passes.  Continuous distributions key by the cutoff value itself.
-    """
-    if isinstance(dist, Empirical):
-        return int(np.searchsorted(dist.values, cutoff, side="right"))
-    return float(cutoff)
-
-
 def _interval_moments(
     dist: ServiceDistribution, lo: float, hi: float
 ) -> _IntervalMoments | None:
@@ -385,20 +372,35 @@ def _interval_moments(
     )
 
 
+def _cutoff_moments(
+    dist: ServiceDistribution, dist_mean: float, c: float
+) -> _CutoffMoments:
+    return _CutoffMoments(
+        dist_mean=dist_mean,
+        short=_interval_moments(dist, 0.0, c),
+        long=_interval_moments(dist, c, math.inf),
+    )
+
+
 class MomentMemo:
     """Bounded two-level LRU memo of truncated-distribution moments.
 
+    Serves the continuous distributions, whose truncated moments are
+    closed forms or quadratures worth keeping.  An
+    :class:`~repro.workloads.distributions.Empirical` bypasses it: its
+    slice moments are two table lookups (see
+    :class:`~repro.workloads.distributions.Empirical`), so a miss costs
+    about as much as a hit, and pinning the distribution would pin its
+    power-sum table (about 9 MB per 220k sizes).
+
     Keyed by distribution **identity** (the same convention as the
     experiment layer's trace cache — a distribution object is immutable
-    for its lifetime, and value-hashing an ``Empirical`` would cost the
-    O(n) pass the memo exists to avoid) × the cutoff's reduced key
-    (:func:`_cutoff_key`: size rank for empirical samples, the value
-    itself for continuous distributions).  Entries hold
-    seven scalars per slice, so even a full memo is a few hundred
-    kilobytes.  ``max_dists`` bounds how many distribution objects are
-    kept alive by the memo's strong references; ``max_cutoffs`` bounds
-    the per-distribution axis (a sweep's shared axis plus every
-    refinement point fits comfortably).
+    for its lifetime) × the cutoff value.  Entries hold seven scalars
+    per slice, so even a full memo is a few hundred kilobytes.
+    ``max_dists`` bounds how many distribution objects are kept alive by
+    the memo's strong references; ``max_cutoffs`` bounds the
+    per-distribution axis (a sweep's shared axis plus every refinement
+    point fits comfortably).
     """
 
     def __init__(self, max_dists: int = 8, max_cutoffs: int = 4096) -> None:
@@ -408,17 +410,16 @@ class MomentMemo:
         self.max_cutoffs = max_cutoffs
         self._dists: OrderedDict[
             int,
-            tuple[
-                ServiceDistribution,
-                float,
-                OrderedDict[float | int, _CutoffMoments],
-            ],
+            tuple[ServiceDistribution, float, OrderedDict[float, _CutoffMoments]],
         ] = OrderedDict()
         self.hits = 0
         self.misses = 0
 
     def get(self, dist: ServiceDistribution, cutoff: float) -> _CutoffMoments:
         """Moments of both slices at ``cutoff``, computing on a miss."""
+        c = float(cutoff)
+        if isinstance(dist, Empirical):
+            return _cutoff_moments(dist, dist.mean, c)
         key = id(dist)
         node = self._dists.get(key)
         if node is None:
@@ -429,35 +430,17 @@ class MomentMemo:
         else:
             self._dists.move_to_end(key)
         _, dist_mean, per_cutoff = node
-        c = float(cutoff)
-        ckey = _cutoff_key(dist, c)
-        entry = per_cutoff.get(ckey)
+        entry = per_cutoff.get(c)
         if entry is not None:
-            per_cutoff.move_to_end(ckey)
+            per_cutoff.move_to_end(c)
             self.hits += 1
             return entry
         self.misses += 1
-        entry = _CutoffMoments(
-            dist_mean=dist_mean,
-            short=_interval_moments(dist, 0.0, c),
-            long=_interval_moments(dist, c, math.inf),
-        )
-        per_cutoff[ckey] = entry
+        entry = _cutoff_moments(dist, dist_mean, c)
+        per_cutoff[c] = entry
         while len(per_cutoff) > self.max_cutoffs:
             per_cutoff.popitem(last=False)
         return entry
-
-    def discard(self, dist: ServiceDistribution) -> bool:
-        """Drop one distribution's slice from the memo, if present.
-
-        The memo holds a strong reference to every distribution it has
-        seen, so a caller that churns through short-lived distributions
-        (the online dispatcher re-fits from a sliding window, building a
-        fresh ``Empirical`` per re-fit) should release each retired one
-        explicitly rather than waiting for LRU eviction to unpin it.
-        Returns whether anything was dropped.
-        """
-        return self._dists.pop(id(dist), None) is not None
 
     def clear(self) -> None:
         self._dists.clear()
@@ -497,7 +480,8 @@ def analyze_sita_cached(
     """Memoised 2-host :func:`~repro.analysis.sita_analysis.analyze_sita`.
 
     The truncated-distribution moments are looked up in (or inserted
-    into) the memo; the per-load M/G/1 arithmetic is then replayed with
+    into) the memo, or read off the power-sum table of an ``Empirical``;
+    the per-load M/G/1 arithmetic is then replayed with
     the exact floating-point operations of the direct path, so the
     returned analysis — every field, including the nested
     :class:`~repro.analysis.mg1.MG1Metrics` — is bit-identical to
@@ -739,28 +723,36 @@ def _opt_from_axis(
     return float(math.exp(res.x))
 
 
+def _gap_of(a: SITAAnalysis | None) -> float:
+    """Log-ratio of short to long class mean slowdown (NaN if infeasible)."""
+    if a is None:
+        return math.nan
+    s_short, s_long = a.class_mean_slowdowns()
+    try:
+        return math.log(s_short / s_long)
+    except ValueError:
+        return math.nan
+
+
+def _gap_at(
+    log_c: float, evaluate: Callable[[float], SITAAnalysis | None]
+) -> float:
+    # Module-level, with ``evaluate`` passed through ``args=``: brentq
+    # wraps its objective in a self-referencing closure, which would keep
+    # a closure over the distribution alive until the next full GC.
+    return _gap_of(evaluate(math.exp(log_c)))
+
+
 def _fair_from_axis(
     axis: np.ndarray,
     evals: list[SITAAnalysis | None],
     evaluate: Callable[[float], SITAAnalysis | None],
     load: float,
 ) -> float:
-    def gap_of(a: SITAAnalysis | None) -> float:
-        if a is None:
-            return math.nan
-        s_short, s_long = a.class_mean_slowdowns()
-        try:
-            return math.log(s_short / s_long)
-        except ValueError:
-            return math.nan
-
-    gaps = np.array([gap_of(a) for a in evals])
+    gaps = np.array([_gap_of(a) for a in evals])
     finite = np.isfinite(gaps)
     if not np.any(finite):
         raise ValueError(f"no feasible fair cutoff at load {load}")
-
-    def gap(log_c: float) -> float:
-        return gap_of(evaluate(math.exp(log_c)))
 
     # The feasible set is an interval on the cutoff axis, so finite gap
     # values are contiguous grid points; the gap grows with the cutoff
@@ -772,7 +764,11 @@ def _fair_from_axis(
             return float(axis[i])
         if j == i + 1 and (gaps[i] < 0.0) and (gaps[j] >= 0.0):
             root = optimize.brentq(
-                gap, math.log(axis[i]), math.log(axis[j]), xtol=_XTOL
+                _gap_at,
+                math.log(axis[i]),
+                math.log(axis[j]),
+                args=(evaluate,),
+                xtol=_XTOL,
             )
             return float(math.exp(root))
     # No equal-slowdown point inside the feasible range (extreme loads,
@@ -784,7 +780,7 @@ def _fair_from_axis(
     hi = axis[min(axis.size - 1, best + 1)]
 
     def objective(log_c: float) -> float:
-        g = gap(log_c)
+        g = _gap_at(log_c, evaluate)
         return abs(g) if math.isfinite(g) else math.inf
 
     x, fx = _golden_min(

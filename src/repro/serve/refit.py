@@ -4,9 +4,12 @@
 cluster workloads are non-stationary: a SITA cutoff fitted to last
 week's size distribution quietly stops unbalancing the right way.  The
 online dispatcher therefore re-fits its cutoff from a **sliding window**
-of recently admitted job sizes, through the same shared-computation
-engine the batch experiments use (:class:`repro.core.search.MomentMemo`
-+ :func:`repro.core.search.analytic_cutoff_pair`).
+of recently admitted job sizes, through the same analytic search the
+batch experiments use (:func:`repro.core.search.analytic_cutoff_pair`).
+Each window becomes a short-lived
+:class:`~repro.workloads.distributions.Empirical`, whose slice moments
+come from its own power-sum table; the search's moment memo never holds
+it, so a retired window is freed as soon as its fit returns.
 
 A re-fit is *advice*, not gospel — the window can be too small, the
 estimated load infeasible, the fitted cutoff degenerate, or the window
@@ -24,7 +27,7 @@ from collections import deque
 
 import numpy as np
 
-from ..core.search import MomentMemo, analytic_cutoff_pair
+from ..core.search import analytic_cutoff_pair
 from ..workloads.distributions import Empirical
 
 __all__ = ["CutoffManager", "RefitRejected"]
@@ -48,10 +51,6 @@ class CutoffManager:
     refit_every:
         Attempt a re-fit every this many observations (after the window
         has filled once).
-    memo:
-        Shared :class:`MomentMemo`; each retired window's ``Empirical``
-        is explicitly :meth:`~repro.core.search.MomentMemo.discard`-ed so
-        the bounded memo is not churned by dead distributions.
     load_bounds:
         The estimated load is clipped into this open interval before the
         analytic search (which requires ``0 < load < 1``).
@@ -67,7 +66,6 @@ class CutoffManager:
         n_hosts: int,
         window: int = 2048,
         refit_every: int = 512,
-        memo: MomentMemo | None = None,
         load_bounds: tuple[float, float] = (0.05, 0.95),
         min_split_fraction: float = 0.02,
     ) -> None:
@@ -82,7 +80,6 @@ class CutoffManager:
         self.n_hosts = int(n_hosts)
         self.window = int(window)
         self.refit_every = int(refit_every)
-        self.memo = memo if memo is not None else MomentMemo()
         self.load_bounds = load_bounds
         self.min_split_fraction = float(min_split_fraction)
         self._sizes: deque[float] = deque(maxlen=window)
@@ -163,7 +160,6 @@ class CutoffManager:
             )
             return False
         sizes = np.asarray(self._sizes, dtype=float)
-        dist = None
         try:
             load = self._estimate_load()
             dist = Empirical(sizes)
@@ -172,18 +168,11 @@ class CutoffManager:
                 # objective; its internal NaN chatter is not actionable
                 # and must not spam a long-running server's stderr.
                 warnings.simplefilter("ignore", RuntimeWarning)
-                fitted = analytic_cutoff_pair(
-                    load, dist, want=("opt",), memo=self.memo
-                )["opt"]
+                fitted = analytic_cutoff_pair(load, dist, want=("opt",))["opt"]
             self._validate(fitted, sizes)
         except (ValueError, ArithmeticError) as exc:
             self._fall_back(str(exc))
             return False
-        finally:
-            # The window Empirical is dead after this fit: release its
-            # memo slice instead of letting it crowd the LRU.
-            if dist is not None:
-                self.memo.discard(dist)
         self.cutoff = float(fitted)
         self.last_known_good = self.cutoff
         self.mode = "fitted"

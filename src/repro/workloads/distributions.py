@@ -24,8 +24,10 @@ the distributions used in the paper and its surrounding literature:
 * :class:`Empirical` — an observed trace of service times (the paper's
   trace-driven mode).
 
-All distributions are immutable and stateless; sampling takes an explicit
-:class:`numpy.random.Generator` so experiments are reproducible.
+All distributions are immutable (an :class:`Empirical` builds its
+power-sum table on first use, a cache that changes no result); sampling
+takes an explicit :class:`numpy.random.Generator` so experiments are
+reproducible.
 """
 
 from __future__ import annotations
@@ -881,12 +883,74 @@ class Deterministic(ServiceDistribution):
 # ----------------------------------------------------------------------
 
 
+#: Powers tabulated by :class:`_PowerSums`, in row order.
+_POWERS = (1, 2, 3, -1, -2)
+_POWER_ROWS = {j: row for row, j in enumerate(_POWERS)}
+
+
+class _PowerSums:
+    """Cumulative power sums of one sorted sample, built on first use.
+
+    Row ``r`` of the ``(5, n + 1)`` table holds, for the power
+    ``_POWERS[r]``:
+
+    * ``j = 1, 2, 3`` — *prefix* sums, ``t[r, k] = Σ_{i<k} x_i^j``;
+    * ``j = -1, -2`` — *suffix* sums, ``t[r, k] = Σ_{i>=k} x_i^j``.
+
+    The power sum over any rank range ``[a, b)`` is then one subtraction.
+    Each direction accumulates from the small terms up (ascending ``x``
+    for positive powers, descending for negative ones), and a slice that
+    reaches the dominant end of its power — a SITA long slice for
+    ``x^j``, a short slice for ``1/x^j`` — is read straight off the table
+    rather than as the difference of two large sums.
+    """
+
+    __slots__ = ("x", "_table")
+
+    def __init__(self, x: np.ndarray) -> None:
+        self.x = x
+        self._table: np.ndarray | None = None
+
+    def range_sum(self, j: float, a: int, b: int) -> float:
+        """``Σ_{a <= i < b} x_i^j`` for ranks ``a < b`` of the sorted sample."""
+        if j == 0:
+            return float(b - a)
+        row = _POWER_ROWS.get(j)
+        if row is None:
+            # Powers outside the table (fractional j) sum the slice.
+            return float(np.sum(self.x[a:b] ** j))
+        t = self._table
+        if t is None:
+            t = self._table = self._build()
+        if j > 0:
+            return float(t[row, b] - t[row, a])
+        return float(t[row, a] - t[row, b])
+
+    def _build(self) -> np.ndarray:
+        x = self.x
+        t = np.zeros((len(_POWERS), x.size + 1))
+        for row, j in enumerate(_POWERS):
+            if j > 0:
+                np.cumsum(x**j, out=t[row, 1:])
+            else:
+                np.cumsum((x**j)[::-1], out=t[row, -2::-1])
+        return t
+
+
 class Empirical(ServiceDistribution):
     """The empirical distribution of an observed array of service times.
 
     This is the paper's trace-driven mode: all moments, partial moments and
     quantiles are computed from the sample, and :meth:`sample` resamples
     with replacement.
+
+    Moments of orders 1, 2, 3, -1 and -2 — everything the M/G/1 and SITA
+    analyses read — come from a table of cumulative power sums built once
+    per sample, so :meth:`moment`, :meth:`partial_moment`,
+    :meth:`prob_interval` and the moments of a :meth:`conditional` slice
+    each cost a ``searchsorted`` and a subtraction.  A conditional is a
+    view on the same sorted sample and shares its table: it is not
+    copied, re-sorted or re-validated.
     """
 
     def __init__(self, values) -> None:
@@ -896,6 +960,9 @@ class Empirical(ServiceDistribution):
         if np.any(v <= 0) or not np.all(np.isfinite(v)):
             raise ValueError("service times must be positive and finite")
         self.values = np.sort(v)
+        self._sums = _PowerSums(self.values)
+        #: rank of ``values[0]`` in the table's sample (0 unless a slice).
+        self._offset = 0
 
     @property
     def n(self) -> int:
@@ -910,15 +977,21 @@ class Empirical(ServiceDistribution):
     def upper(self) -> float:
         return float(self.values[-1])
 
-    def moment(self, j: float) -> float:
-        return float(np.mean(self.values**j))
-
-    def partial_moment(self, j: float, lo: float, hi: float) -> float:
+    def _ranks(self, lo: float, hi: float) -> tuple[int, int]:
+        """Table ranks ``[a, b)`` of the observations in ``(lo, hi]``."""
         i0 = int(np.searchsorted(self.values, lo, side="right"))
         i1 = int(np.searchsorted(self.values, hi, side="right"))
-        if i1 <= i0:
+        return self._offset + i0, self._offset + i1
+
+    def moment(self, j: float) -> float:
+        a = self._offset
+        return self._sums.range_sum(j, a, a + self.n) / self.n
+
+    def partial_moment(self, j: float, lo: float, hi: float) -> float:
+        a, b = self._ranks(lo, hi)
+        if b <= a:
             return 0.0
-        return float(np.sum(self.values[i0:i1] ** j)) / self.n
+        return self._sums.range_sum(j, a, b) / self.n
 
     def cdf(self, x: float) -> float:
         return float(np.searchsorted(self.values, x, side="right")) / self.n
@@ -933,11 +1006,14 @@ class Empirical(ServiceDistribution):
         return rng.choice(self.values, size=n, replace=True)
 
     def conditional(self, lo: float, hi: float) -> "ServiceDistribution":
-        i0 = int(np.searchsorted(self.values, lo, side="right"))
-        i1 = int(np.searchsorted(self.values, hi, side="right"))
-        if i1 <= i0:
+        a, b = self._ranks(lo, hi)
+        if b <= a:
             raise ValueError(f"no observations in ({lo}, {hi}]")
-        return Empirical(self.values[i0:i1])
+        view = object.__new__(Empirical)
+        view.values = self._sums.x[a:b]
+        view._sums = self._sums
+        view._offset = a
+        return view
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,9 @@ checks as ``simulate_fast``.
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +30,7 @@ from repro.core.search import (
 from repro.core.policies.sita import SITAPolicy
 from repro.sim.fast import SitaScanKernel, simulate_fast, sita_scan
 from repro.workloads.catalog import c90
-from repro.workloads.distributions import BoundedPareto, Empirical
+from repro.workloads.distributions import BoundedPareto, Empirical, Lognormal
 from repro.workloads.traces import Trace
 
 
@@ -196,12 +198,11 @@ class TestMomentMemo:
                     == direct.class_mean_slowdowns()
                 )
 
-    def test_agreement_across_loads_and_distributions(self, empirical):
+    def test_agreement_across_loads_and_distributions(self):
         from repro.core.cutoffs import feasible_cutoff_range
 
         memo = MomentMemo()
-        bp = BoundedPareto(1.0, 1e5, 1.1)
-        for dist in (empirical, bp):
+        for dist in (BoundedPareto(1.0, 1e5, 1.1), Lognormal(7.0, 2.0)):
             # feasible at the heaviest load -> feasible at the lighter ones
             c_min, c_max = feasible_cutoff_range(0.9, dist)
             cutoff = float(math.sqrt(c_min * c_max))
@@ -216,31 +217,33 @@ class TestMomentMemo:
         assert memo.stats()["n_dists"] == 2
         assert memo.stats()["n_cutoffs"] == 2
 
-    def test_rank_keyed_sharing_for_empirical(self, empirical):
-        """Cutoffs between the same adjacent observed sizes share one
-        memo entry (the truncated moments are piecewise-constant)."""
+    def test_empirical_bypasses_memo(self, empirical):
+        """An Empirical's slice moments are table lookups: the memo
+        neither stores nor counts them, and cutoffs between the same
+        adjacent observed sizes still give bit-equal analyses."""
         lam = 2.0 * 0.7 / empirical.mean
         v = empirical.values
         k = int(0.98 * v.size)
         c_lo, c_hi = float(v[k - 1]), float(v[k])
         assert c_hi > c_lo
         memo = MomentMemo()
-        a = analyze_sita_cached(lam, empirical, c_lo, memo=memo)
         before = memo.stats()
+        a = analyze_sita_cached(lam, empirical, c_lo, memo=memo)
         b = analyze_sita_cached(
             lam, empirical, 0.5 * (c_lo + c_hi), memo=memo
         )
-        after = memo.stats()
-        assert after["n_cutoffs"] == before["n_cutoffs"] == 1
-        assert after["hits"] == before["hits"] + 1
+        assert memo.stats() == before
         assert a.mean_slowdown == b.mean_slowdown
+        assert a.var_slowdown == b.var_slowdown
+        assert a.class_mean_slowdowns() == b.class_mean_slowdowns()
 
-    def test_bounded_size_and_lru_eviction(self, empirical):
+    def test_bounded_size_and_lru_eviction(self):
         from repro.core.cutoffs import feasible_cutoff_range
 
-        lam = 2.0 * 0.7 / empirical.mean
+        dist = BoundedPareto(1.0, 1e5, 1.1)
+        lam = 2.0 * 0.7 / dist.mean
         memo = MomentMemo(max_cutoffs=4)
-        c_min, c_max = feasible_cutoff_range(0.7, empirical)
+        c_min, c_max = feasible_cutoff_range(0.7, dist)
         feasible = [
             float(c)
             for c in np.exp(
@@ -248,28 +251,28 @@ class TestMomentMemo:
             )
         ]
         for c in feasible:
-            analyze_sita_cached(lam, empirical, c, memo=memo)
+            analyze_sita_cached(lam, dist, c, memo=memo)
         assert memo.stats()["n_cutoffs"] == 4  # bounded despite 8 inserts
         # The oldest entry was evicted: revisiting it is a miss again.
         misses = memo.stats()["misses"]
-        analyze_sita_cached(lam, empirical, feasible[0], memo=memo)
+        analyze_sita_cached(lam, dist, feasible[0], memo=memo)
         assert memo.stats()["misses"] == misses + 1
         # The freshest entry is still a hit.
         hits = memo.stats()["hits"]
-        analyze_sita_cached(lam, empirical, feasible[-1], memo=memo)
+        analyze_sita_cached(lam, dist, feasible[-1], memo=memo)
         assert memo.stats()["hits"] == hits + 1
 
-    def test_dist_bound(self, empirical):
+    def test_dist_bound(self):
         memo = MomentMemo(max_dists=2)
         dists = [BoundedPareto(1.0, 1e5, a) for a in (1.1, 1.3, 1.5)]
         for d in dists:
             analyze_sita_cached(2.0 * 0.5 / d.mean, d, 1_000.0, memo=memo)
         assert memo.stats()["n_dists"] == 2
 
-    def test_global_memo_clear_and_stats(self, empirical):
+    def test_global_memo_clear_and_stats(self):
         clear_search_memo()
         assert search_memo_stats()["n_cutoffs"] == 0
-        analytic_cutoff_pair(0.7, empirical)
+        analytic_cutoff_pair(0.7, Lognormal(7.0, 2.0))
         stats = search_memo_stats()
         assert stats["n_cutoffs"] > 0
         assert stats["hits"] > 0  # opt and fair share the axis evaluations
@@ -313,3 +316,22 @@ class TestAnalyticPair:
             analytic_cutoff_pair(0.7, empirical, want=())
         with pytest.raises(ValueError, match="unknown cutoff target"):
             analytic_cutoff_pair(0.7, empirical, want=("opt", "median"))
+
+    def test_search_frees_empirical_without_gc(self, train):
+        """A fitted Empirical dies on its last reference, not at the next
+        full GC: the memo does not hold it, and no solver objective closes
+        over it (brentq's self-referencing wrapper would keep the closure
+        alive in a reference cycle)."""
+        from repro.core.cutoffs import equal_load_cutoffs
+
+        gc.collect()
+        gc.disable()
+        try:
+            dist = Empirical(train.service_times)
+            analytic_cutoff_pair(0.7, dist)
+            equal_load_cutoffs(dist, 2)
+            ref = weakref.ref(dist)
+            del dist
+            assert ref() is None
+        finally:
+            gc.enable()

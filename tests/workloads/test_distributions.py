@@ -335,6 +335,97 @@ class TestEmpirical:
         assert e.ppf(1.0) == 40.0
 
 
+def _close(ref: float):
+    """Purely relative 1e-12 match: inverse moments sit far below
+    ``pytest.approx``'s default absolute tolerance."""
+    return pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+class TestEmpiricalPowerSums:
+    """The cumulative power-sum table against correctly rounded sums.
+
+    References are ``math.fsum`` totals: each block between consecutive
+    test ranks is summed exactly-rounded once, and a slice's reference is
+    the ``fsum`` of its blocks (positive terms, so the reference is good
+    to a few ulps).  Ranks cover both ends of the sample, where one of
+    the two SITA slices holds only a handful of observations.
+    """
+
+    POWERS = (1, 2, 3, -1, -2)
+
+    @pytest.fixture(scope="class")
+    def c90_sample(self) -> Empirical:
+        from repro.workloads.catalog import c90
+
+        e = Empirical(c90().service_dist.sample(220_000, rng=20000731))
+        assert np.all(np.diff(e.values) > 0)  # ranks map to distinct cutoffs
+        return e
+
+    @staticmethod
+    def _ranks(n: int) -> np.ndarray:
+        spread = np.linspace(50, n - 51, 200).astype(int)
+        return np.unique(
+            np.concatenate([np.arange(1, 50), spread, np.arange(n - 50, n)])
+        )
+
+    def test_slice_moments_match_fsum(self, c90_sample):
+        e = c90_sample
+        v, n = e.values, e.n
+        ranks = self._ranks(n)
+        edges = np.concatenate([[0], ranks, [n]])
+        blocks = {
+            j: [
+                math.fsum((v[a:b] ** j).tolist())
+                for a, b in zip(edges[:-1], edges[1:])
+            ]
+            for j in self.POWERS
+        }
+        for i, k in enumerate(ranks, start=1):
+            c = float(v[k - 1])
+            for lo, hi, sl, count in (
+                (0.0, c, slice(0, i), k),
+                (c, math.inf, slice(i, None), n - k),
+            ):
+                ref = {j: math.fsum(blocks[j][sl]) / count for j in self.POWERS}
+                cond = e.conditional(lo, hi)
+                assert cond.n == count
+                assert np.shares_memory(cond.values, v)
+                assert cond.mean == _close(ref[1])
+                assert cond.second_moment == _close(ref[2])
+                assert cond.third_moment == _close(ref[3])
+                assert cond.inverse_moment == _close(ref[-1])
+                assert cond.inverse_second_moment == _close(ref[-2])
+                assert e.partial_moment(1, lo, hi) == _close(ref[1] * count / n)
+                assert e.prob_interval(lo, hi) == count / n
+
+    def test_conditional_of_conditional_composes_offsets(self, c90_sample):
+        e = c90_sample
+        v, n = e.values, e.n
+        a, b = n // 3, n - 40
+        outer = e.conditional(float(v[a - 1]), math.inf)
+        inner = outer.conditional(0.0, float(v[b - 1]))
+        sl = v[a:b]
+        assert inner.n == sl.size
+        assert inner.lower == v[a] and inner.upper == v[b - 1]
+        for j in self.POWERS:
+            ref = math.fsum((sl**j).tolist()) / sl.size
+            assert inner.moment(j) == _close(ref)
+        # a partial moment of the view is normalised by the view's size
+        c = float(v[b + 9])
+        ref = math.fsum(v[b : b + 10].tolist()) / outer.n
+        assert outer.partial_moment(1, float(v[b - 1]), c) == _close(ref)
+
+    def test_fractional_power_sums_the_slice(self, c90_sample):
+        e = c90_sample
+        v = e.values
+        k = e.n // 2
+        cond = e.conditional(float(v[k - 1]), math.inf)
+        for j in (0.5, -0.5, 1.5):
+            ref = math.fsum((v[k:] ** j).tolist()) / (e.n - k)
+            assert cond.moment(j) == _close(ref)
+        assert cond.moment(0) == 1.0
+
+
 # ----------------------------------------------------------------------
 # property-based tests
 # ----------------------------------------------------------------------
