@@ -258,7 +258,7 @@ def compute_point(
         policy=policy.name,
         load=load,
         n_hosts=n_hosts,
-        summary=result.summary(warmup_fraction=config.warmup_fraction),
+        summary=trimmed.summary(),
         fallback=result.backend == "event-fallback",
         n_lost=result.n_lost,
         n_failures=result.n_failures,

@@ -107,9 +107,18 @@ def fcfs_waits(arrival_times: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     n = t.size
     if n == 0:
         return np.empty(0)
-    u = s[:-1] - np.diff(t)
-    prefix = np.concatenate(([0.0], np.cumsum(u)))
-    return prefix - np.minimum.accumulate(prefix)
+    # Two fresh arrays: the gaps, ``u`` and the prefix sums all live in
+    # ``prefix`` (each step is the same IEEE operation as the textbook
+    # ``s[:-1] - np.diff(t)`` / ``cumsum`` form, written in place), and
+    # the running minimum becomes the output.  Every fresh n-element
+    # temporary costs page faults on first touch.
+    prefix = np.empty(n)
+    prefix[0] = 0.0
+    u = np.subtract(t[1:], t[:-1], out=prefix[1:])
+    np.subtract(s[:-1], u, out=u)
+    np.cumsum(u, out=u)
+    waits = np.minimum.accumulate(prefix)
+    return np.subtract(prefix, waits, out=waits)
 
 
 @kernel_contract(
@@ -145,8 +154,12 @@ def lwl_waits(
     heap remains exact.  (The LWL ≡ Central-Queue equivalence holds only
     for identical hosts.)
 
-    Returns ``(waits, hosts)``; on ties among idle hosts the heap order
-    (not the lowest index) picks the host — waits are identical either way.
+    Returns ``(waits, hosts)``.  On identical hosts each job goes to the
+    host with the smallest ``(V, host index)`` pair — the earliest
+    virtual completion time, the lowest index among equal ``V``.  Among
+    several idle hosts this is the one that went idle first, not the
+    lowest index; waits are identical either way.  With unequal speeds
+    the rule is the policy's own: least work left, lowest index on ties.
     """
     t = np.asarray(arrival_times, dtype=float)
     s = np.asarray(sizes, dtype=float)
@@ -167,26 +180,34 @@ def lwl_waits(
     if np.all(speeds == 1.0):
         # Identical hosts: tie-breaks cannot affect waits, so the
         # O(n log h) earliest-free heap is exact.  The loop runs on
-        # plain Python floats (``tolist``) with the heap functions bound
+        # plain Python floats (``tolist``) with the heap function bound
         # locally: indexing a NumPy array in a tight loop boxes a fresh
         # np.float64 per access and re-resolves attributes, roughly
         # doubling the cost of the recursion (timings in
         # docs/PERFORMANCE.md).  Float arithmetic is IEEE-754 either
-        # way, so the waits are bit-identical.
-        t_list = t.tolist()
-        s_list = s.tolist()
-        waits_list = [0.0] * n
-        hosts_list = [0] * n
-        heappop, heappush = heapq.heappop, heapq.heappush
-        free = [(0.0, i) for i in range(n_hosts)]  # already a valid heap
-        for j in range(n):
-            tj = t_list[j]
-            v, i = heappop(free)
-            start = tj if v < tj else v
-            waits_list[j] = start - tj
-            hosts_list[j] = i
-            heappush(free, (start + s_list[j], i))
-        return np.asarray(waits_list), np.asarray(hosts_list, dtype=int)
+        # way, so the waits are bit-identical.  The heap holds one
+        # ``[V, host]`` entry per host.  The pairs are unique, so the
+        # root is their lexicographic minimum: the job's host.  Its entry
+        # is updated in place and one ``heapreplace`` sifts it back down,
+        # which picks the same hosts as ``heappop`` + ``heappush`` of a
+        # fresh tuple without allocating one per job.
+        waits_list: list[float] = []
+        hosts_list: list[int] = []
+        push_wait, push_host = waits_list.append, hosts_list.append
+        heapreplace = heapq.heapreplace
+        free: list[list] = [[0.0, i] for i in range(n_hosts)]  # a valid heap
+        for tj, sj in zip(t.tolist(), s.tolist()):
+            root = free[0]
+            v, i = root
+            push_host(i)
+            if v < tj:
+                push_wait(0.0)
+                root[0] = tj + sj
+            else:
+                push_wait(v - tj)
+                root[0] = v + sj
+            heapreplace(free, root)
+        return np.fromiter(waits_list, float, n), np.fromiter(hosts_list, int, n)
     waits = np.empty(n)
     hosts = np.empty(n, dtype=int)
     # Heterogeneous speeds: which of several idle hosts is chosen now
@@ -417,16 +438,23 @@ def _static_waits(
     assignment: np.ndarray,
     n_hosts: int,
     speeds: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Waits and durations given a fixed host assignment (Lindley per host)."""
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Waits and durations given a fixed host assignment (Lindley per host).
+
+    Each host's jobs are gathered once through an index array.  When
+    every speed is 1 a job's duration is its size, so no division is
+    done and ``durations`` is ``None``.
+    """
     waits = np.empty(arrival_times.size)
-    durations = np.empty(arrival_times.size)
+    durations = None if np.all(speeds == 1.0) else np.empty(arrival_times.size)
     for i in range(n_hosts):
-        mask = assignment == i
-        if np.any(mask):
-            dur = sizes[mask] / speeds[i]
-            waits[mask] = fcfs_waits(arrival_times[mask], dur)
-            durations[mask] = dur
+        idx = np.flatnonzero(assignment == i)
+        if idx.size:
+            dur = sizes[idx]
+            if durations is not None:
+                dur /= speeds[i]
+                durations[idx] = dur
+            waits[idx] = fcfs_waits(arrival_times[idx], dur)
     return waits, durations
 
 

@@ -304,28 +304,36 @@ class SimulationResult:
     def summary(self, warmup_fraction: float = 0.0) -> Summary:
         """Compute the paper's metrics, optionally after warmup trimming."""
         r = self.trimmed(warmup_fraction)
-        slow = r.slowdowns
+        sizes = r.sizes
         resp = r.response_times
-        total_work = float(np.sum(r.sizes))
-        load_frac = []
-        job_frac = []
-        for i in range(r.n_hosts):
-            mask = r.host_assignments == i
-            load_frac.append(float(np.sum(r.sizes[mask])) / total_work)
-            job_frac.append(float(np.mean(mask)))
+        slow = resp / sizes
+        # np.max before np.percentile: an empty result raises ValueError.
+        max_slowdown = float(np.max(slow))
+        p95, p99 = np.percentile(slow, [95, 99]).tolist()  # one partition
+        # Per-host work and job counts in one pass each.  The weighted
+        # bincount sums each host's sizes sequentially rather than
+        # pairwise, so the load fractions can differ from a per-host
+        # ``np.sum`` in the last bits.
+        hosts = r.host_assignments
+        load = np.bincount(hosts, weights=sizes, minlength=r.n_hosts)
+        counts = np.bincount(hosts, minlength=r.n_hosts)
+        total_work = float(np.sum(sizes))
+        n = r.n_jobs
         return Summary(
-            n_jobs=r.n_jobs,
+            n_jobs=n,
             mean_slowdown=float(np.mean(slow)),
             var_slowdown=float(np.var(slow)),
             mean_waiting_slowdown=float(np.mean(r.waiting_slowdowns)),
             mean_response=float(np.mean(resp)),
             var_response=float(np.var(resp)),
             mean_wait=float(np.mean(r.wait_times)),
-            max_slowdown=float(np.max(slow)),
-            p95_slowdown=float(np.percentile(slow, 95)),
-            p99_slowdown=float(np.percentile(slow, 99)),
-            host_load_fraction=tuple(load_frac),
-            host_job_fraction=tuple(job_frac),
+            max_slowdown=max_slowdown,
+            p95_slowdown=p95,
+            p99_slowdown=p99,
+            host_load_fraction=tuple(
+                (load[: r.n_hosts] / total_work).tolist()
+            ),
+            host_job_fraction=tuple((counts[: r.n_hosts] / n).tolist()),
             jain_slowdown=jain_fairness_index(slow),
         )
 

@@ -92,10 +92,8 @@ def simulate(
     seed_arg = rng
     rng = _as_rng(rng)
     kind = getattr(policy, "kind", None)
-    import numpy as _np
-
-    hetero = host_speeds is not None and not _np.all(
-        _np.asarray(host_speeds, dtype=float) == 1.0
+    hetero = host_speeds is not None and not np.all(
+        np.asarray(host_speeds, dtype=float) == 1.0
     )
     needs_event = (
         kind == "central" and getattr(policy, "discipline", "fcfs") != "fcfs"

@@ -56,6 +56,32 @@ class TestSummary:
     def test_max_slowdown(self, result):
         assert result.summary().max_slowdown == 4.0
 
+    def test_one_pass_fields_match_per_host_forms(self, rng):
+        # Host 3 gets no jobs.
+        n = 5000
+        sizes = rng.lognormal(0.0, 2.0, n)
+        hosts = rng.integers(0, 3, n)
+        r = SimulationResult(
+            policy_name="test",
+            n_hosts=4,
+            arrival_times=np.cumsum(rng.exponential(1.0, n)),
+            sizes=sizes,
+            wait_times=rng.exponential(5.0, n),
+            host_assignments=hosts,
+        )
+        s = r.summary()
+        slow = r.slowdowns
+        assert s.p95_slowdown == float(np.percentile(slow, 95))
+        assert s.p99_slowdown == float(np.percentile(slow, 99))
+        assert s.host_job_fraction == tuple(
+            float(np.mean(hosts == i)) for i in range(4)
+        )
+        total = float(np.sum(sizes))
+        expected_load = [float(np.sum(sizes[hosts == i])) / total for i in range(4)]
+        assert s.host_load_fraction == pytest.approx(expected_load, rel=1e-12, abs=0)
+        assert s.host_load_fraction[3] == 0.0
+        assert s.host_job_fraction[3] == 0.0
+
     def test_as_row(self, result):
         row = result.summary().as_row()
         assert row["mean_slowdown"] == pytest.approx(1.875)
