@@ -4,8 +4,8 @@ The core is synchronous and single-threaded by design (determinism);
 this module is the *only* place concurrency exists.  The concurrency
 discipline, which the ``SIM211`` lint rule enforces mechanically:
 
-* every touch of shared mutable state — the core and the connection
-  counter — happens inside ``async with self._lock``;
+* every touch of shared mutable state — the core, the counters and the
+  cache of submit reply bytes — happens inside ``async with self._lock``;
 * the core's methods are plain synchronous calls, so no ``await`` can
   interleave another connection's request into a half-applied mutation;
 * per-connection objects (reader, writer, parsed message) are owned by
@@ -13,18 +13,80 @@ discipline, which the ``SIM211`` lint rule enforces mechanically:
 
 Requests across connections therefore serialize at the lock in arrival
 order, which is exactly the semantics of one operator feeding the core.
+
+Clients may pipeline.  Each wake-up of a connection takes every complete
+line already received, decodes them outside the lock, applies them in
+order under **one** lock hold and writes all their replies with one
+``write``.  Replies come back in request order, and several of them may
+arrive in one segment.  A run of two or more consecutive ``submit``
+lines that pass the core's own checks goes through one
+:meth:`DispatchServer.submit_batch`, which is outcome-equivalent to the
+scalar submits it replaces.  Every other line takes the one-request
+path (:meth:`ServeFrontend._apply`), so each reply, error messages
+included, has the bytes it would have had if sent alone.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import math
 from pathlib import Path
 
 from .protocol import KNOWN_OPS, MAX_LINE, ProtocolError, decode_line, encode
 from .server import DispatchServer, OnlineDispatchError
 
 __all__ = ["ServeFrontend"]
+
+
+def _split_lines(buf: bytes) -> tuple[list[bytes], bytes, bool]:
+    """Complete lines of ``buf`` (newline kept), the partial tail, and
+    whether the connection must close after those lines.
+
+    The limits are the ones ``StreamReader.readline`` enforces with
+    ``limit=MAX_LINE``: a line of up to ``MAX_LINE + 1`` bytes, newline
+    included, is returned (``decode_line`` answers the ``+ 1`` case with
+    an error reply), while a longer line, or a partial tail already
+    longer than ``MAX_LINE``, ends the connection.
+    """
+    lines: list[bytes] = []
+    start = 0
+    while end := buf.find(b"\n", start) + 1:
+        if end - start > MAX_LINE + 1:
+            return lines, b"", True
+        lines.append(buf[start:end])
+        start = end
+    tail = buf[start:]
+    return lines, tail, len(tail) > MAX_LINE
+
+
+def _run_job(msg: dict, last: float) -> tuple[float, float, float] | None:
+    """``(arrival, size, estimate)`` of a submit the core takes without
+    raising, else None (the line then takes the one-request path).
+
+    ``last`` is the core's clock after the preceding submits.  The size
+    and the estimate (the size when not given) must be positive and
+    finite, and the arrival finite and not below ``last``.  A missing
+    arrival defaults to ``last``, as it would after scalar submits.
+    """
+    size = msg.get("size")
+    arrival = msg.get("arrival", last)
+    estimate = msg.get("size_estimate")
+    if estimate is None:
+        estimate = size
+    if not (
+        isinstance(size, (int, float))
+        and isinstance(arrival, (int, float))
+        and isinstance(estimate, (int, float))
+    ):
+        return None
+    try:
+        size, arrival, estimate = float(size), float(arrival), float(estimate)
+    except OverflowError:  # an integer too large for a float
+        return None
+    if 0.0 < size < math.inf and 0.0 < estimate < math.inf and last <= arrival < math.inf:
+        return arrival, size, estimate
+    return None
 
 
 class ServeFrontend:
@@ -42,6 +104,9 @@ class ServeFrontend:
         self._server: asyncio.AbstractServer | None = None
         self.connections = 0
         self.requests = 0
+        #: reply bytes of a submit, keyed by ``(outcome, reason, host)``:
+        #: a few entries per host, read and filled under the lock.
+        self._submit_replies: dict[tuple, bytes] = {}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -79,34 +144,28 @@ class ServeFrontend:
     ) -> None:
         async with self._lock:
             self.connections += 1
+        tail = b""
         try:
             while True:
                 try:
-                    line = await reader.readline()
+                    data = await reader.read(MAX_LINE)
                 except asyncio.CancelledError:
                     # Event-loop shutdown while idle on this connection.
                     # Returning (instead of re-raising) keeps the streams
                     # machinery from logging a spurious traceback when it
                     # polls task.exception() in its connection callback.
                     break
-                except (ValueError, ConnectionError):
-                    # over-long line (LimitOverrunError is a ValueError)
-                    # or peer reset: this connection is unrecoverable.
-                    break
-                if not line:
-                    break
-                try:
-                    msg = decode_line(line)
-                except ProtocolError as exc:
-                    reply = {"ok": False, "error": str(exc)}
-                else:
-                    async with self._lock:
-                        self.requests += 1
-                        reply = self._apply(msg)
-                writer.write(encode(reply))
-                try:
-                    await writer.drain()
                 except ConnectionError:
+                    break  # peer reset: this connection is unrecoverable
+                if data:
+                    lines, tail, closing = _split_lines(tail + data)
+                else:
+                    # EOF: a final line without its newline is still a
+                    # request, answered before the connection closes.
+                    lines, closing = [tail] if tail else [], True
+                if lines and not await self._answer(lines, writer):
+                    break
+                if closing:
                     break
         finally:
             async with self._lock:
@@ -115,9 +174,85 @@ class ServeFrontend:
             # CancelledError is a BaseException, so suppress(Exception)
             # alone would let an event-loop-shutdown cancellation escape
             # from this final await and the streams machinery would log a
-            # spurious traceback — same rationale as the readline catch.
+            # spurious traceback — same rationale as the read catch.
             with contextlib.suppress(Exception, asyncio.CancelledError):
                 await writer.wait_closed()
+
+    async def _answer(self, lines: list[bytes], writer: asyncio.StreamWriter) -> bool:
+        """Answer ``lines`` in order with one write; False once the peer
+        is gone."""
+        items: list[dict | bytes] = []
+        for line in lines:
+            try:
+                items.append(decode_line(line))
+            except ProtocolError as exc:
+                items.append(encode({"ok": False, "error": str(exc)}))
+        replies: list[bytes] = []
+        try:
+            async with self._lock:
+                self._apply_all(items, replies)
+        finally:
+            # If a request raises unexpectedly, the requests applied
+            # before it have changed the core: their replies still go out.
+            writer.write(b"".join(replies))
+        try:
+            await writer.drain()
+        except ConnectionError:
+            return False
+        return True
+
+    def _apply_all(self, items: list[dict | bytes], out: list[bytes]) -> None:
+        """Apply decoded requests in order, appending each reply to ``out``.
+
+        ``items`` holds request dicts and the encoded replies of lines
+        that did not decode.  Consecutive submits that :func:`_run_job`
+        accepts are collected into a run: a run of two or more goes
+        through one ``submit_batch(collect=True)``, a run of one through
+        ``submit`` (a one-job batch costs several scalar submits).  Any
+        other request ends the run and goes through :meth:`_apply`.
+        Synchronous, like :meth:`_apply`: the caller holds the lock.
+        """
+        core = self._core
+        run: list[tuple[float, float, float]] = []
+        last = core.now
+        for item in items:
+            if isinstance(item, bytes):
+                self._submit_run(run, out)
+                out.append(item)
+                continue
+            self.requests += 1
+            job = _run_job(item, last) if item["op"] == "submit" else None
+            if job is None:
+                self._submit_run(run, out)
+                out.append(encode(self._apply(item)))
+                last = core.now
+                continue
+            last = job[0]
+            run.append(job)
+        self._submit_run(run, out)
+
+    def _submit_run(
+        self, run: list[tuple[float, float, float]], out: list[bytes]
+    ) -> None:
+        """Submit a run of ``(arrival, size, estimate)`` jobs and empty it."""
+        if not run:
+            return
+        if len(run) == 1:
+            arrival, size, estimate = run[0]
+            records = [self._core.submit(size, arrival, size_estimate=estimate)]
+        else:
+            arrivals, sizes, estimates = zip(*run)
+            records = self._core.submit_batch(
+                arrivals, sizes, estimates, collect=True
+            )
+        cache = self._submit_replies
+        for record in records:
+            key = (record["outcome"], record["reason"], record["host"])
+            reply = cache.get(key)
+            if reply is None:
+                reply = cache[key] = encode({"ok": True, **record})
+            out.append(reply)
+        run.clear()
 
     def _apply(self, msg: dict) -> dict:
         """Route one request into the core.

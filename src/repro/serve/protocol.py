@@ -11,9 +11,16 @@ Replies always carry ``ok``; errors carry ``error`` with a message and
 never tear down the connection — a client that sends one malformed line
 gets one error reply and may continue.
 
+Clients may pipeline: send any number of requests without waiting for
+replies.  Replies come back in request order, one line per request, and
+several of them may arrive in one segment, so a client reads reply
+lines, not segments.
+
 The framing is deliberately the simplest thing that is robust: a bounded
 line length (an unbounded ``readline`` is a memory DoS against the
-server) and strict object-shaped JSON.
+server) and strict object-shaped JSON.  A line of ``MAX_LINE + 1``
+bytes, newline included, gets an error reply; a longer one closes the
+connection.
 """
 
 from __future__ import annotations

@@ -425,8 +425,8 @@ class DispatchServer:
     ) -> dict:
         """Offer one job to the server; returns the decision record.
 
-        ``arrival`` is the job's virtual-time epoch and must be
-        non-decreasing across calls; the embedded engine is advanced to
+        ``arrival`` is the job's virtual-time epoch and must be finite
+        and non-decreasing across calls; the embedded engine is advanced to
         it first, so crashes, repairs, heartbeats and retries that were
         due interleave exactly as they would in a batch run.
         """
@@ -434,6 +434,8 @@ class DispatchServer:
         if not (size > 0 and math.isfinite(size)):
             raise ValueError(f"job size must be positive and finite, got {size}")
         now = float(arrival)
+        if not math.isfinite(now):
+            raise ValueError(f"arrival must be finite, got {now}")
         sim = self._inner.sim
         if now < sim.now:
             raise ValueError(
@@ -549,6 +551,9 @@ class DispatchServer:
             raise ValueError(
                 f"job size must be positive and finite, got {s[k]}"
             )
+        if not np.isfinite(t).all():
+            k = int(np.flatnonzero(~np.isfinite(t))[0])
+            raise ValueError(f"arrival must be finite, got {float(t[k])}")
         sim = self._inner.sim
         if float(t[0]) < sim.now:
             raise ValueError(

@@ -62,6 +62,31 @@ class TestValidation:
         with pytest.raises(ValueError, match="non-decreasing"):
             server.submit(1.0, 4.0)
 
+    @pytest.mark.parametrize("arrival", [math.nan, math.inf, -math.inf])
+    def test_submit_rejects_non_finite_arrival(self, arrival):
+        server = DispatchServer(2, LeastWorkLeftPolicy())
+        server.submit(1.0, 5.0)
+        with pytest.raises(ValueError, match="arrival must be finite"):
+            server.submit(1.0, arrival)
+        # no state moved: the clock stays put and finite jobs still go in
+        assert server.now == 5.0
+        assert server.n_accepted == 1
+        assert server.submit(1.0, 6.0)["outcome"] == "admitted"
+        server.drain()
+        assert server.counters()["completed"] == 2
+
+    @pytest.mark.parametrize("arrival", [math.nan, math.inf])
+    def test_submit_batch_rejects_non_finite_arrival_atomically(self, arrival):
+        server = DispatchServer(2, LeastWorkLeftPolicy(), strict=True)
+        with pytest.raises(ValueError, match="arrival must be finite"):
+            server.submit_batch([0.0, 1.0, arrival, 3.0], [1.0] * 4)
+        assert server.n_accepted == 0
+        assert server.now == 0.0
+        records = server.submit_batch([0.0, 1.0], [1.0, 1.0], collect=True)
+        assert [r["outcome"] for r in records] == ["admitted"] * 2
+        server.drain()
+        assert server.counters()["completed"] == 2
+
 
 class TestFaultFreeBitIdentity:
     """With no faults and every breaker closed, the online dispatcher is
