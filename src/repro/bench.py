@@ -13,20 +13,17 @@ assert thresholds: absolute numbers are machine-dependent (CI runners
 differ wildly), so the JSON records the environment alongside every
 entry and comparisons are made between files from the same machine.
 
-Schema (``schema_version`` 2)::
+Schema (``schema_version`` 3)::
 
     {
-      "schema_version": 2,
+      "schema_version": 3,
       "created": "YYYY-MM-DD",
       "quick": false,
-      "environment": {"python": …, "numpy": …, "numba": … | null,
-                       "platform": …, "cpu_count": …, "workers": …,
-                       "oversubscribed": …},
+      "environment": {"python": …, "numpy": …, "platform": …,
+                       "cpu_count": …, "workers": …, "oversubscribed": …},
       "entries": [
-        {"name": "kernel.lwl_waits", "tier": "python", "wall_s": …,
-         "n_jobs": …, "jobs_per_s": …},
-        {"name": "kernel.lwl_waits", "tier": "compiled", "wall_s": …,
-         "n_jobs": …, "jobs_per_s": …, "speedup_vs_python": …},
+        {"name": "kernel.lwl_waits", "wall_s": …, "n_jobs": …,
+         "jobs_per_s": …},
         …,
         {"name": "search.sim_pair", "wall_s": …, "loop_wall_s": …,
          "speedup_vs_loop": …, "argmin_identical_to_loop": true},
@@ -52,12 +49,9 @@ filtered run records ``"only"`` in the document so a partial baseline
 can never be mistaken for a full trajectory point; committed baselines
 are always full runs.
 
-Every ``kernel.*`` entry carries a ``tier``: the python rows are always
-measured (under a forced ``kernel_tier("python")``), and when the
-certified compiled tier (:mod:`repro.sim.compiled`) is importable the
-ported kernels get a second, ``"compiled"`` row with its
-``speedup_vs_python`` — so one baseline file shows both tiers of the
-trajectory.  Schema 1 predates the ``tier``/``numba`` fields.
+There is one ``kernel.*`` row per kernel.  Schema 2 also carried a
+per-row ``tier`` and an environment field for an optional compiled
+kernel tier; schema 3 drops both along with that tier.
 
 Sweep workers default to ``min(4, max(2, cpu_count))`` — floored at two
 so the parallel row always exercises a real pool; whenever the resolved
@@ -96,7 +90,7 @@ __all__ = [
     "run_from_args",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: the named benchmark families ``--only`` globs against, in run order.
 FAMILY_NAMES = (
@@ -131,60 +125,29 @@ def _kernel_workload(n_jobs: int, seed: int = 20000731):
 
 
 def _bench_kernels(n_jobs: int, repeats: int) -> list[dict]:
-    """Per-kernel throughput, tier by tier.
-
-    The python rows are always measured under a forced
-    ``kernel_tier("python")`` so they stay comparable across machines
-    with and without numba; kernels with a certified compiled port get a
-    second ``tier: "compiled"`` row with its ``speedup_vs_python``.
-    """
-    from .sim.compiled import compiled_available, kernel_tier
+    """Per-kernel throughput on one shared workload."""
     from .sim.fast import fcfs_waits, lwl_waits, shortest_queue_waits, tags_waits
 
     t, s = _kernel_workload(n_jobs)
     cutoffs = [float(np.quantile(s, 0.5)), float(np.quantile(s, 0.9))]
-    # (name, thunk, has a compiled port)
-    kernels: list[tuple[str, Callable[[], object], bool]] = [
-        ("kernel.fcfs_waits", lambda: fcfs_waits(t, s), False),
-        ("kernel.lwl_waits", lambda: lwl_waits(t, s, 4), True),
-        ("kernel.shortest_queue_waits", lambda: shortest_queue_waits(t, s, 4), True),
-        ("kernel.tags_waits", lambda: tags_waits(t, s, cutoffs), False),
+    kernels: list[tuple[str, Callable[[], object]]] = [
+        ("kernel.fcfs_waits", lambda: fcfs_waits(t, s)),
+        ("kernel.lwl_waits", lambda: lwl_waits(t, s, 4)),
+        ("kernel.shortest_queue_waits", lambda: shortest_queue_waits(t, s, 4)),
+        ("kernel.tags_waits", lambda: tags_waits(t, s, cutoffs)),
     ]
     entries = []
-    python_wall: dict[str, float] = {}
-    with kernel_tier("python"):
-        for name, fn, _ported in kernels:
-            fn()  # warm
-            wall = _time(fn, repeats)
-            python_wall[name] = wall
-            entries.append(
-                {
-                    "name": name,
-                    "tier": "python",
-                    "wall_s": wall,
-                    "n_jobs": n_jobs,
-                    "jobs_per_s": n_jobs / wall if wall > 0 else None,
-                }
-            )
-    if compiled_available():
-        with kernel_tier("compiled"):
-            for name, fn, ported in kernels:
-                if not ported:
-                    continue
-                fn()  # warm (pays the JIT compile outside the timing)
-                wall = _time(fn, repeats)
-                entries.append(
-                    {
-                        "name": name,
-                        "tier": "compiled",
-                        "wall_s": wall,
-                        "n_jobs": n_jobs,
-                        "jobs_per_s": n_jobs / wall if wall > 0 else None,
-                        "speedup_vs_python": (
-                            python_wall[name] / wall if wall > 0 else None
-                        ),
-                    }
-                )
+    for name, fn in kernels:
+        fn()  # warm
+        wall = _time(fn, repeats)
+        entries.append(
+            {
+                "name": name,
+                "wall_s": wall,
+                "n_jobs": n_jobs,
+                "jobs_per_s": n_jobs / wall if wall > 0 else None,
+            }
+        )
     return entries
 
 
@@ -454,13 +417,6 @@ def _bench_serve(quick: bool) -> list[dict]:
     return entries
 
 
-def _numba_version() -> str | None:
-    """The numba version the compiled tier saw, or ``None``."""
-    from .sim.compiled import NUMBA_VERSION
-
-    return NUMBA_VERSION
-
-
 def resolve_workers(requested: int | None) -> tuple[int, bool]:
     """Pool size for the sweep bench and whether it oversubscribes.
 
@@ -530,7 +486,6 @@ def run_benchmarks(
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "numba": _numba_version(),
             "platform": platform.platform(),
             "cpu_count": os.cpu_count(),
             "workers": workers,
@@ -563,14 +518,11 @@ def render(doc: dict) -> str:
                 f"p50 {e['latency_p50_us']:.0f}us  p99 {e['latency_p99_us']:.0f}us"
             )
         for key in ("speedup_vs_event", "speedup_vs_loop",
-                    "speedup_vs_serial", "speedup_vs_python"):
+                    "speedup_vs_serial"):
             if e.get(key):
                 extra.append(f"{e[key]:.2f}x {key.split('_vs_')[1]}")
-        label = e["name"]
-        if "tier" in e:
-            label = f"{label}[{e['tier']}]"
         lines.append(
-            f"  {label:32s} {e['wall_s'] * 1e3:10.1f} ms  " + "  ".join(extra)
+            f"  {e['name']:32s} {e['wall_s'] * 1e3:10.1f} ms  " + "  ".join(extra)
         )
     return "\n".join(lines)
 

@@ -9,14 +9,11 @@ docstrings:
 * a **static pass** — ``repro lint`` / :func:`lint_paths` — runs the
   per-file AST rules ``SIM001`` … ``SIM007``
   (:mod:`repro.devtools.rules`), the whole-program flow rules
-  ``SIM101`` … ``SIM106`` (:mod:`repro.devtools.flow`), the
-  kernel-contract / concurrency rules ``SIM201`` … ``SIM211``
-  (:mod:`repro.devtools.contracts`), and the compile-readiness rules
-  ``SIM301`` … ``SIM308`` (:mod:`repro.devtools.compile_rules`, which
-  also certify the :mod:`repro.sim.compiled` kernel tier through a
-  committed manifest); profiles (``--profile
-  kernels,concurrency,compile|all``) select among them, and the
-  whole-program tiers share one project-wide symbol table and call
+  ``SIM101`` … ``SIM106`` (:mod:`repro.devtools.flow`), and
+  the kernel-contract / concurrency rules ``SIM201`` … ``SIM211``
+  (:mod:`repro.devtools.contracts`); profiles (``--profile
+  kernels,concurrency|all``) select among them, and the whole-program
+  tiers share one project-wide symbol table and call
   graph (:mod:`repro.devtools.graph`);
 * a **runtime pass**, in two layers — ``Simulator(strict=True)`` or the
   ``REPRO_SIM_STRICT=1`` environment hook asserts engine invariants
@@ -29,13 +26,6 @@ Everything is zero-dependency (stdlib :mod:`ast` + :mod:`hashlib` only)
 and documented rule by rule in ``docs/DEVTOOLS.md``.
 """
 
-from .compile_rules import (
-    COMPILE_RULES,
-    certification,
-    certified_kernels,
-    register_compile,
-    run_compile_rules,
-)
 from .contracts import (
     CONTRACT_RULES,
     PROFILES,
@@ -83,12 +73,7 @@ __all__ = [
     "RULES",
     "PROJECT_RULES",
     "CONTRACT_RULES",
-    "COMPILE_RULES",
     "PROFILES",
-    "certification",
-    "certified_kernels",
-    "register_compile",
-    "run_compile_rules",
     "StaticContract",
     "contract_index",
     "register_contract",

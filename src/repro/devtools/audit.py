@@ -29,16 +29,7 @@ the event engine and the fast kernels must produce the same waits
 (host identities may legitimately differ on ties, so the comparison is
 ``allclose`` on wait arrays, not a bit-exact digest).
 
-A fourth check targets the kernel tiers: when the certified compiled
-tier (:mod:`repro.sim.compiled`) is importable, every ported kernel is
-run on the same workload under ``kernel_tier("python")`` and
-``kernel_tier("compiled")`` and the outputs must be **bit-identical**
-(``np.array_equal``, not ``allclose`` — the ports replicate the python
-arithmetic operation for operation, so nothing short of equality is
-acceptable).  Without numba the check reports itself unavailable and
-passes.
-
-A fifth, optional check (``--workers N``) targets the parallel sweep
+A fourth, optional check (``--workers N``) targets the parallel sweep
 executor: the audited experiment is run once serially and once fanned
 out over an ``N``-process pool, and the resulting rows must be
 **identical** (NaN fields compare equal to NaN — ablation drivers emit
@@ -80,12 +71,10 @@ __all__ = [
     "Divergence",
     "ParallelCheck",
     "ReplayRecord",
-    "TierCheck",
     "add_audit_arguments",
     "audit_experiment",
     "check_parallel_equivalence",
     "cross_check_backends",
-    "cross_check_tiers",
     "find_first_divergence",
     "main",
     "record_replay",
@@ -342,126 +331,6 @@ def cross_check_backends(
 
 
 # ---------------------------------------------------------------------------
-# python vs compiled kernel-tier cross-check
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TierCheck:
-    """Bit-equality of the python and certified compiled kernel tiers.
-
-    ``available=False`` (no numba / nothing certified) is a pass: the
-    python tier is then the only tier, and there is nothing to compare.
-    """
-
-    n_jobs: int
-    kernels: tuple[str, ...]
-    available: bool
-    first_mismatch: str | None
-
-    @property
-    def ok(self) -> bool:
-        return self.first_mismatch is None
-
-    def render(self) -> str:
-        if not self.available:
-            return (
-                "python vs compiled kernel tiers: compiled tier "
-                "unavailable, nothing to compare (python tier only)"
-            )
-        if self.ok:
-            return (
-                f"python and compiled kernel tiers are bit-identical on "
-                f"{', '.join(self.kernels)} ({self.n_jobs} jobs)"
-            )
-        return (
-            f"python vs compiled kernel tiers DISAGREE: {self.first_mismatch}"
-        )
-
-
-def cross_check_tiers(
-    seed: int, n_jobs: int = 2000, workload: str = "c90"
-) -> TierCheck:
-    """Run every compiled-ported kernel on both tiers; demand bit-equality.
-
-    Covers LWL (identical *and* heterogeneous hosts), Shortest-Queue,
-    estimate-driven LWL and the batched SITA cutoff scan.  Waits, host
-    assignments and scan scores must all satisfy ``np.array_equal`` —
-    the compiled ports replicate the python arithmetic operation for
-    operation, so any inequality is a porting bug.
-    """
-    from ..sim import fast
-    from ..sim.compiled import compiled_available, kernel_tier
-    from ..workloads.catalog import get_workload
-
-    kernels = (
-        "lwl_waits",
-        "lwl_waits[hetero]",
-        "shortest_queue_waits",
-        "estimated_lwl_waits",
-        "sita_scan",
-    )
-    if not compiled_available():
-        return TierCheck(
-            n_jobs=0, kernels=kernels, available=False, first_mismatch=None
-        )
-    trace = get_workload(workload).make_trace(
-        load=0.7, n_hosts=4, n_jobs=n_jobs, rng=seed
-    )
-    t = trace.arrival_times - trace.arrival_times[0]
-    s = trace.service_times
-    est = s * np.random.default_rng(seed).uniform(0.5, 2.0, s.size)
-    speeds = np.asarray([1.0, 1.0, 2.0, 0.5])
-    candidates = np.quantile(s, [0.25, 0.5, 0.75])
-
-    def run_all() -> dict[str, object]:
-        return {
-            "lwl_waits": fast.lwl_waits(t, s, 4),
-            "lwl_waits[hetero]": fast.lwl_waits(t, s, 4, host_speeds=speeds),
-            "shortest_queue_waits": fast.shortest_queue_waits(t, s, 4),
-            "estimated_lwl_waits": fast.estimated_lwl_waits(t, s, est, 4),
-            "sita_scan": fast.sita_scan(trace, candidates),
-        }
-
-    with kernel_tier("python"):
-        python_out = run_all()
-    with kernel_tier("compiled"):
-        compiled_out = run_all()
-    first_mismatch = None
-    for name in kernels:
-        a, b = python_out[name], compiled_out[name]
-        if isinstance(a, fast.SitaScanResult):
-            assert isinstance(b, fast.SitaScanResult)
-            pairs = [
-                ("values", a.values, b.values),
-                ("short_slowdown", a.short_slowdown, b.short_slowdown),
-                ("long_slowdown", a.long_slowdown, b.long_slowdown),
-                ("gap", a.gap, b.gap),
-                ("n_short", a.n_short, b.n_short),
-            ]
-        else:
-            assert isinstance(a, tuple) and isinstance(b, tuple)
-            pairs = [("waits", a[0], b[0]), ("hosts", a[1], b[1])]
-        for label, x, y in pairs:
-            if not np.array_equal(
-                np.asarray(x), np.asarray(y), equal_nan=True
-            ):
-                first_mismatch = (
-                    f"{name}.{label} differs (python vs compiled, "
-                    f"seed {seed}, {trace.n_jobs} jobs)"
-                )
-                break
-        if first_mismatch is not None:
-            break
-    return TierCheck(
-        n_jobs=trace.n_jobs,
-        kernels=kernels,
-        available=True,
-        first_mismatch=first_mismatch,
-    )
-
-
-# ---------------------------------------------------------------------------
 # serial vs parallel sweep equivalence
 # ---------------------------------------------------------------------------
 
@@ -572,7 +441,6 @@ class AuditReport:
     divergence: Divergence | None
     cross_check: CrossCheck | None
     parallel_check: ParallelCheck | None = None
-    tier_check: TierCheck | None = None
 
     @property
     def ok(self) -> bool:
@@ -580,7 +448,6 @@ class AuditReport:
             self.divergence is None
             and (self.cross_check is None or self.cross_check.ok)
             and (self.parallel_check is None or self.parallel_check.ok)
-            and (self.tier_check is None or self.tier_check.ok)
         )
 
     def render(self) -> str:
@@ -596,8 +463,6 @@ class AuditReport:
             lines.append(self.divergence.render())
         if self.cross_check is not None:
             lines.append(self.cross_check.render())
-        if self.tier_check is not None:
-            lines.append(self.tier_check.render())
         if self.parallel_check is not None:
             lines.append(self.parallel_check.render())
         lines.append("audit PASSED" if self.ok else "audit FAILED")
@@ -640,7 +505,6 @@ def audit_experiment(
         if divergence is not None:
             break
     check = cross_check_backends(seed=config.seed) if cross_check else None
-    tier_check = cross_check_tiers(seed=config.seed) if cross_check else None
     par_check = (
         check_parallel_equivalence(ids, config, workers)
         if workers is not None
@@ -656,7 +520,6 @@ def audit_experiment(
         divergence=divergence,
         cross_check=check,
         parallel_check=par_check,
-        tier_check=tier_check,
     )
 
 

@@ -2,9 +2,9 @@
 
 The third analysis tier.  The per-file rules (SIM001–SIM007) see one
 module, the flow rules (SIM101–SIM106) see the project graph; these
-rules see *array dataflow and process boundaries* — the two things a
-compiled (Numba/Cython) kernel tier and the parallel sweep executor
-make load-bearing.
+rules see *array dataflow and process boundaries* — the two things the
+in-place workspace kernels and the parallel sweep executor make
+load-bearing.
 
 **Kernel contract pack** — every function decorated with
 :func:`repro.sim.contract.kernel_contract` declares its array ABI
@@ -122,8 +122,6 @@ class StaticContract:
     contiguous: tuple[str, ...]
     allow_alias: tuple[tuple[str, str], ...]
     fn: FunctionInfo
-    #: declared compile-candidate (``nopython=True``) — scopes SIM301+.
-    nopython: bool = False
 
     def param_names(self) -> list[str]:
         """Parameters the contract constrains (return keys excluded)."""
@@ -166,9 +164,9 @@ def _normalise_dtypes(raw: Mapping | None) -> dict[str, tuple[str, ...]]:
 def contract_index(graph: ProjectGraph) -> dict[str, StaticContract]:
     """Every declared contract, keyed by fqname **and** re-export aliases.
 
-    ``repro.sim.kernel`` re-exports the ``repro.sim.fast`` kernels; a call
-    site resolving through either name must find the same contract, so
-    import aliases are propagated to a fixpoint.  Memoised on the graph's
+    A module may re-export a kernel (``from .fast import lwl_waits``); a
+    call site resolving through either name must find the same contract,
+    so import aliases are propagated to a fixpoint.  Memoised on the graph's
     ``analysis_cache`` — one extraction per lint run.
     """
     cached = graph.analysis_cache.get("contract_index")
@@ -192,7 +190,6 @@ def contract_index(graph: ProjectGraph) -> dict[str, StaticContract]:
                         tuple(pair) for pair in (fields.get("allow_alias") or ())
                     ),
                     fn=fn,
-                    nopython=bool(fields.get("nopython", False)),
                 )
                 break
     changed = True
@@ -614,11 +611,11 @@ class DtypeDriftRule(_CallSiteRule):
     """SIM201: the dtype reaching a kernel must match its contract.
 
     A float32 array silently *widens* on the NumPy path (``np.asarray``
-    upcasts and copies) but is a hard ABI break for a compiled kernel
-    taking the buffer zero-copy — the same call produces different
-    results, or garbage, depending on the backend.  Every array whose
-    dtype the dataflow can prove is checked against the declaration;
-    unknown dtypes pass (the runtime validator still sees them).
+    upcasts and copies), and a workspace kernel writing into it rounds
+    every value it stores; the strict-mode validator rejects the call.
+    Every array whose dtype the dataflow can prove is checked against
+    the declaration; unknown dtypes pass (the runtime validator still
+    sees them).
     """
 
     id = "SIM201"
@@ -638,9 +635,9 @@ class DtypeDriftRule(_CallSiteRule):
                     site.node,
                     f"`{contract.fn.qualname}` takes {param} as "
                     f"{'/'.join(admissible)} but this call passes "
-                    f"{fact.dtype}: the NumPy path silently converts, a "
-                    "compiled kernel reading the buffer zero-copy breaks — "
-                    "construct the array with the contracted dtype",
+                    f"{fact.dtype}: the NumPy path silently converts and a "
+                    "written buffer rounds — construct the array with the "
+                    "contracted dtype",
                 )
 
 
@@ -855,8 +852,8 @@ class ShapeContractRule(_CallSiteRule):
     A contract like ``{"t": ("n",), "s": ("n",)}`` promises equal-length
     1-D inputs; passing a 2-D array (rank break) or arrays of provably
     different lengths (symbol break) means the NumPy path broadcasts or
-    raises at some interior expression, and the compiled path reads out
-    of bounds.  Only literally-known shapes are compared.
+    raises at some interior expression.  Only literally-known shapes are
+    compared.
     """
 
     id = "SIM204"
@@ -918,10 +915,9 @@ class ContiguityRule(_CallSiteRule):
     """SIM205: scan kernels assume C-contiguous input.
 
     A strided view (``x[::2]``, a transposed row) walks memory with a
-    gap; the NumPy reference path tolerates it at a copy's cost, a
-    compiled pointer-walking scan reads the wrong elements.  Arguments
-    the dataflow can prove non-contiguous must pass through
-    ``np.ascontiguousarray`` first.
+    gap; the NumPy path tolerates it at a copy's cost, and the
+    strict-mode validator rejects it.  Arguments the dataflow can prove
+    non-contiguous must pass through ``np.ascontiguousarray`` first.
     """
 
     id = "SIM205"

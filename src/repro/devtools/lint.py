@@ -3,7 +3,7 @@
 Usage::
 
     repro lint [paths] [--select SIM001,SIM004] [--ignore SIM006] \\
-               [--profile kernels,compile|all] [--format text|json] \\
+               [--profile kernels,concurrency|all] [--format text|json] \\
                [--baseline FILE | --no-baseline] [--update-baseline] \\
                [--strict-baseline] [--stats] [--list-rules]
     python -m repro.devtools.lint src/repro tests
@@ -15,8 +15,8 @@ Selection defaults come from ``[tool.repro.lint]`` in ``pyproject.toml``
 (``select``/``ignore`` arrays, plus a ``baseline`` file path), so CI and
 developers run the same configuration with no flags.  ``--profile``
 names one or more curated rule sets, comma-separated (``kernels`` =
-SIM201–SIM205, ``concurrency`` = SIM206–SIM211, ``compile`` =
-SIM301–SIM308, ``all`` = every registered rule across all four tiers);
+SIM201–SIM205, ``concurrency`` = SIM206–SIM211, ``all`` = every
+registered rule across all three tiers);
 multiple profiles union.  ``--list-rules`` prints every registered rule
 with its tier.  A finding can be suppressed at a single line with the
 pragma::
@@ -60,7 +60,6 @@ from typing import Iterable, Sequence
 
 from . import contracts as _contracts  # noqa: F401  (registers SIM201+)
 from . import flow as _flow  # noqa: F401  (imported to register SIM101+)
-from .compile_rules import COMPILE_RULES, run_compile_rules
 from .contracts import CONTRACT_RULES, PROFILES, run_contract_rules
 from .findings import Finding, format_findings, sort_findings
 from .graph import PROJECT_RULES, ProjectGraph, run_project_rules
@@ -104,15 +103,14 @@ _TIERS: tuple[tuple[str, dict], ...] = (
     ("file", RULES),
     ("flow", PROJECT_RULES),
     ("contract", CONTRACT_RULES),
-    ("compile", COMPILE_RULES),
 )
 
 
 def _all_rule_ids() -> set[str]:
-    """Every known rule ID across the four tiers.
+    """Every known rule ID across the three tiers.
 
-    Per-file (SIM00x), whole-program flow (SIM10x), kernel-contract /
-    concurrency (SIM20x) and compile-readiness (SIM30x).
+    Per-file (SIM00x), whole-program flow (SIM10x) and kernel-contract /
+    concurrency (SIM20x).
     """
     return set().union(*(set(registry) for _, registry in _TIERS))
 
@@ -134,7 +132,7 @@ def _validate_rules(ids: Iterable[str], origin: str) -> set[str]:
 def _profile_names(profile: str | Iterable[str]) -> list[str]:
     """Flatten a profile argument into individual names.
 
-    Accepts one name, a comma-separated string (``"kernels,compile"``)
+    Accepts one name, a comma-separated string (``"kernels,concurrency"``)
     or an iterable of either.
     """
     items = [profile] if isinstance(profile, str) else list(profile)
@@ -152,7 +150,7 @@ def resolve_selection(
     """Final rule-ID set.
 
     ``profile`` names the base set — one or more of ``kernels``,
-    ``concurrency``, ``compile`` and ``all`` (= every registered rule),
+    ``concurrency`` and ``all`` (= every registered rule),
     comma-separated or as an iterable; several profiles union.  Without
     one the base is every rule.  ``select`` then *narrows* the base
     (intersection when a profile is active, replacement otherwise — a
@@ -365,22 +363,18 @@ class LintStats:
 
 
 def _needs_graph(chosen: set[str]) -> bool:
-    return bool(
-        chosen & (set(PROJECT_RULES) | set(CONTRACT_RULES) | set(COMPILE_RULES))
-    )
+    return bool(chosen & (set(PROJECT_RULES) | set(CONTRACT_RULES)))
 
 
 def _run_graph_rules(
     graph: ProjectGraph, chosen: set[str], noqa: dict[str, _Noqa]
 ) -> list[Finding]:
-    """The whole-program tiers (flow + contracts + compile) on one graph."""
+    """The whole-program tiers (flow + contracts) on one graph."""
     findings: list[Finding] = []
     if chosen & set(PROJECT_RULES):
         findings.extend(run_project_rules(graph, select=chosen))
     if chosen & set(CONTRACT_RULES):
         findings.extend(run_contract_rules(graph, select=chosen))
-    if chosen & set(COMPILE_RULES):
-        findings.extend(run_compile_rules(graph, select=chosen))
     return _apply_noqa(findings, noqa)
 
 
@@ -591,8 +585,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="NAMES",
         help="named rule sets, comma-separated: kernels (SIM201-205), "
-        "concurrency (SIM206-211), compile (SIM301-308), or all "
-        "registered rules; several profiles union",
+        "concurrency (SIM206-211), or all registered rules; several "
+        "profiles union",
     )
     parser.add_argument(
         "--format",

@@ -32,6 +32,7 @@ import asyncio
 import contextlib
 import math
 from pathlib import Path
+from typing import Any
 
 from .protocol import KNOWN_OPS, MAX_LINE, ProtocolError, decode_line, encode
 from .server import DispatchServer, OnlineDispatchError
@@ -60,6 +61,22 @@ def _split_lines(buf: bytes) -> tuple[list[bytes], bytes, bool]:
     return lines, tail, len(tail) > MAX_LINE
 
 
+#: the classes a JSON number decodes to.  ``bool`` subclasses ``int``
+#: but is no number; matching the class exactly keeps it out.
+_NUMBER_CLASSES = (int, float)
+
+
+def _number(x: Any, error: str) -> float:
+    """``x`` as a float, or :class:`ProtocolError` ``error`` when it is
+    not a number or is an integer too large for a float."""
+    if x.__class__ in _NUMBER_CLASSES:
+        try:
+            return float(x)
+        except OverflowError:
+            pass
+    raise ProtocolError(error)
+
+
 def _run_job(msg: dict, last: float) -> tuple[float, float, float] | None:
     """``(arrival, size, estimate)`` of a submit the core takes without
     raising, else None (the line then takes the one-request path).
@@ -75,9 +92,9 @@ def _run_job(msg: dict, last: float) -> tuple[float, float, float] | None:
     if estimate is None:
         estimate = size
     if not (
-        isinstance(size, (int, float))
-        and isinstance(arrival, (int, float))
-        and isinstance(estimate, (int, float))
+        size.__class__ in _NUMBER_CLASSES
+        and arrival.__class__ in _NUMBER_CLASSES
+        and estimate.__class__ in _NUMBER_CLASSES
     ):
         return None
     try:
@@ -264,18 +281,14 @@ class ServeFrontend:
         op = msg["op"]
         try:
             if op == "submit":
-                size = msg.get("size")
-                if not isinstance(size, (int, float)):
-                    raise ProtocolError("submit requires a numeric 'size'")
-                arrival = msg.get("arrival", self._core.now)
-                if not isinstance(arrival, (int, float)):
-                    raise ProtocolError("'arrival' must be numeric")
-                estimate = msg.get("size_estimate")
-                if estimate is not None and not isinstance(estimate, (int, float)):
-                    raise ProtocolError("'size_estimate' must be numeric")
-                record = self._core.submit(
-                    float(size), float(arrival), size_estimate=estimate
+                size = _number(msg.get("size"), "submit requires a numeric 'size'")
+                arrival = _number(
+                    msg.get("arrival", self._core.now), "'arrival' must be numeric"
                 )
+                estimate = msg.get("size_estimate")
+                if estimate is not None:
+                    estimate = _number(estimate, "'size_estimate' must be numeric")
+                record = self._core.submit(size, arrival, size_estimate=estimate)
                 return {"ok": True, **record}
             if op == "submit_batch":
                 jobs = msg.get("jobs")
@@ -292,19 +305,17 @@ class ServeFrontend:
                 arrivals: list[float] = []
                 sizes: list[float] = []
                 estimates: list[float] = []
+                bad_row = (
+                    "each job must be [arrival, size] or "
+                    "[arrival, size, estimate] with numeric entries"
+                )
                 for row in jobs:
-                    if (
-                        not isinstance(row, list)
-                        or len(row) not in (2, 3)
-                        or not all(isinstance(x, (int, float)) for x in row)
-                    ):
-                        raise ProtocolError(
-                            "each job must be [arrival, size] or "
-                            "[arrival, size, estimate] with numeric entries"
-                        )
-                    arrivals.append(float(row[0]))
-                    sizes.append(float(row[1]))
-                    estimates.append(float(row[2] if len(row) == 3 else row[1]))
+                    if not isinstance(row, list) or len(row) not in (2, 3):
+                        raise ProtocolError(bad_row)
+                    values = [_number(x, bad_row) for x in row]
+                    arrivals.append(values[0])
+                    sizes.append(values[1])
+                    estimates.append(values[-1])
                 records = self._core.submit_batch(
                     arrivals, sizes, estimates, collect=True
                 )

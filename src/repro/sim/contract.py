@@ -1,12 +1,13 @@
-"""Array contracts for the simulation kernels (the compiled-tier gate).
+"""Array contracts for the simulation kernels.
 
-The ROADMAP's next performance rung is a compiled (Numba/Cython) tier
-for the Lindley-recursion kernels.  A compiled kernel takes its arrays
-zero-copy, so the implicit assumptions the NumPy versions paper over
-with ``np.asarray`` — dtype, rank, matching lengths, C-contiguity,
-which buffers are written, which must not alias — become hard ABI
-requirements.  This module makes those assumptions *declared* and
-*checkable*:
+The kernels in :mod:`repro.sim.fast` rest on assumptions about their
+array arguments — dtype, rank, matching lengths, C-contiguity, which
+buffers are written, which must not alias.  ``np.asarray`` papers over
+some of them with a silent copy or upcast; others fail silently: the
+workspace kernels (``_fcfs_waits_into``, ``serve_dispatch_batch``)
+write into caller-provided buffers, where an aliased or mis-shaped
+buffer corrupts the recursion.  This module makes those assumptions
+*declared* and *checkable*:
 
 * :func:`kernel_contract` — a decorator attaching a
   :class:`KernelContract` to a kernel.  The declaration is a plain
@@ -22,10 +23,9 @@ requirements.  This module makes those assumptions *declared* and
   ``tests/sim/test_kernel_contract.py``).
 
 Only :class:`numpy.ndarray` arguments are validated.  Lists, scalars
-and ``None`` pass through untouched: the Python kernels convert them
-via ``np.asarray``, and the compiled tier will do the same conversion
-at its boundary — the contract pins down the zero-copy fast path, not
-the convenience coercions.
+and ``None`` pass through untouched: the kernels convert them via
+``np.asarray`` — the contract pins down the ndarray path, not the
+convenience coercions.
 
 Declaration syntax (all keywords optional)::
 
@@ -94,8 +94,6 @@ class KernelContract:
     writes: tuple[str, ...] = ()
     contiguous: tuple[str, ...] = ()
     allow_alias: tuple[tuple[str, str], ...] = ()
-    #: the kernel claims nopython compilability (checked by SIM301–SIM308).
-    nopython: bool = False
 
     def dtype_names(self, name: str) -> tuple[str, ...]:
         """Admissible dtype names for parameter (or return key) ``name``."""
@@ -166,8 +164,8 @@ def _check_array(
     if admissible and all(arr.dtype != np.dtype(d) for d in admissible):
         raise ContractViolation(
             f"{label}: {name} has dtype {arr.dtype}, contract declares "
-            f"{'/'.join(admissible)} (dtype drift breaks the compiled "
-            "kernel's zero-copy path)"
+            f"{'/'.join(admissible)} (dtype drift means a silent copy, or "
+            "rounding in a written buffer)"
         )
     spec = contract.shapes.get(name)
     if spec is not None:
@@ -280,21 +278,12 @@ def kernel_contract(
     writes: tuple[str, ...] = (),
     contiguous: tuple[str, ...] = (),
     allow_alias: tuple[tuple[str, str], ...] = (),
-    nopython: bool = False,
 ) -> Callable[[_F], _F]:
     """Declare a kernel's array contract (see the module docstring).
 
     The declaration must be spelled with literal dicts/tuples — the
     static checker reads it from the AST, and a computed declaration
     would be invisible to it.
-
-    ``nopython=True`` marks a compile-candidate kernel: its body must
-    pass the compile-readiness rules SIM301–SIM308 before the compiled
-    tier may register it (see :mod:`repro.devtools.compile_rules`).  The
-    function is returned *unwrapped* — ``numba.njit`` cannot see through
-    the validating closure, so runtime validation for these kernels
-    happens at the pure-python façade that dispatches to them (the
-    :mod:`repro.sim.fast` entry points), never inside the compiled body.
     """
     contract = KernelContract(
         shapes=dict(shapes or {}),
@@ -302,13 +291,9 @@ def kernel_contract(
         writes=tuple(writes),
         contiguous=tuple(contiguous),
         allow_alias=tuple(allow_alias),
-        nopython=nopython,
     )
 
     def decorate(fn: _F) -> _F:
-        if nopython:
-            fn.__kernel_contract__ = contract  # type: ignore[attr-defined]
-            return fn
         signature = inspect.signature(fn)
         label = fn.__qualname__
 

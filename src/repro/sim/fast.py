@@ -24,13 +24,6 @@ Every kernel is cross-validated against the event engine in
 ``tests/sim/test_fast_vs_engine.py`` — per-job waiting times must agree to
 floating-point accuracy.  (Host *identities* may differ on exact ties,
 e.g. among simultaneously idle hosts; waits are unaffected.)
-
-The sequential recursions (LWL, Shortest-Queue, estimated LWL, the SITA
-subset-Lindley scan) additionally dispatch to the certified
-``numba.njit`` tier (:mod:`repro.sim.compiled`) when it is selected —
-*after* this module's validation, so argument checking and strict-mode
-contract enforcement stay here.  The compiled ports are bit-identical,
-which ``repro audit`` cross-checks per experiment.
 """
 
 from __future__ import annotations
@@ -44,7 +37,6 @@ import numpy as np
 
 from ..workloads.distributions import _as_rng
 from ..workloads.traces import Trace
-from . import compiled as _compiled
 from .contract import kernel_contract
 from .engine import InvariantViolation
 from .metrics import SimulationResult, observe_result
@@ -169,14 +161,6 @@ def lwl_waits(
         raise ValueError(f"n_hosts must be >= 1, got {n_hosts}")
     speeds = np.ones(n_hosts) if host_speeds is None else np.asarray(host_speeds, float)
     n = t.size
-    fn = _compiled.dispatch("lwl_waits")
-    if fn is not None:
-        return fn(
-            np.ascontiguousarray(t),
-            np.ascontiguousarray(s),
-            int(n_hosts),
-            np.ascontiguousarray(speeds),
-        )
     if np.all(speeds == 1.0):
         # Identical hosts: tie-breaks cannot affect waits, so the
         # O(n log h) earliest-free heap is exact.  The loop runs on
@@ -262,15 +246,6 @@ def shortest_queue_waits(
         raise ValueError("arrival_times and sizes must be equal-length 1-D")
     speeds = np.ones(n_hosts) if host_speeds is None else np.asarray(host_speeds, float)
     n = t.size
-    if n_hosts >= 1:
-        fn = _compiled.dispatch("shortest_queue_waits")
-        if fn is not None:
-            return fn(
-                np.ascontiguousarray(t),
-                np.ascontiguousarray(s),
-                int(n_hosts),
-                np.ascontiguousarray(speeds),
-            )
     # Python-float loop state throughout (see the identical-host branch
     # of :func:`lwl_waits`): pre-extracted lists avoid per-iteration
     # np.float64 boxing, ``enumerate`` over the deque list avoids an
@@ -344,14 +319,6 @@ def estimated_lwl_waits(
     if n_hosts < 1:
         raise ValueError(f"n_hosts must be >= 1, got {n_hosts}")
     n = t.size
-    fn = _compiled.dispatch("estimated_lwl_waits")
-    if fn is not None:
-        return fn(
-            np.ascontiguousarray(t),
-            np.ascontiguousarray(s),
-            np.ascontiguousarray(e),
-            int(n_hosts),
-        )
     waits = np.empty(n)
     hosts = np.empty(n, dtype=int)
     believed = np.zeros(n_hosts)
@@ -642,11 +609,6 @@ def _fcfs_waits_into(
     n = t.size
     if n == 0:
         return out[:0]
-    fn = _compiled.dispatch("sita_scan")
-    if fn is not None:
-        # Fused single-pass port; leaves work1/work2 untouched (callers
-        # always overwrite the workspaces before reading them).
-        return fn(t, s, out[:n])
     d = np.subtract(t[1:], t[:-1], out=work1[: n - 1])  # np.diff(t)
     u = np.subtract(s[: n - 1], d, out=d)
     prefix = work2[:n]
@@ -975,23 +937,9 @@ def serve_dispatch_batch(
     n = arrival_times.shape[0]
     if n == 0:
         return
-    fn = _compiled.dispatch("serve_dispatch_batch")
-    if fn is not None:
-        fn(
-            arrival_times,
-            sizes,
-            estimates,
-            host_speeds,
-            cutoffs,
-            v,
-            hosts,
-            starts,
-            int(mode),
-        )
-        return
-    # Python tier: plain-float loops (tolist), same IEEE-754 arithmetic
-    # as the nopython body — see lwl_waits on why this beats ndarray
-    # indexing in a tight loop.
+    # Plain-float loops (tolist) with the engine's IEEE-754 arithmetic
+    # — see lwl_waits on why this beats ndarray indexing in a tight
+    # loop.
     t_list = arrival_times.tolist()
     s_list = sizes.tolist()
     v_list = v.tolist()

@@ -143,11 +143,11 @@ def test_pyproject_defaults_are_picked_up(tree, capsys):
 
 def test_repo_select_lists_every_registered_rule():
     """The repo's ``select`` is "all rules on": exactly the registries."""
-    from repro.devtools import COMPILE_RULES, CONTRACT_RULES, PROJECT_RULES, RULES
+    from repro.devtools import CONTRACT_RULES, PROJECT_RULES, RULES
     from repro.devtools.lint import load_config
 
     config = load_config(Path(__file__).resolve().parents[2])
-    registered = set(RULES) | set(PROJECT_RULES) | set(CONTRACT_RULES) | set(COMPILE_RULES)
+    registered = set(RULES) | set(PROJECT_RULES) | set(CONTRACT_RULES)
     assert set(config["select"]) == registered
 
 
@@ -321,57 +321,49 @@ def test_unknown_profile_is_a_usage_error(contract_tree, capsys):
 
     with pytest.raises(LintError):
         resolve_selection(profile="nope")
+    # no SIM30x rules exist, so there is no `compile` profile either
+    with pytest.raises(SystemExit) as exc:
+        lint_main(["--profile", "compile"])
+    assert exc.value.code == 2
+    assert "unknown profile 'compile'" in capsys.readouterr().err
+    with pytest.raises(LintError):
+        resolve_selection(profile="compile")
 
 
 # ---------------------------------------------------------------------------
-# the compile tier's CLI surface: comma profiles, tiers, baseline ratchet
+# comma profiles, tiers, baseline ratchet
 # ---------------------------------------------------------------------------
 
-NOPYTHON_DIRTY = """\
-from repro.sim.contract import kernel_contract
+SHM_LEAK = """\
+from multiprocessing import shared_memory
 
-@kernel_contract(nopython=True, dtypes={"xs": "float64"})
-def kern(xs, **kwargs):
-    return xs[0]
+def leak(n):
+    shm = shared_memory.SharedMemory(create=True, size=n)
+    shm.buf[0] = 1
 """
 
 
 @pytest.fixture
 def combined_tree(tmp_path: Path) -> Path:
-    """One contract-tier finding (SIM201) plus one compile-tier (SIM301)."""
+    """One kernel-contract finding (SIM201) plus one concurrency (SIM206)."""
     pkg = tmp_path / "src" / "repro" / "sim"
     pkg.mkdir(parents=True)
     (pkg / "kern.py").write_text(CONTRACTED)
-    (pkg / "nopy.py").write_text(NOPYTHON_DIRTY)
+    (pkg / "shm.py").write_text(SHM_LEAK)
     return tmp_path
 
 
-def test_profile_compile_runs_compile_rules(combined_tree, capsys):
-    target = combined_tree / "src" / "repro" / "sim" / "nopy.py"
-    assert lint_main([str(target), "--profile", "compile", "--no-baseline"]) == 1
-    assert "SIM301" in capsys.readouterr().out
-
-
-def test_profile_compile_skips_other_tiers(combined_tree, capsys):
-    target = combined_tree / "src" / "repro" / "sim" / "kern.py"
-    assert lint_main([str(target), "--profile", "compile", "--no-baseline"]) == 0
-    assert "all clean" in capsys.readouterr().out
-
-
 def test_comma_separated_profiles_union(combined_tree, capsys):
+    src = str(combined_tree / "src")
+    assert lint_main([src, "--profile", "kernels", "--no-baseline"]) == 1
+    out = capsys.readouterr().out
+    assert "SIM201" in out and "SIM206" not in out
     assert (
-        lint_main(
-            [
-                str(combined_tree / "src"),
-                "--profile",
-                "kernels,compile",
-                "--no-baseline",
-            ]
-        )
+        lint_main([src, "--profile", "kernels,concurrency", "--no-baseline"])
         == 1
     )
     out = capsys.readouterr().out
-    assert "SIM201" in out and "SIM301" in out
+    assert "SIM201" in out and "SIM206" in out
 
 
 def test_comma_profile_rejects_unknown_names(combined_tree):
@@ -390,10 +382,10 @@ def test_list_rules_shows_every_tier(capsys):
         ("SIM001", "file"),
         ("SIM101", "flow"),
         ("SIM201", "contract"),
-        ("SIM301", "compile"),
     ):
         line = next(ln for ln in out.splitlines() if ln.startswith(rule_id))
         assert tier in line
+    assert not any(ln.startswith("SIM30") for ln in out.splitlines())
 
 
 def test_stale_baseline_warns_then_strict_fails_then_prunes(

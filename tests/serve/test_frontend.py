@@ -176,6 +176,73 @@ class TestFrontend:
         assert good["ok"] and len(good["results"]) == 2
 
 
+#: requests whose numbers are not numbers, and the error each gets:
+#: an integer too large for a float, and JSON booleans (``bool`` is an
+#: ``int`` subclass in Python, not a number in JSON).
+NOT_NUMBERS = {
+    "submit-size-overflow": (
+        {"op": "submit", "size": 10**400, "arrival": 1.0},
+        "submit requires a numeric 'size'",
+    ),
+    "submit-arrival-overflow": (
+        {"op": "submit", "size": 1.0, "arrival": 10**400},
+        "'arrival' must be numeric",
+    ),
+    "submit-estimate-overflow": (
+        {"op": "submit", "size": 1.0, "arrival": 1.0, "size_estimate": 10**400},
+        "'size_estimate' must be numeric",
+    ),
+    "submit_batch-overflow": (
+        {"op": "submit_batch", "jobs": [[1.0, 1.0], [1.5, 10**400]]},
+        "each job must be [arrival, size] or [arrival, size, estimate] "
+        "with numeric entries",
+    ),
+    "submit-size-bool": (
+        {"op": "submit", "size": True, "arrival": 1.0},
+        "submit requires a numeric 'size'",
+    ),
+    "submit-arrival-bool": (
+        {"op": "submit", "size": 1.0, "arrival": True},
+        "'arrival' must be numeric",
+    ),
+    "submit-estimate-bool": (
+        {"op": "submit", "size": 1.0, "arrival": 1.0, "size_estimate": True},
+        "'size_estimate' must be numeric",
+    ),
+    "submit_batch-bool": (
+        {"op": "submit_batch", "jobs": [[True, True]]},
+        "each job must be [arrival, size] or [arrival, size, estimate] "
+        "with numeric entries",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["one-at-a-time", "pipelined"])
+@pytest.mark.parametrize("name", sorted(NOT_NUMBERS))
+def test_non_numbers_get_an_error_reply(tmp_path, name, mode):
+    msg, error = NOT_NUMBERS[name]
+    lines = [
+        req(op="submit", size=1.0, arrival=0.0),
+        req(**msg),
+        req(op="submit", size=1.0, arrival=2.0),
+        req(op="submit", size=1.0, arrival=3.0),
+        req(op="status"),
+    ]
+    client = (
+        one_at_a_time(lines)
+        if mode == "one-at-a-time"
+        else pipelined("".join(lines).encode(), [])
+    )
+    core = DispatchServer(2, LeastWorkLeftPolicy(), strict=True)
+    raw, frontend = converse(tmp_path, core, client)
+    replies = [json.loads(r) for r in raw]
+    assert replies[1] == {"ok": False, "error": error}
+    # the connection keeps serving, and the bad line admitted nothing
+    assert [r["outcome"] for r in (replies[0], *replies[2:4])] == ["admitted"] * 3
+    assert replies[4]["status"]["counters"]["accepted"] == 3
+    assert frontend.requests == len(lines)
+
+
 # ----------------------------------------------------------------------
 # pipelining: many requests per read give the bytes of one per read
 # ----------------------------------------------------------------------
@@ -239,7 +306,20 @@ def script(seed, n_jobs=240):
         elif u < 0.71:
             lines.append(req(op="submit", size=size, arrival=t, size_estimate=None))
         elif u < 0.73:
-            lines.append(req(op="submit", size=True, arrival=t))
+            # not numbers: JSON booleans and an integer too big for a float
+            lines.append(
+                rng.choice(
+                    [
+                        req(op="submit", size=True, arrival=t),
+                        req(op="submit", size=size, arrival=False),
+                        req(op="submit", size=size, arrival=t, size_estimate=True),
+                        req(op="submit", size=10**400, arrival=t),
+                        req(op="submit", size=size, arrival=t, size_estimate=10**400),
+                        req(op="submit_batch", jobs=[[t, True]]),
+                        req(op="submit_batch", jobs=[[t, size, 10**400]]),
+                    ]
+                )
+            )
         elif u < 0.76:
             lines.append(req(op="submit", size=size, arrival=t - 50_000.0))
         elif u < 0.79:
@@ -454,10 +534,25 @@ class TestFraming:
         assert frontend.connections == 0
 
     def test_replies_before_a_fatal_line_are_delivered(self, tmp_path):
-        # A 400-digit size overflows float() inside the core call and
-        # escapes the handler; the requests before it in the same read
-        # were applied and keep their replies, as when sent one by one.
-        fatal = b'{"op":"submit","arrival":1.0,"size":1' + b"0" * 400 + b"}\n"
-        replies, frontend = self.exchange(tmp_path, self.GOOD + fatal + self.GOOD)
+        # A 400-digit size is an error reply, not a fatal line: the
+        # lines after it are answered on the same connection.
+        big = b'{"op":"submit","arrival":1.0,"size":1' + b"0" * 400 + b"}\n"
+        replies, frontend = self.exchange(tmp_path, self.GOOD + big + self.GOOD)
+        assert replies[1] == {"ok": False, "error": "submit requires a numeric 'size'"}
+        assert [r.get("outcome") for r in replies] == ["admitted", None, "admitted"]
+        assert frontend.requests == 3
+
+        # An unexpected exception escapes the handler; the requests
+        # before it in the same read were applied and keep their
+        # replies, as when sent one by one.
+        core = DispatchServer(2, LeastWorkLeftPolicy(), strict=True)
+
+        def broken_status():
+            raise RuntimeError("status exploded")
+
+        core.status = broken_status
+        data = self.GOOD + req(op="status").encode() + self.GOOD
+        received, frontend = converse(tmp_path, core, until_eof(data))
+        replies = [json.loads(r) for r in received.splitlines()]
         assert [r["outcome"] for r in replies] == ["admitted"]
         assert frontend.requests == 2

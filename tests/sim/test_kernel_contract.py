@@ -7,7 +7,7 @@ without running anything.  The hypothesis properties at the bottom pin
 the two halves together: for call sites the static analysis can see
 through completely (literal constructors), its verdict and the runtime
 validator's verdict must be identical — on a toy kernel and on the real
-public kernels re-exported by :mod:`repro.sim.kernel`.
+public kernels of :mod:`repro.sim.fast`.
 """
 
 from __future__ import annotations
@@ -22,17 +22,15 @@ from hypothesis import strategies as st
 
 from repro.devtools import ProjectGraph, lint_source, run_contract_rules
 from repro.sim import fast
-from repro.sim.kernel import (
+from repro.sim.contract import (
     ContractViolation,
     KernelContract,
     contract_of,
     contract_validation,
-    estimated_lwl_waits,
-    fcfs_waits,
     kernel_contract,
-    sita_scan,
     validation_enabled,
 )
+from repro.sim.fast import estimated_lwl_waits, fcfs_waits, sita_scan
 
 
 @pytest.fixture(autouse=True)
