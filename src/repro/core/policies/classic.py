@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Policy, StatePolicy, StaticPolicy
+from .base import Policy, StatePolicy, StaticPolicy, first_live_argmin
 
 __all__ = [
     "RandomPolicy",
@@ -84,8 +84,7 @@ class ShortestQueuePolicy(StatePolicy):
         return int(np.argmin(state.queue_lengths()))
 
     def choose_live_host(self, job, state, up) -> int:
-        lengths = np.where(up, state.queue_lengths(), np.inf)
-        return int(np.argmin(lengths))
+        return first_live_argmin(state.queue_lengths(), up)
 
 
 class LeastWorkLeftPolicy(StatePolicy):
@@ -102,8 +101,7 @@ class LeastWorkLeftPolicy(StatePolicy):
         return int(np.argmin(state.work_left()))
 
     def choose_live_host(self, job, state, up) -> int:
-        work = np.where(up, state.work_left(), np.inf)
-        return int(np.argmin(work))
+        return first_live_argmin(state.work_left(), up)
 
 
 class CentralQueuePolicy(Policy):

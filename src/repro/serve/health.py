@@ -25,7 +25,8 @@ engine's virtual time and trivially unit-testable.
 
 The dispatch mask is cached: as a function of time it is piecewise
 constant, changing only when an observation moves a breaker's routing
-state or when the clock crosses an open breaker's cooldown expiry, so
+state or when the clock crosses an open breaker's cooldown expiry (the
+first instant its own ``state`` test reads half-open), so
 :meth:`HealthMonitor.up_mask` rebuilds the array only at those points
 and hands out one read-only ndarray in between (the dispatcher calls it
 per decision).
@@ -85,6 +86,26 @@ class CircuitBreaker:
         """Whether dispatch may target this host right now."""
         return self.state(now) != "open"
 
+    def half_opens_at(self) -> float:
+        """The first instant :meth:`state` reads ``half_open``.
+
+        ``math.inf`` unless the breaker is open.  ``opened_at +
+        cooldown`` is rounded and may land an ulp either side of the
+        instant :meth:`state`'s own test ``now - opened_at >= cooldown``
+        first holds; since that test is monotone in ``now``, stepping to
+        the neighbouring floats until it flips gives the exact instant.
+        """
+        opened_at = self.opened_at
+        if opened_at is None:
+            return math.inf
+        cooldown = self.cooldown
+        at = opened_at + cooldown
+        while at - opened_at < cooldown:
+            at = math.nextafter(at, math.inf)
+        while (before := math.nextafter(at, -math.inf)) - opened_at >= cooldown:
+            at = before
+        return at
+
     def record_success(self, now: float) -> None:
         """A heartbeat probe or handoff succeeded."""
         self.n_successes += 1
@@ -135,6 +156,10 @@ class HealthMonitor:
         self._mask_version = -1
         self._mask_built_at = 0.0
         self._mask_valid_until = 0.0
+        #: whether the mask :meth:`up_mask` last returned has a live
+        #: host — the dispatcher's "defer or route" test, kept with the
+        #: mask so it costs no array reduction per decision.
+        self.any_live = False
         self._pristine_version = -1
         self._pristine_cache = True
 
@@ -170,6 +195,11 @@ class HealthMonitor:
     def probe(self, host_id: int, healthy: bool, now: float) -> None:
         """Fold one observation (heartbeat or handoff outcome) in."""
         breaker = self.breaker(host_id)
+        if healthy and breaker.failures == 0 and breaker.opened_at is None:
+            # A success on a clean closed breaker changes nothing but the
+            # tally; this is the per-handoff common case.
+            breaker.n_successes += 1
+            return
         before = (breaker.failures, breaker.opened_at)
         if healthy:
             breaker.record_success(now)
@@ -189,9 +219,10 @@ class HealthMonitor:
         it is rebuilt only when an observation changed a breaker's
         routing state, or when ``now`` leaves the window over which the
         cached mask is provably constant — ``[built_at, valid_until)``
-        where ``valid_until`` is the earliest cooldown expiry among
-        breakers that were open at build time (open → half-open is the
-        only transition the clock alone can cause).
+        where ``valid_until`` is the earliest
+        :meth:`~CircuitBreaker.half_opens_at` among breakers that were
+        open at build time (open → half-open is the only transition the
+        clock alone can cause).  :attr:`any_live` is refreshed with it.
         """
         mask = self._mask_cache
         if (
@@ -200,19 +231,21 @@ class HealthMonitor:
             and self._mask_built_at <= now < self._mask_valid_until
         ):
             return mask
-        ids = self.host_ids
-        mask = np.array([self._breakers[i].allows(now) for i in ids], dtype=bool)
-        mask.setflags(write=False)
+        live = []
         valid_until = math.inf
-        for b in self._breakers.values():
-            if b.opened_at is not None:
-                reopen = b.opened_at + b.cooldown
-                if now < reopen:
-                    valid_until = min(valid_until, reopen)
+        for i in self.host_ids:
+            breaker = self._breakers[i]
+            allows = breaker.allows(now)
+            live.append(allows)
+            if not allows:
+                valid_until = min(valid_until, breaker.half_opens_at())
+        mask = np.array(live, dtype=bool)
+        mask.setflags(write=False)
         self._mask_cache = mask
         self._mask_version = self._obs_version
         self._mask_built_at = now
         self._mask_valid_until = valid_until
+        self.any_live = any(live)
         return mask
 
     def pristine(self) -> bool:

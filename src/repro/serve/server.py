@@ -143,8 +143,9 @@ class _OnlineServer(DistributedServer):
             self._attempts.pop(job.index, None)
             self.n_given_up += 1
             return
-        up = self._health.up_mask(now)
-        if not up.any():
+        health = self._health
+        up = health.up_mask(now)
+        if not health.any_live:
             self._defer_or_shed(job)
             return
         host_idx = int(self.policy.choose_live_host(job, self.state, up))
@@ -156,14 +157,14 @@ class _OnlineServer(DistributedServer):
         host = self.hosts[host_idx]
         if host.up:
             self._attempts.pop(job.index, None)
-            self._health.probe(host_idx, True, now)
+            health.probe(host_idx, True, now)
             host.submit(job)
             return
         # The breaker believed this host live but the handoff failed —
         # the belief was stale.  Feed the failure back and retry with
         # jittered exponential backoff.
         self.n_handoff_failures += 1
-        self._health.probe(host_idx, False, now)
+        health.probe(host_idx, False, now)
         attempts = self._attempts.get(job.index, 0) + 1
         self._attempts[job.index] = attempts
         if attempts > self.max_retries:
@@ -196,8 +197,10 @@ class _OnlineServer(DistributedServer):
         retries exhausted), so the pass is bounded by the queue's length
         at entry instead of looping until empty.
         """
+        health = self._health
         for _ in range(len(self._deferred)):
-            if not self._health.up_mask(self.sim.now).any():
+            health.up_mask(self.sim.now)
+            if not health.any_live:
                 return
             self._dispatch(self._deferred.popleft())
 

@@ -1,12 +1,13 @@
 """A minimal, deterministic discrete-event simulation engine.
 
 This is the substrate under the paper's trace-driven simulator: a binary
-heap of :class:`~repro.sim.events.Event` objects, a monotone simulation
-clock, lazy cancellation, and stop conditions.  It is deliberately small
-and legible — the vectorised hot path for large sweeps lives in
-:mod:`repro.sim.fast` and is cross-validated against this engine (see
-``tests/sim/test_fast_vs_engine.py``), following the optimisation workflow
-of the HPC guides: make it work and make it testable before making it fast.
+heap of ``(time, seq, event)`` tuples, a monotone simulation clock, lazy
+cancellation, and stop conditions.  ``heapq`` compares the tuples in C,
+and the unique ``seq`` settles every tie before the
+:class:`~repro.sim.events.Event` payload is reached.  The engine is
+deliberately small and legible — the vectorised hot path for large
+sweeps lives in :mod:`repro.sim.fast` and is cross-validated against
+this engine (see ``tests/sim/test_fast_vs_engine.py``).
 """
 
 from __future__ import annotations
@@ -99,7 +100,8 @@ class Simulator:
     """
 
     def __init__(self, strict: bool | None = None) -> None:
-        self._heap: list[Event] = []
+        #: the calendar: ``(time, seq, event)`` entries, a binary heap.
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._now = 0.0
         self._events_processed = 0
@@ -165,9 +167,10 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self._now}"
             )
-        event = Event(time=time, seq=self._seq, callback=callback, args=args)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time, seq, callback, args)
+        heapq.heappush(self._heap, (time, seq, event))
         return EventHandle(event)
 
     def schedule_after(
@@ -180,25 +183,7 @@ class Simulator:
 
     def step(self) -> bool:
         """Run the next non-cancelled event.  Returns False if none remain."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            if self._strict and event.time < self._now:
-                raise InvariantViolation(
-                    f"clock would move backwards: event at {event.time} "
-                    f"popped at simulated time {self._now}"
-                )
-            self._now = event.time
-            self._events_processed += 1
-            if _EVENT_HOOK is not None:
-                _EVENT_HOOK(event)
-            event.callback(*event.args)
-            if self._strict:
-                for checker in self._checkers:
-                    checker(self)
-            return True
-        return False
+        return self._loop(None, 1) == 1
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Drain the calendar.
@@ -211,21 +196,56 @@ class Simulator:
         max_events:
             Safety valve: stop after this many callbacks.
         """
-        executed = 0
         self._stopped = False
-        while self._heap:
-            if self._stopped:
-                return
-            if max_events is not None and executed >= max_events:
-                return
-            head = self._heap[0]
-            if head.cancelled:
-                heapq.heappop(self._heap)
+        if self._heap:
+            self._loop(until, max_events)
+        elif until is not None:
+            self._now = max(self._now, until)
+
+    def _loop(self, until: float | None, max_events: int | None) -> int:
+        """The one event loop behind :meth:`run` and :meth:`step`.
+
+        Pops and fires events in ``(time, seq)`` order until the calendar
+        is empty, the next event lies after ``until``, ``max_events``
+        callbacks have run, or a callback called :meth:`stop` with events
+        still pending; returns the number of callbacks run.  The clock
+        moves to ``until`` only when the loop ends for lack of events at
+        or before it.
+        """
+        heap = self._heap
+        pop = heapq.heappop
+        strict = self._strict
+        checkers = self._checkers
+        horizon = math.inf if until is None else until
+        limit = math.inf if max_events is None else max_events
+        executed = 0
+        while heap:
+            if executed >= limit:
+                return executed
+            time, _, event = heap[0]
+            if event.cancelled:
+                pop(heap)
                 continue
-            if until is not None and head.time > until:
-                self._now = max(self._now, until)
-                return
-            self.step()
+            if time > horizon:
+                self._now = max(self._now, horizon)
+                return executed
+            pop(heap)
+            if strict and time < self._now:
+                raise InvariantViolation(
+                    f"clock would move backwards: event at {time} "
+                    f"popped at simulated time {self._now}"
+                )
+            self._now = time
+            self._events_processed += 1
             executed += 1
+            if _EVENT_HOOK is not None:
+                _EVENT_HOOK(event)
+            event.callback(*event.args)
+            if strict:
+                for checker in checkers:
+                    checker(self)
+            if self._stopped and heap:
+                return executed
         if until is not None:
             self._now = max(self._now, until)
+        return executed

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.serve.health import BREAKER_STATES, CircuitBreaker, HealthMonitor
 
@@ -60,6 +64,25 @@ class TestCircuitBreaker:
         b.record_failure(0.0)
         b.record_success(5.0)
         assert b.state(5.0) == "open"
+
+    def test_half_opens_at_is_the_first_half_open_instant(self):
+        b = CircuitBreaker(failure_threshold=1, cooldown=10.0)
+        assert b.half_opens_at() == math.inf
+        b.record_failure(0.0)
+        assert b.half_opens_at() == 10.0
+        b.record_success(10.0)
+        assert b.half_opens_at() == math.inf
+
+    @given(
+        opened_at=st.floats(0.0, 1e9, allow_nan=False),
+        cooldown=st.floats(1e-6, 1e7, allow_nan=False),
+    )
+    def test_half_opens_at_agrees_with_state(self, opened_at, cooldown):
+        b = CircuitBreaker(failure_threshold=1, cooldown=cooldown)
+        b.record_failure(opened_at)
+        at = b.half_opens_at()
+        assert b.state(at) == "half_open"
+        assert b.state(math.nextafter(at, -math.inf)) == "open"
 
     def test_states_constant_is_exhaustive(self):
         assert set(BREAKER_STATES) == {"closed", "open", "half_open"}
@@ -126,6 +149,7 @@ class TestMaskCache:
         for k in range(5):
             mon.probe(0, True, float(k))
         assert mon.up_mask(5.0) is m1
+        assert mon.breaker(0).n_successes == 5
 
     def test_failure_invalidates(self):
         mon = self.make(2, failure_threshold=1, cooldown=50.0)
@@ -146,6 +170,34 @@ class TestMaskCache:
         m_half = mon.up_mask(50.0)
         assert m_half is not m_open
         np.testing.assert_array_equal(m_half, np.array([True, True]))
+
+    def test_cooldown_boundary_that_rounds_early_still_rebuilds(self):
+        # opened_at + cooldown rounds down to exactly `now`, where the
+        # breaker's own test (now - opened_at >= cooldown) still reads
+        # open; one ulp later it reads half-open.  A window ending at
+        # the rounded sum would be empty, and the mask would stay stale
+        # until the next observation.
+        mon = self.make(2, failure_threshold=1, cooldown=2366.381330055404)
+        mon.probe(0, False, 65159.29727227629)
+        now = 67525.6786023317
+        breaker = mon.breaker(0)
+        assert breaker.opened_at + breaker.cooldown == now
+        assert breaker.state(now) == "open"
+        np.testing.assert_array_equal(mon.up_mask(now), [False, True])
+        later = math.nextafter(now, math.inf)
+        assert breaker.state(later) == "half_open"
+        np.testing.assert_array_equal(mon.up_mask(later), [True, True])
+
+    def test_any_live_follows_the_mask(self):
+        mon = self.make(2, failure_threshold=1, cooldown=10.0)
+        mon.up_mask(0.0)
+        assert mon.any_live
+        mon.probe(0, False, 1.0)
+        mon.probe(1, False, 1.0)
+        assert not mon.up_mask(2.0).any()
+        assert not mon.any_live
+        assert mon.up_mask(11.0).all()
+        assert mon.any_live
 
     def test_success_after_failure_invalidates(self):
         mon = self.make(2, failure_threshold=2)

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.engine import (
+    InvariantViolation,
+    SimulationError,
+    Simulator,
+    set_event_hook,
+)
 
 
 class TestScheduling:
@@ -136,6 +141,129 @@ class TestRunControl:
         sim.run()
         assert sim.events_processed == 3
         assert sim.pending == 0
+
+
+class TestLoopSemantics:
+    """What :meth:`Simulator.run` and :meth:`Simulator.step` promise."""
+
+    def test_stop_from_a_callback_keeps_pending_events(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, 1)
+        sim.schedule(2.0, sim.stop)
+        sim.schedule(3.0, fired.append, 3)
+        sim.schedule(4.0, fired.append, 4)
+        sim.run(until=10.0)
+        assert fired == [1]
+        assert sim.stopped
+        assert sim.now == 2.0  # a stop does not advance the clock to until
+        assert sim.pending == 2
+        sim.run()  # resumes where the clock stopped
+        assert fired == [1, 3, 4]
+        assert not sim.stopped
+        assert sim.now == 4.0
+
+    def test_stop_on_the_last_event_still_reaches_until(self):
+        sim = Simulator()
+        sim.schedule(1.0, sim.stop)
+        sim.run(until=5.0)
+        assert sim.pending == 0
+        assert sim.now == 5.0
+
+    def test_hook_sees_the_new_clock_before_the_callback(self):
+        sim = Simulator()
+        log = []
+
+        def hook(event):
+            log.append(("hook", event.time, event.seq, sim.now))
+
+        def callback(tag):
+            log.append(("callback", tag, sim.now))
+
+        sim.schedule(2.0, callback, "b")
+        cancelled = sim.schedule(1.5, callback, "dead")
+        sim.schedule(1.0, callback, "a")
+        cancelled.cancel()
+        previous = set_event_hook(hook)
+        try:
+            sim.run()
+        finally:
+            set_event_hook(previous)
+        assert log == [
+            ("hook", 1.0, 2, 1.0),
+            ("callback", "a", 1.0),
+            ("hook", 2.0, 0, 2.0),
+            ("callback", "b", 2.0),
+        ]
+
+    def test_strict_backwards_clock_raises_from_run(self):
+        sim = Simulator(strict=True)
+        sim.schedule(1.0, lambda: None)
+        sim._now = 5.0  # simulate heap/clock corruption
+        with pytest.raises(InvariantViolation, match="backwards"):
+            sim.run()
+
+    def test_strict_checkers_run_after_every_callback(self):
+        sim = Simulator(strict=True)
+        fired = []
+        checked = []
+        sim.add_invariant_checker(lambda s: checked.append((s.now, list(fired))))
+        sim.schedule(1.0, fired.append, "a")
+        sim.schedule(2.0, fired.append, "b")
+        sim.run(until=1.5)
+        assert checked == [(1.0, ["a"])]
+        assert sim.step() is True
+        assert checked == [(1.0, ["a"]), (2.0, ["a", "b"])]
+
+    def test_max_events_zero_executes_nothing(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, 1)
+        sim.run(until=5.0, max_events=0)
+        assert fired == []
+        assert sim.events_processed == 0
+        assert sim.pending == 1
+        assert sim.now == 0.0
+
+    def test_max_events_counts_callbacks_not_cancelled_pops(self):
+        sim = Simulator()
+        fired = []
+        for t in range(4):
+            handle = sim.schedule(float(t), fired.append, t)
+            if t % 2 == 0:
+                handle.cancel()
+        sim.run(max_events=1)
+        assert fired == [1]
+        sim.run(max_events=1)
+        assert fired == [1, 3]
+
+    def test_step_on_only_cancelled_events_returns_false(self):
+        sim = Simulator()
+        for t in (1.0, 2.0, 3.0):
+            sim.schedule(t, lambda: None).cancel()
+        assert sim.step() is False
+        assert sim.pending == 0
+        assert sim.events_processed == 0
+        assert sim.now == 0.0
+
+    def test_step_ignores_a_previous_stop(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, sim.stop)
+        sim.schedule(2.0, fired.append, 2)
+        sim.run()
+        assert sim.stopped and fired == []
+        assert sim.step() is True
+        assert fired == [2]
+
+    def test_run_until_never_moves_the_clock_back(self):
+        sim = Simulator()
+        sim.run(until=5.0)
+        sim.run(until=3.0)
+        assert sim.now == 5.0
+        sim.schedule(6.0, lambda: None)
+        sim.run(until=4.0)
+        assert sim.now == 5.0
 
 
 @given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=200))
