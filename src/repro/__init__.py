@@ -28,6 +28,12 @@ Quickstart::
     print(result.summary(warmup_fraction=0.05).mean_slowdown)
 """
 
+# numpy loads these two submodules lazily; load them with the package so
+# their import cost lands at start-up, not inside the first sweep or
+# stream (``np.percentile`` reaches ``numpy.ma`` through ``np.unique``).
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 from .analysis import (
     analyze_sita,
     predict_grouped_sita,

@@ -32,10 +32,10 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 from ..analysis.sita_analysis import analyze_sita, sita_host_loads
 from ..sim.fast import SCAN_METRICS, simulate_fast
+from ..solvers import brentq
 from ..workloads.distributions import ServiceDistribution
 from ..workloads.traces import Trace
 from .policies.sita import SITAPolicy
@@ -72,10 +72,10 @@ def _load_below(dist: ServiceDistribution, c: float) -> float:
 def _residual(log_c: float, fn: Callable[[float], float], target: float) -> float:
     """``fn(exp(log_c)) − target``: a root-finding objective on the log axis.
 
-    Module-level, with its state passed through ``args=``: ``brentq``
-    wraps its objective in a self-referencing closure that lives until
-    the next full GC, and an objective closing over a distribution would
-    keep the distribution alive with it.
+    Module-level, with its state passed through ``args=``, so no
+    closure over a distribution outlives the solve and a fitted
+    :class:`~repro.workloads.distributions.Empirical` is freed on its
+    last reference.
     """
     return fn(math.exp(log_c)) - target
 
@@ -109,7 +109,7 @@ def _solve_load_quantile(dist: ServiceDistribution, frac: float) -> float:
     if fb <= 0.0:
         return best_side(hi)
     c = math.exp(
-        optimize.brentq(_residual, a, b, args=(load_below, frac), xtol=_XTOL)
+        brentq(_residual, a, b, args=(load_below, frac), xtol=_XTOL)
     )
     return best_side(c)
 
@@ -183,7 +183,7 @@ def feasible_cutoff_range(
         c_max = hi_bound
     else:
         c_max = math.exp(
-            optimize.brentq(
+            brentq(
                 _residual,
                 math.log(lo_bound),
                 math.log(hi_bound),
@@ -196,7 +196,7 @@ def feasible_cutoff_range(
         c_min = lo_bound
     else:
         c_min = math.exp(
-            optimize.brentq(
+            brentq(
                 _residual,
                 math.log(lo_bound),
                 math.log(hi_bound),
@@ -304,6 +304,8 @@ def opt_cutoffs_multi(
         except ValueError:
             return math.inf
 
+    from scipy import optimize
+
     res = optimize.minimize(
         objective,
         encode(start),
@@ -357,6 +359,8 @@ def fair_cutoffs_multi(
     def objective(theta: np.ndarray) -> float:
         r = residuals(theta)
         return float(np.dot(r, r))
+
+    from scipy import optimize
 
     res = optimize.minimize(
         objective,

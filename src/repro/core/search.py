@@ -53,12 +53,12 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from ..analysis.mg1 import MG1Metrics, safe_inverse_moments
 from ..analysis.sita_analysis import SITAAnalysis, SITAHost
 from ..sim.contract import kernel_contract
 from ..sim.fast import SitaScanKernel, SitaScanResult, simulate_fast
+from ..solvers import brentq, minimize_bounded
 from ..workloads.distributions import Empirical, ServiceDistribution
 from ..workloads.traces import Trace
 
@@ -714,13 +714,8 @@ def _opt_from_axis(
         a = evaluate(math.exp(log_c))
         return getattr(a, metric) if a is not None else math.inf
 
-    res = optimize.minimize_scalar(
-        objective,
-        bounds=(math.log(lo), math.log(hi)),
-        method="bounded",
-        options={"xatol": _XTOL},
-    )
-    return float(math.exp(res.x))
+    x, _ = minimize_bounded(objective, (math.log(lo), math.log(hi)), xatol=_XTOL)
+    return float(math.exp(x))
 
 
 def _gap_of(a: SITAAnalysis | None) -> float:
@@ -737,9 +732,8 @@ def _gap_of(a: SITAAnalysis | None) -> float:
 def _gap_at(
     log_c: float, evaluate: Callable[[float], SITAAnalysis | None]
 ) -> float:
-    # Module-level, with ``evaluate`` passed through ``args=``: brentq
-    # wraps its objective in a self-referencing closure, which would keep
-    # a closure over the distribution alive until the next full GC.
+    # Module-level, with ``evaluate`` passed through ``args=``, so no
+    # closure over the distribution outlives the solve.
     return _gap_of(evaluate(math.exp(log_c)))
 
 
@@ -763,7 +757,7 @@ def _fair_from_axis(
         if j == i + 1 and gaps[i] == 0.0:
             return float(axis[i])
         if j == i + 1 and (gaps[i] < 0.0) and (gaps[j] >= 0.0):
-            root = optimize.brentq(
+            root = brentq(
                 _gap_at,
                 math.log(axis[i]),
                 math.log(axis[j]),

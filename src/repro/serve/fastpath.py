@@ -65,9 +65,6 @@ from ..sim.jobs import Job
 
 __all__ = ["FastPathState", "fast_path_mode"]
 
-#: placeholder for the kernel's unused ``cutoffs`` argument.
-_NO_CUTOFFS = np.empty(0, dtype=np.float64)
-
 
 def fast_path_mode(policy) -> str | None:
     """The fast-path routing mode for ``policy``, or ``None``.
@@ -219,21 +216,18 @@ class FastPathState:
         self._est[a : a + n] = est
         hosts = self._host[a : a + n]
         starts = self._start[a : a + n]
-        cutoffs = _NO_CUTOFFS
         if self.mode == "seq":
             ch = self.policy.choose_host
             hosts[:] = [ch(None, None) for _ in range(n)]
             mode_id = SERVE_DISPATCH_MODES["fixed"]
         elif self.mode == "sita":
-            cutoffs = np.ascontiguousarray(
-                self.policy.cutoffs, dtype=np.float64
-            )
-            mode_id = SERVE_DISPATCH_MODES["sita"]
+            # The policy's own expression, as on the scalar path, so a
+            # NaN estimate lands where ``choose_host`` sends it.
+            hosts[:] = np.searchsorted(self.policy.cutoffs, est, side="left")
+            mode_id = SERVE_DISPATCH_MODES["fixed"]
         else:
             mode_id = SERVE_DISPATCH_MODES["lwl"]
-        serve_dispatch_batch(
-            t, s, est, self.speeds, cutoffs, self.v, hosts, starts, mode_id
-        )
+        serve_dispatch_batch(t, s, self.speeds, self.v, hosts, starts, mode_id)
         # Same elementwise float ops as the scalar path: start + s/speed.
         self._comp[a : a + n] = starts + s / self.speeds[hosts]
         self.m = a + n

@@ -868,16 +868,14 @@ def sita_scan(
 
 
 #: host-selection modes of :func:`serve_dispatch_batch`.
-SERVE_DISPATCH_MODES = {"lwl": 0, "sita": 1, "fixed": 2}
+SERVE_DISPATCH_MODES = {"lwl": 0, "fixed": 1}
 
 
 @kernel_contract(
     shapes={
         "arrival_times": ("n",),
         "sizes": ("n",),
-        "estimates": ("n",),
         "host_speeds": ("h",),
-        "cutoffs": ("c",),
         "v": ("h",),
         "hosts": ("n",),
         "starts": ("n",),
@@ -885,9 +883,7 @@ SERVE_DISPATCH_MODES = {"lwl": 0, "sita": 1, "fixed": 2}
     dtypes={
         "arrival_times": "float64",
         "sizes": "float64",
-        "estimates": "float64",
         "host_speeds": "float64",
-        "cutoffs": "float64",
         "v": "float64",
         "hosts": "int64",
         "starts": "float64",
@@ -896,9 +892,7 @@ SERVE_DISPATCH_MODES = {"lwl": 0, "sita": 1, "fixed": 2}
     contiguous=(
         "arrival_times",
         "sizes",
-        "estimates",
         "host_speeds",
-        "cutoffs",
         "v",
         "hosts",
         "starts",
@@ -907,9 +901,7 @@ SERVE_DISPATCH_MODES = {"lwl": 0, "sita": 1, "fixed": 2}
 def serve_dispatch_batch(
     arrival_times: np.ndarray,
     sizes: np.ndarray,
-    estimates: np.ndarray,
     host_speeds: np.ndarray,
-    cutoffs: np.ndarray,
     v: np.ndarray,
     hosts: np.ndarray,
     starts: np.ndarray,
@@ -928,11 +920,11 @@ def serve_dispatch_batch(
 
     ``mode`` selects the host rule — ``0``: Least-Work-Left, a
     first-minimum scan of ``max(0, v - t)`` matching ``np.argmin``
-    tie-breaking; ``1``: SITA, the first cutoff ``>=`` the size estimate
-    (``searchsorted`` left); ``2``: ``hosts`` arrives pre-filled
-    (Random/Round-Robin, whose draws must advance the policy's RNG or
-    pointer one job at a time in Python).  Chosen hosts are written
-    back into ``hosts`` in every mode.
+    tie-breaking; ``1``: ``hosts`` arrives pre-filled (SITA's
+    ``searchsorted`` over the batch, or Random/Round-Robin, whose draws
+    must advance the policy's RNG or pointer one job at a time in
+    Python).  Chosen hosts are written back into ``hosts`` in every
+    mode.
     """
     n = arrival_times.shape[0]
     if n == 0:
@@ -967,21 +959,6 @@ def serve_dispatch_batch(
             hosts_out[j] = best
             v_list[best] = start + s_list[j] / sp_list[best]
     elif mode == 1:
-        e_list = estimates.tolist()
-        c_list = cutoffs.tolist()
-        n_cut = len(c_list)
-        for j in range(n):
-            tj = t_list[j]
-            est = e_list[j]
-            best = 0
-            while best < n_cut and c_list[best] < est:
-                best += 1
-            vb = v_list[best]
-            start = tj if vb < tj else vb
-            starts_out[j] = start
-            hosts_out[j] = best
-            v_list[best] = start + s_list[j] / sp_list[best]
-    elif mode == 2:
         h_list = hosts.tolist()
         for j in range(n):
             tj = t_list[j]

@@ -36,7 +36,8 @@ import math
 from abc import ABC, abstractmethod
 
 import numpy as np
-from scipy import optimize, special
+
+from ..solvers import brentq
 
 __all__ = [
     "ServiceDistribution",
@@ -345,7 +346,7 @@ class BoundedPareto(ServiceDistribution):
             lo, hi = log_k_lo, log_k_hi
             if mean_err(lo) > 0.0:
                 return None  # even the tiniest k gives too large a mean
-            return optimize.brentq(mean_err, lo, hi, xtol=1e-13)
+            return brentq(mean_err, lo, hi, xtol=1e-13)
 
         def m2_err(alpha: float) -> float:
             log_k = solve_k(alpha)
@@ -363,7 +364,7 @@ class BoundedPareto(ServiceDistribution):
                 f"upper={upper}): reachable SCV range at this upper/mean "
                 f"ratio tops out near {max_scv:.3g}"
             )
-        alpha = optimize.brentq(m2_err, alpha_lo, alpha_hi, xtol=1e-12)
+        alpha = brentq(m2_err, alpha_lo, alpha_hi, xtol=1e-12)
         log_k = solve_k(alpha)
         assert log_k is not None
         return cls(math.exp(log_k), upper, alpha)
@@ -396,7 +397,7 @@ class BoundedPareto(ServiceDistribution):
 
             if mean_err(log_p_hi) < 0.0:
                 return None  # even a huge p cannot reach the mean
-            return optimize.brentq(mean_err, log_p_lo, log_p_hi, xtol=1e-13)
+            return brentq(mean_err, log_p_lo, log_p_hi, xtol=1e-13)
 
         def m2_err(alpha: float) -> float:
             log_p = solve_p(alpha)
@@ -411,7 +412,7 @@ class BoundedPareto(ServiceDistribution):
                 f"could not fit BoundedPareto(lower={lower}, mean={mean}, "
                 f"scv={scv}): target outside the family's reachable range"
             )
-        alpha = optimize.brentq(m2_err, alpha_lo, alpha_hi, xtol=1e-12)
+        alpha = brentq(m2_err, alpha_lo, alpha_hi, xtol=1e-12)
         log_p = solve_p(alpha)
         assert log_p is not None
         return cls(lower, math.exp(log_p), alpha)
@@ -502,11 +503,15 @@ class Exponential(ServiceDistribution):
         return math.inf
 
     def moment(self, j: float) -> float:
+        from scipy import special
+
         if j <= -1:
             raise ValueError(f"E[X^{j}] diverges for Exponential")
         return self.mu**j * special.gamma(j + 1.0)
 
     def partial_moment(self, j: float, lo: float, hi: float) -> float:
+        from scipy import special
+
         lo = max(float(lo), 0.0)
         if hi <= lo:
             return 0.0
@@ -571,6 +576,8 @@ class Hyperexponential(ServiceDistribution):
         return math.inf
 
     def moment(self, j: float) -> float:
+        from scipy import special
+
         if j <= -1:
             raise ValueError(f"E[X^{j}] diverges for Hyperexponential")
         return float(np.sum(self.probs * self.means**j) * special.gamma(j + 1.0))
@@ -593,7 +600,7 @@ class Hyperexponential(ServiceDistribution):
         hi = float(np.max(self.means)) * max(1.0, -math.log(1.0 - q)) * 2.0 + 1.0
         while self.cdf(hi) < q:
             hi *= 2.0
-        return optimize.brentq(lambda x: self.cdf(x) - q, 0.0, hi, xtol=1e-12)
+        return brentq(lambda x: self.cdf(x) - q, 0.0, hi, xtol=1e-12)
 
     def sample(self, n: int, rng: np.random.Generator | int | None = None) -> np.ndarray:
         rng = _as_rng(rng)
@@ -642,12 +649,16 @@ class Erlang(ServiceDistribution):
         return math.inf
 
     def moment(self, j: float) -> float:
+        from scipy import special
+
         if j <= -self.n:
             raise ValueError(f"E[X^{j}] diverges for Erlang-{self.n}")
         stage = self.mu / self.n
         return stage**j * special.gamma(self.n + j) / special.gamma(self.n)
 
     def partial_moment(self, j: float, lo: float, hi: float) -> float:
+        from scipy import special
+
         lo = max(float(lo), 0.0)
         if hi <= lo:
             return 0.0
@@ -666,11 +677,15 @@ class Erlang(ServiceDistribution):
         return scale * (special.gammaincc(a, lo / stage) - top)
 
     def cdf(self, x: float) -> float:
+        from scipy import special
+
         if x <= 0:
             return 0.0
         return float(special.gammainc(self.n, x * self.n / self.mu))
 
     def ppf(self, q: float) -> float:
+        from scipy import special
+
         q = float(np.clip(q, 0.0, 1.0 - 1e-15))
         return float(special.gammaincinv(self.n, q) * self.mu / self.n)
 
@@ -705,6 +720,8 @@ class Lognormal(ServiceDistribution):
         return math.exp(j * self.mu_log + 0.5 * j**2 * self.sigma_log**2)
 
     def partial_moment(self, j: float, lo: float, hi: float) -> float:
+        from scipy import special
+
         lo = max(float(lo), 0.0)
         if hi <= lo:
             return 0.0
@@ -717,11 +734,15 @@ class Lognormal(ServiceDistribution):
         return self.moment(j) * (top - bot)
 
     def cdf(self, x: float) -> float:
+        from scipy import special
+
         if x <= 0:
             return 0.0
         return float(special.ndtr((math.log(x) - self.mu_log) / self.sigma_log))
 
     def ppf(self, q: float) -> float:
+        from scipy import special
+
         q = float(np.clip(q, 1e-15, 1.0 - 1e-15))
         return math.exp(self.mu_log + self.sigma_log * special.ndtri(q))
 
@@ -767,7 +788,7 @@ class Lognormal(ServiceDistribution):
                 d = ConditionalDistribution(base, 0.0, upper)
                 return d.mean - mean
 
-            return optimize.brentq(mean_err, -40.0, 60.0, xtol=1e-12)
+            return brentq(mean_err, -40.0, 60.0, xtol=1e-12)
 
         def m2_err(sigma: float) -> float:
             d = ConditionalDistribution(cls(solve_mu(sigma), sigma), 0.0, upper)
@@ -785,7 +806,7 @@ class Lognormal(ServiceDistribution):
                 f"upper={upper}): the truncation caps the reachable SCV "
                 f"near {reachable:.3g}"
             )
-        sigma = optimize.brentq(m2_err, sigma_lo, sigma_hi, xtol=1e-12)
+        sigma = brentq(m2_err, sigma_lo, sigma_hi, xtol=1e-12)
         return ConditionalDistribution(cls(solve_mu(sigma), sigma), 0.0, upper)
 
 
@@ -807,11 +828,15 @@ class Weibull(ServiceDistribution):
         return math.inf
 
     def moment(self, j: float) -> float:
+        from scipy import special
+
         if j <= -self.k_shape:
             raise ValueError(f"E[X^{j}] diverges for Weibull(k={self.k_shape})")
         return self.lam**j * special.gamma(1.0 + j / self.k_shape)
 
     def partial_moment(self, j: float, lo: float, hi: float) -> float:
+        from scipy import special
+
         lo = max(float(lo), 0.0)
         if hi <= lo:
             return 0.0

@@ -16,6 +16,7 @@ do compare clocks.
 from __future__ import annotations
 
 import json
+import math
 import os
 import signal
 import subprocess
@@ -122,6 +123,27 @@ class TestBitIdentity:
         engine.drain()
         assert fast.counters() == engine.counters()
         assert_same_jobs(fast, engine)
+
+    @pytest.mark.parametrize("n_hosts", [2, 3])
+    def test_sita_special_estimates_route_alike_on_every_path(self, n_hosts):
+        # NaN sorts above every cutoff in ``searchsorted``, so every
+        # path must send it to the last host, as ``choose_host`` does.
+        ests = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1.0, 2.0, math.nan]
+        arrivals = [float(i) for i in range(len(ests))]
+        sizes = [1.0 + 0.25 * i for i in range(len(ests))]
+        batch, engine = make_pair("sita", n_hosts)
+        scalar, _ = make_pair("sita", n_hosts)
+        by_batch = batch.submit_batch(arrivals, sizes, ests, collect=True)
+        by_scalar = [scalar.submit(s, t, e) for t, s, e in zip(arrivals, sizes, ests)]
+        by_engine = [engine.submit(s, t, e) for t, s, e in zip(arrivals, sizes, ests)]
+        hosts = [r["host"] for r in by_engine]
+        assert hosts[0] == hosts[-1] == n_hosts - 1
+        assert [r["host"] for r in by_batch] == hosts
+        assert [r["host"] for r in by_scalar] == hosts
+        for server in (batch, scalar, engine):
+            server.drain()
+        assert_same_jobs(batch, engine)
+        assert_same_jobs(scalar, engine)
 
     @pytest.mark.parametrize("policy", ["lwl", "sita"])
     def test_batched_heterogeneous_speeds(self, policy):
