@@ -37,7 +37,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from ..solvers import brentq
+from ..solvers import brentq, ndtr, ndtri
 
 __all__ = [
     "ServiceDistribution",
@@ -720,8 +720,6 @@ class Lognormal(ServiceDistribution):
         return math.exp(j * self.mu_log + 0.5 * j**2 * self.sigma_log**2)
 
     def partial_moment(self, j: float, lo: float, hi: float) -> float:
-        from scipy import special
-
         lo = max(float(lo), 0.0)
         if hi <= lo:
             return 0.0
@@ -729,22 +727,18 @@ class Lognormal(ServiceDistribution):
         def phi_arg(x: float) -> float:
             return (math.log(x) - self.mu_log - j * self.sigma_log**2) / self.sigma_log
 
-        top = 1.0 if math.isinf(hi) else special.ndtr(phi_arg(hi))
-        bot = 0.0 if lo == 0.0 else special.ndtr(phi_arg(lo))
+        top = 1.0 if math.isinf(hi) else ndtr(phi_arg(hi))
+        bot = 0.0 if lo == 0.0 else ndtr(phi_arg(lo))
         return self.moment(j) * (top - bot)
 
     def cdf(self, x: float) -> float:
-        from scipy import special
-
         if x <= 0:
             return 0.0
-        return float(special.ndtr((math.log(x) - self.mu_log) / self.sigma_log))
+        return ndtr((math.log(x) - self.mu_log) / self.sigma_log)
 
     def ppf(self, q: float) -> float:
-        from scipy import special
-
         q = float(np.clip(q, 1e-15, 1.0 - 1e-15))
-        return math.exp(self.mu_log + self.sigma_log * special.ndtri(q))
+        return math.exp(self.mu_log + self.sigma_log * ndtri(q))
 
     def sample(self, n: int, rng: np.random.Generator | int | None = None) -> np.ndarray:
         rng = _as_rng(rng)

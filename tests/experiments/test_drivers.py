@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.experiments import ExperimentConfig, list_experiments, run_experiment
@@ -20,6 +21,32 @@ ALL_IDS = [eid for eid, _ in list_experiments()]
 def results():
     """Run every registered experiment once at tiny scale (cached)."""
     return {eid: run_experiment(eid, TINY) for eid in ALL_IDS}
+
+
+# The drivers whose analytic columns once came back as NumPy scalars
+# from scipy.special's ufuncs.
+ANALYTIC_IDS = (
+    "fig5",
+    "fig8",
+    "fig9",
+    "fig11",
+    "fig13",
+    "table1",
+    "ablate_calibration",
+    "ablate_hetero",
+)
+
+
+@pytest.mark.parametrize("eid", ANALYTIC_IDS)
+def test_declared_columns_hold_no_numpy_scalars(eid):
+    res = run_experiment(eid, ExperimentConfig(scale=0.05))
+    leaks = {
+        col
+        for row in res.rows
+        for col in res.columns
+        if isinstance(row.get(col), np.generic)
+    }
+    assert not leaks, f"{eid}: NumPy scalars in {sorted(leaks)}"
 
 
 def test_every_driver_produces_rows(results):

@@ -2,8 +2,9 @@
 
 ``import repro`` used to load ``scipy.optimize`` and, through it,
 ``scipy.linalg`` and ``scipy.fft`` — most of the package's start-up
-time.  The Brent solvers now live in :mod:`repro.solvers`, and every
-other SciPy use is a function-local import.  Each check runs in a fresh
+time.  The Brent solvers and the normal CDF and quantile behind the
+lognormal workloads now live in :mod:`repro.solvers`, and every other
+SciPy use is a function-local import.  Each check runs in a fresh
 interpreter, since this test session itself has SciPy loaded.
 """
 
@@ -85,3 +86,44 @@ print(json.dumps({"after_sweeps": after_sweeps, "after_serve": loaded()}))
 """
     )
     assert out == {"after_sweeps": [], "after_serve": []}
+
+
+def test_sita_serve_and_lognormal_experiments_load_no_scipy():
+    out = run_fresh(
+        """
+import argparse
+from repro.experiments import ExperimentConfig, run_experiment
+from repro.serve.runner import add_serve_arguments, build_server
+from repro.workloads import c90, get_workload
+
+parser = argparse.ArgumentParser()
+add_serve_arguments(parser)
+steps = {}
+trace = c90().make_trace(load=0.7, n_hosts=4, n_jobs=5_000, rng=11)
+for hosts in ("2", "4"):
+    server = build_server(
+        parser.parse_args(["c90", "--policy", "sita", "--hosts", hosts])
+    )
+    steps[f"build_server hosts={hosts}"] = loaded()
+    server.run_stream(
+        zip(trace.arrival_times.tolist(), trace.service_times.tolist()),
+        batch_size=256,
+    )
+    steps[f"run_stream hosts={hosts}"] = loaded()
+get_workload("ctc")
+steps["get_workload ctc"] = loaded()
+for name in ("fig9", "table1"):
+    run_experiment(name, ExperimentConfig(scale=0.05, seed=11))
+    steps[f"run_experiment {name}"] = loaded()
+print(json.dumps(steps))
+"""
+    )
+    assert out == {
+        "build_server hosts=2": [],
+        "run_stream hosts=2": [],
+        "build_server hosts=4": [],
+        "run_stream hosts=4": [],
+        "get_workload ctc": [],
+        "run_experiment fig9": [],
+        "run_experiment table1": [],
+    }

@@ -1,12 +1,15 @@
-"""The pure-Python Brent solvers against SciPy's, bit for bit.
+"""The pure-Python SciPy ports against SciPy, bit for bit.
 
-:mod:`repro.solvers` replaces ``scipy.optimize.brentq`` and
-``scipy.optimize.minimize_scalar(method="bounded")`` on every path the
-package takes, so each port must return the *same float* (compared by
-``float.hex``) and raise the same exception type as the original — on
-arbitrary brackets, tolerances and ``args=``, and on the repository's
-own objectives (load quantiles, the SITA-U opt/fair searches and the
-distribution fits).  SciPy is imported here as the reference only.
+:mod:`repro.solvers` replaces ``scipy.optimize.brentq``,
+``scipy.optimize.minimize_scalar(method="bounded")`` and
+``scipy.special.ndtr``/``ndtri`` on every path the package takes, so
+each port must return the *same float* (compared by ``float.hex`` or
+``==`` on the bit pattern) and raise the same exception type as the
+original — on arbitrary brackets, tolerances and ``args=``, on every
+branch edge of the Cephes normal-distribution code, and on the
+repository's own objectives (load quantiles, the SITA-U opt/fair
+searches, the distribution fits and the lognormal workloads).  SciPy is
+imported here as the reference only.
 """
 
 from __future__ import annotations
@@ -22,11 +25,18 @@ from scipy import optimize
 import repro.core.cutoffs as cutoffs_mod
 import repro.core.search as search_mod
 import repro.workloads.distributions as dist_mod
-from repro.core.cutoffs import _solve_load_quantile, feasible_cutoff_range
+from repro.core.cutoffs import (
+    _solve_load_quantile,
+    equal_load_cutoffs,
+    feasible_cutoff_range,
+)
 from repro.core.search import analytic_cutoff_pair, clear_search_memo
-from repro.solvers import brentq, minimize_bounded
-from repro.workloads import BoundedPareto, Empirical, Lognormal, c90
+from repro.solvers import _erf, _erfc, brentq, minimize_bounded, ndtr, ndtri
+from repro.workloads import BoundedPareto, Empirical, Lognormal, c90, ctc, j90
+from repro.workloads.catalog import CTC_RUNTIME_CAP
 from repro.workloads.distributions import Hyperexponential
+
+special = pytest.importorskip("scipy.special")
 
 EPS = np.finfo(float).eps
 
@@ -297,3 +307,189 @@ def test_hyperexponential_ppf_matches_scipy(with_scipy_solvers):
     d = Hyperexponential.fit_balanced(mean=10.0, scv=20.0)
     for q in (0.01, 0.5, 0.9, 0.999):
         assert d.ppf(q).hex() == with_scipy_solvers(d.ppf, q).hex()
+
+
+# ----------------------------------------------------------------------
+# the Cephes normal CDF and quantile
+# ----------------------------------------------------------------------
+
+
+def assert_same_floats(port, ref, xs):
+    """``port(x)`` equals ``ref(x)`` bit for bit, NaN for NaN, on every ``x``."""
+    xs = np.asarray(xs, dtype=float)
+    ours = np.array([port(x) for x in xs.tolist()])
+    want = ref(xs)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(ours), nan)
+    bits, want_bits = ours[~nan].view(np.int64), want[~nan].view(np.int64)
+    bad = np.flatnonzero(bits != want_bits)
+    assert bad.size == 0, [
+        (x.hex(), o.hex(), w.hex())
+        for x, o, w in zip(xs[~nan][bad][:5], ours[~nan][bad][:5], want[~nan][bad][:5])
+    ]
+
+
+def around(*edges, ulps=4):
+    """Every float within ``ulps`` steps of each edge, on both sides."""
+    out = []
+    for edge in edges:
+        x = lo = hi = float(edge)
+        out.append(x)
+        for _ in range(ulps):
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+            out += [lo, hi]
+    return out
+
+
+SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324]
+MAXLOG = 7.09782712893383996843e2
+
+
+def test_ndtr_matches_scipy_on_seeded_probes():
+    rng = np.random.default_rng(20000731)
+    n = 40_000
+    mags = 10.0 ** rng.uniform(-300, 2.5, n)
+    xs = np.concatenate(
+        [
+            rng.normal(size=n),
+            rng.normal(scale=8.0, size=n),
+            rng.uniform(-40.0, 40.0, n),
+            mags * rng.choice([-1.0, 1.0], n),  # log-uniform magnitudes
+        ]
+    )
+    assert_same_floats(ndtr, special.ndtr, xs)
+
+
+def test_ndtr_matches_scipy_on_branch_edges():
+    r2 = math.sqrt(2.0)
+    edges = [
+        1.0,  # ndtr: |a|/sqrt(2) against sqrt(1/2), erf or erfc
+        r2,  # erfc: |x| < 1 hands back to 1 - erf
+        8.0 * r2,  # erfc: the P/Q to R/S switch at x = 8
+        math.sqrt(MAXLOG) * r2,  # erfc: exp(-x²) underflow at MAXLOG
+        38.5,  # ndtr underflows to 0 on the left
+        8.3,  # and rounds to 1 on the right
+    ]
+    edges += [-e for e in edges]
+    assert_same_floats(ndtr, special.ndtr, around(*edges) + SPECIALS)
+
+
+def test_erf_and_erfc_hand_off_like_scipy():
+    # ndtr never calls erf with |x| > 1; erf's own hand-off to 1 - erfc
+    # and erfc's to 1 - erf are checked here directly.
+    rng = np.random.default_rng(11)
+    xs = around(1.0, -1.0, 8.0, -8.0, math.sqrt(MAXLOG), -math.sqrt(MAXLOG))
+    xs += rng.uniform(-30.0, 30.0, 20_000).tolist() + SPECIALS
+    assert_same_floats(_erf, special.erf, xs)
+    assert_same_floats(_erfc, special.erfc, xs)
+
+
+def test_ndtri_matches_scipy_on_seeded_probes():
+    rng = np.random.default_rng(20000731)
+    n = 40_000
+    qs = np.concatenate(
+        [
+            rng.uniform(0.0, 1.0, n),
+            10.0 ** rng.uniform(-300, 0, n),  # lower tail down to 1e-300
+            1.0 - 10.0 ** rng.uniform(-16, 0, n),  # upper tail up to 1 - 1e-16
+            special.ndtr(rng.normal(size=n)),  # the quantiles of normal draws
+        ]
+    )
+    assert_same_floats(ndtri, special.ndtri, qs)
+
+
+def test_ndtri_matches_scipy_on_branch_edges():
+    exp_m2 = 0.13533528323661269189
+    edges = [
+        exp_m2,  # central rational approximation against the tails
+        1.0 - exp_m2,  # the upper tail is reflected
+        math.exp(-32.0),  # sqrt(-2 log y) = 8: the P1/Q1 to P2/Q2 switch
+        1.0 - math.exp(-32.0),
+        0.5,
+        0.0,
+        1.0,
+        2.2250738585072014e-308,  # smallest normal
+        1e-300,
+        1.0 - 1e-16,
+    ]
+    out_of_domain = [-0.0, -1e-300, -1.0, 1.0 + 2.2e-16, 2.0, math.inf, -math.inf]
+    qs = around(*edges) + out_of_domain + SPECIALS
+    assert_same_floats(ndtri, special.ndtri, qs)
+    assert math.isnan(ndtri(math.nan))
+    assert ndtri(0.0) == -math.inf and ndtri(1.0) == math.inf
+
+
+def test_ports_return_plain_floats():
+    for v in (ndtr(0.3), ndtr(np.float64(-9.0)), ndtri(0.3), ndtri(np.float64(1e-20))):
+        assert type(v) is float
+
+
+# ----------------------------------------------------------------------
+# the lognormal workloads, with scipy.special swapped in as reference
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def with_scipy_special(monkeypatch):
+    """Run a callable with the lognormal bound to ``scipy.special``."""
+
+    def run(fn, *args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(dist_mod, "ndtr", special.ndtr)
+            m.setattr(dist_mod, "ndtri", special.ndtri)
+            clear_search_memo()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                clear_search_memo()
+
+    return run
+
+
+def hexes(values):
+    if isinstance(values, dict):
+        return {k: float(v).hex() for k, v in values.items()}
+    return [float(v).hex() for v in values]
+
+
+LOGNORMAL_WORKLOADS = {"c90": c90, "j90": j90, "ctc": ctc}
+
+
+def test_ctc_fit_matches_scipy_special(with_scipy_special):
+    ref = with_scipy_special(
+        Lognormal.fit_truncated, mean=4520.0, scv=3.0, upper=CTC_RUNTIME_CAP
+    )
+    ours = ctc().service_dist
+    assert hexes([ours.parent.mu_log, ours.parent.sigma_log]) == hexes(
+        [ref.parent.mu_log, ref.parent.sigma_log]
+    )
+    assert _state(ours) == _state(ref)
+
+
+@pytest.mark.parametrize("name", sorted(LOGNORMAL_WORKLOADS))
+def test_lognormal_functions_match_scipy_special(name, with_scipy_special):
+    dist = LOGNORMAL_WORKLOADS[name]().service_dist
+    xs = [0.0, 1e-3, 1.0, 30.0, 600.0, 4562.6, 4e4, 43_200.0, 1e6, 1e9, math.inf]
+    qs = [0.0, 1e-15, 1e-6, 0.01, 0.25, 0.5, 0.9, 0.999, 1.0 - 1e-12, 1.0]
+    for fn, probes in ((dist.cdf, xs), (dist.ppf, qs)):
+        ours = [fn(v) for v in probes]
+        assert hexes(ours) == hexes(with_scipy_special(lambda: [fn(v) for v in probes]))
+    for j in (-2.0, -1.0, 0.0, 1.0, 2.0, 3.0):
+        pairs = list(zip(xs, xs[1:])) + [(0.0, math.inf), (5.0, 5.0)]
+        ours = [dist.partial_moment(j, lo, hi) for lo, hi in pairs]
+        ref = with_scipy_special(
+            lambda: [dist.partial_moment(j, lo, hi) for lo, hi in pairs]
+        )
+        assert hexes(ours) == hexes(ref)
+
+
+@pytest.mark.parametrize("name", sorted(LOGNORMAL_WORKLOADS))
+def test_lognormal_cutoffs_match_scipy_special(name, with_scipy_special):
+    dist = LOGNORMAL_WORKLOADS[name]().service_dist
+    for load in (0.3, 0.5, 0.7, 0.9):
+        clear_search_memo()
+        ours = analytic_cutoff_pair(load, dist, want=("opt", "fair"))
+        ref = with_scipy_special(analytic_cutoff_pair, load, dist, want=("opt", "fair"))
+        assert hexes(ours) == hexes(ref)
+    ours = equal_load_cutoffs(dist, 4)
+    assert hexes(ours) == hexes(with_scipy_special(equal_load_cutoffs, dist, 4))
