@@ -12,14 +12,27 @@ max(V, t)``, ``V' = start + size/speed``; see
 
 :class:`FastPathState` exploits that: admitted jobs are appended to
 columnar record arrays (arrival, size, estimate, host, start,
-completion) and the per-host state advances through the
-:func:`~repro.sim.fast.serve_dispatch_batch` kernel — O(1) scalar
-updates per decision, batched over the intake — while the embedded
-engine's calendar stays empty (advancing its clock over an empty
-calendar is O(1)).  Every float expression replicates the engine path
-op for op, so starts, completions, waits and host picks are
-**bit-identical** to the event path; the hypothesis suite in
-``tests/serve/test_fastpath.py`` asserts this.
+completion) while the embedded engine's calendar stays empty
+(advancing its clock over an empty calendar is O(1)).  How the timing
+columns are filled depends on whether the host choice reads ``V``:
+
+* Least-Work-Left and Shortest-Queue read the host state for every
+  decision, so they advance ``V`` as they route — LWL through the
+  :func:`~repro.sim.fast.serve_dispatch_batch` kernel, O(1) scalar
+  updates per decision, batched over the intake.
+* SITA, Random and Round-Robin pick a host from the job (or the
+  policy's own RNG / rotation) alone.  Routing only records the choice;
+  :meth:`FastPathState.settle` later fills the start and completion
+  columns and ``V`` in bulk, one exact
+  :func:`~repro.sim.fast.fcfs_starts` call per host over the unsettled
+  records.  It runs every :data:`SETTLE_EVERY` records and before
+  anything reads those columns or ``V`` (counters, slowdowns, drain,
+  the job table, handover).
+
+Every float expression replicates the engine path op for op, so
+starts, completions, waits and host picks are **bit-identical** to the
+event path, whenever and however often the settle runs; the hypothesis
+suite in ``tests/serve/test_fastpath.py`` asserts this.
 
 Completed records stay in those columns.  Counters, the Jain index in
 ``status()`` and ``job_table()`` read them directly, so an engaged
@@ -60,19 +73,26 @@ from ..core.policies import (
     RoundRobinPolicy,
     SITAPolicy,
 )
-from ..sim.fast import SERVE_DISPATCH_MODES, serve_dispatch_batch
+from ..sim.fast import fcfs_starts, serve_dispatch_batch
 from ..sim.jobs import Job
 
-__all__ = ["FastPathState", "fast_path_mode"]
+__all__ = ["FastPathState", "SETTLE_EVERY", "fast_path_mode"]
+
+#: Most fixed-host records left unsettled.  Large enough that the
+#: per-host kernel calls amortise their fixed cost, small enough that
+#: one settle stays a few milliseconds (a pause every client of a
+#: socket server waits through) and its temporaries under 1 MiB.
+SETTLE_EVERY = 16384
 
 
 def fast_path_mode(policy) -> str | None:
     """The fast-path routing mode for ``policy``, or ``None``.
 
-    ``"lwl"`` and ``"sita"`` route inside the kernel; ``"seq"``
-    (Random/Round-Robin) draws hosts one at a time in Python so the
-    policy's RNG or rotation pointer advances exactly as on the engine
-    path, then commits through the kernel; ``"sq"`` (Shortest-Queue)
+    ``"lwl"`` routes inside the kernel; ``"sita"`` maps the whole batch
+    through the policy's cutoffs; ``"seq"`` (Random/Round-Robin) draws
+    hosts one at a time in Python so the policy's RNG or rotation
+    pointer advances exactly as on the engine path; ``"sita"`` and
+    ``"seq"`` records settle in bulk later.  ``"sq"`` (Shortest-Queue)
     tracks per-host in-system counts with completion-time deques in
     Python.  Anything else — notably :class:`GroupedSITAPolicy`, whose
     spill rule reads the live-host mask — stays on the event path.
@@ -95,7 +115,10 @@ class FastPathState:
     Record ``k`` is the ``k``-th *admitted* job (its engine-path
     ``Job.index``).  Records are turned into real
     :class:`~repro.sim.jobs.Job` objects, with every field the event
-    path would have set, only by :meth:`hand_over`.
+    path would have set, only by :meth:`hand_over`.  In the fixed-host
+    modes the start and completion columns and ``v`` hold only the
+    first ``_settled`` records; :meth:`settle` brings them up to ``m``,
+    and every reader of them calls it first.
     """
 
     def __init__(self, n_hosts: int, host_speeds, mode: str, policy) -> None:
@@ -117,6 +140,10 @@ class FastPathState:
         self._comp = np.empty(cap, dtype=np.float64)
         #: records routed so far (== next engine Job.index).
         self.m = 0
+        #: records whose start and completion (and share of ``v``) are
+        #: filled in; below ``m`` only in the fixed-host modes.
+        self._settled = 0
+        self._defers = mode in ("sita", "seq")
         #: "sq" only: per-host completion epochs of in-system jobs.
         self._in_system = (
             [deque() for _ in range(self.n_hosts)] if mode == "sq" else None
@@ -183,19 +210,24 @@ class FastPathState:
                 if best_len < 0 or li < best_len:
                     best = i
                     best_len = li
-        vb = float(v[best])
-        start = t if vb < t else vb
-        comp = start + s / self._speeds_list[best]
-        v[best] = comp
         self._arrival[m] = t
         self._size[m] = s
         self._est[m] = est
         self._host[m] = best
+        self.m = m + 1
+        if self._defers:
+            if self.m - self._settled >= SETTLE_EVERY:
+                self.settle()
+            return best
+        vb = float(v[best])
+        start = t if vb < t else vb
+        comp = start + s / self._speeds_list[best]
+        v[best] = comp
         self._start[m] = start
         self._comp[m] = comp
         if mode == "sq":
             self._in_system[best].append(comp)
-        self.m = m + 1
+        self._settled = m + 1
         return best
 
     def route_batch(
@@ -211,27 +243,65 @@ class FastPathState:
             for j in range(n):
                 self.route_one(t_l[j], s_l[j], e_l[j])
             return self._host[a : a + n]
-        self._arrival[a : a + n] = t
-        self._size[a : a + n] = s
-        self._est[a : a + n] = est
-        hosts = self._host[a : a + n]
-        starts = self._start[a : a + n]
+        end = a + n
+        self._arrival[a:end] = t
+        self._size[a:end] = s
+        self._est[a:end] = est
+        hosts = self._host[a:end]
+        if self.mode == "lwl":
+            starts = self._start[a:end]
+            serve_dispatch_batch(t, s, self.speeds, self.v, hosts, starts)
+            # Same elementwise float ops as the scalar path: start + s/speed.
+            self._comp[a:end] = starts + s / self.speeds[hosts]
+            self.m = self._settled = end
+            return hosts
         if self.mode == "seq":
             ch = self.policy.choose_host
             hosts[:] = [ch(None, None) for _ in range(n)]
-            mode_id = SERVE_DISPATCH_MODES["fixed"]
-        elif self.mode == "sita":
+        else:
             # The policy's own expression, as on the scalar path, so a
             # NaN estimate lands where ``choose_host`` sends it.
             hosts[:] = np.searchsorted(self.policy.cutoffs, est, side="left")
-            mode_id = SERVE_DISPATCH_MODES["fixed"]
-        else:
-            mode_id = SERVE_DISPATCH_MODES["lwl"]
-        serve_dispatch_batch(t, s, self.speeds, self.v, hosts, starts, mode_id)
-        # Same elementwise float ops as the scalar path: start + s/speed.
-        self._comp[a : a + n] = starts + s / self.speeds[hosts]
-        self.m = a + n
+        # Take the records on one settle window at a time, so no more
+        # than SETTLE_EVERY are ever unsettled.
+        while end - self._settled >= SETTLE_EVERY:
+            self.m = self._settled + SETTLE_EVERY
+            self.settle()
+        self.m = end
         return hosts
+
+    @property
+    def unsettled(self) -> int:
+        """Records routed but not yet settled (always 0 for LWL/SQ)."""
+        return self.m - self._settled
+
+    def settle(self) -> None:
+        """Fill the start/completion columns and ``v`` up to record ``m``.
+
+        The fixed-host modes record only the host choice; their timing
+        is each host's FCFS recursion over its records in submission
+        order, which :func:`~repro.sim.fast.fcfs_starts` evaluates
+        exactly, resuming from the host's ``v``.  Durations are
+        ``size / speed`` and completions ``start + duration`` — the
+        engine's own float expressions.
+        """
+        a, m = self._settled, self.m
+        if a == m:
+            return
+        hosts = self._host[a:m]
+        sp = self._speeds_list
+        v = self.v
+        for i in range(self.n_hosts):
+            idx = np.flatnonzero(hosts == i)
+            if not idx.size:
+                continue
+            idx += a
+            dur = self._size[idx] / sp[i]
+            starts, v_end = fcfs_starts(self._arrival[idx], dur, float(v[i]))
+            self._start[idx] = starts
+            self._comp[idx] = starts + dur
+            v[i] = v_end
+        self._settled = m
 
     # ------------------------------------------------------------------
     # lazy accounting
@@ -239,6 +309,7 @@ class FastPathState:
 
     def completed_count(self, now: float) -> int:
         """Records whose completion epoch has been reached by ``now``."""
+        self.settle()
         m = self.m
         if m == 0:
             return 0
@@ -252,6 +323,7 @@ class FastPathState:
         ties keep submission order (stable sort), matching the event
         calendar's insertion-order tie-break.
         """
+        self.settle()
         m = self.m
         if m == 0:
             return None
@@ -266,6 +338,7 @@ class FastPathState:
 
     def max_completion(self) -> float:
         """Latest completion epoch on record (0.0 with no records)."""
+        self.settle()
         return float(self.v.max()) if self.m else 0.0
 
     def host_seq(self) -> np.ndarray:
@@ -305,6 +378,7 @@ class FastPathState:
         calls this, once: an engaged server keeps its completed records
         columnar.
         """
+        self.settle()
         m = self.m
         sel = np.flatnonzero(self._comp[:m] <= now)
         if not sel.size:
@@ -341,6 +415,7 @@ class FastPathState:
         The caller discards this object afterwards — the fast path is
         one-way.
         """
+        self.settle()
         self.materialize_completed(inner, now)
         m = self.m
         pend = np.flatnonzero(self._comp[:m] > now)

@@ -595,7 +595,7 @@ class DispatchServer:
         store = self.snapshot_store
         if store is not None and (self._replaying or self.snapshot_every <= 0):
             store = None
-        route_ns = 0
+        route_before = self._route_ns
         pos = 0
         while pos < n:
             end = n
@@ -612,21 +612,43 @@ class DispatchServer:
             self._next_index += chunk
             r0 = time.perf_counter_ns()
             fp.route_batch(t[pos:end], s[pos:end], e[pos:end])
-            route_ns += time.perf_counter_ns() - r0
+            self._route_ns += time.perf_counter_ns() - r0
             sim.run(until=float(t[end - 1]))
             if store is not None and self.n_accepted % self.snapshot_every == 0:
+                self._settle(in_decision=True)
                 self._write_snapshot()
             pos = end
         t2 = time.perf_counter_ns()
         self._decision_ns.append((t2 - t1, n))
-        self._route_ns += route_ns
-        self._commit_ns += (t2 - t1) - route_ns
+        self._commit_ns += (t2 - t1) - (self._route_ns - route_before)
         if collect:
             return [
                 {"outcome": "admitted", "reason": "admit", "host": int(h)}
                 for h in fp._host[fp.m - n : fp.m].tolist()
             ]
         return n
+
+    def _settle(self, in_decision: bool = False) -> None:
+        """Settle the fast path's deferred timings, charged to routing.
+
+        The fixed-host modes defer their start/completion arithmetic to
+        :meth:`FastPathState.settle`; wherever it runs, its time is
+        routing work and counts in ``route_ms``.  Outside a submit call
+        (drain, status, a snapshot after a scalar submit) it is also
+        logged as a decision-stage entry with no decisions, so
+        ``decisions_per_s`` pays for it too; ``in_decision`` marks a
+        settle inside a submit call's timed window, which already
+        counts it.
+        """
+        fp = self._fastpath
+        if fp is None or not fp.unsettled:
+            return
+        r0 = time.perf_counter_ns()
+        fp.settle()
+        ns = time.perf_counter_ns() - r0
+        self._route_ns += ns
+        if not in_decision:
+            self._decision_ns.append((ns, 0))
 
     def _handover(self) -> None:
         """Disengage the fast path, reconstructing engine state exactly.
@@ -643,6 +665,7 @@ class DispatchServer:
         """
         fp = self._fastpath
         assert fp is not None
+        self._settle()
         self._fastpath = None
         inner = self._inner
         now = inner.sim.now
@@ -672,6 +695,7 @@ class DispatchServer:
                 self._handover()
             else:
                 sim = self._inner.sim
+                self._settle()
                 horizon = fp.max_completion()
                 if horizon > sim.now:
                     # The calendar is empty while engaged, so this is an
@@ -723,6 +747,7 @@ class DispatchServer:
         if fp is not None:
             # Completions are implicit while engaged: a record is done
             # once the clock passes its completion epoch.
+            self._settle()
             return fp.completed_count(self._inner.sim.now)
         return len(self._inner._completed)
 
@@ -773,6 +798,7 @@ class DispatchServer:
         """
         fp = self._fastpath
         if fp is not None:
+            self._settle()
             m = fp.m
             return {
                 "index": np.arange(m, dtype=np.int64),
@@ -805,7 +831,10 @@ class DispatchServer:
         token-bucket decision) is reported separately under ``"intake"``.
         ``decisions_per_s`` still divides by the *total* wall time of
         both stages, keeping the throughput figure comparable across
-        releases.  Batched decisions contribute their per-job mean.
+        releases.  Batched decisions contribute their per-job mean.  A
+        fixed-host settle run outside a submit call (see :meth:`_settle`)
+        counts in ``route_ms`` and ``decisions_per_s`` but in no job's
+        percentile.
         """
         if not self._decision_ns:
             return {"decisions": 0}
@@ -814,7 +843,9 @@ class DispatchServer:
         i_total = float(sum(pair[0] for pair in self._intake_ns))
         d_total = float(d_ns.sum())
         n = int(counts.sum())
-        per_job = np.repeat(d_ns / counts, counts)
+        # Deferred settles log (ns, 0): in the totals, not per job.
+        some = counts > 0
+        per_job = np.repeat(d_ns[some] / counts[some], counts[some])
         return {
             "decisions": n,
             "decisions_per_s": float(n / ((i_total + d_total) / 1e9)),

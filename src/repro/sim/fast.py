@@ -51,7 +51,7 @@ __all__ = [
     "SitaScanKernel",
     "SitaScanResult",
     "sita_scan",
-    "SERVE_DISPATCH_MODES",
+    "fcfs_starts",
     "serve_dispatch_batch",
 ]
 
@@ -867,8 +867,144 @@ def sita_scan(
     return kernel.scan(candidates)
 
 
-#: host-selection modes of :func:`serve_dispatch_batch`.
-SERVE_DISPATCH_MODES = {"lwl": 0, "fixed": 1}
+#: refinement rounds :func:`fcfs_starts` runs before its scalar loop
+#: finishes the suffix (streams of ulp-level near-ties settle in 2–4).
+_FCFS_START_ROUNDS = 8
+
+#: shortest suffix :func:`fcfs_starts` vectorises; below it the scalar
+#: loop is cheaper than the vector path's fixed cost (about 0.1 ms).
+_FCFS_VECTOR_FROM = 512
+
+
+def _fold_busy_periods(
+    t: np.ndarray, d: np.ndarray, first: np.ndarray, v0: float
+) -> np.ndarray:
+    """Start epochs of one FCFS host for given busy-period flags.
+
+    ``starts[0] = t[0] if v0 < t[0] else v0``; for ``j >= 1``,
+    ``starts[j] = t[j]`` where ``first[j]`` (``j`` opens a busy period)
+    and ``starts[j-1] + d[j-1]`` elsewhere.  ``first[0]`` is not read.
+    Each busy period is summed left to right by ``np.add.accumulate``
+    — the same IEEE additions, in the same order, as the scalar
+    recursion.  Periods of length in ``(2^(k-1), 2^k]`` are the rows of
+    one ``2^k``-wide block, so the blocks hold under ``2m`` cells; a
+    row's padding reads and writes the sentinel slot ``x[m]``, reset
+    to zero after every block, so it never touches another period.
+    """
+    m = t.shape[0]
+    x = np.empty(m + 1)
+    x[1:m] = d[:-1]
+    heads = np.flatnonzero(first[1:])
+    heads += 1
+    x[heads] = t[heads]
+    x[0] = t[0] if v0 < t[0] else v0
+    x[m] = 0.0
+    ends = np.append(heads, m)
+    lengths = ends - np.insert(heads, 0, 0)
+    runs = np.flatnonzero(lengths > 1)
+    if runs.size:
+        lengths = lengths[runs]
+        heads = ends[runs] - lengths
+        # ceil(log2(length)): the block width exponent.
+        keys = np.frexp(lengths - 1)[1].astype(np.int8)
+        order = np.argsort(keys, kind="stable")
+        counts = np.bincount(keys).tolist()
+        cols = np.arange(1 << (len(counts) - 1))
+        lo = 0
+        for k, c in enumerate(counts):
+            if not c:
+                continue
+            rows = order[lo : lo + c]
+            lo += c
+            w = cols[: 1 << k]
+            idx = heads[rows][:, None] + w
+            idx[w >= lengths[rows][:, None]] = m
+            block = x[idx]
+            np.add.accumulate(block, axis=1, out=block)
+            x[idx] = block
+            x[m] = 0.0
+    return x[:m]
+
+
+@kernel_contract(
+    shapes={
+        "arrival_times": ("m",),
+        "durations": ("m",),
+        "return[0]": ("m",),
+    },
+    dtypes={
+        "arrival_times": "float64",
+        "durations": "float64",
+        "return[0]": "float64",
+    },
+    writes=(),
+    contiguous=("arrival_times", "durations"),
+)
+def fcfs_starts(
+    arrival_times: np.ndarray, durations: np.ndarray, v0: float
+) -> tuple[np.ndarray, float]:
+    """Start epochs of one FCFS host resuming from backlog ``v0``, exactly.
+
+    Bit-identical to the scalar recursion the event engine runs
+    (``start = t if v < t else v``; ``v = start + d``, starting from
+    ``v = v0``) and returns ``(starts, v)`` with ``v`` the host's
+    virtual completion time after the last job, so calls chain: feed
+    the ``v`` of one call to the next.  The serve fast path settles its
+    fixed-host records through this (see :mod:`repro.serve.fastpath`).
+
+    Three steps, vectorised:
+
+    1. Guess each busy period's first job from the approximate
+       :func:`fcfs_waits` (a zero wait), with the inherited backlog as a
+       pseudo-job ahead of the stream.
+    2. Sum each guessed busy period exactly (:func:`_fold_busy_periods`).
+    3. Re-derive the flags from those sums (``start + d < t`` of the
+       next job) until they agree with the ones summed.
+
+    A fixpoint satisfies the recursion at every job, so it *is* the
+    loop's output.  Each round keeps every flag before the first
+    disagreement and fixes that one (its predecessors' sums are exact),
+    so the first wrong flag moves strictly right; rounds refold only
+    the suffix from there.  After ``_FCFS_START_ROUNDS`` rounds, or
+    once the suffix is shorter than ``_FCFS_VECTOR_FROM`` jobs, a plain
+    loop finishes it, so the worst case stays O(m).
+    """
+    t = arrival_times
+    d = durations
+    m = t.shape[0]
+    v = float(v0)
+    starts = np.empty(m)
+    lo = 0
+    if m >= _FCFS_VECTOR_FROM:
+        t0 = float(t[0])
+        backlog = np.array([v - t0 if v > t0 else 0.0])
+        waits = fcfs_waits(
+            np.concatenate((t[:1], t)), np.concatenate((backlog, d))
+        )
+        first = waits[1:] <= 0.0
+        for _ in range(_FCFS_START_ROUNDS):
+            s = _fold_busy_periods(t[lo:], d[lo:], first[lo:], v)
+            starts[lo:] = s
+            ends = s[:-1] + d[lo : m - 1]
+            implied = ends < t[lo + 1 :]
+            wrong = np.flatnonzero(implied != first[lo + 1 :])
+            if not wrong.size:
+                return starts, float(s[-1] + d[m - 1])
+            k = int(wrong[0])
+            first[lo + 1 + k :] = implied[k:]
+            v = float(ends[k])
+            lo += 1 + k
+            if m - lo < _FCFS_VECTOR_FROM:
+                break
+    t_list = t[lo:].tolist()
+    d_list = d[lo:].tolist()
+    tail = [0.0] * len(t_list)
+    for j, tj in enumerate(t_list):
+        start = tj if v < tj else v
+        tail[j] = start
+        v = start + d_list[j]
+    starts[lo:] = tail
+    return starts, v
 
 
 @kernel_contract(
@@ -905,26 +1041,20 @@ def serve_dispatch_batch(
     v: np.ndarray,
     hosts: np.ndarray,
     starts: np.ndarray,
-    mode: int,
 ) -> None:
-    """Route one arrival batch through incremental O(1) host updates.
+    """Route one arrival batch by Least-Work-Left, O(1) per job.
 
-    The online dispatcher's fault-free fast path (see
+    The online dispatcher's fault-free fast path for LWL (see
     :mod:`repro.serve.fastpath`): instead of scheduling an event per
-    job, each job advances a single per-host scalar — the virtual
-    completion time ``v`` — by the event engine's own float expressions
-    (``start = max(v[h], t)``, ``v[h] = start + size/speed``), so the
-    produced start epochs (written into ``starts``) and the implied
-    completions ``starts + sizes/speeds[hosts]`` are bit-identical to
-    the engine path.
-
-    ``mode`` selects the host rule — ``0``: Least-Work-Left, a
-    first-minimum scan of ``max(0, v - t)`` matching ``np.argmin``
-    tie-breaking; ``1``: ``hosts`` arrives pre-filled (SITA's
-    ``searchsorted`` over the batch, or Random/Round-Robin, whose draws
-    must advance the policy's RNG or pointer one job at a time in
-    Python).  Chosen hosts are written back into ``hosts`` in every
-    mode.
+    job, each job scans the per-host virtual completion times ``v`` for
+    the first minimum of ``max(0, v - t)`` (``np.argmin`` tie-breaking)
+    and advances the chosen host by the event engine's own float
+    expressions (``start = max(v[h], t)``, ``v[h] = start +
+    size/speed``).  Chosen hosts and start epochs are written into
+    ``hosts`` and ``starts``, so the implied completions ``starts +
+    sizes/speeds[hosts]`` are bit-identical to the engine path.
+    Fixed-host policies, whose choice never reads ``v``, settle in bulk
+    through :func:`fcfs_starts` instead.
     """
     n = arrival_times.shape[0]
     if n == 0:
@@ -939,37 +1069,24 @@ def serve_dispatch_batch(
     n_hosts = len(v_list)
     hosts_out = [0] * n
     starts_out = [0.0] * n
-    if mode == 0:
-        for j in range(n):
-            tj = t_list[j]
-            best = 0
-            best_key = v_list[0] - tj
-            if best_key < 0.0:
-                best_key = 0.0
-            for i in range(1, n_hosts):
-                key = v_list[i] - tj
-                if key < 0.0:
-                    key = 0.0
-                if key < best_key:
-                    best = i
-                    best_key = key
-            vb = v_list[best]
-            start = tj if vb < tj else vb
-            starts_out[j] = start
-            hosts_out[j] = best
-            v_list[best] = start + s_list[j] / sp_list[best]
-    elif mode == 1:
-        h_list = hosts.tolist()
-        for j in range(n):
-            tj = t_list[j]
-            best = h_list[j]
-            vb = v_list[best]
-            start = tj if vb < tj else vb
-            starts_out[j] = start
-            hosts_out[j] = best
-            v_list[best] = start + s_list[j] / sp_list[best]
-    else:
-        raise ValueError(f"unknown dispatch mode {mode!r}")
+    for j in range(n):
+        tj = t_list[j]
+        best = 0
+        best_key = v_list[0] - tj
+        if best_key < 0.0:
+            best_key = 0.0
+        for i in range(1, n_hosts):
+            key = v_list[i] - tj
+            if key < 0.0:
+                key = 0.0
+            if key < best_key:
+                best = i
+                best_key = key
+        vb = v_list[best]
+        start = tj if vb < tj else vb
+        starts_out[j] = start
+        hosts_out[j] = best
+        v_list[best] = start + s_list[j] / sp_list[best]
     hosts[:] = hosts_out
     starts[:] = starts_out
     v[:] = v_list

@@ -11,6 +11,12 @@ between paths.  The engine drain overshoots (work-sized chunks), the
 fast drain stops at the last completion epoch; both are legal "no work
 left" instants.  Same-path runs (the soak, batch invariance, resume)
 do compare clocks.
+
+SITA, Random and Round-Robin defer their timing columns to
+``FastPathState.settle`` (every ``SETTLE_EVERY`` records, and before
+any read), so their long-stream cases run more than ``SETTLE_EVERY``
+jobs; those engine references run without the sanitizer, which would
+take seconds per thousand jobs.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -37,6 +44,8 @@ from repro.core.policies import (
     SITAPolicy,
 )
 from repro.serve import DispatchServer, HealthMonitor, SnapshotStore, serve_signature
+from repro.serve import fastpath
+from repro.serve.fastpath import SETTLE_EVERY
 
 POLICIES = {
     "lwl": lambda n_hosts: LeastWorkLeftPolicy(),
@@ -49,14 +58,23 @@ POLICIES = {
 }
 
 
-def stream(n, seed):
+#: the fast-path modes that defer their timing columns to ``settle``.
+DEFERRING = ("sita", "rr")
+
+
+def stream(n, seed, size_scale=1.0):
     rng = np.random.default_rng(seed)
     arrivals = np.cumsum(rng.exponential(1.0, n))
-    sizes = rng.lognormal(0.0, 1.5, n)
+    sizes = rng.lognormal(0.0, 1.5, n) * size_scale
     return list(zip(arrivals.tolist(), sizes.tolist()))
 
 
-def make_pair(policy_name, n_hosts, **kwargs):
+def long_stream(seed, extra=3000):
+    """Longer than one settle window, at about half load on 2 hosts."""
+    return stream(SETTLE_EVERY + extra, seed, size_scale=0.3)
+
+
+def make_pair(policy_name, n_hosts, strict=True, **kwargs):
     """A fast-path server and an engine-path server, same config."""
     servers = []
     for fast_path in (True, False):
@@ -65,13 +83,17 @@ def make_pair(policy_name, n_hosts, **kwargs):
                 n_hosts,
                 POLICIES[policy_name](n_hosts),
                 seed=4,
-                strict=True,
+                strict=strict,
                 heartbeat_interval=10.0,
                 fast_path=fast_path,
                 **{k: v() if callable(v) else v for k, v in kwargs.items()},
             )
         )
     return servers
+
+
+def columns(jobs):
+    return [t for t, _ in jobs], [s for _, s in jobs]
 
 
 JOB_COLUMNS = (
@@ -158,11 +180,16 @@ class TestBitIdentity:
         assert fast.counters() == engine.counters()
         assert_same_jobs(fast, engine)
 
-    def test_mid_stream_status_matches_engine(self):
+    @staticmethod
+    def check_mid_stream_status(policy, intake):
         jobs = stream(200, 21)
-        fast, engine = make_pair("lwl", 2)
+        fast, engine = make_pair(policy, 2)
+        if intake == "batch":
+            fast.submit_batch(*columns(jobs))
+        else:
+            for t, s in jobs:
+                fast.submit(s, t)
         for t, s in jobs:
-            fast.submit(s, t)
             engine.submit(s, t)
         sf, se = fast.status(), engine.status()
         assert sf["counters"] == se["counters"]
@@ -170,6 +197,89 @@ class TestBitIdentity:
         assert sf["jain_slowdown"] == se["jain_slowdown"]
         assert sf["fast_path"]["engaged"]
         assert not se["fast_path"]["engaged"]
+
+    def test_mid_stream_status_matches_engine(self):
+        self.check_mid_stream_status("lwl", "scalar")
+
+    @pytest.mark.parametrize(
+        "policy,intake",
+        [
+            (policy, intake)
+            for policy in sorted(POLICIES)
+            for intake in ("scalar", "batch")
+            if (policy, intake) != ("lwl", "scalar")  # the test above
+        ],
+    )
+    def test_mid_stream_status_matches_engine_on_every_path(self, policy, intake):
+        self.check_mid_stream_status(policy, intake)
+
+    @pytest.mark.parametrize("policy", ["sita", "rr", "random"])
+    def test_reads_at_random_points_change_nothing(self, policy):
+        # Every read settles the deferred columns early, at a point the
+        # settle window alone would not; none of it may show.
+        jobs = long_stream(23)
+        arrivals, sizes = columns(jobs)
+        quiet, engine = make_pair(policy, 2, strict=False)
+        nosy, _ = make_pair(policy, 2, strict=False)
+        for i in range(0, len(jobs), 256):
+            quiet.submit_batch(arrivals[i : i + 256], sizes[i : i + 256])
+        rng = np.random.default_rng(31)
+        pos = 0
+        while pos < len(jobs):
+            end = min(len(jobs), pos + int(rng.integers(1, 3000)))
+            if rng.random() < 0.3:
+                for t, s in jobs[pos:end]:
+                    nosy.submit(s, t)
+            else:
+                nosy.submit_batch(arrivals[pos:end], sizes[pos:end])
+            for t, s in jobs[pos:end]:
+                engine.submit(s, t)
+            pos = end
+            assert nosy._fastpath.unsettled < SETTLE_EVERY
+            read = int(rng.integers(3))
+            if read == 0:
+                sn, se = nosy.status(), engine.status()
+                assert sn["counters"] == se["counters"]
+                assert sn["jain_slowdown"] == se["jain_slowdown"]
+            elif read == 1:
+                assert nosy.counters() == engine.counters()
+            else:
+                table = nosy.job_table()
+                assert table["start"].shape == (pos,)
+        for server in (quiet, nosy, engine):
+            server.drain()
+        assert nosy.status()["fast_path"]["engaged"]
+        assert_same_jobs(nosy, quiet)
+        assert_same_jobs(nosy, engine)
+        jain = nosy.status()["jain_slowdown"]
+        assert jain == quiet.status()["jain_slowdown"]
+        assert jain == engine.status()["jain_slowdown"]
+
+    @pytest.mark.parametrize("policy", DEFERRING)
+    def test_unsettled_records_never_exceed_the_window(self, policy):
+        jobs = stream(3 * SETTLE_EVERY + 17, 4, size_scale=0.3)
+        arrivals, sizes = columns(jobs)
+        server = DispatchServer(
+            2, POLICIES[policy](2), seed=4, heartbeat_interval=10.0
+        )
+        fp = server._fastpath
+        seen = []
+        settle = fp.settle
+
+        def watched():
+            seen.append(fp.unsettled)
+            settle()
+
+        fp.settle = watched
+        # One oversized batch, then scalar submits across a boundary.
+        cut = 2 * SETTLE_EVERY + 100
+        server.submit_batch(arrivals[:cut], sizes[:cut])
+        assert fp.unsettled == cut % SETTLE_EVERY
+        for t, s in jobs[cut:]:
+            server.submit(s, t)
+            assert fp.unsettled < SETTLE_EVERY
+        assert seen[:3] == [SETTLE_EVERY] * 3
+        assert max(seen) <= SETTLE_EVERY
 
 
 class TestBatchInvariance:
@@ -226,9 +336,13 @@ class TestBatchInvariance:
 
 
 class TestHandover:
-    def breaker_pair(self, policy_name, batch=False):
+    """The LWL tests hand over with every record settled; their
+    ``_deferred`` twins run SITA and Round-Robin, whose unsettled
+    records the handover must settle first."""
+
+    def breaker_pair(self, policy_name, strict=True):
         return make_pair(
-            policy_name, 2,
+            policy_name, 2, strict=strict,
             health=lambda: HealthMonitor(failure_threshold=1, cooldown=20.0),
         )
 
@@ -260,28 +374,41 @@ class TestHandover:
             fast.status()["jain_slowdown"] == engine.status()["jain_slowdown"]
         )
 
-    def test_failure_between_batches_hands_over(self):
-        jobs = stream(600, 8)
-        fast, engine = self.breaker_pair("lwl")
-        arr = [t for t, _ in jobs]
-        siz = [s for _, s in jobs]
-        fast.submit_batch(arr[:300], siz[:300])
-        for t, s in jobs[:300]:
+    def check_failure_between_batches(self, policy, jobs, split, strict):
+        fast, engine = self.breaker_pair(policy, strict)
+        arr, siz = columns(jobs)
+        fast.submit_batch(arr[:split], siz[:split])
+        for t, s in jobs[:split]:
             engine.submit(s, t)
         fast.health.probe(0, False, fast.now)
         engine.health.probe(0, False, engine.now)
-        records = fast.submit_batch(arr[300:], siz[300:], collect=True)
-        hosts_engine = [engine.submit(s, t)["host"] for t, s in jobs[300:]]
+        records = fast.submit_batch(arr[split:], siz[split:], collect=True)
+        hosts_engine = [engine.submit(s, t)["host"] for t, s in jobs[split:]]
         assert [r["host"] for r in records] == hosts_engine
         assert not fast.status()["fast_path"]["engaged"]
         fast.drain()
         engine.drain()
         assert fast.counters() == engine.counters()
         assert_same_jobs(fast, engine)
+        assert (
+            fast.status()["jain_slowdown"] == engine.status()["jain_slowdown"]
+        )
 
-    def test_drain_after_failure_hands_over(self):
+    def test_failure_between_batches_hands_over(self):
+        self.check_failure_between_batches("lwl", stream(600, 8), 300, True)
+
+    @pytest.mark.parametrize("policy", DEFERRING)
+    def test_failure_between_batches_hands_over_deferred(self, policy):
+        # The first batch spans a settle window and leaves 1000 records
+        # unsettled at the failure.
+        jobs = long_stream(8)
+        self.check_failure_between_batches(
+            policy, jobs, SETTLE_EVERY + 1000, False
+        )
+
+    def check_drain_after_failure(self, policy):
         jobs = stream(100, 2)
-        fast, engine = self.breaker_pair("lwl")
+        fast, engine = self.breaker_pair(policy)
         for t, s in jobs:
             fast.submit(s, t)
             engine.submit(s, t)
@@ -294,13 +421,19 @@ class TestHandover:
         assert fast.now == engine.now
         assert_same_jobs(fast, engine)
 
-    def test_handover_after_drain(self):
+    def test_drain_after_failure_hands_over(self):
+        self.check_drain_after_failure("lwl")
+
+    @pytest.mark.parametrize("policy", DEFERRING)
+    def test_drain_after_failure_hands_over_deferred(self, policy):
+        self.check_drain_after_failure(policy)
+
+    def check_handover_after_drain(self, policy, first, more, strict):
         # A drained fast path holds every record as columns only; the
         # handover must materialise all of them, each exactly once.
-        first, more = stream(300, 9), stream(200, 10)
-        fast, engine = self.breaker_pair("lwl")
+        fast, engine = self.breaker_pair(policy, strict)
         for server in (fast, engine):
-            server.submit_batch([t for t, _ in first], [s for _, s in first])
+            server.submit_batch(*columns(first))
             server.drain()
         reference = engine.job_table()
         fast.health.probe(0, False, fast.now)
@@ -317,6 +450,17 @@ class TestHandover:
             assert np.array_equal(
                 table[column][: len(first)], reference[column]
             ), column
+
+    def test_handover_after_drain(self):
+        self.check_handover_after_drain(
+            "lwl", stream(300, 9), stream(200, 10), True
+        )
+
+    @pytest.mark.parametrize("policy", DEFERRING)
+    def test_handover_after_drain_deferred(self, policy):
+        self.check_handover_after_drain(
+            policy, long_stream(9), stream(200, 10), False
+        )
 
     def test_faulted_server_never_engages(self):
         from repro.sim.faults import FaultModel
@@ -339,15 +483,15 @@ class TestHandover:
 
 
 class TestColumnarDrain:
-    def test_drain_builds_no_jobs(self):
-        jobs = stream(50_000, 6)
-        server = DispatchServer(
-            2, LeastWorkLeftPolicy(), seed=4, heartbeat_interval=10.0
-        )
-        arrivals = [t for t, _ in jobs]
-        sizes = [s for _, s in jobs]
+    @staticmethod
+    def drain_peak(policy, n_jobs):
+        """Drain a batched stream; returns the drain's traced peak."""
+        jobs = stream(n_jobs, 6)
+        server = DispatchServer(2, policy, seed=4, heartbeat_interval=10.0)
+        arrivals, sizes = columns(jobs)
         for i in range(0, len(jobs), 1024):
             server.submit_batch(arrivals[i : i + 1024], sizes[i : i + 1024])
+        unsettled = server._fastpath.unsettled
         tracemalloc.start()
         try:
             server.drain()
@@ -357,20 +501,38 @@ class TestColumnarDrain:
         assert server.counters()["completed"] == len(jobs)
         assert server.counters()["in_flight"] == 0
         assert not server._inner._completed
+        return peak, unsettled
+
+    def test_drain_builds_no_jobs(self):
+        peak, unsettled = self.drain_peak(LeastWorkLeftPolicy(), 50_000)
+        assert unsettled == 0
         assert peak < 64 * 1024, peak
+
+    def test_sita_drain_settles_at_most_one_window(self):
+        # The drain's one settle covers the records since the last full
+        # window, so its temporaries scale with SETTLE_EVERY, not with
+        # the stream: here a full window less one, after two settled.
+        peak, unsettled = self.drain_peak(
+            SITAPolicy([1.0]), 3 * SETTLE_EVERY - 1
+        )
+        assert unsettled == SETTLE_EVERY - 1
+        # Eight float64 columns of one window.
+        assert peak < 8 * 8 * SETTLE_EVERY, peak
 
 
 class TestSigkillBatched:
     """The CI soak drill through the batched fast path: a fault-free
-    batched run killed mid-stream by the snapshot hook, then resumed."""
+    batched run killed mid-stream by the snapshot hook, then resumed.
+    SITA and Round-Robin settle their timing columns at each snapshot
+    and at drain, so the resumed Jain index checks those too."""
 
     ARGS = [
-        "serve", "c90", "--policy", "lwl", "--hosts", "2", "--jobs", "800",
+        "serve", "c90", "--hosts", "2", "--jobs", "800",
         "--load", "0.7", "--seed", "5", "--snapshot-every", "200",
         "--batch-size", "64",
     ]
 
-    def run_cli(self, snapshot, extra=(), env_extra=None):
+    def run_cli(self, snapshot, policy, extra=(), env_extra=None):
         env = dict(os.environ)
         env["PYTHONPATH"] = "src"
         env.pop("REPRO_SERVE_KILL_AFTER", None)
@@ -378,28 +540,37 @@ class TestSigkillBatched:
             env.update(env_extra)
         return subprocess.run(
             [sys.executable, "-m", "repro.cli", *self.ARGS,
-             "--snapshot", str(snapshot), *extra],
+             "--policy", policy, "--snapshot", str(snapshot), *extra],
             capture_output=True, text=True, env=env,
             cwd=Path(__file__).resolve().parents[2],
         )
 
-    def test_sigkill_then_resume_matches_reference(self, tmp_path):
-        ref = self.run_cli(tmp_path / "ref.json")
+    def check_sigkill_then_resume(self, tmp_path, policy):
+        ref = self.run_cli(tmp_path / "ref.json", policy)
         assert ref.returncode == 0, ref.stderr
         reference = json.loads(ref.stdout)
         assert reference["fast_path"]["engaged"]
 
         killed = self.run_cli(
-            tmp_path / "state.json", env_extra={"REPRO_SERVE_KILL_AFTER": "2"}
+            tmp_path / "state.json", policy,
+            env_extra={"REPRO_SERVE_KILL_AFTER": "2"},
         )
         assert killed.returncode in (-signal.SIGKILL, 137)
 
-        resumed = self.run_cli(tmp_path / "state.json", extra=["--resume"])
+        resumed = self.run_cli(tmp_path / "state.json", policy, extra=["--resume"])
         assert resumed.returncode == 0, resumed.stderr
         status = json.loads(resumed.stdout)
         assert status["counters"] == reference["counters"]
         assert status["clock"] == reference["clock"]
+        assert status["jain_slowdown"] == reference["jain_slowdown"]
         assert all(status["invariant"].values())
+
+    def test_sigkill_then_resume_matches_reference(self, tmp_path):
+        self.check_sigkill_then_resume(tmp_path, "lwl")
+
+    @pytest.mark.parametrize("policy", DEFERRING)
+    def test_sigkill_then_resume_matches_reference_deferred(self, tmp_path, policy):
+        self.check_sigkill_then_resume(tmp_path, policy)
 
 
 class TestLatencySplit:
@@ -420,6 +591,60 @@ class TestLatencySplit:
         # throughput stays full-cost: both stages in the denominator
         total_s = (lat["intake"]["total_ms"] + stages["route_ms"]) / 1e3
         assert lat["decisions_per_s"] <= 100 / total_s * 1.001
+
+    @pytest.mark.parametrize(
+        "where,intake",
+        [
+            ("window", "batch"),  # inside route_batch
+            ("window", "scalar"),  # inside route_one
+            ("drain", "batch"),
+            ("status", "batch"),
+            ("snapshot", "batch"),  # inside submit_batch's timed window
+            ("snapshot", "scalar"),  # after submit's timed window
+        ],
+    )
+    def test_settle_time_is_routing_time(self, where, intake, tmp_path, monkeypatch):
+        # Patch the settle kernel to sleep a known time: wherever the
+        # settle runs, that time must land in route_ms and lower
+        # decisions_per_s, and the stages must still add up.
+        nap = 0.02
+        calls = []
+        real = fastpath.fcfs_starts
+
+        def sleepy(t, d, v0):
+            calls.append(t.shape[0])
+            time.sleep(nap)
+            return real(t, d, v0)
+
+        monkeypatch.setattr(fastpath, "fcfs_starts", sleepy)
+        store = None
+        if where == "snapshot":
+            store = SnapshotStore(tmp_path / "s.json", serve_signature("cfg"))
+        server = DispatchServer(
+            2, SITAPolicy([1.0]), seed=4, heartbeat_interval=10.0,
+            snapshot_store=store, snapshot_every=500,
+        )
+        jobs = stream(SETTLE_EVERY if where == "window" else 500, 3)
+        if intake == "batch":
+            server.submit_batch(*columns(jobs))
+        else:
+            for t, s in jobs:
+                server.submit(s, t)
+        if where == "drain":
+            server.drain()
+        elif where == "status":
+            server.status()
+        assert calls, "no settle ran"
+        assert server._fastpath.unsettled == 0
+        lat = server.latency_summary()
+        stages = lat["stages"]
+        slept_ms = len(calls) * nap * 1e3
+        assert stages["route_ms"] >= slept_ms
+        total_ms = stages["intake_ms"] + stages["route_ms"] + stages["commit_ms"]
+        assert lat["decisions_per_s"] == pytest.approx(
+            lat["decisions"] / (total_ms / 1e3), rel=1e-9
+        )
+        assert lat["decisions_per_s"] <= lat["decisions"] / (slept_ms / 1e3)
 
     def test_empty_summary(self):
         server = DispatchServer(2, LeastWorkLeftPolicy(), seed=4)

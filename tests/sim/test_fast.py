@@ -4,13 +4,22 @@ from __future__ import annotations
 
 import heapq
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.fast import _static_waits, fcfs_waits, lwl_waits, shortest_queue_waits
+from repro.sim import fast
+from repro.sim.fast import (
+    _fold_busy_periods,
+    _static_waits,
+    fcfs_starts,
+    fcfs_waits,
+    lwl_waits,
+    shortest_queue_waits,
+)
 
 
 def brute_force_fcfs(arrivals, sizes):
@@ -290,3 +299,250 @@ def test_fcfs_property_matches_brute_force(jobs):
     np.testing.assert_allclose(
         fcfs_waits(arrivals, sizes), brute_force_fcfs(arrivals, sizes), atol=1e-9
     )
+
+
+def scalar_starts(arrivals, durations, v0):
+    """The FCFS recursion as the event engine runs it, one job at a time."""
+    v = float(v0)
+    starts = []
+    for t, d in zip(np.asarray(arrivals).tolist(), np.asarray(durations).tolist()):
+        start = t if v < t else v
+        starts.append(start)
+        v = start + d
+    return np.array(starts, dtype=float), v
+
+
+def scalar_fold(arrivals, durations, first, v0):
+    """``_fold_busy_periods``'s definition, one job at a time."""
+    t = np.asarray(arrivals).tolist()
+    d = np.asarray(durations).tolist()
+    starts = [t[0] if v0 < t[0] else v0]
+    for j in range(1, len(t)):
+        starts.append(t[j] if first[j] else starts[-1] + d[j - 1])
+    return np.array(starts, dtype=float)
+
+
+def assert_starts_exact(arrivals, durations, v0):
+    t = np.ascontiguousarray(arrivals, dtype=float)
+    d = np.ascontiguousarray(durations, dtype=float)
+    starts, v_end = fcfs_starts(t, d, v0)
+    expected, v_expected = scalar_starts(t, d, v0)
+    assert starts.dtype == np.float64
+    assert np.array_equal(starts, expected)
+    assert v_end == v_expected
+    assert isinstance(v_end, float)
+    return starts
+
+
+def near_tie_stream(rng, n, base, spread):
+    """Every arrival within ``spread`` ulps of the host's true backlog.
+
+    Each job arrives a random number of ``np.nextafter`` steps either
+    side of the previous job's exact completion, so whether it opens a
+    busy period hangs on the last bits of a running sum — exactly where
+    the approximate Lindley guess and the exact sums part ways.
+    """
+    d = rng.lognormal(0.0, 1.0, n)
+    t = np.empty(n)
+    v = base
+    prev = -np.inf
+    for j in range(n):
+        tj = v
+        step = int(rng.integers(-spread, spread + 1))
+        toward = np.inf if step > 0 else -np.inf
+        for _ in range(abs(step)):
+            tj = np.nextafter(tj, toward)
+        tj = max(tj, prev)
+        t[j] = prev = tj
+        v = (tj if v < tj else v) + d[j]
+    return t, d
+
+
+def vectorise_everything():
+    """Send every input, however short, down the vector path."""
+    return mock.patch.object(fast, "_FCFS_VECTOR_FROM", 1)
+
+
+def count_folds(monkeypatch):
+    folds = []
+    real = fast._fold_busy_periods
+
+    def counting(*args):
+        folds.append(args[0].shape[0])
+        return real(*args)
+
+    monkeypatch.setattr(fast, "_fold_busy_periods", counting)
+    return folds
+
+
+class TestFcfsStarts:
+    """``fcfs_starts`` against the scalar recursion, compared with ``==``.
+
+    Every test here vectorises whatever the input's length; the length
+    threshold has its own test below.
+    """
+
+    @pytest.fixture(autouse=True)
+    def vector_path(self):
+        with vectorise_everything():
+            yield
+
+    def test_empty(self):
+        starts, v_end = fcfs_starts(np.empty(0), np.empty(0), 2.5)
+        assert starts.shape == (0,)
+        assert v_end == 2.5
+
+    @pytest.mark.parametrize("v0", [0.0, 3.0, 7.5])
+    def test_single_job(self, v0):
+        starts = assert_starts_exact([3.0], [1.25], v0)
+        assert starts[0] == max(3.0, v0)
+
+    @pytest.mark.parametrize("offset", [-1.0, 0.0, 1.0, 1e6])
+    def test_v0_below_at_and_above_first_arrival(self, rng, offset):
+        t = np.cumsum(rng.exponential(1.0, 500)) + 10.0
+        d = rng.lognormal(0.0, 1.5, 500) * 0.8
+        assert_starts_exact(t, d, float(t[0]) + offset)
+
+    def test_v0_one_ulp_either_side_of_first_arrival(self, rng):
+        t = np.cumsum(rng.exponential(1.0, 200)) + 0.1
+        d = rng.exponential(0.9, 200)
+        for v0 in (np.nextafter(t[0], -np.inf), np.nextafter(t[0], np.inf)):
+            assert_starts_exact(t, d, float(v0))
+
+    def test_all_idle(self):
+        t = np.arange(1, 101, dtype=float) * 10.0
+        starts = assert_starts_exact(t, np.full(100, 0.5), 0.0)
+        assert np.array_equal(starts, t)
+
+    def test_one_long_busy_period(self, rng):
+        t = np.cumsum(rng.exponential(1.0, 5000))
+        d = rng.exponential(3.0, 5000)
+        starts = assert_starts_exact(t, d, 0.0)
+        assert np.all(starts[1:] > t[1:])
+
+    def test_exact_ties_from_integer_streams(self, rng):
+        # Integer arrivals and sizes: every sum is exact, so jobs often
+        # arrive at the very instant the host frees up (v == t).
+        for _ in range(20):
+            t = np.cumsum(rng.integers(0, 4, 400)).astype(float)
+            d = rng.integers(1, 5, 400).astype(float)
+            v0 = float(rng.integers(0, 6))
+            assert_starts_exact(t, d, v0)
+            assert_starts_exact(t, d, float(t[0]))
+
+    @pytest.mark.parametrize("base", [0.0, 1.0, 1e6, 1e9])
+    @pytest.mark.parametrize("spread", [1, 3, 20])
+    def test_ulp_near_ties(self, base, spread):
+        rng = np.random.default_rng(int(base) % 9973 + spread)
+        for _ in range(5):
+            t, d = near_tie_stream(rng, 2000, base, spread)
+            assert_starts_exact(t, d, base)
+
+    def test_near_ties_take_more_than_one_round(self, monkeypatch):
+        # The guess really is wrong on these streams: the refinement
+        # rounds, not the guess, make the result exact.
+        folds = count_folds(monkeypatch)
+        t, d = near_tie_stream(np.random.default_rng(2), 2000, 1.0, 1)
+        assert_starts_exact(t, d, 1.0)
+        assert 1 < len(folds) <= fast._FCFS_START_ROUNDS
+        # Later rounds refold only the suffix after the first wrong flag.
+        assert folds == sorted(folds, reverse=True)
+
+    def test_cascade_reaches_the_scalar_finish(self, monkeypatch):
+        # One busy period whose backlog at each arrival is one ulp less
+        # than at the one before (2**40 + j sits in one binade, so the
+        # ulp is the same everywhere).  Guess that every job opens a
+        # busy period: each round then proves only the first wrong
+        # flag, the cascade outlasts the rounds and the scalar loop
+        # finishes it.
+        n = 4 * fast._FCFS_START_ROUNDS
+        busy_until = 2.0**40 + np.arange(n)
+        ulp = np.spacing(busy_until[0])
+        t = busy_until - (n - np.arange(n)) * ulp
+        t[0] = busy_until[0]
+        d = np.ones(n)
+        folds = count_folds(monkeypatch)
+        monkeypatch.setattr(fast, "fcfs_waits", lambda a, s: np.zeros(a.shape[0]))
+        starts = assert_starts_exact(t, d, 0.0)
+        assert len(folds) == fast._FCFS_START_ROUNDS
+        assert np.array_equal(starts, busy_until)
+
+    def test_any_guess_gives_the_exact_answer(self, rng, monkeypatch):
+        t = np.cumsum(rng.exponential(1.0, 3000))
+        d = rng.lognormal(0.0, 1.5, 3000) * 0.7
+        expected, v_expected = scalar_starts(t, d, 0.0)
+        for guess in (np.zeros, np.ones, lambda n: rng.integers(0, 2, n)):
+            monkeypatch.setattr(
+                fast, "fcfs_waits", lambda a, s, g=guess: g(a.shape[0]).astype(float)
+            )
+            starts, v_end = fcfs_starts(t, d, 0.0)
+            assert np.array_equal(starts, expected)
+            assert v_end == v_expected
+
+    def test_chained_calls_equal_one_call(self, rng):
+        t = np.cumsum(rng.exponential(1.0, 3000))
+        d = rng.lognormal(0.0, 1.5, 3000) * 0.9
+        whole, v_whole = fcfs_starts(t, d, 0.0)
+        v = 0.0
+        parts = []
+        for a, b in ((0, 1), (1, 700), (700, 701), (701, 3000)):
+            starts, v = fcfs_starts(t[a:b], d[a:b], v)
+            parts.append(starts)
+        assert np.array_equal(np.concatenate(parts), whole)
+        assert v == v_whole
+
+    def test_inputs_untouched(self, rng):
+        t = np.cumsum(rng.exponential(1.0, 300))
+        d = rng.exponential(1.0, 300)
+        t_copy, d_copy = t.copy(), d.copy()
+        fcfs_starts(t, d, 5.0)
+        assert np.array_equal(t, t_copy) and np.array_equal(d, d_copy)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [1, fast._FCFS_VECTOR_FROM - 1, fast._FCFS_VECTOR_FROM, 5000],
+)
+def test_fcfs_starts_vectorises_from_its_threshold(m, rng, monkeypatch):
+    folds = count_folds(monkeypatch)
+    t = np.cumsum(rng.exponential(1.0, m))
+    d = rng.lognormal(0.0, 1.5, m) * 0.3
+    assert_starts_exact(t, d, 0.0)
+    assert bool(folds) == (m >= fast._FCFS_VECTOR_FROM)
+
+
+@given(
+    st.lists(
+        st.tuples(st.floats(0.0, 10.0), st.floats(1e-3, 50.0)),
+        min_size=1,
+        max_size=200,
+    ),
+    st.floats(0.0, 100.0),
+)
+@settings(max_examples=80, deadline=None)
+def test_fcfs_starts_property_matches_scalar(jobs, v0):
+    gaps = np.array([g for g, _ in jobs])
+    sizes = np.array([s for _, s in jobs])
+    with vectorise_everything():
+        assert_starts_exact(np.cumsum(gaps), sizes, v0)
+
+
+@given(
+    st.lists(
+        st.tuples(st.floats(0.0, 10.0), st.floats(1e-3, 50.0), st.booleans()),
+        min_size=1,
+        max_size=200,
+    ),
+    st.floats(0.0, 100.0),
+    st.sampled_from(["drawn", "all_true", "all_false"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_busy_period_fold_under_any_flags(jobs, v0, flags):
+    t = np.cumsum([g for g, _, _ in jobs])
+    d = np.array([s for _, s, _ in jobs])
+    if flags == "drawn":
+        first = np.array([f for _, _, f in jobs])
+    else:
+        first = np.full(len(jobs), flags == "all_true")
+    got = _fold_busy_periods(t, d, first, v0)
+    assert np.array_equal(got, scalar_fold(t, d, first, v0))
