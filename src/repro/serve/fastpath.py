@@ -153,27 +153,24 @@ class FastPathState:
     # routing
     # ------------------------------------------------------------------
 
-    def _ensure(self, need: int) -> None:
+    def reserve(self, need: int) -> None:
+        """Make room for ``need`` records: double the columns, or grow
+        them to exactly ``need`` when that is more (a caller that knows
+        its stream's length reserves it once, with no copies after)."""
         cap = self._arrival.shape[0]
         if need <= cap:
             return
-        while cap < need:
-            cap *= 2
-        m = self.m
-        for name in ("_arrival", "_size", "_est", "_start", "_comp"):
+        cap = max(need, 2 * cap)
+        for name in ("_arrival", "_size", "_est", "_host", "_start", "_comp"):
             old = getattr(self, name)
-            new = np.empty(cap, dtype=np.float64)
-            new[:m] = old[:m]
+            new = np.empty(cap, dtype=old.dtype)
+            new[: self.m] = old[: self.m]
             setattr(self, name, new)
-        old_h = self._host
-        new_h = np.empty(cap, dtype=np.int64)
-        new_h[:m] = old_h[:m]
-        self._host = new_h
 
     def route_one(self, t: float, s: float, est: float) -> int:
         """Route a single admitted job; returns the chosen host."""
         m = self.m
-        self._ensure(m + 1)
+        self.reserve(m + 1)
         mode = self.mode
         v = self.v
         if mode == "lwl":
@@ -236,7 +233,7 @@ class FastPathState:
         """Route a whole admitted batch; returns the chosen hosts."""
         n = t.shape[0]
         a = self.m
-        self._ensure(a + n)
+        self.reserve(a + n)
         if self.mode == "sq":
             # In-system counts change job by job; stays in Python.
             t_l, s_l, e_l = t.tolist(), s.tolist(), est.tolist()
@@ -316,25 +313,22 @@ class FastPathState:
         return int(np.count_nonzero(self._comp[:m] <= now))
 
     def slowdowns(self, now: float) -> np.ndarray | None:
-        """Per-job slowdowns of completed records, in completion order.
+        """Per-job slowdowns of completed records, in submission order.
 
         ``(completion - arrival) / size`` — exactly
-        :attr:`Job.slowdown <repro.sim.jobs.Job.slowdown>`; completion
-        ties keep submission order (stable sort), matching the event
-        calendar's insertion-order tie-break.
+        :attr:`Job.slowdown <repro.sim.jobs.Job.slowdown>`.
         """
         self.settle()
         m = self.m
         if m == 0:
             return None
-        mask = self._comp[:m] <= now
-        if not mask.any():
-            return None
-        c = self._comp[:m][mask]
-        a = self._arrival[:m][mask]
-        s = self._size[:m][mask]
-        order = np.argsort(c, kind="stable")
-        return (c[order] - a[order]) / s[order]
+        c, a, s = self._comp[:m], self._arrival[:m], self._size[:m]
+        done = c <= now
+        if not done.all():
+            if not done.any():
+                return None
+            c, a, s = c[done], a[done], s[done]
+        return (c - a) / s
 
     def max_completion(self) -> float:
         """Latest completion epoch on record (0.0 with no records)."""

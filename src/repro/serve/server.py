@@ -48,9 +48,11 @@ with ``in_flight == 0`` after :meth:`~DispatchServer.drain`.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Sequence, Sized
+from operator import attrgetter
 
 import numpy as np
 
@@ -71,6 +73,26 @@ __all__ = ["DispatchServer", "OnlineDispatchError"]
 
 class OnlineDispatchError(RuntimeError):
     """The dispatcher cannot make progress or failed a resume audit."""
+
+
+def _stream_columns(jobs: Iterable[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
+    """An ``(arrival, size)`` stream as two contiguous float64 columns."""
+    count = 2 * len(jobs) if isinstance(jobs, Sized) else -1
+    flat = np.fromiter(itertools.chain.from_iterable(jobs), np.float64, count)
+    if flat.shape[0] % 2:
+        raise ValueError("the job stream must hold (arrival, size) pairs")
+    return flat[0::2].copy(), flat[1::2].copy()
+
+
+def _first_faults(t: np.ndarray, s: np.ndarray, now: float) -> tuple[int, ...]:
+    """Where a batch first breaks each intake rule: the indices of the first
+    size that is not positive and finite, the first non-finite arrival and
+    the first arrival below its predecessor (``now`` for job 0), or ``len(t)``."""
+    down = np.empty(t.shape[0], dtype=bool)
+    down[:1] = t[:1] < now
+    np.less(t[1:], t[:-1], out=down[1:])
+    masks = (~(np.isfinite(s) & (s > 0)), ~np.isfinite(t), down)
+    return tuple(int(m.argmax()) if m.any() else t.shape[0] for m in masks)
 
 
 class _OnlineServer(DistributedServer):
@@ -99,7 +121,6 @@ class _OnlineServer(DistributedServer):
         backoff_base: float,
         backoff_mult: float,
         jitter_rng: np.random.Generator,
-        on_shed,
         on_crash,
     ) -> None:
         super().__init__(
@@ -117,7 +138,6 @@ class _OnlineServer(DistributedServer):
         self.backoff_base = float(backoff_base)
         self.backoff_mult = float(backoff_mult)
         self._jitter_rng = jitter_rng
-        self._on_shed = on_shed
         self._on_crash = on_crash
         #: jobs parked in a backoff timer, by job index.
         self._parked: dict[int, Job] = {}
@@ -187,8 +207,6 @@ class _OnlineServer(DistributedServer):
             self._deferred.append(job)
         else:
             self._shed_jobs.append(job)
-            if self._on_shed is not None:
-                self._on_shed(job)
 
     def _flush_deferred(self) -> None:
         """One bounded pass over the deferred queue, FCFS.
@@ -331,7 +349,6 @@ class DispatchServer:
             backoff_base=backoff_base,
             backoff_mult=backoff_mult,
             jitter_rng=np.random.default_rng(jitter_seq),
-            on_shed=self._on_shed,
             on_crash=self._on_crash,
         )
         self.policy = policy
@@ -388,11 +405,6 @@ class DispatchServer:
     # ------------------------------------------------------------------
     # internal hooks
     # ------------------------------------------------------------------
-
-    def _on_shed(self, job: Job) -> None:
-        # Deferred-queue overflow: accounting only; the job object stays
-        # on the inner server's shed list for conservation.
-        pass
 
     def _on_crash(self, host_id: int) -> None:
         if self.cutoff_manager is not None:
@@ -456,37 +468,23 @@ class DispatchServer:
         if decision != "admit":
             self.n_rejected_intake += 1
             record = {"outcome": "rejected", "reason": decision, "host": None}
-        elif fp is not None:
-            mgr = self.cutoff_manager
-            if mgr is not None and mgr.observe(float(size), now):
-                if mgr.refit():
-                    self._apply_cutoff(mgr.cutoff)
-            self._next_index += 1
-            host = fp.route_one(
-                now,
-                float(size),
-                float(size if size_estimate is None else size_estimate),
-            )
-            record = {"outcome": "admitted", "reason": "admit", "host": host}
         else:
-            job = Job(
-                index=self._next_index,
-                arrival_time=now,
-                size=float(size),
-                size_estimate=float(size if size_estimate is None else size_estimate),
-            )
-            self._next_index += 1
+            size = float(size)
+            est = size if size_estimate is None else float(size_estimate)
             mgr = self.cutoff_manager
-            if mgr is not None and mgr.observe(job.size, now):
-                if mgr.refit():
-                    self._apply_cutoff(mgr.cutoff)
-            sim.schedule(now, self._inner._handle_arrival, job)
-            sim.run(until=now)
-            record = {
-                "outcome": "admitted",
-                "reason": "admit",
-                "host": job.assigned_host,
-            }
+            if mgr is not None and mgr.observe(size, now) and mgr.refit():
+                self._apply_cutoff(mgr.cutoff)
+            if fp is not None:
+                host = fp.route_one(now, size, est)
+            else:
+                job = Job(
+                    index=self._next_index, arrival_time=now, size=size, size_estimate=est
+                )
+                sim.schedule(now, self._inner._handle_arrival, job)
+                sim.run(until=now)
+                host = job.assigned_host
+            self._next_index += 1
+            record = {"outcome": "admitted", "reason": "admit", "host": host}
         t2 = time.perf_counter_ns()
         self._intake_ns.append((t1 - t0, 1))
         self._decision_ns.append((t2 - t1, 1))
@@ -525,8 +523,10 @@ class DispatchServer:
         the one deliberate semantic difference, and it only exists on
         erroneous input.
 
-        Returns the number of jobs offered, or the per-job decision
-        records (in offer order) when ``collect=True``.
+        :meth:`run_stream` offers its slices through the same routing
+        (:meth:`_offer`) after one check of its whole stream.  Returns
+        the number of jobs offered, or the per-job decision records (in
+        offer order) when ``collect=True``.
         """
         t0 = time.perf_counter_ns()
         t = np.ascontiguousarray(arrivals, dtype=np.float64)
@@ -548,48 +548,36 @@ class DispatchServer:
         n = int(t.shape[0])
         if n == 0:
             return [] if collect else 0
-        bad = ~(np.isfinite(s) & (s > 0))
-        if bad.any():
-            k = int(np.flatnonzero(bad)[0])
-            raise ValueError(
-                f"job size must be positive and finite, got {s[k]}"
-            )
-        if not np.isfinite(t).all():
-            k = int(np.flatnonzero(~np.isfinite(t))[0])
-            raise ValueError(f"arrival must be finite, got {float(t[k])}")
         sim = self._inner.sim
-        if float(t[0]) < sim.now:
+        bad_size, bad_arrival, unordered = _first_faults(t, s, sim.now)
+        if bad_size < n:
+            raise ValueError(f"job size must be positive and finite, got {s[bad_size]}")
+        if bad_arrival < n:
+            raise ValueError(f"arrival must be finite, got {float(t[bad_arrival])}")
+        if unordered < n:
+            prev = sim.now if unordered == 0 else float(t[unordered - 1])
             raise ValueError(
-                f"arrivals must be non-decreasing: got {float(t[0])} at "
-                f"server time {sim.now}"
+                f"arrivals must be non-decreasing: got {float(t[unordered])} "
+                f"at server time {prev}"
             )
-        unordered = np.flatnonzero(np.diff(t) < 0)
-        if unordered.size:
-            k = int(unordered[0])
-            raise ValueError(
-                f"arrivals must be non-decreasing: got {float(t[k + 1])} "
-                f"at server time {float(t[k])}"
-            )
+        return self._offer(t, s, e, t0, collect)
+
+    def _offer(self, t, s, e, t0: int, collect: bool = False) -> list[dict] | int:
+        """Admit and route a checked, non-empty batch: the one routing
+        path behind :meth:`submit_batch` and :meth:`run_stream`.  ``t0``
+        is the ``perf_counter_ns`` at which the caller's intake began."""
+        n = int(t.shape[0])
+        sim = self._inner.sim
         fp = self._fastpath
         if fp is not None and not self.health.pristine():
             self._handover()
             fp = None
-        if (
-            fp is None
-            or self.cutoff_manager is not None
-            or not self.admission.unlimited()
-        ):
+        if fp is None or self.cutoff_manager is not None or not self.admission.unlimited():
             # Per-job admission state, re-fit windows or engine
             # interleavings are in play: the scalar loop is the
             # semantics, so use it.
-            if collect:
-                return [
-                    self.submit(float(s[j]), float(t[j]), float(e[j]))
-                    for j in range(n)
-                ]
-            for j in range(n):
-                self.submit(float(s[j]), float(t[j]), float(e[j]))
-            return n
+            records = [self.submit(float(s[j]), float(t[j]), float(e[j])) for j in range(n)]
+            return records if collect else n
         t1 = time.perf_counter_ns()
         self._intake_ns.append((t1 - t0, n))
         store = self.snapshot_store
@@ -602,9 +590,7 @@ class DispatchServer:
             if store is not None:
                 # Stop each chunk on the snapshot cadence so resume sees
                 # the same every-k-offers checkpoints as the scalar path.
-                boundary = (
-                    self.n_accepted // self.snapshot_every + 1
-                ) * self.snapshot_every
+                boundary = (self.n_accepted // self.snapshot_every + 1) * self.snapshot_every
                 end = min(n, pos + (boundary - self.n_accepted))
             chunk = end - pos
             self.admission.admit_batch(chunk)
@@ -809,7 +795,7 @@ class DispatchServer:
                 "start": fp._start[:m].copy(),
                 "completion": fp._comp[:m].copy(),
             }
-        jobs = sorted(self._inner._completed, key=lambda j: j.index)
+        jobs = sorted(self._inner._completed, key=attrgetter("index"))
         return {
             "index": np.array([j.index for j in jobs], dtype=np.int64),
             "arrival": np.array([j.arrival_time for j in jobs], dtype=np.float64),
@@ -817,9 +803,7 @@ class DispatchServer:
             "host": np.array([j.assigned_host for j in jobs], dtype=np.int64),
             "host_seq": np.array([j.host_seq for j in jobs], dtype=np.int64),
             "start": np.array([j.start_time for j in jobs], dtype=np.float64),
-            "completion": np.array(
-                [j.completion_time for j in jobs], dtype=np.float64
-            ),
+            "completion": np.array([j.completion_time for j in jobs], dtype=np.float64),
         }
 
     def latency_summary(self) -> dict:
@@ -846,13 +830,15 @@ class DispatchServer:
         # Deferred settles log (ns, 0): in the totals, not per job.
         some = counts > 0
         per_job = np.repeat(d_ns[some] / counts[some], counts[some])
+        # One call partitions the (up to stream-long) array once for all three.
+        p50, p95, p99 = np.percentile(per_job, [50, 95, 99]) / 1e3
         return {
             "decisions": n,
             "decisions_per_s": float(n / ((i_total + d_total) / 1e9)),
             "mean_us": float(per_job.mean() / 1e3),
-            "p50_us": float(np.percentile(per_job, 50) / 1e3),
-            "p95_us": float(np.percentile(per_job, 95) / 1e3),
-            "p99_us": float(np.percentile(per_job, 99) / 1e3),
+            "p50_us": float(p50),
+            "p95_us": float(p95),
+            "p99_us": float(p99),
             "intake": {
                 "total_ms": i_total / 1e6,
                 "mean_us": i_total / n / 1e3,
@@ -883,17 +869,6 @@ class DispatchServer:
             + counters["lost"]
             + counters["in_flight"]
         )
-        fp = self._fastpath
-        if fp is not None:
-            # No Job objects exist while engaged; the columnar records
-            # yield the same (completion - arrival) / size slowdowns in
-            # the same completion order.
-            slowdowns = fp.slowdowns(now)
-        else:
-            completed = self._inner._completed
-            slowdowns = (
-                np.array([j.slowdown for j in completed]) if completed else None
-            )
         injector = self._inner.fault_injector
         return {
             "clock": now,
@@ -905,12 +880,24 @@ class DispatchServer:
             if self.cutoff_manager is None
             else self.cutoff_manager.status(),
             "faults": None if injector is None else injector.schedule_status(),
-            "jain_slowdown": None
-            if slowdowns is None
-            else jain_fairness_index(slowdowns),
+            "jain_slowdown": self._jain_slowdown(now),
             "latency": self.latency_summary(),
             "fast_path": self.fast_path_status(),
         }
+
+    def _jain_slowdown(self, now: float) -> float | None:
+        """Jain's index of the completed slowdowns in submission order."""
+        fp = self._fastpath
+        if fp is not None:
+            # No Job objects exist while engaged; the columnar records
+            # yield the same (completion - arrival) / size slowdowns.
+            slowdowns = fp.slowdowns(now)
+        else:
+            completed = sorted(self._inner._completed, key=attrgetter("index"))
+            slowdowns = (
+                np.array([j.slowdown for j in completed]) if completed else None
+            )
+        return None if slowdowns is None else jain_fairness_index(slowdowns)
 
     # ------------------------------------------------------------------
     # snapshots / resume
@@ -931,18 +918,26 @@ class DispatchServer:
             }
         )
 
-    def _submit_many(
-        self, jobs: Sequence[tuple[float, float]], batch_size: int
-    ) -> None:
+    def _submit_many(self, t: np.ndarray, s: np.ndarray, batch_size: int) -> None:
+        """Offer stream columns as :meth:`submit_batch` calls on
+        consecutive ``batch_size`` slices would.  One check pass covers
+        the whole stream: the batches before the first invalid job's go
+        straight to :meth:`_offer`, and from that one on through
+        :meth:`submit_batch`, which raises its own error."""
         if batch_size <= 1:
-            for arrival, size in jobs:
+            for arrival, size in zip(map(float, t), map(float, s)):
                 self.submit(size, arrival)
             return
-        for i in range(0, len(jobs), batch_size):
-            chunk = jobs[i : i + batch_size]
-            self.submit_batch(
-                [a for a, _ in chunk], [s for _, s in chunk]
-            )
+        n = int(t.shape[0])
+        t0 = time.perf_counter_ns()
+        first_bad = min(_first_faults(t, s, self.now))
+        self._intake_ns.append((time.perf_counter_ns() - t0, 0))
+        for i in range(0, n, batch_size):
+            end = min(i + batch_size, n)
+            if end <= first_bad:
+                self._offer(t[i:end], s[i:end], s[i:end], time.perf_counter_ns())
+            else:
+                self.submit_batch(t[i:end], s[i:end])
 
     def run_stream(
         self,
@@ -958,14 +953,22 @@ class DispatchServer:
         the stream or the server is nondeterministic, and the resume
         refuses to continue.
 
-        ``batch_size > 1`` feeds the stream through
-        :meth:`submit_batch` in chunks of that size; the decisions and
-        counters are identical for every batch size (asserted by the
+        The stream is read once into arrival and size columns (intake
+        time) and the fast path reserves its records for all of it.
+        ``batch_size > 1`` offers the columns in slices of that size,
+        each as :meth:`submit_batch` would; the decisions and counters
+        are identical for every batch size (asserted by the
         batch-invariance test), only the wall-clock throughput changes.
-        The replay prefix is batched the same way, so a resumed run
+        The replay prefix is batched on its own, so a resumed run
         retraces the original snapshot cadence exactly.
         """
-        jobs = list(jobs)
+        t0 = time.perf_counter_ns()
+        t, s = _stream_columns(jobs)
+        n = int(t.shape[0])
+        fp = self._fastpath
+        if fp is not None:
+            fp.reserve(fp.m + n)
+        self._intake_ns.append((time.perf_counter_ns() - t0, 0))
         start = 0
         if resume:
             if self.snapshot_store is None:
@@ -973,14 +976,14 @@ class DispatchServer:
             doc = self.snapshot_store.load()
             if doc is not None:
                 start = int(doc["accepted"])
-                if start > len(jobs):
+                if start > n:
                     raise OnlineDispatchError(
                         f"snapshot records {start} offered jobs but the "
-                        f"stream has only {len(jobs)}"
+                        f"stream has only {n}"
                     )
                 self._replaying = True
                 try:
-                    self._submit_many(jobs[:start], batch_size)
+                    self._submit_many(t[:start], s[:start], batch_size)
                 finally:
                     self._replaying = False
                 got = self.counters()
@@ -994,6 +997,7 @@ class DispatchServer:
                         "resume audit failed: deterministic replay of "
                         f"{start} jobs disagrees with the snapshot on {diff}"
                     )
-        self._submit_many(jobs[start:], batch_size)
+        self._submit_many(t[start:], s[start:], batch_size)
+        del t, s  # freed before drain() and status() allocate their own
         self.drain()
         return self.status()

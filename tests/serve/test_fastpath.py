@@ -45,7 +45,9 @@ from repro.core.policies import (
 )
 from repro.serve import DispatchServer, HealthMonitor, SnapshotStore, serve_signature
 from repro.serve import fastpath
+from repro.serve import server as server_module
 from repro.serve.fastpath import SETTLE_EVERY
+from repro.sim.metrics import jain_fairness_index
 
 POLICIES = {
     "lwl": lambda n_hosts: LeastWorkLeftPolicy(),
@@ -287,6 +289,7 @@ class TestBatchInvariance:
     def test_counters_identical_across_batch_sizes(self, policy):
         jobs = stream(1000, 11)
         results = []
+        tables = []
         for batch_size in (1, 7, 256, 4096):
             server = DispatchServer(
                 2, POLICIES[policy](2), seed=4, strict=True,
@@ -296,7 +299,12 @@ class TestBatchInvariance:
             results.append(
                 (status["counters"], status["clock"], status["jain_slowdown"])
             )
+            tables.append(server.job_table())
         assert all(r == results[0] for r in results[1:])
+        for table in tables[1:]:
+            assert table.keys() == tables[0].keys()
+            for column in JOB_COLUMNS:
+                assert np.array_equal(table[column], tables[0][column]), column
 
     def test_batch_snapshot_cadence_matches_scalar(self, tmp_path):
         jobs = stream(500, 3)
@@ -333,6 +341,134 @@ class TestBatchInvariance:
         assert server.counters()["completed"] == 0
         assert server.submit_batch([0.0, 1.0], [1.0, 1.0]) == 2
         assert server.n_accepted == 2
+
+
+class TestStreamErrors:
+    """``run_stream`` checks the whole stream once, but an invalid job
+    must fail exactly as offering the stream batch by batch did: every
+    batch before the offender's is admitted and routed, and its batch
+    raises ``submit_batch``'s (or, unbatched, ``submit``'s) own error
+    with no state change."""
+
+    N_JOBS = 800
+
+    @staticmethod
+    def corrupt(jobs, kind, k):
+        t, s = jobs[k]
+        if kind == "size":
+            s = -1.0
+        elif kind == "nan_size":
+            s = math.nan
+        elif kind == "inf_arrival":
+            t = math.inf
+        else:  # "decreasing"
+            t = jobs[k - 1][0] - 0.5
+        jobs[k] = (t, s)
+
+    @staticmethod
+    def offer_in_batches(server, jobs, batch_size):
+        """The stream as consecutive ``submit_batch`` (or ``submit``)
+        calls; returns the error message."""
+        with pytest.raises(ValueError) as info:
+            if batch_size == 1:
+                for t, s in jobs:
+                    server.submit(s, t)
+            else:
+                for i in range(0, len(jobs), batch_size):
+                    server.submit_batch(*columns(jobs[i : i + batch_size]))
+        return str(info.value)
+
+    @pytest.mark.parametrize("fast_path", [True, False], ids=["fast", "engine"])
+    @pytest.mark.parametrize("batch_size", [1, 7, 256])
+    @pytest.mark.parametrize("where", ["inside", "boundary"])
+    @pytest.mark.parametrize(
+        "kind", ["size", "nan_size", "inf_arrival", "decreasing"]
+    )
+    def test_invalid_job_fails_as_batch_by_batch(
+        self, kind, where, batch_size, fast_path
+    ):
+        k = 2 * batch_size + (3 if where == "inside" else 0)
+        jobs = stream(self.N_JOBS, 8, size_scale=0.5)
+        self.corrupt(jobs, kind, k)
+
+        def make():
+            return DispatchServer(
+                2, SITAPolicy([1.0]), seed=4, strict=True,
+                heartbeat_interval=10.0, fast_path=fast_path,
+            )
+
+        reference = make()
+        message = self.offer_in_batches(reference, jobs, batch_size)
+        expected = {
+            "size": "job size must be positive and finite, got -1.0",
+            "nan_size": "job size must be positive and finite, got nan",
+            "inf_arrival": "arrival must be finite, got inf",
+            "decreasing": "arrivals must be non-decreasing",
+        }[kind]
+        assert message.startswith(expected), message
+        admitted = k - k % batch_size
+        assert reference.n_accepted == admitted
+        for source in (list, iter):
+            server = make()
+            with pytest.raises(ValueError) as info:
+                server.run_stream(source(jobs), batch_size=batch_size)
+            assert str(info.value) == message
+            assert server.n_accepted == admitted
+            assert server.counters() == reference.counters()
+            assert_same_jobs(server, reference)
+            assert server.status()["fast_path"]["engaged"] == fast_path
+
+    def test_generator_stream_equals_list(self):
+        jobs = stream(1500, 9)
+        statuses = []
+        for source in (list, iter):
+            server = DispatchServer(
+                2, SITAPolicy([1.0]), seed=4, heartbeat_interval=10.0
+            )
+            status = server.run_stream(source(jobs), batch_size=256)
+            statuses.append(
+                (status["counters"], status["clock"], status["jain_slowdown"])
+            )
+        assert statuses[0] == statuses[1]
+
+    def test_malformed_stream_is_refused(self):
+        server = DispatchServer(
+            2, SITAPolicy([1.0]), seed=4, heartbeat_interval=10.0
+        )
+        with pytest.raises(ValueError, match="pairs"):
+            server.run_stream(iter([(0.0, 1.0), (1.0,)]), batch_size=4)
+        assert server.n_accepted == 0
+
+
+class TestJainOrder:
+    """Jain's index sums the completed jobs' slowdowns in submission
+    order on both paths, so it equals the index recomputed from the job
+    table bit for bit, mid-stream and after drain."""
+
+    @staticmethod
+    def table_jain(server):
+        table = server.job_table()
+        done = table["completion"] <= server.now
+        assert np.all(np.diff(table["index"]) > 0)
+        slowdowns = (table["completion"] - table["arrival"]) / table["size"]
+        return jain_fairness_index(slowdowns[done])
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_jain_sums_in_submission_order(self, policy):
+        # Near saturation, so completions overtake submissions often.
+        jobs = stream(600, 17, size_scale=0.8)
+        fast, engine = make_pair(policy, 3, strict=False)
+        for server in (fast, engine):
+            server.submit_batch(*columns(jobs[:400]))
+            jain = server.status()["jain_slowdown"]
+            assert 0 < server.n_completed < 400
+            assert jain == self.table_jain(server)
+            server.submit_batch(*columns(jobs[400:]))
+            server.drain()
+            assert server.status()["jain_slowdown"] == self.table_jain(server)
+        assert fast.status()["fast_path"]["engaged"]
+        assert not engine.status()["fast_path"]["engaged"]
+        assert fast.status()["jain_slowdown"] == engine.status()["jain_slowdown"]
 
 
 class TestHandover:
@@ -520,6 +656,29 @@ class TestColumnarDrain:
         assert peak < 8 * 8 * SETTLE_EVERY, peak
 
 
+    def test_run_stream_reserves_its_columns_once(self):
+        # A known-length stream reserves every record up front, so the
+        # columns are never doubled (and never briefly alive twice).
+        n = 200_000
+        jobs = stream(n, 6, size_scale=0.5)
+        server = DispatchServer(
+            2, SITAPolicy([1.0]), seed=4, heartbeat_interval=10.0
+        )
+        tracemalloc.start()
+        try:
+            server.run_stream(jobs, batch_size=256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        fp = server._fastpath
+        assert fp.m == n
+        assert fp._arrival.shape[0] == n
+        # The six 8-byte record columns, the two stream columns, one
+        # settle window's temporaries (eight float64 columns) and slack.
+        bound = 6 * 8 * n + 2 * 8 * n + 8 * 8 * SETTLE_EVERY + 512 * 1024
+        assert peak < bound, (peak, bound)
+
+
 class TestSigkillBatched:
     """The CI soak drill through the batched fast path: a fault-free
     batched run killed mid-stream by the snapshot hook, then resumed.
@@ -645,6 +804,28 @@ class TestLatencySplit:
             lat["decisions"] / (total_ms / 1e3), rel=1e-9
         )
         assert lat["decisions_per_s"] <= lat["decisions"] / (slept_ms / 1e3)
+
+    @pytest.mark.parametrize("batch_size", [1, 64])
+    def test_stream_intake_counts_in_the_intake_stage(self, batch_size, monkeypatch):
+        # run_stream's one-off column build belongs to the call's intake:
+        # a build patched to sleep a known time must show in intake_ms
+        # and lower decisions_per_s.
+        nap = 0.05
+        real = server_module._stream_columns
+
+        def sleepy(jobs):
+            time.sleep(nap)
+            return real(jobs)
+
+        monkeypatch.setattr(server_module, "_stream_columns", sleepy)
+        server = DispatchServer(
+            2, SITAPolicy([1.0]), seed=4, heartbeat_interval=10.0
+        )
+        server.run_stream(stream(500, 3), batch_size=batch_size)
+        lat = server.latency_summary()
+        assert lat["decisions"] == 500
+        assert lat["stages"]["intake_ms"] >= nap * 1e3
+        assert lat["decisions_per_s"] <= lat["decisions"] / nap
 
     def test_empty_summary(self):
         server = DispatchServer(2, LeastWorkLeftPolicy(), seed=4)
