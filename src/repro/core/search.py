@@ -391,7 +391,8 @@ class MomentMemo:
     slice moments are two table lookups (see
     :class:`~repro.workloads.distributions.Empirical`), so a miss costs
     about as much as a hit, and pinning the distribution would pin its
-    power-sum table (about 9 MB per 220k sizes).
+    power-sum table (up to about 9 MB per 220k sizes, 1.8 MB for each
+    power row that has been read).
 
     Keyed by distribution **identity** (the same convention as the
     experiment layer's trace cache — a distribution object is immutable

@@ -18,7 +18,9 @@ a time per host):
 3. **Least-Work-Left is the central queue.**  The paper (section 3.1,
    citing [11]) notes LWL ≡ Central-Queue; both reduce to an ``h``-server
    Kiefer–Wolfowitz recursion, implemented here as an ``O(n log h)`` heap
-   of virtual completion times (:func:`lwl_waits`).
+   of bare virtual completion times (:func:`lwl_waits`).  The heap pops
+   completions in ascending order, so the hosts follow afterwards from
+   one sort of the completions and pointer jumping, in bulk.
 
 Every kernel is cross-validated against the event engine in
 ``tests/sim/test_fast_vs_engine.py`` — per-job waiting times must agree to
@@ -141,17 +143,18 @@ def lwl_waits(
 
     Kiefer–Wolfowitz via a min-heap of per-host virtual completion times:
     each job is matched with the earliest-free host, ``O(n log h)``.
-    With ``host_speeds`` the popped host's duration is ``size/speed`` —
-    LWL's choice (min remaining work, i.e. min V) is unchanged, so the
-    heap remains exact.  (The LWL ≡ Central-Queue equivalence holds only
-    for identical hosts.)
+    With ``host_speeds`` the choice among idle hosts changes every later
+    wait, so hosts are scanned per job.  (The LWL ≡ Central-Queue
+    equivalence holds only for identical hosts.)
 
     Returns ``(waits, hosts)``.  On identical hosts each job goes to the
     host with the smallest ``(V, host index)`` pair — the earliest
     virtual completion time, the lowest index among equal ``V``.  Among
     several idle hosts this is the one that went idle first, not the
-    lowest index; waits are identical either way.  With unequal speeds
-    the rule is the policy's own: least work left, lowest index on ties.
+    lowest index; waits are identical either way (the heap holds bare
+    ``V`` floats, and :func:`_lwl_hosts` recovers the hosts in bulk).
+    With unequal speeds the rule is the policy's own: least work left,
+    lowest index on ties.
     """
     t = np.asarray(arrival_times, dtype=float)
     s = np.asarray(sizes, dtype=float)
@@ -168,46 +171,98 @@ def lwl_waits(
         # locally: indexing a NumPy array in a tight loop boxes a fresh
         # np.float64 per access and re-resolves attributes, roughly
         # doubling the cost of the recursion (timings in
-        # docs/PERFORMANCE.md).  Float arithmetic is IEEE-754 either
-        # way, so the waits are bit-identical.  The heap holds one
-        # ``[V, host]`` entry per host.  The pairs are unique, so the
-        # root is their lexicographic minimum: the job's host.  Its entry
-        # is updated in place and one ``heapreplace`` sifts it back down,
-        # which picks the same hosts as ``heappop`` + ``heappush`` of a
-        # fresh tuple without allocating one per job.
-        waits_list: list[float] = []
-        hosts_list: list[int] = []
-        push_wait, push_host = waits_list.append, hosts_list.append
+        # docs/PERFORMANCE.md).  ``start − t`` and ``start + s`` are
+        # the IEEE operations of a per-job ``max(V, t)`` form.
+        starts: list[float] = []
+        push = starts.append
         heapreplace = heapq.heapreplace
-        free: list[list] = [[0.0, i] for i in range(n_hosts)]  # a valid heap
+        free = [0.0] * n_hosts  # a valid heap
         for tj, sj in zip(t.tolist(), s.tolist()):
-            root = free[0]
-            v, i = root
-            push_host(i)
+            v = free[0]
             if v < tj:
-                push_wait(0.0)
-                root[0] = tj + sj
-            else:
-                push_wait(v - tj)
-                root[0] = v + sj
-            heapreplace(free, root)
-        return np.fromiter(waits_list, float, n), np.fromiter(hosts_list, int, n)
-    waits = np.empty(n)
-    hosts = np.empty(n, dtype=int)
-    # Heterogeneous speeds: which of several idle hosts is chosen now
-    # changes the job's duration and every later wait, so replicate the
-    # policy's exact rule — argmin of work-left, lowest index on ties.
-    v = np.zeros(n_hosts)
-    for j in range(n):
-        tj = t[j]
-        i = int(np.argmin(np.maximum(v - tj, 0.0)))
-        wait = v[i] - tj
-        if wait < 0.0:
-            wait = 0.0
-        waits[j] = wait
-        hosts[j] = i
-        v[i] = tj + wait + s[j] / speeds[i]
-    return waits, hosts
+                v = tj
+            push(v)
+            heapreplace(free, v + sj)
+        start = np.fromiter(starts, float, n)
+        del starts
+        waits = np.subtract(start, t)
+        done = np.add(start, s, out=start)
+        return waits, _lwl_hosts(t, s, done, n_hosts)
+    # Heterogeneous speeds: replicate the policy's exact rule — least
+    # work left, lowest index on ties — as a scan over plain floats.
+    speed_list = speeds.tolist()
+    waits_list, hosts_list = [], []
+    v = [0.0] * n_hosts
+    for tj, sj in zip(t.tolist(), s.tolist()):
+        i, wait = _least_work(v, tj)
+        waits_list.append(wait)
+        hosts_list.append(i)
+        v[i] = tj + wait + sj / speed_list[i]
+    return np.asarray(waits_list, dtype=float), np.asarray(hosts_list, dtype=int)
+
+
+def _least_work(v: list[float], tj: float) -> tuple[int, float]:
+    """``(i, work)``: ``argmin(max(v − tj, 0))`` over plain floats, lowest
+    index on ties (strict ``<``; the first idle host cannot be beaten)."""
+    i = 0
+    work = v[0] - tj
+    for k in range(1, len(v)):
+        if work <= 0.0:
+            break
+        w = v[k] - tj
+        if w < work:
+            i, work = k, w
+    return i, (0.0 if work < 0.0 else work)
+
+
+def _lwl_hosts(t: np.ndarray, s: np.ndarray, done: np.ndarray, n_hosts: int) -> np.ndarray:
+    """Hosts of the identical-host LWL heap, from the jobs' completions.
+
+    Every size is positive, so each job's completion exceeds the value
+    it popped and the heap pops completions in ascending order: the
+    first ``h`` jobs take hosts ``0..h−1`` and job ``j ≥ h`` takes the
+    host of the job whose completion is the ``(j − h)``-th smallest.
+    The labels follow by pointer jumping over that parent array.  The
+    rule needs distinct finite completions and ``parent[j] < j``; any
+    input that breaks it (an exact tie, a size ≤ 0, a non-finite value)
+    gets its hosts from the labelled ``[V, host]`` heap loop instead.
+    The jumping rounds reuse two n-element buffers.
+    """
+    n = done.size
+    m = min(n_hosts, n)
+    if n == 0 or not s.min() > 0.0:
+        return _labelled_lwl_hosts(t, s, n_hosts)
+    order = np.argsort(done, kind="stable")
+    if not np.all(order[: n - m] < np.arange(m, n)):
+        return _labelled_lwl_hosts(t, s, n_hosts)
+    # The completions in ascending order, in the hosts buffer's memory.
+    hosts = np.empty(n, dtype=np.int64)
+    ranked = np.take(done, order, out=hosts.view(np.float64), mode="clip")
+    if not (math.isfinite(ranked[-1]) and np.all(ranked[1:] > ranked[:-1])):
+        return _labelled_lwl_hosts(t, s, n_hosts)
+    hosts[:m] = np.arange(m)
+    hosts[m:] = order[: n - m]
+    spare = order
+    while hosts.max() >= n_hosts:
+        np.take(hosts, hosts, out=spare, mode="clip")
+        hosts, spare = spare, hosts
+    return hosts
+
+
+def _labelled_lwl_hosts(t: np.ndarray, s: np.ndarray, n_hosts: int) -> np.ndarray:
+    """Hosts of the identical-host LWL heap, run with unique ``[V, host]`` labels:
+    the root, their lexicographic minimum, is the job's host."""
+    hosts: list[int] = []
+    push = hosts.append
+    heapreplace = heapq.heapreplace
+    free: list[list] = [[0.0, i] for i in range(n_hosts)]  # a valid heap
+    for tj, sj in zip(t.tolist(), s.tolist()):
+        root = free[0]
+        v, i = root
+        push(i)
+        root[0] = (tj if v < tj else v) + sj
+        heapreplace(free, root)
+    return np.fromiter(hosts, np.int64, t.size)
 
 
 @kernel_contract(
@@ -319,23 +374,24 @@ def estimated_lwl_waits(
     if n_hosts < 1:
         raise ValueError(f"n_hosts must be >= 1, got {n_hosts}")
     n = t.size
-    waits = np.empty(n)
-    hosts = np.empty(n, dtype=int)
-    believed = np.zeros(n_hosts)
-    true_v = np.zeros(n_hosts)
+    t_list, s_list, e_list = t.tolist(), s.tolist(), e.tolist()
+    waits = [0.0] * n
+    hosts = [0] * n
+    believed = [0.0] * n_hosts
+    true_v = [0.0] * n_hosts
     for j in range(n):
-        tj = t[j]
-        # argmin of believed work-left; np.argmin takes the lowest index
-        # on ties, matching EstimatedLWLPolicy.choose_host.
-        i = int(np.argmin(np.maximum(believed - tj, 0.0)))
-        believed[i] = max(believed[i], tj) + e[j]
+        tj = t_list[j]
+        # Least believed work left, lowest index on ties, matching
+        # EstimatedLWLPolicy.choose_host.
+        i, _ = _least_work(believed, tj)
+        believed[i] = max(believed[i], tj) + e_list[j]
         wait = true_v[i] - tj
         if wait < 0.0:
             wait = 0.0
         waits[j] = wait
         hosts[j] = i
-        true_v[i] = tj + wait + s[j]
-    return waits, hosts
+        true_v[i] = tj + wait + s_list[j]
+    return np.asarray(waits), np.asarray(hosts, dtype=int)
 
 
 @kernel_contract(
@@ -1066,22 +1122,11 @@ def serve_dispatch_batch(
     s_list = sizes.tolist()
     v_list = v.tolist()
     sp_list = host_speeds.tolist()
-    n_hosts = len(v_list)
     hosts_out = [0] * n
     starts_out = [0.0] * n
     for j in range(n):
         tj = t_list[j]
-        best = 0
-        best_key = v_list[0] - tj
-        if best_key < 0.0:
-            best_key = 0.0
-        for i in range(1, n_hosts):
-            key = v_list[i] - tj
-            if key < 0.0:
-                key = 0.0
-            if key < best_key:
-                best = i
-                best_key = key
+        best, _ = _least_work(v_list, tj)
         vb = v_list[best]
         start = tj if vb < tj else vb
         starts_out[j] = start

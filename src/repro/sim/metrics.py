@@ -309,7 +309,8 @@ class SimulationResult:
         slow = resp / sizes
         # np.max before np.percentile: an empty result raises ValueError.
         max_slowdown = float(np.max(slow))
-        p95, p99 = np.percentile(slow, [95, 99]).tolist()  # one partition
+        # A sorted copy is faster to take percentiles of than a partition.
+        p95, p99 = np.percentile(np.sort(slow), [95, 99]).tolist()
         # Per-host work and job counts in one pass each.  The weighted
         # bincount sums each host's sizes sequentially rather than
         # pairwise, so the load fractions can differ from a per-host

@@ -908,7 +908,7 @@ _POWER_ROWS = {j: row for row, j in enumerate(_POWERS)}
 
 
 class _PowerSums:
-    """Cumulative power sums of one sorted sample, built on first use.
+    """Cumulative power sums of one sorted sample, each row filled on first use.
 
     Row ``r`` of the ``(5, n + 1)`` table holds, for the power
     ``_POWERS[r]``:
@@ -921,14 +921,17 @@ class _PowerSums:
     for positive powers, descending for negative ones), and a slice that
     reaches the dominant end of its power — a SITA long slice for
     ``x^j``, a short slice for ``1/x^j`` — is read straight off the table
-    rather than as the difference of two large sums.
+    rather than as the difference of two large sums.  The table is one
+    ``np.empty`` block, so a row nobody reads (the equal-load cutoffs
+    read only ``j = 1``) costs neither its sum nor its page faults.
     """
 
-    __slots__ = ("x", "_table")
+    __slots__ = ("x", "_table", "_filled")
 
     def __init__(self, x: np.ndarray) -> None:
         self.x = x
-        self._table: np.ndarray | None = None
+        self._table = np.empty((len(_POWERS), x.size + 1))
+        self._filled = [False] * len(_POWERS)
 
     def range_sum(self, j: float, a: int, b: int) -> float:
         """``Σ_{a <= i < b} x_i^j`` for ranks ``a < b`` of the sorted sample."""
@@ -939,21 +942,21 @@ class _PowerSums:
             # Powers outside the table (fractional j) sum the slice.
             return float(np.sum(self.x[a:b] ** j))
         t = self._table
-        if t is None:
-            t = self._table = self._build()
+        if not self._filled[row]:
+            self._fill(row)
         if j > 0:
             return float(t[row, b] - t[row, a])
         return float(t[row, a] - t[row, b])
 
-    def _build(self) -> np.ndarray:
-        x = self.x
-        t = np.zeros((len(_POWERS), x.size + 1))
-        for row, j in enumerate(_POWERS):
-            if j > 0:
-                np.cumsum(x**j, out=t[row, 1:])
-            else:
-                np.cumsum((x**j)[::-1], out=t[row, -2::-1])
-        return t
+    def _fill(self, row: int) -> None:
+        x, t, j = self.x, self._table, _POWERS[row]
+        if j > 0:
+            t[row, 0] = 0.0
+            np.cumsum(x**j, out=t[row, 1:])
+        else:
+            t[row, -1] = 0.0
+            np.cumsum((x**j)[::-1], out=t[row, -2::-1])
+        self._filled[row] = True
 
 
 class Empirical(ServiceDistribution):

@@ -11,15 +11,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import fast
+from repro.core.policies import LeastWorkLeftPolicy
+from repro.sim import fast, simulate
+from repro.sim.engine import InvariantViolation
 from repro.sim.fast import (
+    _check_kernel_output,
     _fold_busy_periods,
+    _lwl_hosts,
     _static_waits,
+    estimated_lwl_waits,
     fcfs_starts,
     fcfs_waits,
     lwl_waits,
     shortest_queue_waits,
 )
+from repro.workloads.catalog import c90
+from repro.workloads.traces import Trace
 
 
 def brute_force_fcfs(arrivals, sizes):
@@ -62,6 +69,43 @@ def reference_heap_lwl(arrivals, sizes, h):
         hosts[j] = i
         heapq.heappush(free, (start + sj, i))
     return np.asarray(waits), np.asarray(hosts, dtype=int)
+
+
+def numpy_speeds_lwl(arrivals, sizes, h, speeds):
+    """The per-job NumPy form of the heterogeneous-speed LWL loop:
+    ``argmin(max(V − t, 0))``, lowest index on ties."""
+    waits = np.empty(arrivals.size)
+    hosts = np.empty(arrivals.size, dtype=int)
+    v = np.zeros(h)
+    for j in range(arrivals.size):
+        tj = arrivals[j]
+        i = int(np.argmin(np.maximum(v - tj, 0.0)))
+        wait = v[i] - tj
+        if wait < 0.0:
+            wait = 0.0
+        waits[j] = wait
+        hosts[j] = i
+        v[i] = tj + wait + sizes[j] / speeds[i]
+    return waits, hosts
+
+
+def numpy_estimated_lwl(arrivals, sizes, estimates, h):
+    """The per-job NumPy form of the estimate-driven LWL loop."""
+    waits = np.empty(arrivals.size)
+    hosts = np.empty(arrivals.size, dtype=int)
+    believed = np.zeros(h)
+    true_v = np.zeros(h)
+    for j in range(arrivals.size):
+        tj = arrivals[j]
+        i = int(np.argmin(np.maximum(believed - tj, 0.0)))
+        believed[i] = max(believed[i], tj) + estimates[j]
+        wait = true_v[i] - tj
+        if wait < 0.0:
+            wait = 0.0
+        waits[j] = wait
+        hosts[j] = i
+        true_v[i] = tj + wait + sizes[j]
+    return waits, hosts
 
 
 def reference_mask_static(arrivals, sizes, assignment, h, speeds):
@@ -173,6 +217,157 @@ class TestLwlWaits:
         s = np.array([3.0, 1.0, 1.0, 1.0, 1.0])
         _, hosts = lwl_waits(t, s, 3)
         assert hosts.tolist() == [0, 1, 2, 1, 2]
+
+
+def random_jobs(rng, n):
+    """Continuous arrivals and sizes: completions never tie."""
+    return np.cumsum(rng.exponential(1.0, n)), rng.lognormal(0.0, 1.5, n)
+
+
+@pytest.fixture
+def labelled_calls(monkeypatch):
+    """Count the calls that take the labelled host path."""
+    spy = mock.Mock(wraps=fast._labelled_lwl_hosts)
+    monkeypatch.setattr(fast, "_labelled_lwl_hosts", spy)
+    return spy
+
+
+class TestLwlHostRecovery:
+    """The bare-float heap plus bulk host recovery against the labelled
+    ``(V, host)`` heap, on the inputs at the edges of the bulk rule."""
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 4, 8])
+    def test_short_streams(self, h, rng, labelled_calls):
+        for n in sorted({0, 1, max(h - 1, 0), h, h + 1}):
+            t, s = random_jobs(rng, n)
+            waits, hosts = lwl_waits(t, s, h)
+            ref_waits, ref_hosts = reference_heap_lwl(t, s, h)
+            assert waits.dtype == np.float64 and hosts.dtype == np.int64
+            assert np.array_equal(waits, ref_waits)
+            assert np.array_equal(hosts, ref_hosts)
+        # Only the empty stream takes the labelled path.
+        assert labelled_calls.call_count == 1
+
+    def test_first_jobs_take_hosts_in_index_order(self, labelled_calls):
+        t = np.zeros(4)
+        s = np.array([4.0, 3.0, 2.0, 1.0])
+        _, hosts = lwl_waits(t, s, 4)
+        assert hosts.tolist() == [0, 1, 2, 3]
+        _, hosts = lwl_waits(np.append(t, 0.5), np.append(s, 1.25), 4)
+        assert hosts.tolist() == [0, 1, 2, 3, 3]
+        assert labelled_calls.call_count == 0
+
+    @pytest.mark.parametrize("h", [1, 2, 4])
+    def test_zero_size_takes_labelled_path(self, h, rng, labelled_calls):
+        t, s = random_jobs(rng, 500)
+        s[[0, 17, 250]] = 0.0
+        waits, hosts = lwl_waits(t, s, h)
+        ref_waits, ref_hosts = reference_heap_lwl(t, s, h)
+        assert labelled_calls.call_count == 1
+        assert np.array_equal(waits, ref_waits)
+        assert np.array_equal(hosts, ref_hosts)
+
+    @pytest.mark.parametrize("h", [1, 2])
+    def test_nan_size_keeps_nan_waits(self, h, rng, labelled_calls):
+        # On one or two hosts the NaN completion keeps returning to the
+        # heap's root, as it does in the labelled heap, so later waits
+        # are NaN and the kernel check fails.
+        t, s = random_jobs(rng, 500)
+        s[100] = np.nan
+        waits, hosts = lwl_waits(t, s, h)
+        assert labelled_calls.call_count == 1
+        assert np.isnan(waits[101:]).any()
+        ref_waits, _ = reference_heap_lwl(t[:101], s[:101], h)
+        assert np.array_equal(waits[:101], ref_waits)
+        assert hosts.min() >= 0 and hosts.max() < h
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            _check_kernel_output("lwl", waits)
+
+    def test_nan_waits_fall_back_to_the_engine(self, rng, monkeypatch):
+        t, s = random_jobs(rng, 400)
+        trace = Trace(t, s)
+        reference = simulate(trace, LeastWorkLeftPolicy(), 2, rng=0, backend="event")
+        kernel = fast.lwl_waits
+
+        def nan_size(arrivals, sizes, n_hosts, host_speeds=None):
+            sizes = np.array(sizes)
+            sizes[200] = np.nan
+            return kernel(arrivals, sizes, n_hosts, host_speeds)
+
+        monkeypatch.setattr(fast, "lwl_waits", nan_size)
+        with pytest.raises(InvariantViolation):
+            simulate(trace, LeastWorkLeftPolicy(), 2, rng=0)
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            result = simulate(
+                trace, LeastWorkLeftPolicy(), 2, rng=0, on_kernel_failure="fallback"
+            )
+        assert result.backend == "event-fallback"
+        assert np.array_equal(result.wait_times, reference.wait_times)
+        assert np.array_equal(result.host_assignments, reference.host_assignments)
+
+    @pytest.mark.parametrize("h", [2, 3, 4, 8])
+    def test_tie_heavy_streams_take_labelled_path(self, h, labelled_calls):
+        for seed in range(4):
+            t, s = tie_heavy_jobs(np.random.default_rng([h, seed]), 2000)
+            waits, hosts = lwl_waits(t, s, h)
+            ref_waits, ref_hosts = reference_heap_lwl(t, s, h)
+            assert np.array_equal(waits, ref_waits)
+            assert np.array_equal(hosts, ref_hosts)
+        assert labelled_calls.call_count == 4
+
+    @pytest.mark.parametrize("h", [2, 4, 8])
+    def test_c90_trace_250k_jobs(self, h, labelled_calls):
+        trace = c90().make_trace(0.7, h, n_jobs=250_000, rng=20000731)
+        t, s = trace.arrival_times, trace.service_times
+        waits, hosts = lwl_waits(t, s, h)
+        ref_waits, ref_hosts = reference_heap_lwl(t, s, h)
+        assert labelled_calls.call_count == 0
+        assert np.array_equal(waits, ref_waits)
+        assert np.array_equal(hosts, ref_hosts)
+
+    @pytest.mark.parametrize("h", [2, 8])
+    def test_recovery_holds_two_int_buffers(self, h, rng):
+        # Peak traced heap in units of one n-element array.  The jumping
+        # rounds (about 16 at h=2) hold the two int64 buffers; a fresh
+        # array per round, or a buffered ``np.take``, would add a third.
+        n = 100_000
+        t, s = random_jobs(rng, n)
+        waits, _ = reference_heap_lwl(t, s, h)
+        done = t + waits + s
+        tracemalloc.start()
+        try:
+            hosts = _lwl_hosts(t, s, done, h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(hosts, reference_heap_lwl(t, s, h)[1])
+        assert peak / (8 * n) <= 2.6
+
+
+class TestPlainFloatScans:
+    """The list scans of the heterogeneous LWL branch and estimate-driven
+    LWL against their per-job NumPy forms."""
+
+    @pytest.mark.parametrize("h", range(1, 9))
+    def test_speeds_lwl_equals_numpy_loop(self, h):
+        rng = np.random.default_rng(h)
+        speeds = rng.choice([0.5, 1.0, 2.0], h)
+        speeds[0] = 2.0  # never all ones: the scan branch runs
+        for t, s in (random_jobs(rng, 1500), tie_heavy_jobs(rng, 1500)):
+            waits, hosts = lwl_waits(t, s, h, host_speeds=speeds)
+            ref_waits, ref_hosts = numpy_speeds_lwl(t, s, h, speeds)
+            assert np.array_equal(waits, ref_waits)
+            assert np.array_equal(hosts, ref_hosts)
+
+    @pytest.mark.parametrize("h", range(1, 9))
+    def test_estimated_lwl_equals_numpy_loop(self, h):
+        rng = np.random.default_rng([h, 1])
+        for t, s in (random_jobs(rng, 1500), tie_heavy_jobs(rng, 1500)):
+            for e in (s, s * rng.choice([0.5, 1.0, 2.0], s.size)):
+                waits, hosts = estimated_lwl_waits(t, s, e, h)
+                ref_waits, ref_hosts = numpy_estimated_lwl(t, s, e, h)
+                assert np.array_equal(waits, ref_waits)
+                assert np.array_equal(hosts, ref_hosts)
 
 
 class TestStaticWaits:

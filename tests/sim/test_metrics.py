@@ -82,6 +82,40 @@ class TestSummary:
         assert s.host_load_fraction[3] == 0.0
         assert s.host_job_fraction[3] == 0.0
 
+    @staticmethod
+    def result_with_slowdowns(slow: np.ndarray) -> SimulationResult:
+        """A one-host result with sizes of 1 and slowdowns ``slow``, unsorted."""
+        n = slow.size
+        return SimulationResult(
+            policy_name="test",
+            n_hosts=1,
+            arrival_times=np.zeros(n),
+            sizes=np.ones(n),
+            wait_times=slow - 1.0,
+            host_assignments=np.zeros(n, dtype=int),
+        )
+
+    @pytest.mark.parametrize(
+        "slow",
+        [
+            pytest.param(1.0 + np.random.default_rng(3).pareto(1.1, 9999), id="heavy-tail"),
+            pytest.param(np.array([7.5]), id="n=1"),
+            pytest.param(
+                np.random.default_rng(4).choice([1.0, 1.5, 2.0, 40.0], 1001), id="duplicates"
+            ),
+        ],
+    )
+    def test_tail_percentiles_equal_np_percentile(self, slow):
+        r = self.result_with_slowdowns(slow)
+        s = r.summary()
+        p95, p99 = np.percentile(r.slowdowns, [95, 99]).tolist()
+        assert (s.p95_slowdown, s.p99_slowdown) == (p95, p99)
+
+    def test_empty_result_raises(self):
+        r = self.result_with_slowdowns(np.empty(0))
+        with pytest.raises(ValueError):
+            r.summary()
+
     def test_as_row(self, result):
         row = result.summary().as_row()
         assert row["mean_slowdown"] == pytest.approx(1.875)

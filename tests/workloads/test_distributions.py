@@ -18,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 
+from repro.core.cutoffs import equal_load_cutoffs
 from repro.workloads.distributions import (
+    _POWERS,
     BoundedPareto,
     ConditionalDistribution,
     Deterministic,
@@ -424,6 +426,49 @@ class TestEmpiricalPowerSums:
             ref = math.fsum((v[k:] ** j).tolist()) / (e.n - k)
             assert cond.moment(j) == _close(ref)
         assert cond.moment(0) == 1.0
+
+
+class TestLazyPowerRows:
+    """The power-sum table fills each row on first use."""
+
+    @staticmethod
+    def eager_table(x: np.ndarray) -> np.ndarray:
+        """The whole table built up front, every row at once."""
+        t = np.zeros((len(_POWERS), x.size + 1))
+        for row, j in enumerate(_POWERS):
+            if j > 0:
+                np.cumsum(x**j, out=t[row, 1:])
+            else:
+                np.cumsum((x**j)[::-1], out=t[row, -2::-1])
+        return t
+
+    @pytest.fixture
+    def sample(self) -> Empirical:
+        return Empirical(np.random.default_rng(5).lognormal(0.0, 2.0, 5000))
+
+    def test_each_lazy_row_equals_the_eager_build(self, sample):
+        eager = self.eager_table(sample.values)
+        sums = sample._sums
+        for row, j in enumerate(_POWERS):
+            assert not sums._filled[row]
+            sample.moment(j)
+            assert sums._filled[row]
+            assert np.array_equal(sums._table[row], eager[row])
+
+    def test_equal_load_cutoffs_fill_only_the_first_power(self, sample):
+        equal_load_cutoffs(sample, 4)
+        assert sample._sums._filled == [j == 1 for j in _POWERS]
+
+    def test_conditional_slices_share_the_fills(self, sample):
+        c = float(sample.values[2500])
+        short, long_ = sample.conditional(0.0, c), sample.conditional(c, math.inf)
+        assert short._sums is long_._sums is sample._sums
+        short.second_moment
+        long_.inverse_moment
+        assert sample._sums._filled == [j in (2, -1) for j in _POWERS]
+        eager = self.eager_table(sample.values)
+        assert short.second_moment == float(eager[1, 2501] - eager[1, 0]) / 2501
+        assert sample.moment(-1) == float(eager[3, 0] - eager[3, -1]) / sample.n
 
 
 # ----------------------------------------------------------------------
