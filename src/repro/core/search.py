@@ -23,9 +23,9 @@ points instead of recomputing them:
   in a bounded, explicitly-keyed :class:`MomentMemo` shared across the
   opt/fair pair, across loads, and across policies within a sweep.  For
   an :class:`~repro.workloads.distributions.Empirical` (the paper's
-  training-half fit) they are read off the sample's cumulative
-  power-sum table in O(log n), which is as cheap as a memo hit, so the
-  memo neither stores nor pins empirical distributions.
+  training-half fit) both slices come off its power-sum table after one
+  O(log n) rank of the cutoff, as cheap as a memo hit, so the memo
+  neither stores nor pins empirical distributions.
   :func:`analyze_sita_cached` rebuilds the full
   :class:`~repro.analysis.sita_analysis.SITAAnalysis` from the slice
   moments with the exact floating-point operations of the direct path,
@@ -55,7 +55,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..analysis.mg1 import MG1Metrics, safe_inverse_moments
-from ..analysis.sita_analysis import SITAAnalysis, SITAHost
+from ..analysis.sita_analysis import SITAAnalysis, SITAHost, analyze_sita
 from ..sim.contract import kernel_contract
 from ..sim.fast import SitaScanKernel, SitaScanResult, simulate_fast
 from ..solvers import brentq, minimize_bounded
@@ -387,12 +387,12 @@ class MomentMemo:
 
     Serves the continuous distributions, whose truncated moments are
     closed forms or quadratures worth keeping.  An
-    :class:`~repro.workloads.distributions.Empirical` bypasses it: its
-    slice moments are two table lookups (see
-    :class:`~repro.workloads.distributions.Empirical`), so a miss costs
-    about as much as a hit, and pinning the distribution would pin its
-    power-sum table (up to about 9 MB per 220k sizes, 1.8 MB for each
-    power row that has been read).
+    :class:`~repro.workloads.distributions.Empirical` bypasses it: one
+    rank of the cutoff reads both slices off its power-sum table
+    (:meth:`~repro.workloads.distributions.Empirical.cutoff_moments`),
+    so a miss costs about as much as a hit, and pinning the distribution
+    would pin that table (up to about 9 MB per 220k sizes, 1.8 MB for
+    each power row that has been read).
 
     Keyed by distribution **identity** (the same convention as the
     experiment layer's trace cache — a distribution object is immutable
@@ -420,7 +420,8 @@ class MomentMemo:
         """Moments of both slices at ``cutoff``, computing on a miss."""
         c = float(cutoff)
         if isinstance(dist, Empirical):
-            return _cutoff_moments(dist, dist.mean, c)
+            slices = dist.cutoff_moments(c)  # an empty slice stays None
+            return _CutoffMoments(dist.mean, *(m and _IntervalMoments(*m) for m in slices))
         key = id(dist)
         node = self._dists.get(key)
         if node is None:
@@ -490,19 +491,30 @@ def analyze_sita_cached(
     including its ``ValueError`` on infeasible cutoffs.
     """
     c = float(cutoff)
-    c_arr = np.asarray([c], dtype=float)
-    if host_speeds is None:
-        speeds = np.ones(2)
-    else:
-        speeds = np.asarray(host_speeds, dtype=float)
-        if speeds.shape != (2,):
-            raise ValueError(
-                f"host_speeds must have 2 entries, got {speeds.shape}"
-            )
-        if np.any(speeds <= 0):
-            raise ValueError("host speeds must be positive")
+    speeds = _checked_speeds(host_speeds)
     mm = (_MOMENT_MEMO if memo is None else memo).get(dist, c)
+    analysis = _analyze_moments(arrival_rate, c, speeds, mm)
+    if analysis is None:  # infeasible: the direct path raises its error
+        return analyze_sita(arrival_rate, dist, [c], host_speeds)
+    return analysis
 
+
+def _checked_speeds(host_speeds: Sequence[float] | None) -> tuple[float, float]:
+    if host_speeds is None:
+        return (1.0, 1.0)
+    speeds = np.asarray(host_speeds, dtype=float)
+    if speeds.shape != (2,):
+        raise ValueError(f"host_speeds must have 2 entries, got {speeds.shape}")
+    if np.any(speeds <= 0):
+        raise ValueError("host speeds must be positive")
+    return float(speeds[0]), float(speeds[1])
+
+
+def _analyze_moments(
+    arrival_rate: float, c: float, speeds: tuple[float, float], mm: _CutoffMoments
+) -> SITAAnalysis | None:
+    """:func:`analyze_sita_cached` on one cutoff's moments; ``None``
+    where a host has utilisation ≥ 1 or a non-positive arrival rate."""
     hosts: list[SITAHost] = []
     mean_s = 0.0
     mean_s2 = 0.0
@@ -520,7 +532,7 @@ def analyze_sita_cached(
                 )
             )
             continue
-        v = float(speeds[i])
+        v = speeds[i]
         # Replicate analyze_sita's served distribution: for v != 1 it is
         # ScaledDistribution(cond, 1/v), whose moments are scale**j times
         # the conditional's — the same ops on the memoised scalars.
@@ -536,15 +548,10 @@ def analyze_sita_cached(
             s_inv2 = scale**-2 * im.inv2 if math.isfinite(im.inv2) else math.inf
         lam_i = arrival_rate * im.p
         rho_i = lam_i * served_mean
-        if rho_i >= 1.0:
-            raise ValueError(
-                f"infeasible cutoffs {c_arr}: host {i} utilisation {rho_i:.4f} >= 1"
-            )
-        # mg1_metrics(lam_i, served), inlined on the memoised moments —
-        # including utilisation()'s positivity check, which the direct
-        # path hits first for a non-positive arrival rate.
-        if lam_i <= 0:
-            raise ValueError(f"arrival rate must be positive, got {lam_i}")
+        # mg1_metrics(lam_i, served), inlined on the memoised moments,
+        # after the direct path's two feasibility checks.
+        if rho_i >= 1.0 or lam_i <= 0:
+            return None
         ew = lam_i * served_m2 / (2.0 * (1.0 - rho_i))
         ew2 = 2.0 * ew**2 + lam_i * served_m3 / (3.0 * (1.0 - rho_i))
         mean_wslow_i = ew * s_inv1
@@ -661,16 +668,21 @@ def analytic_cutoff_pair(
     if host_speeds is None and not 0.0 < load < 1.0:
         raise ValueError(f"system load must be in (0,1), got {load}")
     lam = 2.0 * load / dist.mean
+    get = (_MOMENT_MEMO if memo is None else memo).get
 
     def evaluate(c: float) -> SITAAnalysis | None:
         try:
-            return analyze_sita_cached(
-                lam, dist, c, host_speeds=host_speeds, memo=memo
-            )
-        except ValueError:
+            mm = get(dist, c)
+        except ValueError:  # a slice moment diverges
             return None
+        return _analyze_moments(lam, c, speeds, mm)
 
     axis = _shared_axis(dist, n_grid)
+    try:
+        speeds = _checked_speeds(host_speeds)
+    except ValueError:
+        # Invalid speeds make every axis point infeasible.
+        raise ValueError(f"no feasible cutoff on the grid at load {load}") from None
     evals = [evaluate(float(c)) for c in axis]
     if not any(a is not None for a in evals):
         # The shared axis can straddle a feasibility window narrower than

@@ -187,18 +187,24 @@ def lwl_waits(
         del starts
         waits = np.subtract(start, t)
         done = np.add(start, s, out=start)
-        return waits, _lwl_hosts(t, s, done, n_hosts)
-    # Heterogeneous speeds: replicate the policy's exact rule — least
-    # work left, lowest index on ties — as a scan over plain floats.
-    speed_list = speeds.tolist()
-    waits_list, hosts_list = [], []
-    v = [0.0] * n_hosts
-    for tj, sj in zip(t.tolist(), s.tolist()):
-        i, wait = _least_work(v, tj)
-        waits_list.append(wait)
-        hosts_list.append(i)
-        v[i] = tj + wait + sj / speed_list[i]
-    return np.asarray(waits_list, dtype=float), np.asarray(hosts_list, dtype=int)
+        hosts = _lwl_hosts(t, s, done, n_hosts)
+    else:
+        # Heterogeneous speeds: replicate the policy's exact rule — least
+        # work left, lowest index on ties — as a scan over plain floats.
+        speed_list = speeds.tolist()
+        waits_list, hosts_list = [], []
+        v = [0.0] * n_hosts
+        for tj, sj in zip(t.tolist(), s.tolist()):
+            i, wait = _least_work(v, tj)
+            waits_list.append(wait)
+            hosts_list.append(i)
+            v[i] = tj + wait + sj / speed_list[i]
+        waits, hosts = np.asarray(waits_list, dtype=float), np.asarray(hosts_list, dtype=int)
+        done = t + waits + s / speeds[hosts]
+    # A non-finite completion hidden from every wait drops its host silently.
+    if not np.isfinite(done).all() and np.isfinite(waits).all():
+        raise InvariantViolation("least-work-left kernel produced a non-finite completion")
+    return waits, hosts
 
 
 def _least_work(v: list[float], tj: float) -> tuple[int, float]:

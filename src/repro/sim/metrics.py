@@ -51,6 +51,22 @@ def jain_fairness_index(values: np.ndarray) -> float:
     return float(np.sum(v)) ** 2 / denom
 
 
+def _sorted_percentile(ranked: np.ndarray, q: float) -> float:
+    """``np.percentile(ranked, q)`` of a non-empty ascending array, bit for bit:
+    numpy's ``linear`` rule, down to its weight ``v + 1`` past the last
+    index and its NaN result when a NaN (sorted last) is present."""
+    n, last = ranked.size, float(ranked[-1])
+    v = (n - 1) * (q / 100)
+    if last != last or v >= n - 1:
+        lo = hi = last
+        g = v + 1
+    else:
+        i = math.floor(v)
+        lo, hi, g = float(ranked[i]), float(ranked[i + 1]), v - i
+    d = hi - lo
+    return hi - d * (1 - g) if g >= 0.5 else lo + d * g
+
+
 def array_digest(*arrays: np.ndarray | None, precision: int | None = None) -> str:
     """Order-sensitive 128-bit digest of one or more arrays.
 
@@ -134,7 +150,8 @@ def batch_means_ci(
 
 @dataclass(frozen=True)
 class Summary:
-    """Condensed statistics over one simulation run."""
+    """Condensed statistics over one simulation run; p95 and p99 come off
+    one sorted copy of the slowdowns, bit for bit ``np.percentile``."""
 
     n_jobs: int
     mean_slowdown: float
@@ -307,10 +324,10 @@ class SimulationResult:
         sizes = r.sizes
         resp = r.response_times
         slow = resp / sizes
-        # np.max before np.percentile: an empty result raises ValueError.
+        # np.max first: an empty result raises ValueError.
         max_slowdown = float(np.max(slow))
-        # A sorted copy is faster to take percentiles of than a partition.
-        p95, p99 = np.percentile(np.sort(slow), [95, 99]).tolist()
+        ranked = np.sort(slow)
+        p95, p99 = (_sorted_percentile(ranked, q) for q in (95, 99))
         # Per-host work and job counts in one pass each.  The weighted
         # bincount sums each host's sizes sequentially rather than
         # pairwise, so the load fractions can differ from a per-host

@@ -972,7 +972,8 @@ class Empirical(ServiceDistribution):
     :meth:`prob_interval` and the moments of a :meth:`conditional` slice
     each cost a ``searchsorted`` and a subtraction.  A conditional is a
     view on the same sorted sample and shares its table: it is not
-    copied, re-sorted or re-validated.
+    copied, re-sorted or re-validated.  :meth:`cutoff_moments` reads
+    both slices of a SITA cutoff off a single ``searchsorted``.
     """
 
     def __init__(self, values) -> None:
@@ -1014,6 +1015,24 @@ class Empirical(ServiceDistribution):
         if b <= a:
             return 0.0
         return self._sums.range_sum(j, a, b) / self.n
+
+    def cutoff_moments(self, c: float) -> tuple[tuple | None, tuple | None]:
+        """``(p, work, mean, m2, m3, inv1, inv2)`` of the slices ``(0, c]``
+        and ``(c, ∞)`` (``None`` if empty) off one ``searchsorted``, with
+        the sums and divisions of :meth:`prob_interval`,
+        :meth:`partial_moment` and the :meth:`conditional`'s moments."""
+        n, a, sums = self.n, self._offset, self._sums.range_sum
+        k = a + int(np.searchsorted(self.values, c, side="right"))
+
+        def moments(lo: int, hi: int) -> tuple | None:
+            m = hi - lo
+            if m <= 0:
+                return None
+            s1 = sums(1, lo, hi)
+            rest = (sums(j, lo, hi) / m for j in (2, 3, -1, -2))
+            return (float(m) / n, s1 / n, s1 / m, *rest)
+
+        return moments(a, k), moments(k, a + n)
 
     def cdf(self, x: float) -> float:
         return float(np.searchsorted(self.values, x, side="right")) / self.n

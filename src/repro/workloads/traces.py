@@ -188,19 +188,22 @@ class Trace:
         if not 0.0 < fraction < 1.0:
             raise ValueError(f"fraction must be in (0,1), got {fraction}")
         cut = max(1, min(self.n_jobs - 1, int(round(self.n_jobs * fraction))))
-        first = Trace(
-            self.arrival_times[:cut],
-            self.service_times[:cut],
-            self.processors[:cut],
-            name=f"{self.name}[:{cut}]",
+        return (
+            self._slice(slice(None, cut), f"{self.name}[:{cut}]"),
+            self._slice(slice(cut, None), f"{self.name}[{cut}:]"),
         )
-        second = Trace(
-            self.arrival_times[cut:],
-            self.service_times[cut:],
-            self.processors[cut:],
-            name=f"{self.name}[{cut}:]",
-        )
-        return first, second
+
+    def _slice(self, jobs: slice, name: str) -> "Trace":
+        """The jobs ``jobs`` as a trace sharing this one's arrays; a slice
+        of a valid trace is valid, so only emptiness is checked."""
+        view = object.__new__(Trace)
+        view.arrival_times = self.arrival_times[jobs]
+        if view.arrival_times.size == 0:
+            raise ValueError("arrival and service times must be equal-length 1-D")
+        view.service_times = self.service_times[jobs]
+        view.processors = self.processors[jobs]
+        view.name = name
+        return view
 
     def filter_processors(self, n: int) -> "Trace":
         """Keep only jobs requesting exactly ``n`` processors (CTC step)."""
@@ -216,13 +219,7 @@ class Trace:
 
     def head(self, n: int) -> "Trace":
         """First ``n`` jobs (cheap truncation for quick experiments)."""
-        n = min(n, self.n_jobs)
-        return Trace(
-            self.arrival_times[:n],
-            self.service_times[:n],
-            self.processors[:n],
-            name=self.name,
-        )
+        return self._slice(slice(None, min(n, self.n_jobs)), self.name)
 
     # ------------------------------------------------------------------
     # SWF I/O

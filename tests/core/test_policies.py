@@ -145,6 +145,31 @@ class TestSITA:
         scalar = [p.host_for_size(s) for s in sizes]
         assert list(batch) == scalar
 
+    @pytest.mark.parametrize("n_cutoffs", range(1, 8))
+    def test_threshold_batch_equals_searchsorted(self, n_cutoffs):
+        from repro.serve.fastpath import FastPathState
+
+        rng = np.random.default_rng(n_cutoffs)
+        cutoffs = np.sort(rng.choice(np.arange(1, 1000), n_cutoffs, replace=False)) * 1.5
+        p = SITAPolicy(cutoffs)
+        p.reset(n_cutoffs + 1, rng)
+        sizes = np.concatenate([
+            cutoffs,  # exactly at each cutoff: the shorter host
+            np.nextafter(cutoffs, np.inf),
+            np.nextafter(cutoffs, 0.0),
+            [np.nan, np.inf, -np.inf, 0.0, -0.0],
+            rng.lognormal(5.0, 2.0, 500),
+        ])
+        batch = p.assign_batch(sizes, rng)
+        expected = np.searchsorted(cutoffs, sizes, side="left")
+        assert batch.dtype == expected.dtype
+        assert np.array_equal(batch, expected)
+        assert batch.tolist() == [p.host_for_size(s) for s in sizes]
+        fast = FastPathState(n_cutoffs + 1, np.ones(n_cutoffs + 1), "sita", p)
+        n = sizes.size
+        routed = fast.route_batch(np.arange(n, dtype=float), np.ones(n), sizes)
+        assert np.array_equal(routed, batch)
+
     def test_cutoff_count_enforced_on_reset(self):
         p = SITAPolicy([10.0])
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import gc
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from repro.analysis.sita_analysis import analyze_sita
 from repro.core.cutoffs import sim_fair_cutoff, sim_opt_cutoff
 from repro.core.search import (
     MomentMemo,
+    _interval_moments,
     analytic_cutoff_pair,
     analyze_sita_cached,
     candidate_cutoffs,
@@ -236,6 +237,56 @@ class TestMomentMemo:
         assert a.mean_slowdown == b.mean_slowdown
         assert a.var_slowdown == b.var_slowdown
         assert a.class_mean_slowdowns() == b.class_mean_slowdowns()
+
+    @staticmethod
+    def generic_slices(dist, c):
+        """The per-slice path: prob_interval, conditional and
+        partial_moment, each ranking its own slice."""
+        return tuple(
+            None if im is None else astuple(im)
+            for im in (_interval_moments(dist, 0.0, c), _interval_moments(dist, c, math.inf))
+        )
+
+    @pytest.mark.parametrize("view", [False, True])
+    def test_rank_once_slices_equal_generic_path(self, empirical, view):
+        dist = empirical
+        if view:  # a conditional view: nonzero offset, its own n
+            v = empirical.values
+            dist = empirical.conditional(float(v[100]), float(v[-50]))
+            assert dist._offset == 101 and dist.n == v.size - 150
+        v = dist.values
+        between = (v[:-1] + v[1:]) / 2
+        cutoffs = np.concatenate([
+            v, between[between > v[:-1]],
+            [v[0] / 2, v[-1] * 2, 0.0, math.inf, -1.0, math.nan],
+        ])
+        for c in cutoffs.tolist():
+            got = dist.cutoff_moments(c)
+            assert got == self.generic_slices(dist, c), c
+        assert dist.cutoff_moments(v[0] / 2)[0] is None
+        assert dist.cutoff_moments(v[-1])[1] is None
+
+    @pytest.mark.parametrize("c", [30.0, 300.0, 3_000.0, 40_000.0, 1e9])
+    @pytest.mark.parametrize("load", [0.5, 0.95])
+    def test_infeasible_message_equals_direct(self, empirical, c, load):
+        lam = 2.0 * load / empirical.mean
+        try:
+            direct = analyze_sita(lam, empirical, [c])
+        except ValueError as err:
+            with pytest.raises(ValueError) as cached:
+                analyze_sita_cached(lam, empirical, c)
+            assert str(cached.value) == str(err)
+            assert str(err).startswith("infeasible cutoffs [")
+        else:
+            assert analyze_sita_cached(lam, empirical, c) == direct
+
+    def test_non_positive_rate_message_equals_direct(self, empirical):
+        for lam in (0.0, -1.0):
+            with pytest.raises(ValueError) as direct:
+                analyze_sita(lam, empirical, [300.0])
+            with pytest.raises(ValueError) as cached:
+                analyze_sita_cached(lam, empirical, 300.0)
+            assert str(cached.value) == str(direct.value)
 
     def test_bounded_size_and_lru_eviction(self):
         from repro.core.cutoffs import feasible_cutoff_range

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.core.policies import LeastWorkLeftPolicy
 from repro.sim import fast, simulate
-from repro.sim.engine import InvariantViolation
+from repro.sim.engine import InvariantViolation, SimulationError
 from repro.sim.fast import (
     _check_kernel_output,
     _fold_busy_periods,
@@ -282,6 +282,54 @@ class TestLwlHostRecovery:
         assert hosts.min() >= 0 and hosts.max() < h
         with pytest.raises(InvariantViolation, match="non-finite"):
             _check_kernel_output("lwl", waits)
+
+    @pytest.mark.parametrize("speeds", [None, "hetero"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("h", [2, 3, 4, 8])
+    def test_non_finite_size_never_vanishes(self, h, bad, speeds):
+        # From three identical hosts on, the NaN completion sinks to a
+        # heap leaf and every later wait stays finite; the kernel itself
+        # must then refuse.  Either way no result passes the kernel check.
+        rng = np.random.default_rng([h, 100])
+        host_speeds = None if speeds is None else np.linspace(1.0, 2.0, h)
+        t, s = random_jobs(rng, 500)
+        s[100] = bad
+        try:
+            waits, _ = lwl_waits(t, s, h, host_speeds)
+        except InvariantViolation as exc:
+            assert "non-finite completion" in str(exc)
+        else:
+            assert not np.isfinite(waits[101:]).all()
+            with pytest.raises(InvariantViolation, match="non-finite"):
+                _check_kernel_output("lwl", waits)
+
+    @pytest.mark.parametrize("speeds", [None, "hetero"])
+    @pytest.mark.parametrize("h", [3, 4, 8])
+    def test_vanishing_nan_raises_in_the_kernel(self, h, speeds):
+        # A stream whose NaN completion reaches no later wait: without the
+        # kernel's own check every wait is finite and one host is lost.
+        rng = np.random.default_rng(0)
+        t = np.cumsum(rng.exponential(1.0, 500))
+        s = rng.exponential(1.5, 500)
+        s[100] = np.nan
+        host_speeds = None if speeds is None else np.linspace(1.0, 2.0, h)
+        with pytest.raises(InvariantViolation, match="non-finite completion"):
+            lwl_waits(t, s, h, host_speeds)
+
+    @pytest.mark.parametrize("h", [2, 3, 4, 8])
+    def test_non_finite_size_falls_back_to_the_engine(self, h, rng):
+        # A trace's arrays are mutable, so a bad size can reach the kernel
+        # after validation; the fallback reaches the engine, which then
+        # names the non-finite event time.
+        trace = Trace(*random_jobs(rng, 400))
+        trace.service_times[150] = np.nan
+        with pytest.raises(InvariantViolation):
+            simulate(trace, LeastWorkLeftPolicy(), h, rng=0)
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            with pytest.raises(SimulationError, match="finite"):
+                simulate(
+                    trace, LeastWorkLeftPolicy(), h, rng=0, on_kernel_failure="fallback"
+                )
 
     def test_nan_waits_fall_back_to_the_engine(self, rng, monkeypatch):
         t, s = random_jobs(rng, 400)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.sim.metrics import SimulationResult, batch_means_ci
+from repro.sim.metrics import SimulationResult, _sorted_percentile, batch_means_ci
 
 
 @pytest.fixture
@@ -103,6 +103,12 @@ class TestSummary:
             pytest.param(
                 np.random.default_rng(4).choice([1.0, 1.5, 2.0, 40.0], 1001), id="duplicates"
             ),
+            pytest.param(np.array([3.0, 1.25]), id="n=2"),
+            pytest.param(np.array([2.0, 2.0]), id="n=2-tied"),
+            pytest.param(np.repeat([9.0, 1.0], [20, 180]), id="two-values"),
+            pytest.param(
+                1.0 + np.random.default_rng(6).pareto(1.1, 200_000), id="heavy-tail-200k"
+            ),
         ],
     )
     def test_tail_percentiles_equal_np_percentile(self, slow):
@@ -110,6 +116,26 @@ class TestSummary:
         s = r.summary()
         p95, p99 = np.percentile(r.slowdowns, [95, 99]).tolist()
         assert (s.p95_slowdown, s.p99_slowdown) == (p95, p99)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            pytest.param(np.array([7.5]), id="n=1"),
+            pytest.param(np.array([3.0, 1.25]), id="n=2"),
+            pytest.param(np.array([1.0, 2.0, np.inf]), id="inf"),
+            pytest.param(np.array([np.inf]), id="n=1-inf"),
+            pytest.param(np.array([1.0, np.nan, 3.0, 4.0]), id="nan"),
+        ],
+    )
+    def test_sorted_percentile_edges(self, values):
+        # Every q, including the ends of the range, and numpy's NaN
+        # results for a NaN sample or an inf - inf interpolation.
+        ranked = np.sort(values)
+        for q in (0, 1, 50, 95, 99, 100):
+            with np.errstate(invalid="ignore"):
+                expected = float(np.percentile(values, q))
+            # repr tells -0.0 from 0.0 and matches NaN to NaN.
+            assert repr(_sorted_percentile(ranked, q)) == repr(expected), q
 
     def test_empty_result_raises(self):
         r = self.result_with_slowdowns(np.empty(0))

@@ -103,6 +103,40 @@ class TestSplitFilterHead:
         assert h.n_jobs == 10
         assert trace.head(10**9).n_jobs == trace.n_jobs
 
+    @staticmethod
+    def assert_view_of(part, trace, jobs, name):
+        built = Trace(
+            trace.arrival_times[jobs],
+            trace.service_times[jobs],
+            trace.processors[jobs],
+            name=name,
+        )
+        assert type(part) is Trace
+        assert part.name == built.name
+        for field in ("arrival_times", "service_times", "processors"):
+            got, want = getattr(part, field), getattr(built, field)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert got.base is getattr(trace, field)  # a view, not a copy
+        assert part.stats() == built.stats()
+
+    @pytest.mark.parametrize("fraction", [0.5, 0.25, 1e-9, 1 - 1e-9])
+    def test_split_halves_are_views(self, trace, fraction):
+        a, b = trace.split(fraction)
+        cut = a.n_jobs
+        self.assert_view_of(a, trace, slice(None, cut), f"t[:{cut}]")
+        self.assert_view_of(b, trace, slice(cut, None), f"t[{cut}:]")
+
+    @pytest.mark.parametrize("n", [1, 10, 399, 400, 10**9, -1])
+    def test_head_is_a_view(self, trace, n):
+        self.assert_view_of(trace.head(n), trace, slice(None, min(n, trace.n_jobs)), "t")
+
+    def test_empty_slices_still_raise(self, trace):
+        with pytest.raises(ValueError, match="equal-length"):
+            trace.head(0)
+        with pytest.raises(ValueError, match="equal-length"):
+            trace.head(1).split(0.5)
+
 
 class TestSWF:
     def test_roundtrip(self, trace, tmp_path):
