@@ -56,7 +56,6 @@ import numpy as np
 
 from ..analysis.mg1 import MG1Metrics, safe_inverse_moments
 from ..analysis.sita_analysis import SITAAnalysis, SITAHost, analyze_sita
-from ..sim.contract import kernel_contract
 from ..sim.fast import SitaScanKernel, SitaScanResult, simulate_fast
 from ..solvers import brentq, minimize_bounded
 from ..workloads.distributions import Empirical, ServiceDistribution
@@ -139,12 +138,6 @@ def _golden_min(
 # ----------------------------------------------------------------------
 
 
-@kernel_contract(
-    shapes={"return": ("m",)},
-    dtypes={"return": "float64"},
-    writes=(),
-    contiguous=("return",),
-)
 def candidate_cutoffs(trace: Trace, n_candidates: int) -> np.ndarray:
     """Log-spaced candidate cutoffs spanning the observed sizes.
 
@@ -619,12 +612,6 @@ def _finite_upper(dist: ServiceDistribution) -> float:
     return u if math.isfinite(u) else dist.ppf(1.0 - 1e-12)
 
 
-@kernel_contract(
-    shapes={"return": ("m",)},
-    dtypes={"return": "float64"},
-    writes=(),
-    contiguous=("return",),
-)
 def _shared_axis(dist: ServiceDistribution, n_grid: int) -> np.ndarray:
     """The load-independent log-cutoff axis every search point shares.
 

@@ -10,9 +10,9 @@ docstrings:
   per-file AST rules ``SIM001`` … ``SIM007``
   (:mod:`repro.devtools.rules`), the whole-program flow rules
   ``SIM101`` … ``SIM106`` (:mod:`repro.devtools.flow`), and
-  the kernel-contract / concurrency rules ``SIM201`` … ``SIM211``
-  (:mod:`repro.devtools.contracts`); profiles (``--profile
-  kernels,concurrency|all``) select among them, and the whole-program
+  the concurrency rules ``SIM206`` … ``SIM211``
+  (:mod:`repro.devtools.concurrency`); profiles (``--profile
+  concurrency|all``) select among them, and the whole-program
   tiers share one project-wide symbol table and call
   graph (:mod:`repro.devtools.graph`);
 * a **runtime pass**, in two layers — ``Simulator(strict=True)`` or the
@@ -26,13 +26,11 @@ Everything is zero-dependency (stdlib :mod:`ast` + :mod:`hashlib` only)
 and documented rule by rule in ``docs/DEVTOOLS.md``.
 """
 
-from .contracts import (
-    CONTRACT_RULES,
+from .concurrency import (
+    CONCURRENCY_RULES,
     PROFILES,
-    StaticContract,
-    contract_index,
-    register_contract,
-    run_contract_rules,
+    register_concurrency,
+    run_concurrency_rules,
 )
 from .findings import Finding, format_findings, sort_findings
 from .graph import (
@@ -72,12 +70,10 @@ __all__ = [
     "write_baseline",
     "RULES",
     "PROJECT_RULES",
-    "CONTRACT_RULES",
+    "CONCURRENCY_RULES",
     "PROFILES",
-    "StaticContract",
-    "contract_index",
-    "register_contract",
-    "run_contract_rules",
+    "register_concurrency",
+    "run_concurrency_rules",
     "ProjectGraph",
     "ProjectRule",
     "register_project",

@@ -208,7 +208,7 @@ class ProjectGraph:
 
     #: total number of :meth:`build` calls this process has made — the
     #: ``repro lint --stats`` line proves one build is shared by every
-    #: whole-program pass (flow + contract tiers).
+    #: whole-program pass (flow + concurrency tiers).
     builds_total: ClassVar[int] = 0
 
     def __init__(self) -> None:
@@ -216,7 +216,7 @@ class ProjectGraph:
         self.by_path: dict[str, ModuleInfo] = {}
         self.calls: dict[str, list[CallSite]] = {}
         #: scratch space for analyses that amortise work across rules in
-        #: one lint run (contract index, worker reachability, …).  Keyed
+        #: one lint run (call owners, worker reachability, …).  Keyed
         #: by analysis name; owned by whichever pass computes it first.
         self.analysis_cache: dict[str, object] = {}
 

@@ -3,7 +3,7 @@
 Usage::
 
     repro lint [paths] [--select SIM001,SIM004] [--ignore SIM006] \\
-               [--profile kernels,concurrency|all] [--format text|json] \\
+               [--profile concurrency|all] [--format text|json] \\
                [--baseline FILE | --no-baseline] [--update-baseline] \\
                [--strict-baseline] [--stats] [--list-rules]
     python -m repro.devtools.lint src/repro tests
@@ -14,10 +14,9 @@ Exit codes follow the classic contract: **0** clean, **1** findings,
 Selection defaults come from ``[tool.repro.lint]`` in ``pyproject.toml``
 (``select``/``ignore`` arrays, plus a ``baseline`` file path), so CI and
 developers run the same configuration with no flags.  ``--profile``
-names one or more curated rule sets, comma-separated (``kernels`` =
-SIM201–SIM205, ``concurrency`` = SIM206–SIM211, ``all`` = every
-registered rule across all three tiers);
-multiple profiles union.  ``--list-rules`` prints every registered rule
+names one or more curated rule sets, comma-separated (``concurrency`` =
+SIM206–SIM211, ``all`` = every registered rule across all three
+tiers); multiple profiles union.  ``--list-rules`` prints every registered rule
 with its tier.  A finding can be suppressed at a single line with the
 pragma::
 
@@ -27,7 +26,7 @@ pragma::
 
 An *explicit-rule* pragma on a function's header (its ``def`` line or
 any decorator line) widens to the whole function body — that is how a
-kernel exempts itself from one contract rule without peppering every
+function exempts itself from one rule without peppering every
 statement.  The bare form stays line-granular on purpose: a blanket
 whole-function exemption should never be one keystroke.
 
@@ -58,9 +57,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from . import contracts as _contracts  # noqa: F401  (registers SIM201+)
 from . import flow as _flow  # noqa: F401  (imported to register SIM101+)
-from .contracts import CONTRACT_RULES, PROFILES, run_contract_rules
+from .concurrency import CONCURRENCY_RULES, PROFILES, run_concurrency_rules
 from .findings import Finding, format_findings, sort_findings
 from .graph import PROJECT_RULES, ProjectGraph, run_project_rules
 from .rules import RULES, LintContext, run_rules
@@ -102,15 +100,15 @@ class LintError(Exception):
 _TIERS: tuple[tuple[str, dict], ...] = (
     ("file", RULES),
     ("flow", PROJECT_RULES),
-    ("contract", CONTRACT_RULES),
+    ("concurrency", CONCURRENCY_RULES),
 )
 
 
 def _all_rule_ids() -> set[str]:
     """Every known rule ID across the three tiers.
 
-    Per-file (SIM00x), whole-program flow (SIM10x) and kernel-contract /
-    concurrency (SIM20x).
+    Per-file (SIM00x), whole-program flow (SIM10x) and concurrency
+    (SIM20x).
     """
     return set().union(*(set(registry) for _, registry in _TIERS))
 
@@ -132,7 +130,7 @@ def _validate_rules(ids: Iterable[str], origin: str) -> set[str]:
 def _profile_names(profile: str | Iterable[str]) -> list[str]:
     """Flatten a profile argument into individual names.
 
-    Accepts one name, a comma-separated string (``"kernels,concurrency"``)
+    Accepts one name, a comma-separated string (``"concurrency,all"``)
     or an iterable of either.
     """
     items = [profile] if isinstance(profile, str) else list(profile)
@@ -149,8 +147,8 @@ def resolve_selection(
 ) -> set[str]:
     """Final rule-ID set.
 
-    ``profile`` names the base set — one or more of ``kernels``,
-    ``concurrency`` and ``all`` (= every registered rule),
+    ``profile`` names the base set — one or more of ``concurrency``
+    and ``all`` (= every registered rule),
     comma-separated or as an iterable; several profiles union.  Without
     one the base is every rule.  ``select`` then *narrows* the base
     (intersection when a profile is active, replacement otherwise — a
@@ -363,18 +361,18 @@ class LintStats:
 
 
 def _needs_graph(chosen: set[str]) -> bool:
-    return bool(chosen & (set(PROJECT_RULES) | set(CONTRACT_RULES)))
+    return bool(chosen & (set(PROJECT_RULES) | set(CONCURRENCY_RULES)))
 
 
 def _run_graph_rules(
     graph: ProjectGraph, chosen: set[str], noqa: dict[str, _Noqa]
 ) -> list[Finding]:
-    """The whole-program tiers (flow + contracts) on one graph."""
+    """The whole-program tiers (flow + concurrency) on one graph."""
     findings: list[Finding] = []
     if chosen & set(PROJECT_RULES):
         findings.extend(run_project_rules(graph, select=chosen))
-    if chosen & set(CONTRACT_RULES):
-        findings.extend(run_contract_rules(graph, select=chosen))
+    if chosen & set(CONCURRENCY_RULES):
+        findings.extend(run_concurrency_rules(graph, select=chosen))
     return _apply_noqa(findings, noqa)
 
 
@@ -389,7 +387,7 @@ def lint_source(
 
     ``path`` drives the path-scoped rules: pass a virtual location like
     ``src/repro/sim/x.py`` to lint a snippet under ``sim`` conventions.
-    The whole-program rules (SIM101+ and SIM201+) run too, over a
+    The whole-program rules (SIM101+ and SIM206+) run too, over a
     one-module graph — flow within the snippet is visible, callers
     outside it are not.
     """
@@ -425,11 +423,11 @@ def lint_paths(
     """Lint every ``.py`` file under ``paths``.
 
     The passes share one parse: the per-file rules see each tree in
-    isolation; the whole-program tiers (flow SIM101+ and contracts
-    SIM201+) both see a single
+    isolation; the whole-program tiers (flow SIM101+ and concurrency
+    SIM206+) both see a single
     :class:`~repro.devtools.graph.ProjectGraph` built from every parsed
     file — the graph is constructed exactly once per run, and its
-    ``analysis_cache`` lets the contract rules share the expensive
+    ``analysis_cache`` lets the concurrency rules share the expensive
     interprocedural facts (``--stats`` reports the build count).
     """
     chosen = resolve_selection(select, ignore, profile)
@@ -584,9 +582,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         type=_profile_arg,
         default=None,
         metavar="NAMES",
-        help="named rule sets, comma-separated: kernels (SIM201-205), "
-        "concurrency (SIM206-211), or all registered rules; several "
-        "profiles union",
+        help="named rule sets, comma-separated: concurrency (SIM206-211), "
+        "or all registered rules; several profiles union",
     )
     parser.add_argument(
         "--format",
@@ -667,7 +664,7 @@ def run_from_args(args: argparse.Namespace) -> int:
         }
         for rule_id in sorted(combined):
             tier, summary = combined[rule_id]
-            print(f"{rule_id}  {tier:<8}  {summary}")
+            print(f"{rule_id}  {tier:<11}  {summary}")
         return 0
     config = load_config(Path(args.paths[0]).resolve() if args.paths else None)
     # CLI selection flags replace the pyproject defaults wholesale — mixing

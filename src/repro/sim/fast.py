@@ -26,6 +26,14 @@ Every kernel is cross-validated against the event engine in
 ``tests/sim/test_fast_vs_engine.py`` — per-job waiting times must agree to
 floating-point accuracy.  (Host *identities* may differ on exact ties,
 e.g. among simultaneously idle hosts; waits are unaffected.)
+
+Array inputs are checked by plain code, not a declared ABI: the batch
+kernels coerce them with ``np.asarray(..., dtype=float)``, every kernel
+raises ``ValueError`` when its per-job inputs differ in length, and only
+the two workspace kernels (:func:`_fcfs_waits_into`,
+:func:`serve_dispatch_batch`) write, into buffers their single caller
+allocates.  ``tests/sim/test_fast.py`` holds every kernel to that on
+read-only, float32 and strided inputs.
 """
 
 from __future__ import annotations
@@ -39,7 +47,6 @@ import numpy as np
 
 from ..workloads.distributions import _as_rng
 from ..workloads.traces import Trace
-from .contract import kernel_contract
 from .engine import InvariantViolation
 from .metrics import SimulationResult, observe_result
 
@@ -80,12 +87,6 @@ def _check_kernel_output(policy_name: str, waits: np.ndarray) -> None:
         )
 
 
-@kernel_contract(
-    shapes={"arrival_times": ("n",), "sizes": ("n",), "return": ("n",)},
-    dtypes={"arrival_times": "float64", "sizes": "float64", "return": "float64"},
-    writes=(),
-    contiguous=("arrival_times", "sizes"),
-)
 def fcfs_waits(arrival_times: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Waiting times of one FCFS single-server queue (vectorised Lindley).
 
@@ -115,24 +116,6 @@ def fcfs_waits(arrival_times: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.subtract(prefix, waits, out=waits)
 
 
-@kernel_contract(
-    shapes={
-        "arrival_times": ("n",),
-        "sizes": ("n",),
-        "host_speeds": ("h",),
-        "return[0]": ("n",),
-        "return[1]": ("n",),
-    },
-    dtypes={
-        "arrival_times": "float64",
-        "sizes": "float64",
-        "host_speeds": "float64",
-        "return[0]": "float64",
-        "return[1]": "int64",
-    },
-    writes=(),
-    contiguous=("arrival_times", "sizes"),
-)
 def lwl_waits(
     arrival_times: np.ndarray,
     sizes: np.ndarray,
@@ -271,24 +254,6 @@ def _labelled_lwl_hosts(t: np.ndarray, s: np.ndarray, n_hosts: int) -> np.ndarra
     return np.fromiter(hosts, np.int64, t.size)
 
 
-@kernel_contract(
-    shapes={
-        "arrival_times": ("n",),
-        "sizes": ("n",),
-        "host_speeds": ("h",),
-        "return[0]": ("n",),
-        "return[1]": ("n",),
-    },
-    dtypes={
-        "arrival_times": "float64",
-        "sizes": "float64",
-        "host_speeds": "float64",
-        "return[0]": "float64",
-        "return[1]": "int64",
-    },
-    writes=(),
-    contiguous=("arrival_times", "sizes"),
-)
 def shortest_queue_waits(
     arrival_times: np.ndarray,
     sizes: np.ndarray,
@@ -341,24 +306,6 @@ def shortest_queue_waits(
     return np.asarray(waits_list), np.asarray(hosts_list, dtype=int)
 
 
-@kernel_contract(
-    shapes={
-        "arrival_times": ("n",),
-        "sizes": ("n",),
-        "estimates": ("n",),
-        "return[0]": ("n",),
-        "return[1]": ("n",),
-    },
-    dtypes={
-        "arrival_times": "float64",
-        "sizes": "float64",
-        "estimates": "float64",
-        "return[0]": "float64",
-        "return[1]": "int64",
-    },
-    writes=(),
-    contiguous=("arrival_times", "sizes", "estimates"),
-)
 def estimated_lwl_waits(
     arrival_times: np.ndarray,
     sizes: np.ndarray,
@@ -400,24 +347,6 @@ def estimated_lwl_waits(
     return np.asarray(waits), np.asarray(hosts, dtype=int)
 
 
-@kernel_contract(
-    shapes={
-        "arrival_times": ("n",),
-        "sizes": ("n",),
-        "return[0]": ("n",),
-        "return[1]": ("n",),
-        "return[2]": ("n",),
-    },
-    dtypes={
-        "arrival_times": "float64",
-        "sizes": "float64",
-        "return[0]": "float64",
-        "return[1]": "int64",
-        "return[2]": "float64",
-    },
-    writes=(),
-    contiguous=("arrival_times", "sizes"),
-)
 def tags_waits(
     arrival_times: np.ndarray, sizes: np.ndarray, cutoffs
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -632,26 +561,6 @@ SCAN_METRICS = (
 _ScanRow = tuple[float, float, float, float, int]
 
 
-@kernel_contract(
-    shapes={
-        "t": ("n",),
-        "s": ("n",),
-        "out": ("n_out",),
-        "work1": ("n_w1",),
-        "work2": ("n_w2",),
-        "return": ("n",),
-    },
-    dtypes={
-        "t": "float64",
-        "s": "float64",
-        "out": "float64",
-        "work1": "float64",
-        "work2": "float64",
-        "return": "float64",
-    },
-    writes=("out", "work1", "work2"),
-    contiguous=("t", "s", "out", "work1", "work2"),
-)
 def _fcfs_waits_into(
     t: np.ndarray,
     s: np.ndarray,
@@ -668,6 +577,8 @@ def _fcfs_waits_into(
     must hold ``t.size`` elements and ``work1`` one fewer; ``t`` and
     ``s`` must not alias the workspaces.
     """
+    if t.shape != s.shape:
+        raise ValueError("t and s must be equal-length")
     n = t.size
     if n == 0:
         return out[:0]
@@ -863,12 +774,6 @@ class SitaScanKernel:
             k,
         )
 
-    @kernel_contract(
-        shapes={"return": ("n",)},
-        dtypes={"return": "float64"},
-        writes=(),
-        contiguous=("return",),
-    )
     def waits_for_cutoff(self, cutoff: float) -> np.ndarray:
         """Untrimmed per-job waits at ``cutoff``, in a fresh array.
 
@@ -908,11 +813,6 @@ class SitaScanKernel:
         )
 
 
-@kernel_contract(
-    shapes={"candidates": ("m",)},
-    dtypes={"candidates": ("float64", "int64")},
-    writes=(),
-)
 def sita_scan(
     trace: Trace,
     candidates,
@@ -988,20 +888,6 @@ def _fold_busy_periods(
     return x[:m]
 
 
-@kernel_contract(
-    shapes={
-        "arrival_times": ("m",),
-        "durations": ("m",),
-        "return[0]": ("m",),
-    },
-    dtypes={
-        "arrival_times": "float64",
-        "durations": "float64",
-        "return[0]": "float64",
-    },
-    writes=(),
-    contiguous=("arrival_times", "durations"),
-)
 def fcfs_starts(
     arrival_times: np.ndarray, durations: np.ndarray, v0: float
 ) -> tuple[np.ndarray, float]:
@@ -1033,6 +919,8 @@ def fcfs_starts(
     """
     t = arrival_times
     d = durations
+    if t.shape != d.shape:
+        raise ValueError("arrival_times and durations must be equal-length")
     m = t.shape[0]
     v = float(v0)
     starts = np.empty(m)
@@ -1069,33 +957,6 @@ def fcfs_starts(
     return starts, v
 
 
-@kernel_contract(
-    shapes={
-        "arrival_times": ("n",),
-        "sizes": ("n",),
-        "host_speeds": ("h",),
-        "v": ("h",),
-        "hosts": ("n",),
-        "starts": ("n",),
-    },
-    dtypes={
-        "arrival_times": "float64",
-        "sizes": "float64",
-        "host_speeds": "float64",
-        "v": "float64",
-        "hosts": "int64",
-        "starts": "float64",
-    },
-    writes=("v", "hosts", "starts"),
-    contiguous=(
-        "arrival_times",
-        "sizes",
-        "host_speeds",
-        "v",
-        "hosts",
-        "starts",
-    ),
-)
 def serve_dispatch_batch(
     arrival_times: np.ndarray,
     sizes: np.ndarray,
@@ -1118,7 +979,15 @@ def serve_dispatch_batch(
     Fixed-host policies, whose choice never reads ``v``, settle in bulk
     through :func:`fcfs_starts` instead.
     """
-    n = arrival_times.shape[0]
+    shape = arrival_times.shape
+    if not (shape == sizes.shape == hosts.shape == starts.shape) or (
+        v.shape != host_speeds.shape
+    ):
+        raise ValueError(
+            "arrival_times, sizes, hosts and starts must be equal-length, "
+            "and v must have one entry per host speed"
+        )
+    n = shape[0]
     if n == 0:
         return
     # Plain-float loops (tolist) with the engine's IEEE-754 arithmetic

@@ -216,9 +216,19 @@ class ServiceDistribution(ABC):
             "scv": self.scv,
         }
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
+        def fmt(value) -> str:
+            if isinstance(value, np.ndarray):  # by shape and range
+                return (
+                    f"array(shape={value.shape}, "
+                    f"range=[{value.min():.6g}, {value.max():.6g}])"
+                )
+            if isinstance(value, ServiceDistribution):
+                return repr(value)
+            return f"{value:.6g}"
+
         params = ", ".join(
-            f"{k}={v:.6g}" for k, v in vars(self).items() if not k.startswith("_")
+            f"{k}={fmt(v)}" for k, v in vars(self).items() if not k.startswith("_")
         )
         return f"{type(self).__name__}({params})"
 

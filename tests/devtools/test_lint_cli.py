@@ -143,11 +143,11 @@ def test_pyproject_defaults_are_picked_up(tree, capsys):
 
 def test_repo_select_lists_every_registered_rule():
     """The repo's ``select`` is "all rules on": exactly the registries."""
-    from repro.devtools import CONTRACT_RULES, PROJECT_RULES, RULES
+    from repro.devtools import CONCURRENCY_RULES, PROJECT_RULES, RULES
     from repro.devtools.lint import load_config
 
     config = load_config(Path(__file__).resolve().parents[2])
-    registered = set(RULES) | set(PROJECT_RULES) | set(CONTRACT_RULES)
+    registered = set(RULES) | set(PROJECT_RULES) | set(CONCURRENCY_RULES)
     assert set(config["select"]) == registered
 
 
@@ -173,67 +173,82 @@ def test_python_dash_m_entry_point(tree):
 
 
 # ---------------------------------------------------------------------------
-# profiles, baseline, --stats (the contract tier's CLI surface)
+# profiles, baseline, --stats (the whole-program tiers' CLI surface)
 # ---------------------------------------------------------------------------
 
-CONTRACTED = """\
-from repro.sim.contract import kernel_contract
-import numpy as np
+#: one SIM209 finding: a results file written in place under experiments/.
+NON_ATOMIC = """\
+__all__ = ["save"]
 
-@kernel_contract(dtypes={"xs": "float64"})
-def kern(xs):
-    return xs
 
-def caller():
-    return kern(np.zeros(4, dtype=np.int32))
+def save(path, rows):
+    with open(path, "w") as fh:
+        fh.write(rows)
+"""
+
+ATOMIC = """\
+import os
+
+__all__ = ["save"]
+
+
+def save(path, rows):
+    tmp = str(path) + ".tmp"
+    with open(tmp, "w") as fh:
+        fh.write(rows)
+    os.replace(tmp, path)
 """
 
 
 @pytest.fixture
-def contract_tree(tmp_path: Path) -> Path:
-    pkg = tmp_path / "src" / "repro" / "sim"
+def concurrency_tree(tmp_path: Path) -> Path:
+    pkg = tmp_path / "src" / "repro" / "experiments"
     pkg.mkdir(parents=True)
-    (pkg / "kern.py").write_text(CONTRACTED)
+    (pkg / "save.py").write_text(NON_ATOMIC)
     return tmp_path
 
 
-def test_profile_kernels_runs_contract_rules(contract_tree, capsys):
-    target = contract_tree / "src" / "repro" / "sim" / "kern.py"
-    assert lint_main([str(target), "--profile", "kernels", "--no-baseline"]) == 1
+def _save_py(root: Path) -> Path:
+    return root / "src" / "repro" / "experiments" / "save.py"
+
+
+def test_profile_concurrency_runs_concurrency_rules(concurrency_tree, capsys):
+    target = _save_py(concurrency_tree)
+    assert lint_main([str(target), "--profile", "concurrency", "--no-baseline"]) == 1
     out = capsys.readouterr().out
-    assert "SIM201" in out
+    assert "SIM209" in out
 
 
-def test_profile_concurrency_skips_kernel_rules(contract_tree, capsys):
-    target = contract_tree / "src" / "repro" / "sim" / "kern.py"
+def test_profile_concurrency_skips_other_tiers(tree, capsys):
+    target = tree / "src" / "repro" / "sim" / "dirty.py"
     assert lint_main([str(target), "--profile", "concurrency", "--no-baseline"]) == 0
     assert "all clean" in capsys.readouterr().out
 
 
-def test_profile_all_includes_every_tier(contract_tree, capsys):
-    target = contract_tree / "src" / "repro" / "sim" / "kern.py"
+def test_profile_all_includes_every_tier(concurrency_tree, capsys):
+    target = _save_py(concurrency_tree)
     assert lint_main([str(target), "--profile", "all", "--no-baseline"]) == 1
-    assert "SIM201" in capsys.readouterr().out
+    assert "SIM209" in capsys.readouterr().out
 
 
-def test_profile_intersects_with_select(contract_tree, capsys):
-    target = contract_tree / "src" / "repro" / "sim" / "kern.py"
+def test_profile_intersects_with_select(concurrency_tree, capsys):
+    target = _save_py(concurrency_tree)
     code = lint_main(
-        [str(target), "--profile", "kernels", "--select", "SIM205", "--no-baseline"]
+        [str(target), "--profile", "concurrency", "--select", "SIM206", "--no-baseline"]
     )
     assert code == 0
     assert "all clean" in capsys.readouterr().out
 
 
-def test_baseline_roundtrip(contract_tree, capsys):
-    target = contract_tree / "src" / "repro" / "sim" / "kern.py"
-    baseline = contract_tree / "baseline.json"
+def test_baseline_roundtrip(concurrency_tree, capsys):
+    target = _save_py(concurrency_tree)
+    baseline = concurrency_tree / "baseline.json"
     assert (
         lint_main(
             [
                 str(target),
                 "--profile",
-                "kernels",
+                "concurrency",
                 "--baseline",
                 str(baseline),
                 "--update-baseline",
@@ -243,33 +258,34 @@ def test_baseline_roundtrip(contract_tree, capsys):
     )
     assert "wrote 1 baseline entries" in capsys.readouterr().out
     entries = json.loads(baseline.read_text())
-    assert [e["rule"] for e in entries] == ["SIM201"]
+    assert [e["rule"] for e in entries] == ["SIM209"]
     assert "line" not in entries[0]
     # baselined finding no longer fails the run …
     assert (
         lint_main(
-            [str(target), "--profile", "kernels", "--baseline", str(baseline)]
+            [str(target), "--profile", "concurrency", "--baseline", str(baseline)]
         )
         == 0
     )
     capsys.readouterr()
     # … but --no-baseline still surfaces it
-    assert lint_main([str(target), "--profile", "kernels", "--no-baseline"]) == 1
+    assert lint_main([str(target), "--profile", "concurrency", "--no-baseline"]) == 1
 
 
-def test_baseline_is_a_multiset(contract_tree, capsys):
+def test_baseline_is_a_multiset(concurrency_tree, capsys):
     """Two identical findings need two entries — fixing one still reports."""
-    pkg = contract_tree / "src" / "repro" / "sim"
-    (pkg / "kern.py").write_text(
-        CONTRACTED + "\ndef caller2():\n    return kern(np.zeros(4, dtype=np.int32))\n"
+    target = _save_py(concurrency_tree)
+    target.write_text(
+        NON_ATOMIC
+        + '\n\ndef save2(path, rows):\n    with open(path, "w") as fh:\n'
+        + "        fh.write(rows)\n"
     )
-    baseline = contract_tree / "baseline.json"
-    target = pkg / "kern.py"
+    baseline = concurrency_tree / "baseline.json"
     lint_main(
         [
             str(target),
             "--profile",
-            "kernels",
+            "concurrency",
             "--baseline",
             str(baseline),
             "--update-baseline",
@@ -282,52 +298,50 @@ def test_baseline_is_a_multiset(contract_tree, capsys):
     baseline.write_text(json.dumps(entries[:1]))
     assert (
         lint_main(
-            [str(target), "--profile", "kernels", "--baseline", str(baseline)]
+            [str(target), "--profile", "concurrency", "--baseline", str(baseline)]
         )
         == 1
     )
 
 
-def test_baseline_path_from_pyproject(contract_tree, capsys):
-    baseline = contract_tree / "accepted.json"
-    (contract_tree / "pyproject.toml").write_text(
+def test_baseline_path_from_pyproject(concurrency_tree, capsys):
+    baseline = concurrency_tree / "accepted.json"
+    (concurrency_tree / "pyproject.toml").write_text(
         f'[tool.repro.lint]\nbaseline = "{baseline}"\n'
     )
-    target = contract_tree / "src" / "repro" / "sim" / "kern.py"
-    lint_main([str(target), "--profile", "kernels", "--update-baseline"])
+    target = _save_py(concurrency_tree)
+    lint_main([str(target), "--profile", "concurrency", "--update-baseline"])
     capsys.readouterr()
     assert baseline.is_file()
-    assert lint_main([str(target), "--profile", "kernels"]) == 0
+    assert lint_main([str(target), "--profile", "concurrency"]) == 0
 
 
-def test_stats_reports_a_single_graph_build(contract_tree, capsys):
-    target = contract_tree / "src" / "repro" / "sim" / "kern.py"
+def test_stats_reports_a_single_graph_build(concurrency_tree, capsys):
+    target = _save_py(concurrency_tree)
     lint_main([str(target), "--profile", "all", "--stats", "--no-baseline"])
     err = capsys.readouterr().err
     assert "graph-builds=1" in err
     assert "files=1" in err
 
 
-def test_unknown_profile_is_a_usage_error(contract_tree, capsys):
-    import argparse
-
-    from repro.devtools.lint import build_parser, run_from_args
+def test_unknown_profile_is_a_usage_error(capsys):
+    from repro.devtools.lint import LintError, build_parser, resolve_selection
 
     # argparse rejects it at parse time; resolve_selection guards API users
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["--profile", "nope"])
-    from repro.devtools.lint import LintError, resolve_selection
-
     with pytest.raises(LintError):
         resolve_selection(profile="nope")
-    # no SIM30x rules exist, so there is no `compile` profile either
-    with pytest.raises(SystemExit) as exc:
-        lint_main(["--profile", "compile"])
-    assert exc.value.code == 2
-    assert "unknown profile 'compile'" in capsys.readouterr().err
-    with pytest.raises(LintError):
-        resolve_selection(profile="compile")
+    # no SIM30x rules exist, so there is no `compile` profile either, and
+    # the array-contract rules took the `kernels` profile with them
+    for gone in ("compile", "kernels"):
+        with pytest.raises(SystemExit) as exc:
+            lint_main(["--profile", gone])
+        assert exc.value.code == 2
+        assert f"unknown profile {gone!r}" in capsys.readouterr().err
+        with pytest.raises(LintError):
+            resolve_selection(profile=gone)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +351,9 @@ def test_unknown_profile_is_a_usage_error(contract_tree, capsys):
 SHM_LEAK = """\
 from multiprocessing import shared_memory
 
+__all__ = ["leak"]
+
+
 def leak(n):
     shm = shared_memory.SharedMemory(create=True, size=n)
     shm.buf[0] = 1
@@ -345,34 +362,31 @@ def leak(n):
 
 @pytest.fixture
 def combined_tree(tmp_path: Path) -> Path:
-    """One kernel-contract finding (SIM201) plus one concurrency (SIM206)."""
+    """One per-file finding (SIM001) plus one concurrency finding (SIM206)."""
     pkg = tmp_path / "src" / "repro" / "sim"
     pkg.mkdir(parents=True)
-    (pkg / "kern.py").write_text(CONTRACTED)
+    (pkg / "rng.py").write_text("import random\n\n__all__ = []\n")
     (pkg / "shm.py").write_text(SHM_LEAK)
     return tmp_path
 
 
 def test_comma_separated_profiles_union(combined_tree, capsys):
     src = str(combined_tree / "src")
-    assert lint_main([src, "--profile", "kernels", "--no-baseline"]) == 1
+    assert lint_main([src, "--profile", "concurrency", "--no-baseline"]) == 1
     out = capsys.readouterr().out
-    assert "SIM201" in out and "SIM206" not in out
-    assert (
-        lint_main([src, "--profile", "kernels,concurrency", "--no-baseline"])
-        == 1
-    )
+    assert "SIM206" in out and "SIM001" not in out
+    assert lint_main([src, "--profile", "concurrency,all", "--no-baseline"]) == 1
     out = capsys.readouterr().out
-    assert "SIM201" in out and "SIM206" in out
+    assert "SIM206" in out and "SIM001" in out
 
 
 def test_comma_profile_rejects_unknown_names(combined_tree):
     from repro.devtools.lint import LintError, build_parser, resolve_selection
 
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["--profile", "kernels,nope"])
+        build_parser().parse_args(["--profile", "concurrency,nope"])
     with pytest.raises(LintError):
-        resolve_selection(profile=["kernels", "nope"])
+        resolve_selection(profile=["concurrency", "nope"])
 
 
 def test_list_rules_shows_every_tier(capsys):
@@ -381,35 +395,38 @@ def test_list_rules_shows_every_tier(capsys):
     for rule_id, tier in (
         ("SIM001", "file"),
         ("SIM101", "flow"),
-        ("SIM201", "contract"),
+        ("SIM206", "concurrency"),
     ):
         line = next(ln for ln in out.splitlines() if ln.startswith(rule_id))
         assert tier in line
-    assert not any(ln.startswith("SIM30") for ln in out.splitlines())
+    lines = out.splitlines()
+    tier3 = [ln.split()[0] for ln in lines if ln.startswith("SIM2")]
+    assert tier3 == [f"SIM2{i:02d}" for i in range(6, 12)]
+    assert not any(ln.startswith("SIM30") for ln in lines)
 
 
 def test_stale_baseline_warns_then_strict_fails_then_prunes(
-    contract_tree, capsys
+    concurrency_tree, capsys
 ):
-    target = contract_tree / "src" / "repro" / "sim" / "kern.py"
-    baseline = contract_tree / "baseline.json"
+    target = _save_py(concurrency_tree)
+    baseline = concurrency_tree / "baseline.json"
     lint_main(
         [
             str(target),
             "--profile",
-            "kernels",
+            "concurrency",
             "--baseline",
             str(baseline),
             "--update-baseline",
         ]
     )
     capsys.readouterr()
-    # fix the finding at its source: the caller now passes float64
-    target.write_text(CONTRACTED.replace(", dtype=np.int32", ""))
+    # fix the finding at its source: the write now goes tmp + os.replace
+    target.write_text(ATOMIC)
     # default: still exit 0, but the dead entry is called out on stderr
     assert (
         lint_main(
-            [str(target), "--profile", "kernels", "--baseline", str(baseline)]
+            [str(target), "--profile", "concurrency", "--baseline", str(baseline)]
         )
         == 0
     )
@@ -421,7 +438,7 @@ def test_stale_baseline_warns_then_strict_fails_then_prunes(
             [
                 str(target),
                 "--profile",
-                "kernels",
+                "concurrency",
                 "--baseline",
                 str(baseline),
                 "--strict-baseline",
@@ -436,7 +453,7 @@ def test_stale_baseline_warns_then_strict_fails_then_prunes(
             [
                 str(target),
                 "--profile",
-                "kernels",
+                "concurrency",
                 "--baseline",
                 str(baseline),
                 "--update-baseline",

@@ -789,3 +789,153 @@ def test_busy_period_fold_under_any_flags(jobs, v0, flags):
         first = np.full(len(jobs), flags == "all_true")
     got = _fold_busy_periods(t, d, first, v0)
     assert np.array_equal(got, scalar_fold(t, d, first, v0))
+
+
+# ---------------------------------------------------------------------------
+# kernel inputs: read-only, float32, strided, mismatched lengths
+# ---------------------------------------------------------------------------
+
+_N = 600  # above _FCFS_VECTOR_FROM, so fcfs_starts takes its vector path
+_SPEEDS = np.array([1.0, 2.0, 0.5])
+
+
+def _serve_dispatch(t, s, speeds):
+    v = np.array([0.5, 0.0, 2.0])
+    hosts = np.empty(t.shape, dtype=np.int64)
+    starts = np.empty(t.shape)
+    fast.serve_dispatch_batch(t, s, speeds, v, hosts, starts)
+    return v, hosts, starts
+
+
+def _fcfs_waits_into(t, s):
+    n = t.shape[0]
+    return fast._fcfs_waits_into(t, s, np.empty(n), np.empty(n - 1), np.empty(n))
+
+
+#: name -> (kernel over its input arrays, extra inputs).  Every kernel
+#: takes the job columns ``t, s`` first; the extra inputs follow.
+#: Buffers a kernel writes are allocated inside the call.
+KERNEL_CASES = {
+    "fcfs_waits": (fcfs_waits, ()),
+    "lwl_waits[identical]": (lambda t, s: lwl_waits(t, s, 3), ()),
+    "lwl_waits[heterogeneous]": (lambda t, s, sp: lwl_waits(t, s, 3, sp), (_SPEEDS,)),
+    "estimated_lwl_waits": (
+        lambda t, s, e: estimated_lwl_waits(t, s, e, 3),
+        ("estimates",),
+    ),
+    "shortest_queue_waits": (lambda t, s: shortest_queue_waits(t, s, 3), ()),
+    "tags_waits": (fast.tags_waits, (np.array([1.0, 4.0]),)),
+    "sita_scan": (
+        lambda t, s, c: fast.sita_scan(Trace(t, s), c, warmup_fraction=0.05),
+        (np.geomspace(0.05, 20.0, 12),),
+    ),
+    "fcfs_starts": (lambda t, s: fcfs_starts(t, s, 5.0), ()),
+    "serve_dispatch_batch": (_serve_dispatch, (_SPEEDS,)),
+    "_fcfs_waits_into": (_fcfs_waits_into, ()),
+}
+#: the workspace kernel's inputs are float64 by construction (its one
+#: caller slices them out of float64 buffers), so it does not coerce.
+COERCING = sorted(set(KERNEL_CASES) - {"_fcfs_waits_into"})
+
+
+def test_kernel_cases_cover_every_array_kernel():
+    not_array_kernels = {"simulate_fast", "SitaScanKernel", "SitaScanResult"}
+    names = {name.partition("[")[0] for name in KERNEL_CASES}
+    assert names == set(fast.__all__) - not_array_kernels | {"_fcfs_waits_into"}
+
+
+def _kernel_inputs(name):
+    rng = np.random.default_rng(20000731)
+    t = np.cumsum(rng.exponential(1.0, _N))
+    s = rng.exponential(2.4, _N)  # load 0.8 on three hosts
+    _, extra = KERNEL_CASES[name]
+    extra = tuple(
+        s * rng.lognormal(0.0, 0.5, _N) if isinstance(x, str) else x.copy()
+        for x in extra
+    )
+    return (t, s, *extra)
+
+
+def _outputs(result):
+    if isinstance(result, fast.SitaScanResult):
+        return list(vars(result).values())
+    return list(result) if isinstance(result, tuple) else [result]
+
+
+def assert_same_outputs(got, want):
+    got, want = _outputs(got), _outputs(want)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b, strict=True)
+
+
+class TestKernelInputs:
+    """What every array kernel promises about its inputs.
+
+    None writes an input, so read-only inputs give the same output as
+    writable copies and come back byte-unchanged; the coercing kernels
+    give the same output on float32 inputs as on their float64 copies;
+    strided views give the same output as contiguous copies; and
+    inputs of different lengths raise ``ValueError``.
+    """
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_read_only_inputs_are_never_written(self, name):
+        kernel = KERNEL_CASES[name][0]
+        inputs = _kernel_inputs(name)
+        before = [x.tobytes() for x in inputs]
+        copies = [x.copy() for x in inputs]
+        for x in inputs:
+            x.flags.writeable = False
+        assert_same_outputs(kernel(*inputs), kernel(*copies))
+        assert [x.tobytes() for x in inputs] == before
+        assert [x.tobytes() for x in copies] == before
+
+    @pytest.mark.parametrize("name", COERCING)
+    def test_float32_inputs_match_their_float64_copies(self, name):
+        kernel = KERNEL_CASES[name][0]
+        narrow = [x.astype(np.float32) for x in _kernel_inputs(name)]
+        widened = [x.astype(np.float64) for x in narrow]
+        assert_same_outputs(kernel(*narrow), kernel(*widened))
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_strided_views_match_contiguous_copies(self, name):
+        kernel = KERNEL_CASES[name][0]
+        inputs = _kernel_inputs(name)
+        views = [np.repeat(x, 2)[::2] for x in inputs]
+        assert not any(v.flags.c_contiguous for v in views if v.size > 1)
+        assert_same_outputs(kernel(*views), kernel(*inputs))
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_length_mismatch_raises(self, name):
+        kernel = KERNEL_CASES[name][0]
+        t, s, *extra = _kernel_inputs(name)
+        with pytest.raises(ValueError):
+            kernel(t, s[:-1], *extra)
+        with pytest.raises(ValueError):
+            kernel(t[:-1], s, *extra)
+
+
+class TestEntryLengthChecks:
+    """The workspace-free exact kernels check extents at their entry."""
+
+    def test_fcfs_starts_rejects_unequal_columns(self):
+        with pytest.raises(ValueError, match="equal-length"):
+            fcfs_starts(np.arange(3.0), np.ones(5), 0.0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["sizes", "host_speeds", "v", "hosts", "starts"],
+    )
+    def test_serve_dispatch_batch_rejects_wrong_extents(self, bad):
+        args = {
+            "arrival_times": np.arange(3.0),
+            "sizes": np.ones(3),
+            "host_speeds": np.ones(2),
+            "v": np.zeros(2),
+            "hosts": np.empty(3, dtype=np.int64),
+            "starts": np.empty(3),
+        }
+        args[bad] = np.resize(args[bad], args[bad].size + 1)
+        with pytest.raises(ValueError, match="equal-length"):
+            fast.serve_dispatch_batch(**args)

@@ -519,3 +519,53 @@ def test_lognormal_fit_roundtrip(mean_scale, scv):
     d = Lognormal.fit(mean, scv)
     assert d.mean == pytest.approx(mean, rel=1e-9)
     assert d.scv == pytest.approx(scv, rel=1e-9)
+
+
+# One instance of every concrete distribution, for ``repr``.
+REPR_INSTANCES = [
+    BoundedPareto(1.0, 1e5, 1.1),
+    Pareto(1.0, 2.5),
+    Exponential(2.0),
+    Hyperexponential([0.25, 0.75], [1.0, 8.0]),
+    Erlang(3, 2.0),
+    Lognormal(0.0, 1.0),
+    Weibull(1.0, 0.5),
+    Deterministic(3.0),
+    Empirical([1.0, 2.0, 4.0]),
+    Lognormal(0.0, 1.0).scaled(0.5),
+    Lognormal(0.0, 1.0).conditional(0.0, 2.0),
+]
+
+
+def _concrete_subclasses(cls):
+    for sub in cls.__subclasses__():
+        if not getattr(sub, "__abstractmethods__", None):
+            yield sub
+        yield from _concrete_subclasses(sub)
+
+
+def test_repr_instances_cover_every_concrete_distribution():
+    from repro.workloads.distributions import ServiceDistribution
+
+    covered = {type(d) for d in REPR_INSTANCES}
+    library = {
+        cls
+        for cls in _concrete_subclasses(ServiceDistribution)
+        if cls.__module__ == ServiceDistribution.__module__
+    }
+    assert covered == library
+
+
+@pytest.mark.parametrize("dist", REPR_INSTANCES, ids=lambda d: type(d).__name__)
+def test_repr_formats_every_distribution(dist):
+    text = repr(dist)
+    assert text.startswith(f"{type(dist).__name__}(") and text.endswith(")")
+
+
+def test_repr_shows_arrays_by_shape_and_range_and_nests_parents():
+    assert repr(Empirical([4.0, 1.0, 2.0])) == (
+        "Empirical(values=array(shape=(3,), range=[1, 4]))"
+    )
+    assert repr(Exponential(2.0).scaled(0.5)) == (
+        f"ScaledDistribution(parent={Exponential(2.0)!r}, scale=0.5)"
+    )
