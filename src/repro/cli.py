@@ -37,16 +37,6 @@ Subcommands
     default (batched through the fault-free fast path, ``--batch-size``,
     see ``docs/PERFORMANCE.md``), or serves newline-JSON over
     ``--socket``/``--tcp`` (see ``docs/ROBUSTNESS.md``).
-``repro bench [--quick] [--only GLOB] [--workers N] [--out PATH]``
-    Performance baseline harness: time the simulation kernels, the
-    event engine vs the fast path, the shared-computation cutoff-search
-    engine vs the pre-engine per-candidate loops (``search.*``), a
-    serial-vs-parallel sweep, and the online dispatcher, and write a
-    machine-readable ``BENCH_<date>.json``
-    (see ``docs/PERFORMANCE.md``).  ``--only 'serve.*'`` runs a subset
-    of the named benchmark families.  Sweep workers default to
-    ``min(4, max(2, cpu_count))``; when the resolved pool exceeds the
-    visible cores the baseline records ``oversubscribed: true``.
 """
 
 from __future__ import annotations
@@ -155,13 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_audit_arguments(audit_p)
 
-    bench_p = sub.add_parser(
-        "bench", help="performance baseline harness (writes BENCH_<date>.json)"
-    )
-    from .bench import add_bench_arguments
-
-    add_bench_arguments(bench_p)
-
     serve_p = sub.add_parser(
         "serve",
         help="fault-tolerant online dispatcher (driver or newline-JSON socket)",
@@ -263,11 +246,6 @@ def main(argv: list[str] | None = None) -> int:
         from .devtools.audit import run_from_args as run_audit
 
         return run_audit(args)
-
-    if args.command == "bench":
-        from .bench import run_from_args as run_bench
-
-        return run_bench(args)
 
     if args.command == "serve":
         from .serve.runner import run_from_args as run_serve

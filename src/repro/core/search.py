@@ -273,9 +273,8 @@ def sim_pair_reference(
 
     Two full ``simulate_fast`` passes (policy, Lindley, result, summary)
     per candidate — exactly the historical ``sim_opt_cutoff`` +
-    ``sim_fair_cutoff`` loops.  Used by the scan-vs-loop equivalence
-    tests and by ``repro bench`` to measure the ``search.sim_pair``
-    speedup against the old path in the same run.
+    ``sim_fair_cutoff`` loops.  The scan-vs-loop equivalence tests
+    hold the batched scan's grid argmins to it.
     """
     from .policies.sita import SITAPolicy
 

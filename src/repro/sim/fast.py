@@ -116,6 +116,21 @@ def fcfs_waits(arrival_times: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.subtract(prefix, waits, out=waits)
 
 
+def _host_speeds(host_speeds: np.ndarray | None, n_hosts: int) -> np.ndarray:
+    """Per-host speeds for the kernels and :func:`simulate_fast`: ones by
+    default, otherwise ``(n_hosts,)`` finite positive floats."""
+    if n_hosts < 1:
+        raise ValueError(f"n_hosts must be >= 1, got {n_hosts}")
+    if host_speeds is None:
+        return np.ones(n_hosts)
+    speeds = np.asarray(host_speeds, dtype=float)
+    if speeds.shape != (n_hosts,):
+        raise ValueError(f"host_speeds must have {n_hosts} entries, got {speeds.shape}")
+    if not (np.isfinite(speeds).all() and (speeds > 0.0).all()):
+        raise ValueError(f"host speeds must be positive and finite, got {speeds.tolist()}")
+    return speeds
+
+
 def lwl_waits(
     arrival_times: np.ndarray,
     sizes: np.ndarray,
@@ -143,9 +158,7 @@ def lwl_waits(
     s = np.asarray(sizes, dtype=float)
     if t.shape != s.shape or t.ndim != 1:
         raise ValueError("arrival_times and sizes must be equal-length 1-D")
-    if n_hosts < 1:
-        raise ValueError(f"n_hosts must be >= 1, got {n_hosts}")
-    speeds = np.ones(n_hosts) if host_speeds is None else np.asarray(host_speeds, float)
+    speeds = _host_speeds(host_speeds, n_hosts)
     n = t.size
     if np.all(speeds == 1.0):
         # Identical hosts: tie-breaks cannot affect waits, so the
@@ -270,7 +283,7 @@ def shortest_queue_waits(
     s = np.asarray(sizes, dtype=float)
     if t.shape != s.shape or t.ndim != 1:
         raise ValueError("arrival_times and sizes must be equal-length 1-D")
-    speeds = np.ones(n_hosts) if host_speeds is None else np.asarray(host_speeds, float)
+    speeds = _host_speeds(host_speeds, n_hosts)
     n = t.size
     # Python-float loop state throughout (see the identical-host branch
     # of :func:`lwl_waits`): pre-extracted lists avoid per-iteration
@@ -448,14 +461,7 @@ def simulate_fast(
             raise ValueError("size_estimates must match the trace length")
     else:
         est = s
-    if host_speeds is None:
-        speeds = np.ones(n_hosts)
-    else:
-        speeds = np.asarray(host_speeds, dtype=float)
-        if speeds.shape != (n_hosts,):
-            raise ValueError(f"host_speeds must have {n_hosts} entries")
-        if np.any(speeds <= 0):
-            raise ValueError("host speeds must be positive")
+    speeds = _host_speeds(host_speeds, n_hosts)
     uniform = bool(np.all(speeds == 1.0))
 
     kind = getattr(policy, "kind", None)

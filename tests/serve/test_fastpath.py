@@ -296,6 +296,10 @@ class TestBatchInvariance:
                 heartbeat_interval=10.0,
             )
             status = server.run_stream(jobs, batch_size=batch_size)
+            assert status["fast_path"]["engaged"]
+            assert all(status["invariant"].values())
+            lat = status["latency"]
+            assert lat["p50_us"] <= lat["p95_us"] <= lat["p99_us"]
             results.append(
                 (status["counters"], status["clock"], status["jain_slowdown"])
             )

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.policies import LeastWorkLeftPolicy
+from repro.core.policies import LeastWorkLeftPolicy, SITAPolicy
 from repro.sim import fast, simulate
 from repro.sim.engine import InvariantViolation, SimulationError
 from repro.sim.fast import (
@@ -939,3 +939,39 @@ class TestEntryLengthChecks:
         args[bad] = np.resize(args[bad], args[bad].size + 1)
         with pytest.raises(ValueError, match="equal-length"):
             fast.serve_dispatch_batch(**args)
+
+
+class TestHostSpeedChecks:
+    """The per-job dispatch kernels and ``simulate_fast`` check
+    ``n_hosts`` and ``host_speeds`` at entry: one speed per host, each
+    finite and positive."""
+
+    KERNELS = [fast.lwl_waits, fast.shortest_queue_waits]
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize(
+        "n_hosts,speeds",
+        [(2, [1.0, 1.0, 0.5]), (3, [1.0, 0.5]), (2, [[1.0, 0.5]])],
+        ids=["extra", "missing", "2-d"],
+    )
+    def test_speed_count_must_match_hosts(self, kernel, n_hosts, speeds):
+        with pytest.raises(ValueError, match=r"host_speeds must have \d+ entries"):
+            kernel(np.arange(6.0), np.full(6, 3.0), n_hosts, np.array(speeds))
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_speeds_must_be_finite_and_positive(self, kernel, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            kernel(np.arange(6.0), np.full(6, 3.0), 2, np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_simulate_fast_rejects_non_finite_speeds(self, bad):
+        trace = c90().make_trace(load=0.5, n_hosts=2, n_jobs=200, rng=1)
+        policy = SITAPolicy([float(np.median(trace.service_times))])
+        with pytest.raises(ValueError, match="positive and finite"):
+            fast.simulate_fast(trace, policy, 2, rng=1, host_speeds=[1.0, bad])
+
+    @pytest.mark.parametrize("n_hosts", [0, -1])
+    def test_shortest_queue_needs_a_host(self, n_hosts):
+        with pytest.raises(ValueError, match="n_hosts must be >= 1"):
+            shortest_queue_waits(np.arange(6.0), np.full(6, 3.0), n_hosts)
