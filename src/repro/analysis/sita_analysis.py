@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..workloads.distributions import ServiceDistribution
+from ..workloads.distributions import ServiceDistribution, _as_host_speeds
 from .mg1 import MG1Metrics, mg1_metrics, safe_inverse_moments
 
 __all__ = ["SITAHost", "SITAAnalysis", "analyze_sita", "sita_host_loads"]
@@ -124,16 +124,7 @@ def analyze_sita(
     c = np.asarray(cutoffs, dtype=float)
     if c.size and np.any(np.diff(c) <= 0):
         raise ValueError(f"cutoffs must be strictly increasing, got {c}")
-    if host_speeds is None:
-        speeds = np.ones(c.size + 1)
-    else:
-        speeds = np.asarray(host_speeds, dtype=float)
-        if speeds.shape != (c.size + 1,):
-            raise ValueError(
-                f"host_speeds must have {c.size + 1} entries, got {speeds.shape}"
-            )
-        if np.any(speeds <= 0):
-            raise ValueError("host speeds must be positive")
+    speeds = _as_host_speeds(host_speeds, c.size + 1)
     hosts: list[SITAHost] = []
     mean_s = 0.0
     mean_s2 = 0.0

@@ -58,7 +58,7 @@ from ..analysis.mg1 import MG1Metrics, safe_inverse_moments
 from ..analysis.sita_analysis import SITAAnalysis, SITAHost, analyze_sita
 from ..sim.fast import SitaScanKernel, SitaScanResult, simulate_fast
 from ..solvers import brentq, minimize_bounded
-from ..workloads.distributions import Empirical, ServiceDistribution
+from ..workloads.distributions import Empirical, ServiceDistribution, _as_host_speeds
 from ..workloads.traces import Trace
 
 __all__ = [
@@ -387,7 +387,7 @@ class MomentMemo:
     each power row that has been read).
 
     Keyed by distribution **identity** (the same convention as the
-    experiment layer's trace cache — a distribution object is immutable
+    parallel executor's trace memo — a distribution object is immutable
     for its lifetime) × the cutoff value.  Entries hold seven scalars
     per slice, so even a full memo is a few hundred kilobytes.
     ``max_dists`` bounds how many distribution objects are kept alive by
@@ -494,11 +494,7 @@ def analyze_sita_cached(
 def _checked_speeds(host_speeds: Sequence[float] | None) -> tuple[float, float]:
     if host_speeds is None:
         return (1.0, 1.0)
-    speeds = np.asarray(host_speeds, dtype=float)
-    if speeds.shape != (2,):
-        raise ValueError(f"host_speeds must have 2 entries, got {speeds.shape}")
-    if np.any(speeds <= 0):
-        raise ValueError("host speeds must be positive")
+    speeds = _as_host_speeds(host_speeds, 2)
     return float(speeds[0]), float(speeds[1])
 
 

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .base import run_point as base_run_point
 __all__ = [
     "SweepPoint",
     "make_split_trace",
-    "clear_trace_cache",
+    "memoised_splits",
     "fit_sita_cutoffs",
     "compute_point",
     "evaluate_policy",
@@ -122,19 +122,30 @@ class SweepPoint:
         return cls(**{**d, "summary": Summary(**s)})
 
 
-#: LRU of generated (train, test) splits.  Many policies are evaluated at
-#: one (load, seed) coordinate, and a parallel run walks the driver twice
-#: (collect + replay, see :mod:`repro.experiments.parallel`) — without the
-#: cache every walk re-samples the same bounded-Pareto/lognormal trace.
-#: Keys hold strong references to the workload/arrivals objects, so
-#: identity-based hashing can never alias a recycled ``id()``.
-_TRACE_CACHE: OrderedDict[tuple, tuple[Trace, Trace]] = OrderedDict()
-_TRACE_CACHE_MAX = 16
+#: (train, test) splits memoised by :func:`memoised_splits`; ``None``
+#: (nothing cached) outside such a block.
+_SPLIT_MEMO: dict[tuple, tuple[Trace, Trace]] | None = None
 
 
-def clear_trace_cache() -> None:
-    """Drop every memoised (train, test) split (mainly for tests)."""
-    _TRACE_CACHE.clear()
+@contextmanager
+def memoised_splits() -> Iterator[None]:
+    """Memoise :func:`make_split_trace` until the block exits.
+
+    The parallel executor walks a driver twice (collect + replay, see
+    :mod:`repro.experiments.parallel`) and installs this around both
+    walks so the replay regenerates no trace.  A serial sweep asks for
+    each (load, seed) coordinate once and caches nothing, so it holds
+    only the point it is computing.  Keys hold strong references to
+    the workload/arrivals objects, so identity-based hashing can never
+    alias a recycled ``id()``.
+    """
+    global _SPLIT_MEMO
+    previous = _SPLIT_MEMO
+    _SPLIT_MEMO = {}
+    try:
+        yield
+    finally:
+        _SPLIT_MEMO = previous
 
 
 def make_split_trace(
@@ -147,32 +158,27 @@ def make_split_trace(
 ) -> tuple[Trace, Trace]:
     """Generate a trace and split it into (train, test) halves.
 
-    Memoised: generation is deterministic given an integer ``seed``, so
-    repeated calls with the same coordinates return the same (cached)
-    pair — traces are treated as immutable throughout.  Only integer
-    seeds are cached (a caller-supplied Generator mutates as it samples,
-    so two calls with one Generator legitimately differ).
+    Inside :func:`memoised_splits` repeated calls with the same integer
+    ``seed`` return the same pair; a caller-supplied Generator is never
+    memoised (it mutates as it samples, so two calls legitimately
+    differ).
     """
-    cacheable = isinstance(seed, int) and not isinstance(seed, bool)
-    if cacheable:
+    memo = _SPLIT_MEMO
+    key = None
+    if memo is not None and isinstance(seed, int) and not isinstance(seed, bool):
         key = (workload, load, n_hosts, n_jobs, seed, arrivals)
         try:
-            hit = _TRACE_CACHE[key]
+            return memo[key]
         except KeyError:
             pass
         except TypeError:  # unhashable workload/arrivals: just recompute
-            cacheable = False
-        else:
-            _TRACE_CACHE.move_to_end(key)
-            return hit
+            key = None
     trace = workload.make_trace(
         load=load, n_hosts=n_hosts, n_jobs=n_jobs, rng=seed, arrivals=arrivals
     )
     split = trace.split(0.5)
-    if cacheable:
-        _TRACE_CACHE[key] = split
-        while len(_TRACE_CACHE) > _TRACE_CACHE_MAX:
-            _TRACE_CACHE.popitem(last=False)
+    if key is not None:
+        memo[key] = split
     return split
 
 

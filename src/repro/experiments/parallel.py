@@ -30,9 +30,14 @@ How a parallel run works (``run_experiment(..., workers=N)``):
    mid-dispatch resumes exactly like a serial one.
 3. **Replay pass** — the driver runs a second time; every intercepted
    point now returns its pool-computed value, so rows are assembled in
-   the driver's own deterministic order.  Trace generation is already
-   memoised (:func:`~repro.experiments.common.make_split_trace`), so the
-   replay re-walk costs bookkeeping, not simulation.
+   the driver's own deterministic order.  Both walks run inside
+   :func:`~repro.experiments.common.memoised_splits`, a trace memo that
+   lives only as long as the run: the replay regenerates no trace, so it
+   costs bookkeeping, not simulation.  The memo holds what the recorded
+   points already hold (each :class:`PointSpec` keeps its evaluation
+   trace, a view of the generated arrays, until dispatch), plus, under
+   ``--resume``, the traces of coordinates answered from the checkpoint;
+   it is dropped when the run returns.
 
 A point the replay pass asks for that the collect pass never recorded
 (possible only if a driver's control flow depends on point *values*) is
@@ -65,6 +70,7 @@ from .base import (
 from .common import (
     SweepPoint,
     compute_point,
+    memoised_splits,
     placeholder_point,
     point_key,
     set_point_interceptor,
@@ -483,7 +489,7 @@ def run_parallel_experiment(
     executor = ParallelSweepExecutor(workers=workers, checkpoint=checkpoint)
     # The active checkpoint stays installed for any non-point
     # ``checkpointed()`` values a driver stores directly.
-    with active_checkpoint(checkpoint), executor.installed():
+    with active_checkpoint(checkpoint), executor.installed(), memoised_splits():
         executor.phase = "collect"
         collected = fn(config)
         if not executor.pending:

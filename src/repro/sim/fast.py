@@ -20,7 +20,11 @@ a time per host):
    Kiefer–Wolfowitz recursion, implemented here as an ``O(n log h)`` heap
    of bare virtual completion times (:func:`lwl_waits`).  The heap pops
    completions in ascending order, so the hosts follow afterwards from
-   one sort of the completions and pointer jumping, in bulk.
+   one sort of the completions and pointer jumping, in bulk.  The heap
+   loop walks the stream in fixed chunks of ``_LWL_CHUNK`` jobs, the
+   heap carried across, so its Python floats stay one chunk's worth
+   however long the trace; every operation and its order are those of
+   one unchunked walk.
 
 Every kernel is cross-validated against the event engine in
 ``tests/sim/test_fast_vs_engine.py`` — per-job waiting times must agree to
@@ -45,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..workloads.distributions import _as_rng
+from ..workloads.distributions import _as_host_speeds, _as_rng
 from ..workloads.traces import Trace
 from .engine import InvariantViolation
 from .metrics import SimulationResult, observe_result
@@ -63,6 +67,12 @@ __all__ = [
     "fcfs_starts",
     "serve_dispatch_batch",
 ]
+
+
+#: jobs per chunk of the identical-host :func:`lwl_waits` heap loop.  Its
+#: plain-float lists cost about 96 B per job, so chunking bounds them at
+#: about 6 MB whatever the stream's length.
+_LWL_CHUNK = 65_536
 
 
 def _check_kernel_output(policy_name: str, waits: np.ndarray) -> None:
@@ -116,21 +126,6 @@ def fcfs_waits(arrival_times: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.subtract(prefix, waits, out=waits)
 
 
-def _host_speeds(host_speeds: np.ndarray | None, n_hosts: int) -> np.ndarray:
-    """Per-host speeds for the kernels and :func:`simulate_fast`: ones by
-    default, otherwise ``(n_hosts,)`` finite positive floats."""
-    if n_hosts < 1:
-        raise ValueError(f"n_hosts must be >= 1, got {n_hosts}")
-    if host_speeds is None:
-        return np.ones(n_hosts)
-    speeds = np.asarray(host_speeds, dtype=float)
-    if speeds.shape != (n_hosts,):
-        raise ValueError(f"host_speeds must have {n_hosts} entries, got {speeds.shape}")
-    if not (np.isfinite(speeds).all() and (speeds > 0.0).all()):
-        raise ValueError(f"host speeds must be positive and finite, got {speeds.tolist()}")
-    return speeds
-
-
 def lwl_waits(
     arrival_times: np.ndarray,
     sizes: np.ndarray,
@@ -158,7 +153,7 @@ def lwl_waits(
     s = np.asarray(sizes, dtype=float)
     if t.shape != s.shape or t.ndim != 1:
         raise ValueError("arrival_times and sizes must be equal-length 1-D")
-    speeds = _host_speeds(host_speeds, n_hosts)
+    speeds = _as_host_speeds(host_speeds, n_hosts)
     n = t.size
     if np.all(speeds == 1.0):
         # Identical hosts: tie-breaks cannot affect waits, so the
@@ -168,19 +163,22 @@ def lwl_waits(
         # np.float64 per access and re-resolves attributes, roughly
         # doubling the cost of the recursion (timings in
         # docs/PERFORMANCE.md).  ``start − t`` and ``start + s`` are
-        # the IEEE operations of a per-job ``max(V, t)`` form.
-        starts: list[float] = []
-        push = starts.append
+        # the IEEE operations of a per-job ``max(V, t)`` form.  The
+        # heap ``free`` carries across chunks.
+        start = np.empty(n)
         heapreplace = heapq.heapreplace
         free = [0.0] * n_hosts  # a valid heap
-        for tj, sj in zip(t.tolist(), s.tolist()):
-            v = free[0]
-            if v < tj:
-                v = tj
-            push(v)
-            heapreplace(free, v + sj)
-        start = np.fromiter(starts, float, n)
-        del starts
+        for lo in range(0, n, _LWL_CHUNK):
+            hi = lo + _LWL_CHUNK
+            starts: list[float] = []
+            push = starts.append
+            for tj, sj in zip(t[lo:hi].tolist(), s[lo:hi].tolist()):
+                v = free[0]
+                if v < tj:
+                    v = tj
+                push(v)
+                heapreplace(free, v + sj)
+            start[lo:hi] = starts
         waits = np.subtract(start, t)
         done = np.add(start, s, out=start)
         hosts = _lwl_hosts(t, s, done, n_hosts)
@@ -283,7 +281,7 @@ def shortest_queue_waits(
     s = np.asarray(sizes, dtype=float)
     if t.shape != s.shape or t.ndim != 1:
         raise ValueError("arrival_times and sizes must be equal-length 1-D")
-    speeds = _host_speeds(host_speeds, n_hosts)
+    speeds = _as_host_speeds(host_speeds, n_hosts)
     n = t.size
     # Python-float loop state throughout (see the identical-host branch
     # of :func:`lwl_waits`): pre-extracted lists avoid per-iteration
@@ -461,7 +459,7 @@ def simulate_fast(
             raise ValueError("size_estimates must match the trace length")
     else:
         est = s
-    speeds = _host_speeds(host_speeds, n_hosts)
+    speeds = _as_host_speeds(host_speeds, n_hosts)
     uniform = bool(np.all(speeds == 1.0))
 
     kind = getattr(policy, "kind", None)

@@ -28,7 +28,7 @@ from collections import deque
 
 import numpy as np
 
-from ..workloads.distributions import _as_rng
+from ..workloads.distributions import _as_host_speeds, _as_rng
 from ..workloads.traces import Trace
 from .engine import InvariantViolation, Simulator
 from .faults import FaultInjector, FaultModel
@@ -121,21 +121,12 @@ class DistributedServer:
                 f"TAGS with {len(policy.cutoffs)} cutoffs needs "
                 f"{len(policy.cutoffs) + 1} hosts, got {n_hosts}"
             )
-        if host_speeds is None:
-            speeds = np.ones(n_hosts)
-        else:
-            speeds = np.asarray(host_speeds, dtype=float)
-            if speeds.shape != (n_hosts,):
-                raise ValueError(
-                    f"host_speeds must have {n_hosts} entries, got {speeds.shape}"
-                )
-            if np.any(speeds <= 0):
-                raise ValueError("host speeds must be positive")
-            if kind == "tags" and not np.all(speeds == 1.0):
-                raise ValueError(
-                    "TAGS cutoff semantics are defined for identical hosts; "
-                    "heterogeneous speeds are not supported"
-                )
+        speeds = _as_host_speeds(host_speeds, n_hosts)
+        if kind == "tags" and not np.all(speeds == 1.0):
+            raise ValueError(
+                "TAGS cutoff semantics are defined for identical hosts; "
+                "heterogeneous speeds are not supported"
+            )
         self.host_speeds = speeds
         self.policy = policy
         self.rng = _as_rng(rng)

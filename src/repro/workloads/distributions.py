@@ -62,6 +62,25 @@ def _as_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
+def _as_host_speeds(host_speeds, n_hosts: int) -> np.ndarray:
+    """Per-host speeds as a ``(n_hosts,)`` float array: ones by default,
+    otherwise checked finite and positive (``ValueError`` if not).
+
+    The one entry check of the simulators and the SITA analysis; it
+    lives here, below both layers, so either can import it.
+    """
+    if n_hosts < 1:
+        raise ValueError(f"n_hosts must be >= 1, got {n_hosts}")
+    if host_speeds is None:
+        return np.ones(n_hosts)
+    speeds = np.asarray(host_speeds, dtype=float)
+    if speeds.shape != (n_hosts,):
+        raise ValueError(f"host_speeds must have {n_hosts} entries, got {speeds.shape}")
+    if not (np.isfinite(speeds).all() and (speeds > 0.0).all()):
+        raise ValueError(f"host speeds must be positive and finite, got {speeds.tolist()}")
+    return speeds
+
+
 def _quad_partial_moment(pdf, j: float, lo: float, hi: float, scale: float) -> float:
     """Quadrature fallback for ``∫ x^j pdf(x) dx`` on ``(lo, hi]``.
 

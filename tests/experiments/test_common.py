@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from repro.experiments.common import (
     fit_sita_cutoffs,
     grouped_sita,
     make_split_trace,
+    memoised_splits,
     point_seed,
 )
 from repro.workloads.catalog import c90
@@ -45,6 +49,22 @@ class TestMakeSplitTrace:
         t1, _ = make_split_trace(c90(), 0.5, 2, 1000, seed=9)
         t2, _ = make_split_trace(c90(), 0.5, 2, 1000, seed=9)
         np.testing.assert_array_equal(t1.service_times, t2.service_times)
+
+    def test_nothing_outlives_the_caller(self):
+        # A serial sweep holds only the point it is computing: once the
+        # caller drops a split, no cache keeps its trace alive.
+        train, test = make_split_trace(c90(), 0.5, 2, 1000, seed=9)
+        refs = [weakref.ref(train), weakref.ref(test)]
+        del train, test
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
+
+    def test_memoised_inside_the_block_only(self):
+        workload = c90()
+        with memoised_splits():
+            first = make_split_trace(workload, 0.5, 2, 1000, seed=9)
+            assert make_split_trace(workload, 0.5, 2, 1000, seed=9) is first
+        assert make_split_trace(workload, 0.5, 2, 1000, seed=9) is not first
 
 
 class TestFitSitaCutoffs:

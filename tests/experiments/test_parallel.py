@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.experiments.common as common
 import repro.experiments.parallel as parallel
 from repro.core.policies import LeastWorkLeftPolicy, RandomPolicy
 from repro.experiments.base import (
@@ -29,7 +30,7 @@ from repro.experiments.base import (
     config_signature,
     run_experiment,
 )
-from repro.experiments.common import clear_trace_cache, evaluate_policy
+from repro.experiments.common import evaluate_policy
 from repro.experiments.parallel import (
     ParallelSweepExecutor,
     TraceArena,
@@ -38,6 +39,7 @@ from repro.experiments.parallel import (
     run_parallel_experiment,
 )
 from repro.sim.faults import FaultModel
+from repro.workloads.synthetic import SyntheticWorkload
 from repro.workloads.traces import Trace
 
 
@@ -59,9 +61,7 @@ class TestSerialParallelEquivalence:
 
     def test_fig2_rows_identical(self):
         config = tiny_config()
-        clear_trace_cache()
         serial = run_experiment("fig2", config)
-        clear_trace_cache()
         par = run_experiment("fig2", config, workers=4)
         assert par.rows == serial.rows
         assert par.columns == serial.columns
@@ -331,3 +331,23 @@ class TestRunParallelExperiment:
         run_parallel_experiment("fig2", tiny_config(), workers=2)
         # A leaked interceptor would hijack every later serial run.
         assert set_point_interceptor(None) is None
+
+    def test_replay_regenerates_no_trace(self, monkeypatch):
+        # The collect and replay walks share one trace memo: each
+        # (load, seed) coordinate is generated once per run.
+        calls: list[tuple] = []
+        original = SyntheticWorkload.make_trace
+
+        def counting(self, load, n_hosts, n_jobs=None, rng=None, **kwargs):
+            calls.append((self.name, load, n_hosts, n_jobs, rng))
+            return original(self, load, n_hosts, n_jobs=n_jobs, rng=rng, **kwargs)
+
+        monkeypatch.setattr(SyntheticWorkload, "make_trace", counting)
+        config = tiny_config()
+        run_parallel_experiment("fig2", config, workers=2)
+        assert len(calls) == len(config.sweep_loads()) * config.replications
+        assert len(set(calls)) == len(calls)
+
+    def test_trace_memo_dropped_after_run(self):
+        run_parallel_experiment("fig2", tiny_config(), workers=2)
+        assert common._SPLIT_MEMO is None

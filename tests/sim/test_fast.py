@@ -209,6 +209,21 @@ class TestLwlWaits:
         assert np.array_equal(waits, fcfs_waits(t, s))
         assert np.all(hosts == 0)
 
+    @pytest.mark.parametrize("h", [2, 4])
+    @pytest.mark.parametrize("offset", [(1, -1), (1, 0), (1, 1), (2, 3)])
+    def test_chunk_boundaries(self, h, offset):
+        # The heap loop walks the stream in _LWL_CHUNK-job chunks; a
+        # stream ending just before, on or after a boundary must match
+        # one unchunked walk exactly.
+        chunks, extra = offset
+        n = chunks * fast._LWL_CHUNK + extra
+        for make in (random_jobs, tie_heavy_jobs):
+            t, s = make(np.random.default_rng([h, n]), n)
+            waits, hosts = lwl_waits(t, s, h)
+            ref_waits, ref_hosts = reference_heap_lwl(t, s, h)
+            assert np.array_equal(waits, ref_waits)
+            assert np.array_equal(hosts, ref_hosts)
+
     def test_ties_go_to_smallest_v_then_lowest_index(self):
         # At t=10 every host is idle, with V = (3, 1, 1).  The first job
         # goes to host 1, not host 0: smallest V wins, and host 1 beats
@@ -479,6 +494,16 @@ class TestAllocation:
             _static_waits, t, s, assignment, 2, np.ones(2), n=self.N
         )
         assert peak <= 5.5
+
+    def test_lwl_waits_holds_one_chunk_of_floats(self):
+        # The heap loop's plain-float lists cover one chunk, not the
+        # stream: about 5.2 arrays at four chunks (about 11–12 unchunked).
+        n = 4 * fast._LWL_CHUNK
+        rng = np.random.default_rng(7)
+        t = np.cumsum(rng.exponential(1.0, n))
+        s = rng.lognormal(0.0, 1.5, n)
+        for h in (2, 4):
+            assert self.peak_in_arrays(lwl_waits, t, s, h, n=n) <= 6.0
 
 
 class TestShortestQueueWaits:

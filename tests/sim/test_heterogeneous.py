@@ -7,6 +7,7 @@ import pytest
 
 from repro.analysis.sita_analysis import analyze_sita
 from repro.core.cutoffs import fair_cutoff, opt_cutoff
+from repro.core.search import analyze_sita_cached
 from repro.core.policies import (
     CentralQueuePolicy,
     EstimatedLWLPolicy,
@@ -17,6 +18,7 @@ from repro.core.policies import (
     ShortestQueuePolicy,
     TAGSPolicy,
 )
+from repro.sim.engine import Simulator
 from repro.sim.runner import simulate
 from repro.sim.server import DistributedServer
 from repro.workloads.catalog import c90
@@ -70,6 +72,35 @@ class TestMechanics:
         with pytest.raises(ValueError):
             simulate(trace, EstimatedLWLPolicy(), 2, rng=0,
                      host_speeds=SPEEDS2, backend="fast")
+
+
+class TestNonFiniteSpeeds:
+    """Every host-speed entry check rejects NaN and inf with a
+    ``ValueError`` before any work is done."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_event_engine_rejects_at_entry(self, trace, bad, monkeypatch):
+        def no_events(self, *args, **kwargs):
+            raise AssertionError("an event ran")
+
+        monkeypatch.setattr(Simulator, "run", no_events)
+        policy = SITAPolicy([float(np.median(trace.service_times))])
+        with pytest.raises(ValueError, match="positive and finite"):
+            simulate(trace, policy, 2, rng=0, backend="event", host_speeds=[1.0, bad])
+        with pytest.raises(ValueError, match="positive and finite"):
+            DistributedServer(2, policy, host_speeds=[1.0, bad])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_cached_sita_analysis_rejects(self, bad):
+        d = c90().service_dist
+        with pytest.raises(ValueError, match="positive and finite"):
+            analyze_sita_cached(0.0001, d, 1000.0, host_speeds=[1.0, bad])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_sita_analysis_rejects(self, bad):
+        d = c90().service_dist
+        with pytest.raises(ValueError, match="positive and finite"):
+            analyze_sita(0.0001, d, [1000.0], host_speeds=[1.0, bad])
 
 
 class TestBackendAgreement:
