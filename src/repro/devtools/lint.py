@@ -37,7 +37,10 @@ fail the run.  ``--update-baseline`` rewrites the file from the current
 findings (pruning entries no finding matches any more); stale entries
 are warned about on every run and ``--strict-baseline`` turns that
 warning into a failure, so the baseline is a ratchet — it can only
-shrink as findings are fixed, never silently hide fixed ones.
+shrink as findings are fixed, never silently hide fixed ones.  A run
+judges (and prunes) only the entries whose rule it ran on a file it
+linted; a ``--select`` run or a narrower path keeps the others as they
+are.
 
 Suppressions are deliberate exemptions — each should be justifiable in
 review, which is exactly why they are spelled in full at the site.
@@ -75,6 +78,7 @@ __all__ = [
     "load_config",
     "resolve_selection",
     "run_from_args",
+    "split_baseline",
     "write_baseline",
     "main",
 ]
@@ -522,12 +526,38 @@ def apply_baseline(
     return fresh, matched, stale
 
 
-def write_baseline(findings: Sequence[Finding], path: Path) -> int:
-    """Rewrite ``path`` from the current findings; returns the entry count."""
-    entries = [
-        {"path": p, "rule": r, "message": m}
-        for p, r, m in sorted(_baseline_key(f) for f in findings)
-    ]
+def split_baseline(
+    baseline: Counter[tuple[str, str, str]],
+    files: Iterable[Path],
+    chosen: set[str],
+) -> tuple[Counter[tuple[str, str, str]], Counter[tuple[str, str, str]]]:
+    """Split baseline entries into those a run can judge and the rest.
+
+    A run judges an entry only if it ran the entry's rule on the entry's
+    file.  Any other entry (a rule left out by ``--select``, a path
+    outside the linted ones) says nothing about this run: it is neither
+    stale nor pruned, and ``--update-baseline`` writes it back as is.
+    """
+    linted = {Path(f).as_posix() for f in files}
+    judged: Counter[tuple[str, str, str]] = Counter()
+    kept: Counter[tuple[str, str, str]] = Counter()
+    for key, count in baseline.items():
+        path, rule, _message = key
+        (judged if rule in chosen and path in linted else kept)[key] = count
+    return judged, kept
+
+
+def write_baseline(
+    findings: Sequence[Finding],
+    path: Path,
+    keep: Counter[tuple[str, str, str]] | None = None,
+) -> int:
+    """Rewrite ``path`` from the current findings plus the ``keep``
+    entries (those the run could not judge); returns the entry count."""
+    keys = [_baseline_key(f) for f in findings]
+    if keep:
+        keys.extend(keep.elements())
+    entries = [{"path": p, "rule": r, "message": m} for p, r, m in sorted(keys)]
     path.write_text(json.dumps(entries, indent=2) + "\n", encoding="utf-8")
     return len(entries)
 
@@ -687,18 +717,21 @@ def run_from_args(args: argparse.Namespace) -> int:
             stats=stats,
         )
         baseline_file = _baseline_path(args, config)
-        if args.update_baseline:
-            if baseline_file is None:
-                raise LintError("--update-baseline conflicts with --no-baseline")
-            count = write_baseline(findings, baseline_file)
-            print(f"wrote {count} baseline entries to {baseline_file}")
-            return 0
+        if baseline_file is None and args.update_baseline:
+            raise LintError("--update-baseline conflicts with --no-baseline")
         baselined = 0
         stale: list[tuple[str, str, str]] = []
         if baseline_file is not None:
-            findings, baselined, stale = apply_baseline(
-                findings, load_baseline(baseline_file)
+            judged, kept = split_baseline(
+                load_baseline(baseline_file),
+                collect_files(args.paths),
+                resolve_selection(select, ignore, args.profile),
             )
+            if args.update_baseline:
+                count = write_baseline(findings, baseline_file, keep=kept)
+                print(f"wrote {count} baseline entries to {baseline_file}")
+                return 0
+            findings, baselined, stale = apply_baseline(findings, judged)
     except LintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

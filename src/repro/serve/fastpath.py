@@ -37,7 +37,9 @@ suite in ``tests/serve/test_fastpath.py`` asserts this.
 Completed records stay in those columns.  Counters, the Jain index in
 ``status()`` and ``job_table()`` read them directly, so an engaged
 server builds no :class:`~repro.sim.jobs.Job` object per job, not even
-on drain.  Only a handover materialises them.
+on drain.  A handover writes the completed records to the engine's
+completion log as rows and builds ``Job`` objects only for the jobs
+still in flight.
 
 The fast path is *exact* but *narrow*.  It refuses to engage (or hands
 over, see below) whenever anything it cannot model appears:
@@ -113,9 +115,10 @@ class FastPathState:
     """Columnar record of every decision made while the path is engaged.
 
     Record ``k`` is the ``k``-th *admitted* job (its engine-path
-    ``Job.index``).  Records are turned into real
+    ``Job.index``).  Only :meth:`hand_over` turns records into engine
+    state: completion-log rows for the completed ones and real
     :class:`~repro.sim.jobs.Job` objects, with every field the event
-    path would have set, only by :meth:`hand_over`.  In the fixed-host
+    path would have set, for the rest.  In the fixed-host
     modes the start and completion columns and ``v`` hold only the
     first ``_settled`` records; :meth:`settle` brings them up to ``m``,
     and every reader of them calls it first.
@@ -364,12 +367,14 @@ class FastPathState:
         return job
 
     def materialize_completed(self, inner, now: float) -> None:
-        """Turn every record completed by ``now`` into a real ``Job``.
+        """Write every record completed by ``now`` to ``inner``'s
+        completion log, in bulk and without building a ``Job``.
 
-        Jobs are appended to ``inner._completed`` in completion order
-        (ties by submission, the calendar's tie-break) with every field
-        the event path sets at ``_finish``.  Only :meth:`hand_over`
-        calls this, once: an engaged server keeps its completed records
+        Rows go in completion order (ties by submission, the calendar's
+        tie-break) with the fields the event path records when a job
+        completes; the busy time is ``size / speed``, which is ``size``
+        itself on a unit-speed host.  Only :meth:`hand_over` calls
+        this, once: an engaged server keeps its completed records
         columnar.
         """
         self.settle()
@@ -378,17 +383,19 @@ class FastPathState:
         if not sel.size:
             return
         order = sel[np.argsort(self._comp[sel], kind="stable")]
-        hseq = self.host_seq().tolist()
-        completed = inner._completed
-        sp = self._speeds_list
-        for k in order.tolist():
-            h = int(self._host[k])
-            job = self._make_job(k, hseq[k])
-            job.start_time = float(self._start[k])
-            job.completion_time = float(self._comp[k])
-            if sp[h] != 1.0:
-                job.processing_time = float(self._size[k]) / sp[h]
-            completed.append(job)
+        hosts = self._host[order]
+        sizes = self._size[order]
+        inner.record_completions(
+            index=order,
+            arrival=self._arrival[order],
+            size=sizes,
+            host=hosts,
+            host_seq=self.host_seq()[order],
+            start=self._start[order],
+            completion=self._comp[order],
+            busy=sizes / self.speeds[hosts],
+            wasted=np.zeros(order.size),
+        )
 
     # ------------------------------------------------------------------
     # handover to the event path
@@ -397,7 +404,7 @@ class FastPathState:
     def hand_over(self, inner, now: float) -> None:
         """Reconstruct the exact event-engine state at instant ``now``.
 
-        Completed records become ``_completed`` Jobs; per host, the
+        Completed records become completion-log rows; per host, the
         first still-pending record (which provably began service at
         ``start <= now``) becomes the running job with its completion
         event re-scheduled at the recorded epoch, and the rest re-enter

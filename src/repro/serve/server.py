@@ -35,8 +35,13 @@ robustness machinery on top:
 Everything advances on the *virtual* clock of the embedded event engine
 — arrival epochs are supplied by the caller — so a served stream is a
 deterministic, replayable function of its seeds.  Wall-clock enters only
-through the per-decision latency reservoir, which is observability, not
-state.
+through the decision-latency totals and histogram, which are
+observability, not state.
+
+Memory does not grow with the stream beyond one compact row per
+completed job: the embedded server drops each ``Job`` once its
+completion-log row is written, and the latency state is a fixed set of
+integer totals and histogram buckets.
 
 The accounting invariant, checked in :meth:`DispatchServer.status` and
 asserted by the soak test::
@@ -52,7 +57,7 @@ import itertools
 import math
 import time
 from collections.abc import Iterable, Sequence, Sized
-from operator import attrgetter
+from operator import countOf
 
 import numpy as np
 
@@ -71,17 +76,110 @@ from .snapshot import SnapshotStore
 __all__ = ["DispatchServer", "OnlineDispatchError"]
 
 
+#: ``job_table()``'s columns, in order.
+_JOB_TABLE_FIELDS = ("index", "arrival", "size", "host", "host_seq", "start", "completion")
+
+
 class OnlineDispatchError(RuntimeError):
     """The dispatcher cannot make progress or failed a resume audit."""
 
 
+_NOT_PAIRS = "the job stream must hold (arrival, size) pairs"
+
+
+def _pair(job) -> tuple:
+    try:
+        arrival, size = job
+    except (TypeError, ValueError):
+        raise ValueError(_NOT_PAIRS) from None
+    return arrival, size
+
+
 def _stream_columns(jobs: Iterable[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
-    """An ``(arrival, size)`` stream as two contiguous float64 columns."""
-    count = 2 * len(jobs) if isinstance(jobs, Sized) else -1
-    flat = np.fromiter(itertools.chain.from_iterable(jobs), np.float64, count)
-    if flat.shape[0] % 2:
-        raise ValueError("the job stream must hold (arrival, size) pairs")
+    """An ``(arrival, size)`` stream as two contiguous float64 columns.
+
+    Every element must be a pair (a tuple, list or anything else of
+    length 2).  A sized stream is flattened with a fixed count, so its
+    element lengths are checked first in one C-level pass: the count
+    alone would read a 3-tuple next to a 1-tuple as two pairs.  An
+    unsized stream is checked element by element as it is read.
+    """
+    if isinstance(jobs, Sized):
+        n = len(jobs)
+        try:
+            pairs = countOf(map(len, jobs), 2)
+        except TypeError:  # an element without a length
+            pairs = -1
+        if pairs != n:
+            raise ValueError(_NOT_PAIRS)
+        flat = np.fromiter(itertools.chain.from_iterable(jobs), np.float64, 2 * n)
+    else:
+        flat = np.fromiter(itertools.chain.from_iterable(map(_pair, jobs)), np.float64)
     return flat[0::2].copy(), flat[1::2].copy()
+
+
+#: Histogram buckets: one per value below 32 ns, then 16 per octave up
+#: to the int64 range.
+_N_BUCKETS = 16 * 58 + 32
+
+
+def _bucket(ns: int) -> int:
+    """Histogram bucket of a non-negative nanosecond count."""
+    if ns < 32:
+        return ns
+    shift = ns.bit_length() - 5
+    return 16 * shift + (ns >> shift)
+
+
+def _bucket_mid(b: np.ndarray) -> np.ndarray:
+    """Midpoints of buckets ``b``: ``[m << k, (m + 1) << k)`` for the
+    ``m``-th of 16 sub-buckets of the octave ``k``."""
+    shift = np.maximum(b // 16 - 1, 0)
+    lo = np.where(b < 32, b, (b % 16 + 16) << shift)
+    return lo + np.where(b < 32, 1, 1 << shift) / 2.0
+
+
+class _Latency:
+    """Decision latency in fixed memory.
+
+    Exact integer running totals (intake and decision nanoseconds, the
+    decisions, the timed decision-stage calls) and a log-bucketed
+    histogram of per-job decision nanoseconds.  Above 32 ns a bucket is
+    at most 1/16 of its lower bound wide, so a percentile read off it as
+    the bucket midpoint is within about 3% of the exact one.  A batch
+    adds its count at its per-job mean.
+    """
+
+    __slots__ = ("intake_ns", "decision_ns", "job_ns", "decisions", "calls", "counts")
+
+    def __init__(self) -> None:
+        self.intake_ns = 0
+        #: every decision-stage nanosecond, settles outside a submit too.
+        self.decision_ns = 0
+        #: decision nanoseconds of the calls that decided jobs.
+        self.job_ns = 0
+        self.decisions = 0
+        self.calls = 0
+        self.counts = [0] * _N_BUCKETS
+
+    def record(self, ns: int, n: int) -> None:
+        """One timed decision-stage call that decided ``n`` jobs."""
+        self.calls += 1
+        self.decision_ns += ns
+        if n:
+            self.job_ns += ns
+            self.decisions += n
+            # Bucket bounds are integers, so the floored mean lands in
+            # the bucket of the exact one.
+            self.counts[_bucket(ns // n)] += n
+
+    def percentiles_us(self, qs: Sequence[int]) -> np.ndarray:
+        """Nearest-rank percentiles ``qs`` of the per-job decision
+        latency, in microseconds (needs at least one decision)."""
+        n = self.decisions
+        ranks = [max(1, -(-q * n // 100)) for q in qs]
+        buckets = np.searchsorted(np.cumsum(self.counts), ranks)
+        return _bucket_mid(buckets) / 1e3
 
 
 def _first_faults(t: np.ndarray, s: np.ndarray, now: float) -> tuple[int, ...]:
@@ -356,11 +454,10 @@ class DispatchServer:
         self.n_rejected_intake = 0
         self._next_index = 0
         self._replaying = False
-        #: per-call (nanoseconds, decisions) pairs for the two stages the
-        #: latency histogram keeps apart: intake (validation + engine
-        #: advance + admission) and decision (routing + commit).
-        self._intake_ns: list[tuple[int, int]] = []
-        self._decision_ns: list[tuple[int, int]] = []
+        #: wall-clock totals and histogram of the two stages the latency
+        #: summary keeps apart: intake (validation + engine advance +
+        #: admission) and decision (routing + commit).
+        self._latency = _Latency()
         self._route_ns = 0
         self._commit_ns = 0
         self._deferred_peak = 0
@@ -486,8 +583,9 @@ class DispatchServer:
             self._next_index += 1
             record = {"outcome": "admitted", "reason": "admit", "host": host}
         t2 = time.perf_counter_ns()
-        self._intake_ns.append((t1 - t0, 1))
-        self._decision_ns.append((t2 - t1, 1))
+        lat = self._latency
+        lat.intake_ns += t1 - t0
+        lat.record(t2 - t1, 1)
         self._route_ns += t2 - t1
         self._deferred_peak = max(self._deferred_peak, len(self._inner._deferred))
         if (
@@ -579,7 +677,7 @@ class DispatchServer:
             records = [self.submit(float(s[j]), float(t[j]), float(e[j])) for j in range(n)]
             return records if collect else n
         t1 = time.perf_counter_ns()
-        self._intake_ns.append((t1 - t0, n))
+        self._latency.intake_ns += t1 - t0
         store = self.snapshot_store
         if store is not None and (self._replaying or self.snapshot_every <= 0):
             store = None
@@ -605,7 +703,7 @@ class DispatchServer:
                 self._write_snapshot()
             pos = end
         t2 = time.perf_counter_ns()
-        self._decision_ns.append((t2 - t1, n))
+        self._latency.record(t2 - t1, n)
         self._commit_ns += (t2 - t1) - (self._route_ns - route_before)
         if collect:
             return [
@@ -621,7 +719,7 @@ class DispatchServer:
         :meth:`FastPathState.settle`; wherever it runs, its time is
         routing work and counts in ``route_ms``.  Outside a submit call
         (drain, status, a snapshot after a scalar submit) it is also
-        logged as a decision-stage entry with no decisions, so
+        recorded as a decision-stage call with no decisions, so
         ``decisions_per_s`` pays for it too; ``in_decision`` marks a
         settle inside a submit call's timed window, which already
         counts it.
@@ -634,7 +732,7 @@ class DispatchServer:
         ns = time.perf_counter_ns() - r0
         self._route_ns += ns
         if not in_decision:
-            self._decision_ns.append((ns, 0))
+            self._latency.record(ns, 0)
 
     def _handover(self) -> None:
         """Disengage the fast path, reconstructing engine state exactly.
@@ -735,7 +833,7 @@ class DispatchServer:
             # once the clock passes its completion epoch.
             self._settle()
             return fp.completed_count(self._inner.sim.now)
-        return len(self._inner._completed)
+        return self._inner.n_completed
 
     @property
     def n_lost(self) -> int:
@@ -795,15 +893,10 @@ class DispatchServer:
                 "start": fp._start[:m].copy(),
                 "completion": fp._comp[:m].copy(),
             }
-        jobs = sorted(self._inner._completed, key=attrgetter("index"))
+        columns = self._inner.completed_columns(*_JOB_TABLE_FIELDS)
         return {
-            "index": np.array([j.index for j in jobs], dtype=np.int64),
-            "arrival": np.array([j.arrival_time for j in jobs], dtype=np.float64),
-            "size": np.array([j.size for j in jobs], dtype=np.float64),
-            "host": np.array([j.assigned_host for j in jobs], dtype=np.int64),
-            "host_seq": np.array([j.host_seq for j in jobs], dtype=np.int64),
-            "start": np.array([j.start_time for j in jobs], dtype=np.float64),
-            "completion": np.array([j.completion_time for j in jobs], dtype=np.float64),
+            name: col.astype(np.int64) if name in ("index", "host", "host_seq") else col
+            for name, col in zip(_JOB_TABLE_FIELDS, columns)
         }
 
     def latency_summary(self) -> dict:
@@ -818,24 +911,21 @@ class DispatchServer:
         releases.  Batched decisions contribute their per-job mean.  A
         fixed-host settle run outside a submit call (see :meth:`_settle`)
         counts in ``route_ms`` and ``decisions_per_s`` but in no job's
-        percentile.
+        percentile.  The totals and ``mean_us`` are exact; the
+        percentiles are nearest-rank, read off a fixed log-bucketed
+        histogram as bucket midpoints (within about 3%).
         """
-        if not self._decision_ns:
+        lat = self._latency
+        if not lat.calls:
             return {"decisions": 0}
-        d_ns = np.array([pair[0] for pair in self._decision_ns], dtype=float)
-        counts = np.array([pair[1] for pair in self._decision_ns])
-        i_total = float(sum(pair[0] for pair in self._intake_ns))
-        d_total = float(d_ns.sum())
-        n = int(counts.sum())
-        # Deferred settles log (ns, 0): in the totals, not per job.
-        some = counts > 0
-        per_job = np.repeat(d_ns[some] / counts[some], counts[some])
-        # One call partitions the (up to stream-long) array once for all three.
-        p50, p95, p99 = np.percentile(per_job, [50, 95, 99]) / 1e3
+        i_total = float(lat.intake_ns)
+        d_total = float(lat.decision_ns)
+        n = lat.decisions
+        p50, p95, p99 = lat.percentiles_us((50, 95, 99))
         return {
             "decisions": n,
             "decisions_per_s": float(n / ((i_total + d_total) / 1e9)),
-            "mean_us": float(per_job.mean() / 1e3),
+            "mean_us": lat.job_ns / n / 1e3,
             "p50_us": float(p50),
             "p95_us": float(p95),
             "p99_us": float(p99),
@@ -893,10 +983,11 @@ class DispatchServer:
             # yield the same (completion - arrival) / size slowdowns.
             slowdowns = fp.slowdowns(now)
         else:
-            completed = sorted(self._inner._completed, key=attrgetter("index"))
-            slowdowns = (
-                np.array([j.slowdown for j in completed]) if completed else None
+            arrival, size, completion = self._inner.completed_columns(
+                "arrival", "size", "completion"
             )
+            # ``Job.slowdown``'s expression: response time over size.
+            slowdowns = (completion - arrival) / size if size.size else None
         return None if slowdowns is None else jain_fairness_index(slowdowns)
 
     # ------------------------------------------------------------------
@@ -931,7 +1022,7 @@ class DispatchServer:
         n = int(t.shape[0])
         t0 = time.perf_counter_ns()
         first_bad = min(_first_faults(t, s, self.now))
-        self._intake_ns.append((time.perf_counter_ns() - t0, 0))
+        self._latency.intake_ns += time.perf_counter_ns() - t0
         for i in range(0, n, batch_size):
             end = min(i + batch_size, n)
             if end <= first_bad:
@@ -968,7 +1059,7 @@ class DispatchServer:
         fp = self._fastpath
         if fp is not None:
             fp.reserve(fp.m + n)
-        self._intake_ns.append((time.perf_counter_ns() - t0, 0))
+        self._latency.intake_ns += time.perf_counter_ns() - t0
         start = 0
         if resume:
             if self.snapshot_store is None:

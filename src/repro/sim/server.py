@@ -24,6 +24,7 @@ package.
 from __future__ import annotations
 
 import math
+import struct
 from collections import deque
 
 import numpy as np
@@ -36,7 +37,17 @@ from .host import FCFSHost
 from .jobs import Job
 from .metrics import SimulationResult, observe_result
 
-__all__ = ["DistributedServer", "SystemState"]
+__all__ = ["COMPLETION_FIELDS", "DistributedServer", "SystemState"]
+
+#: Fields of one row of the completion log, in order.  ``busy`` is the
+#: time the job occupied its final host (``processing_time``, else
+#: ``size``); ``wasted`` is its ``wasted_work``.  Every field is stored as
+#: a native float64, which holds the integer ones exactly below 2**53.
+COMPLETION_FIELDS = (
+    "index", "arrival", "size", "host", "host_seq",
+    "start", "completion", "busy", "wasted",
+)
+_ROW = struct.Struct(f"{len(COMPLETION_FIELDS)}d")
 
 
 class SystemState:
@@ -149,7 +160,10 @@ class DistributedServer:
         ]
         self.state = SystemState(self)
         self.central_queue: deque[Job] = deque()
-        self._completed: list[Job] = []
+        #: the completion log: one packed row of ``COMPLETION_FIELDS``
+        #: per completed job, in completion order.  A completed ``Job``
+        #: is dropped once its row is written.
+        self._done = bytearray()
         self._lost: list[Job] = []
         #: arrivals held at the dispatcher because every host was down.
         self._deferred: deque[Job] = deque()
@@ -202,7 +216,18 @@ class DistributedServer:
             self.hosts[host_idx].submit(job)
 
     def _handle_completion(self, host: FCFSHost, job: Job) -> None:
-        self._completed.append(job)
+        busy = job.processing_time
+        self._done += _ROW.pack(
+            job.index,
+            job.arrival_time,
+            job.size,
+            job.assigned_host,
+            job.host_seq,
+            job.start_time,
+            job.completion_time,
+            job.size if busy is None else busy,
+            job.wasted_work,
+        )
         if self.policy.kind == "central":
             self._feed_idle_hosts()
         if self.fault_injector is not None:
@@ -285,8 +310,38 @@ class DistributedServer:
         """
         if self._expected is None:
             return
-        if len(self._completed) + len(self._lost) >= self._expected:
+        if self.n_completed + len(self._lost) >= self._expected:
             self.sim.stop()
+
+    # ------------------------------------------------------------------
+    # the completion log
+    # ------------------------------------------------------------------
+
+    @property
+    def n_completed(self) -> int:
+        """Jobs completed so far (rows in the completion log)."""
+        return len(self._done) // _ROW.size
+
+    def completed_columns(self, *fields: str) -> list[np.ndarray]:
+        """Columns ``fields`` (names from ``COMPLETION_FIELDS``) of the
+        completion log, each a new float64 array in job-index order."""
+        picks = [COMPLETION_FIELDS.index(f) for f in fields]
+        # A view, not a copy; the log cannot grow while it is alive.
+        rows = np.frombuffer(self._done, dtype=np.float64).reshape(
+            -1, len(COMPLETION_FIELDS)
+        )
+        try:
+            order = np.argsort(rows[:, 0], kind="stable")
+            return [rows[order, i] for i in picks]
+        finally:
+            del rows
+
+    def record_completions(self, **columns: np.ndarray) -> None:
+        """Append completed jobs to the log in bulk, given one
+        equal-length column per name in ``COMPLETION_FIELDS`` (the fast
+        path's handover of the jobs it completed)."""
+        rows = np.column_stack([columns[f] for f in COMPLETION_FIELDS])
+        self._done += rows.astype(np.float64, copy=False).tobytes()
 
     # ------------------------------------------------------------------
     # strict-mode sanitizer
@@ -357,7 +412,7 @@ class DistributedServer:
         return {
             "central": len(self.central_queue),
             "deferred": len(self._deferred),
-            "completed": len(self._completed),
+            "completed": self.n_completed,
             "lost": len(self._lost),
         }
 
@@ -401,7 +456,7 @@ class DistributedServer:
             # livelock into a diagnosable error instead of a hung sweep.
             budget = 200 * trace.n_jobs + 100_000
             self.sim.run(max_events=budget)
-            done = len(self._completed) + len(self._lost)
+            done = self.n_completed + len(self._lost)
             if done != trace.n_jobs:
                 raise RuntimeError(
                     f"simulation ended with {done} of {trace.n_jobs} jobs "
@@ -411,14 +466,16 @@ class DistributedServer:
                 )
         else:
             self.sim.run()
-            if len(self._completed) != trace.n_jobs:
+            if self.n_completed != trace.n_jobs:
                 raise RuntimeError(
-                    f"simulation ended with {len(self._completed)} of "
+                    f"simulation ended with {self.n_completed} of "
                     f"{trace.n_jobs} jobs completed"
                 )
-        jobs = sorted(self._completed, key=lambda j: j.index)
-        sizes = np.array([j.size for j in jobs])
-        waits = np.array([j.wait_time for j in jobs])
+        arrivals, sizes, hosts, completions, busy, wasted = self.completed_columns(
+            "arrival", "size", "host", "completion", "busy", "wasted"
+        )
+        # ``Job.wait_time``'s expression: response time minus busy time.
+        waits = (completions - arrivals) - busy
         # Long horizons lose absolute precision: completion − arrival − size
         # can cancel to a tiny negative for a zero-wait job.  Clamp those;
         # anything beyond float noise is a real bug and must still raise.
@@ -427,21 +484,16 @@ class DistributedServer:
         np.maximum(waits, 0.0, out=waits)
         processing = None
         if not np.all(self.host_speeds == 1.0):
-            processing = np.array(
-                [
-                    j.processing_time if j.processing_time is not None else j.size
-                    for j in jobs
-                ]
-            )
+            processing = busy
         injector = self.fault_injector
         result = SimulationResult(
             policy_name=getattr(self.policy, "name", type(self.policy).__name__),
             n_hosts=len(self.hosts),
-            arrival_times=np.array([j.arrival_time for j in jobs]),
+            arrival_times=arrivals,
             sizes=sizes,
             wait_times=waits,
-            host_assignments=np.array([j.assigned_host for j in jobs], dtype=int),
-            wasted_work=np.array([j.wasted_work for j in jobs]),
+            host_assignments=hosts.astype(int),
+            wasted_work=wasted,
             processing_times=processing,
             n_lost=len(self._lost),
             n_failures=0 if injector is None else injector.total_crashes,

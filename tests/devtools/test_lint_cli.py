@@ -462,3 +462,41 @@ def test_stale_baseline_warns_then_strict_fails_then_prunes(
         == 0
     )
     assert json.loads(baseline.read_text()) == []
+
+
+def _baseline_both_tiers(combined_tree, capsys) -> Path:
+    """A baseline holding the tree's SIM001 and SIM206 findings."""
+    baseline = combined_tree / "baseline.json"
+    src = str(combined_tree / "src")
+    lint_main([src, "--profile", "all", "--baseline", str(baseline), "--update-baseline"])
+    assert {e["rule"] for e in json.loads(baseline.read_text())} == {"SIM001", "SIM206"}
+    capsys.readouterr()
+    return baseline
+
+
+def test_select_run_judges_no_entry_of_an_unselected_rule(combined_tree, capsys):
+    baseline = _baseline_both_tiers(combined_tree, capsys)
+    src = str(combined_tree / "src")
+    args = [src, "--select", "SIM001", "--baseline", str(baseline), "--strict-baseline"]
+    assert lint_main(args) == 0
+    assert "stale baseline" not in capsys.readouterr().err
+
+
+def test_narrower_paths_judge_no_entry_outside_them(combined_tree, capsys):
+    baseline = _baseline_both_tiers(combined_tree, capsys)
+    rng = str(combined_tree / "src" / "repro" / "sim" / "rng.py")
+    args = [rng, "--profile", "all", "--baseline", str(baseline), "--strict-baseline"]
+    assert lint_main(args) == 0
+    assert "stale baseline" not in capsys.readouterr().err
+
+
+def test_update_baseline_with_select_keeps_unselected_entries(combined_tree, capsys):
+    baseline = _baseline_both_tiers(combined_tree, capsys)
+    before = json.loads(baseline.read_text())
+    src = str(combined_tree / "src")
+    lint_main([src, "--select", "SIM001", "--baseline", str(baseline), "--update-baseline"])
+    assert json.loads(baseline.read_text()) == before
+    # A selected entry whose finding is gone is still pruned.
+    (combined_tree / "src" / "repro" / "sim" / "rng.py").write_text("__all__ = []\n")
+    lint_main([src, "--select", "SIM001", "--baseline", str(baseline), "--update-baseline"])
+    assert [e["rule"] for e in json.loads(baseline.read_text())] == ["SIM206"]

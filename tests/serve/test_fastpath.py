@@ -104,9 +104,12 @@ JOB_COLUMNS = (
 
 
 def assert_same_jobs(a, b):
+    """Equal job tables: same columns in the same order, dtypes and values
+    (the event path's comes from completion-log rows)."""
     ta, tb = a.job_table(), b.job_table()
-    assert ta.keys() == tb.keys() == set(JOB_COLUMNS)
+    assert list(ta) == list(tb) == list(JOB_COLUMNS)
     for column in JOB_COLUMNS:
+        assert ta[column].dtype == tb[column].dtype, column
         assert np.array_equal(ta[column], tb[column]), column
 
 
@@ -435,6 +438,37 @@ class TestStreamErrors:
             )
         assert statuses[0] == statuses[1]
 
+    @pytest.mark.parametrize("source", [list, iter], ids=["list", "iter"])
+    @pytest.mark.parametrize(
+        "jobs",
+        [
+            [(0.0, 1.0, 5.0), (2.0,)],
+            [(0.0, 1.0, 5.0)],
+            [(0.0, 1.0), (2.0,)],
+            [(0.0, 1.0), 3.0],
+        ],
+        ids=["triple-then-single", "triple", "pair-then-single", "scalar"],
+    )
+    def test_every_element_must_be_a_pair(self, jobs, source):
+        server = DispatchServer(
+            2, SITAPolicy([1.0]), seed=4, heartbeat_interval=10.0
+        )
+        with pytest.raises(ValueError, match="pairs"):
+            server.run_stream(source(jobs))
+        assert server.n_accepted == 0
+
+    @pytest.mark.parametrize("source", [list, iter], ids=["list", "iter"])
+    def test_list_pairs_read_as_tuples(self, source):
+        jobs = stream(50, 2)
+        statuses = []
+        for stream_ in (jobs, source([list(job) for job in jobs])):
+            server = DispatchServer(
+                2, SITAPolicy([1.0]), seed=4, heartbeat_interval=10.0
+            )
+            status = server.run_stream(stream_)
+            statuses.append((status["counters"], status["jain_slowdown"]))
+        assert statuses[0] == statuses[1]
+
     def test_malformed_stream_is_refused(self):
         server = DispatchServer(
             2, SITAPolicy([1.0]), seed=4, heartbeat_interval=10.0
@@ -640,7 +674,7 @@ class TestColumnarDrain:
             tracemalloc.stop()
         assert server.counters()["completed"] == len(jobs)
         assert server.counters()["in_flight"] == 0
-        assert not server._inner._completed
+        assert server._inner.n_completed == 0
         return peak, unsettled
 
     def test_drain_builds_no_jobs(self):

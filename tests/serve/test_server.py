@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import sys
+from collections import deque
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from repro.serve import (
     HealthMonitor,
 )
 from repro.sim.faults import FaultModel
+from repro.sim.jobs import Job
 from repro.sim.server import DistributedServer
 from repro.workloads.traces import Trace
 
@@ -256,3 +260,120 @@ class TestDegradedModeIntegration:
         assert mgr.mode == "fallback"
         assert "contaminated" in mgr.last_error
         assert mgr.cutoff == 5.0
+
+
+def live_jobs() -> set[int]:
+    gc.collect()
+    return {id(o) for o in gc.get_objects() if isinstance(o, Job)}
+
+
+def value_bytes(obj, seen=None) -> int:
+    """Bytes held by ``obj`` and everything it contains.  Numbers count
+    by value, so small integers the interpreter shares still count once
+    per slot that holds them."""
+    if isinstance(obj, (int, float)):
+        return sys.getsizeof(obj)
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, dict):
+        children = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (list, tuple, set, deque)):
+        children = list(obj)
+    elif hasattr(obj, "__slots__"):
+        children = [getattr(obj, k) for k in obj.__slots__ if hasattr(obj, k)]
+    elif hasattr(obj, "__dict__"):
+        children = [vars(obj)]
+    else:
+        children = []
+    return sys.getsizeof(obj) + sum(value_bytes(c, seen) for c in children)
+
+
+class TestBoundedMemory:
+    """The event path keeps one compact row per completed job and the
+    latency accounting stays the same size however long the stream."""
+
+    @pytest.mark.parametrize("semantics", ["resume", "redispatch", "lost"])
+    def test_no_job_outlives_a_faulted_drain(self, semantics):
+        jobs = stream(1500, seed=6)
+        faults = FaultModel(mtbf=60.0, mttr=10.0, semantics=semantics, seed=2)
+        before = live_jobs()
+        server = DispatchServer(
+            4, LeastWorkLeftPolicy(), seed=1, faults=faults,
+            heartbeat_interval=10.0, health=HealthMonitor(cooldown=5.0),
+        )
+        status = server.run_stream(jobs)
+        c = status["counters"]
+        assert c["crashes"] > 0 and c["in_flight"] == 0
+        assert c["completed"] > len(jobs) // 2
+        inner = server._inner
+        held = {
+            id(j)
+            for j in (
+                *inner._lost, *inner._deferred, *inner._parked.values(),
+                *inner._shed_jobs,
+            )
+        }
+        assert live_jobs() - before <= held
+        assert len(held) == c["lost"] + c["rejected_overflow"]
+
+    def test_latency_state_does_not_grow_with_the_stream(self):
+        jobs = stream(20_000, seed=7)
+        server = DispatchServer(4, LeastWorkLeftPolicy(), seed=1)
+        parts = ("_inner", "_fastpath", "policy", "admission", "health")
+
+        def own_bytes():
+            return value_bytes(
+                {k: v for k, v in vars(server).items() if k not in parts}
+            )
+
+        for t, s in jobs[:1000]:
+            server.submit(s, t)
+        small = own_bytes()
+        for t, s in jobs[1000:]:
+            server.submit(s, t)
+        assert server.latency_summary()["decisions"] == len(jobs)
+        # Slack for a running total that outgrows one machine word.
+        assert own_bytes() <= small + 64
+
+
+class TestLatencyHistogram:
+    def test_buckets_tile_the_integers_at_most_a_sixteenth_wide(self):
+        from repro.serve.server import _N_BUCKETS, _bucket, _bucket_mid
+
+        values = [*range(0, 5000), *(2**k + d for k in range(12, 63) for d in (-1, 0, 1))]
+        buckets = np.array([_bucket(v) for v in values])
+        assert buckets.max() < _N_BUCKETS
+        assert np.all(np.diff(buckets[:5000]) >= 0)
+        mids = _bucket_mid(buckets)
+        # The midpoint is within half a bucket, at most 1/32 of the value.
+        rel = np.abs(mids - np.array(values, dtype=float)) / np.maximum(values, 1)
+        assert rel[32:].max() <= 1 / 32
+        assert rel[:32].max() <= 0.5
+
+    def test_percentiles_track_the_exact_nearest_rank(self):
+        from repro.serve.server import _Latency
+
+        rng = np.random.default_rng(3)
+        samples = np.rint(rng.lognormal(9.0, 1.2, 5000)).astype(int)
+        lat = _Latency()
+        for ns in samples.tolist():
+            lat.record(ns, 1)
+        got = lat.percentiles_us((50, 95, 99))
+        ordered = np.sort(samples)
+        exact = np.array([ordered[-(-q * 5000 // 100) - 1] for q in (50, 95, 99)]) / 1e3
+        assert np.all(np.abs(got - exact) <= exact / 32)
+        assert got[0] <= got[1] <= got[2]
+        assert lat.decisions == 5000 and lat.job_ns == int(samples.sum())
+
+    def test_a_batch_counts_at_its_per_job_mean(self):
+        from repro.serve.server import _Latency
+
+        lat = _Latency()
+        lat.record(64 * 1000 + 63, 64)
+        lat.record(5000, 0)  # a settle: in the totals, in no percentile
+        assert lat.decisions == 64 and lat.calls == 2
+        assert lat.decision_ns == 64 * 1000 + 63 + 5000
+        p50, p99 = lat.percentiles_us((50, 99))
+        assert p50 == p99 == pytest.approx(1.0, rel=1 / 32)
