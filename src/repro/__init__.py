@@ -28,127 +28,69 @@ Quickstart::
     print(result.summary(warmup_fraction=0.05).mean_slowdown)
 """
 
-# numpy loads these two submodules lazily; load them with the package so
-# their import cost lands at start-up, not inside the first sweep or
-# stream (``np.percentile`` reaches ``numpy.ma`` through ``np.unique``).
-import numpy.ma  # noqa: F401
+# numpy loads ``numpy.random`` lazily; load it with the package so its
+# import cost lands at start-up, not inside the first sweep or stream.
 import numpy.random  # noqa: F401
 
-from .analysis import (
-    analyze_sita,
-    predict_grouped_sita,
-    mg1_metrics,
-    mgh_metrics,
-    mmh_metrics,
-    predict_lwl,
-    predict_random,
-    predict_round_robin,
-    predict_sita,
-)
-from .core import (
-    CentralQueuePolicy,
-    EstimatedLWLPolicy,
-    GroupedSITAPolicy,
-    LeastWorkLeftPolicy,
-    Policy,
-    RandomPolicy,
-    RoundRobinPolicy,
-    SITAPolicy,
-    ShortestQueuePolicy,
-    TAGSPolicy,
-    analytic_cutoff_pair,
-    equal_load_cutoffs,
-    fair_cutoff,
-    fairness_gap,
-    opt_cutoff,
-    rule_of_thumb_cutoff,
-    rule_of_thumb_fraction,
-    sim_cutoff_pair,
-    sim_fair_cutoff,
-    sim_opt_cutoff,
-    slowdown_profile,
-)
-from .experiments import (
-    ExperimentConfig,
-    ExperimentResult,
-    list_experiments,
-    run_experiment,
-)
-from .sim import (
-    DistributedServer,
-    SimulationResult,
-    Simulator,
-    Summary,
-    simulate,
-    simulate_fast,
-)
-from .workloads import (
-    BoundedPareto,
-    Empirical,
-    Exponential,
-    PoissonArrivals,
-    ServiceDistribution,
-    SyntheticWorkload,
-    Trace,
-    c90,
-    ctc,
-    get_workload,
-    j90,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "analyze_sita",
-    "predict_grouped_sita",
-    "mg1_metrics",
-    "mgh_metrics",
-    "mmh_metrics",
-    "predict_lwl",
-    "predict_random",
-    "predict_round_robin",
-    "predict_sita",
-    "CentralQueuePolicy",
-    "EstimatedLWLPolicy",
-    "GroupedSITAPolicy",
-    "LeastWorkLeftPolicy",
-    "Policy",
-    "RandomPolicy",
-    "RoundRobinPolicy",
-    "SITAPolicy",
-    "ShortestQueuePolicy",
-    "TAGSPolicy",
-    "analytic_cutoff_pair",
-    "equal_load_cutoffs",
-    "fair_cutoff",
-    "fairness_gap",
-    "opt_cutoff",
-    "rule_of_thumb_cutoff",
-    "rule_of_thumb_fraction",
-    "sim_cutoff_pair",
-    "sim_fair_cutoff",
-    "sim_opt_cutoff",
-    "slowdown_profile",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "list_experiments",
-    "run_experiment",
-    "DistributedServer",
-    "SimulationResult",
-    "Simulator",
-    "Summary",
-    "simulate",
-    "simulate_fast",
-    "BoundedPareto",
-    "Empirical",
-    "Exponential",
-    "PoissonArrivals",
-    "ServiceDistribution",
-    "SyntheticWorkload",
-    "Trace",
-    "c90",
-    "ctc",
-    "get_workload",
-    "j90",
-    "__version__",
-]
+# Public names resolve on first access, so a caller loads only the
+# subpackages it uses (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "analyze_sita": "analysis",
+    "predict_grouped_sita": "analysis",
+    "mg1_metrics": "analysis",
+    "mgh_metrics": "analysis",
+    "mmh_metrics": "analysis",
+    "predict_lwl": "analysis",
+    "predict_random": "analysis",
+    "predict_round_robin": "analysis",
+    "predict_sita": "analysis",
+    "CentralQueuePolicy": "core",
+    "EstimatedLWLPolicy": "core",
+    "GroupedSITAPolicy": "core",
+    "LeastWorkLeftPolicy": "core",
+    "Policy": "core",
+    "RandomPolicy": "core",
+    "RoundRobinPolicy": "core",
+    "SITAPolicy": "core",
+    "ShortestQueuePolicy": "core",
+    "TAGSPolicy": "core",
+    "analytic_cutoff_pair": "core",
+    "equal_load_cutoffs": "core",
+    "fair_cutoff": "core",
+    "fairness_gap": "core",
+    "opt_cutoff": "core",
+    "rule_of_thumb_cutoff": "core",
+    "rule_of_thumb_fraction": "core",
+    "sim_cutoff_pair": "core",
+    "sim_fair_cutoff": "core",
+    "sim_opt_cutoff": "core",
+    "slowdown_profile": "core",
+    "ExperimentConfig": "experiments",
+    "ExperimentResult": "experiments",
+    "list_experiments": "experiments",
+    "run_experiment": "experiments",
+    "DistributedServer": "sim",
+    "SimulationResult": "sim",
+    "Simulator": "sim",
+    "Summary": "sim",
+    "simulate": "sim",
+    "simulate_fast": "sim",
+    "BoundedPareto": "workloads",
+    "Empirical": "workloads",
+    "Exponential": "workloads",
+    "PoissonArrivals": "workloads",
+    "ServiceDistribution": "workloads",
+    "SyntheticWorkload": "workloads",
+    "Trace": "workloads",
+    "c90": "workloads",
+    "ctc": "workloads",
+    "get_workload": "workloads",
+    "j90": "workloads",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -143,17 +143,6 @@ def _abate_whitt_euler_batch(
     return np.exp(a / 2.0) / ts * accel
 
 
-def _abate_whitt_euler(transform, t: float, m: int = 15, n: int = 30) -> float:
-    """Scalar convenience wrapper around :func:`_abate_whitt_euler_batch`."""
-    if t <= 0:
-        raise ValueError(f"inversion requires t > 0, got {t}")
-
-    def batch(s_flat: np.ndarray) -> np.ndarray:
-        return np.asarray([transform(si) for si in s_flat], dtype=complex)
-
-    return float(_abate_whitt_euler_batch(batch, np.asarray([t]), m, n)[0])
-
-
 def mg1_waiting_cdf(
     arrival_rate: float,
     dist: ServiceDistribution,

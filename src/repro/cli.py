@@ -43,26 +43,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-
-from .experiments import ExperimentConfig, list_experiments, run_experiment
-from .workloads.catalog import WORKLOAD_NAMES, get_workload
+from typing import Callable
 
 __all__ = ["main", "build_parser"]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description=(
-            "Task assignment policies for supercomputing servers "
-            "(Schroeder & Harchol-Balter, HPDC 2000) — reproduction toolkit"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list", help="list the registered experiments")
-
-    run_p = sub.add_parser("run", help="run one experiment and print its rows")
+def _add_run_arguments(run_p: argparse.ArgumentParser) -> None:
     run_p.add_argument("experiment", help="experiment id, e.g. fig4")
     run_p.add_argument(
         "--scale",
@@ -119,41 +105,36 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    all_p = sub.add_parser(
-        "all", help="run every registered experiment and write results to a directory"
-    )
+
+def _add_all_arguments(all_p: argparse.ArgumentParser) -> None:
     all_p.add_argument("--scale", type=float, default=1.0, help="job-count multiplier")
     all_p.add_argument("--seed", type=int, default=None, help="base RNG seed")
     all_p.add_argument(
         "--out", default="results", help="output directory for <id>.txt/<id>.csv"
     )
 
-    sub.add_parser("workloads", help="print the calibrated workload catalog")
 
-    lint_p = sub.add_parser(
-        "lint",
-        help="run the simulation-correctness linter (SIM001–SIM007, SIM101–SIM106)",
-    )
+def _add_lint_arguments(lint_p: argparse.ArgumentParser) -> None:
     from .devtools.lint import add_lint_arguments
 
     add_lint_arguments(lint_p)
 
-    audit_p = sub.add_parser(
-        "audit", help="replay-divergence determinism audit of an experiment"
-    )
+
+def _add_audit_arguments(audit_p: argparse.ArgumentParser) -> None:
     from .devtools.audit import add_audit_arguments
 
     add_audit_arguments(audit_p)
 
-    serve_p = sub.add_parser(
-        "serve",
-        help="fault-tolerant online dispatcher (driver or newline-JSON socket)",
-    )
+
+def _add_serve_arguments(serve_p: argparse.ArgumentParser) -> None:
     from .serve.runner import add_serve_arguments
 
     add_serve_arguments(serve_p)
 
-    synth_p = sub.add_parser("synth", help="write a synthetic trace as SWF")
+
+def _add_synth_arguments(synth_p: argparse.ArgumentParser) -> None:
+    from .workloads.catalog import WORKLOAD_NAMES
+
     synth_p.add_argument("workload", choices=WORKLOAD_NAMES)
     synth_p.add_argument("output", help="path of the SWF file to write")
     synth_p.add_argument("--load", type=float, default=0.7, help="system load")
@@ -161,18 +142,68 @@ def build_parser() -> argparse.ArgumentParser:
     synth_p.add_argument("--jobs", type=int, default=None, help="number of jobs")
     synth_p.add_argument("--seed", type=int, default=0, help="RNG seed")
 
+
+#: every subcommand: its help line and the function adding its arguments.
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None] | None]] = {
+    "list": ("list the registered experiments", None),
+    "run": ("run one experiment and print its rows", _add_run_arguments),
+    "all": (
+        "run every registered experiment and write results to a directory",
+        _add_all_arguments,
+    ),
+    "workloads": ("print the calibrated workload catalog", None),
+    "lint": (
+        "run the simulation-correctness linter (SIM001–SIM007, SIM101–SIM106)",
+        _add_lint_arguments,
+    ),
+    "audit": ("replay-divergence determinism audit of an experiment", _add_audit_arguments),
+    "serve": (
+        "fault-tolerant online dispatcher (driver or newline-JSON socket)",
+        _add_serve_arguments,
+    ),
+    "synth": ("write a synthetic trace as SWF", _add_synth_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``repro`` argument parser.
+
+    Every subcommand is listed, but only ``command``'s arguments are
+    added (all of them when ``command`` is None), so a call imports
+    only what its own subcommand needs.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description=(
+            "Task assignment policies for supercomputing servers "
+            "(Schroeder & Harchol-Balter, HPDC 2000) — reproduction toolkit"
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        sub_p = sub.add_parser(name, help=help_text)
+        if add_arguments is not None and command in (None, name):
+            add_arguments(sub_p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # The top-level parser takes no option besides -h, so the first
+    # bare word names the subcommand.
+    command = next((a for a in argv if not a.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
 
     if args.command == "list":
+        from .experiments import list_experiments
+
         for eid, title in list_experiments():
             print(f"{eid:22s} {title}")
         return 0
 
     if args.command == "run":
+        from .experiments import ExperimentConfig, run_experiment
+
         config = ExperimentConfig(
             scale=args.scale,
             point_timeout=args.timeout,
@@ -208,6 +239,8 @@ def main(argv: list[str] | None = None) -> int:
         import time
         from pathlib import Path
 
+        from .experiments import ExperimentConfig, list_experiments, run_experiment
+
         config = ExperimentConfig(scale=args.scale)
         if args.seed is not None:
             config = config.with_(seed=args.seed)
@@ -229,6 +262,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if failures else 0
 
     if args.command == "workloads":
+        from .workloads.catalog import WORKLOAD_NAMES, get_workload
+
         for name in WORKLOAD_NAMES:
             w = get_workload(name)
             row = w.table1_row()
@@ -253,6 +288,8 @@ def main(argv: list[str] | None = None) -> int:
         return run_serve(args)
 
     if args.command == "synth":
+        from .workloads.catalog import get_workload
+
         w = get_workload(args.workload)
         trace = w.make_trace(
             load=args.load,

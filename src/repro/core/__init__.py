@@ -1,89 +1,52 @@
-"""Core contribution: task assignment policies, cutoff engines, fairness."""
+"""Core contribution: task assignment policies, cutoff engines, fairness.
 
-from .cutoffs import (
-    equal_load_cutoffs,
-    fair_cutoff,
-    fair_cutoffs_multi,
-    feasible_cutoff_range,
-    opt_cutoff,
-    opt_cutoffs_multi,
-    short_host_load_fraction,
-    sim_fair_cutoff,
-    sim_opt_cutoff,
-)
-from .estimation import HistoryPredictor, misclassify, multiplicative_noise
-from .search import (
-    MomentMemo,
-    SimCutoffPair,
-    analytic_cutoff_pair,
-    analyze_sita_cached,
-    candidate_cutoffs,
-    clear_search_memo,
-    search_memo_stats,
-    sim_cutoff_pair,
-)
-from .fairness import (
-    SlowdownProfile,
-    class_fairness_gap,
-    fairness_gap,
-    slowdown_profile,
-)
-from .policies import (
-    CentralQueuePolicy,
-    EstimatedLWLPolicy,
-    GroupedSITAPolicy,
-    LeastWorkLeftPolicy,
-    Policy,
-    RandomPolicy,
-    RoundRobinPolicy,
-    SITAPolicy,
-    ShortestQueuePolicy,
-    StatePolicy,
-    StaticPolicy,
-    TAGSPolicy,
-    validate_cutoffs,
-)
-from .rules import rule_of_thumb_cutoff, rule_of_thumb_fit, rule_of_thumb_fraction
+Public names resolve on first access (see :mod:`repro._lazy`).
+"""
 
-__all__ = [
-    "equal_load_cutoffs",
-    "fair_cutoff",
-    "fair_cutoffs_multi",
-    "feasible_cutoff_range",
-    "opt_cutoff",
-    "opt_cutoffs_multi",
-    "short_host_load_fraction",
-    "sim_fair_cutoff",
-    "sim_opt_cutoff",
-    "MomentMemo",
-    "SimCutoffPair",
-    "analytic_cutoff_pair",
-    "analyze_sita_cached",
-    "candidate_cutoffs",
-    "clear_search_memo",
-    "search_memo_stats",
-    "sim_cutoff_pair",
-    "HistoryPredictor",
-    "misclassify",
-    "multiplicative_noise",
-    "SlowdownProfile",
-    "class_fairness_gap",
-    "fairness_gap",
-    "slowdown_profile",
-    "CentralQueuePolicy",
-    "EstimatedLWLPolicy",
-    "GroupedSITAPolicy",
-    "LeastWorkLeftPolicy",
-    "Policy",
-    "RandomPolicy",
-    "RoundRobinPolicy",
-    "SITAPolicy",
-    "ShortestQueuePolicy",
-    "StatePolicy",
-    "StaticPolicy",
-    "TAGSPolicy",
-    "validate_cutoffs",
-    "rule_of_thumb_cutoff",
-    "rule_of_thumb_fit",
-    "rule_of_thumb_fraction",
-]
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "equal_load_cutoffs": "cutoffs",
+    "fair_cutoff": "cutoffs",
+    "fair_cutoffs_multi": "cutoffs",
+    "feasible_cutoff_range": "cutoffs",
+    "opt_cutoff": "cutoffs",
+    "opt_cutoffs_multi": "cutoffs",
+    "short_host_load_fraction": "cutoffs",
+    "sim_fair_cutoff": "cutoffs",
+    "sim_opt_cutoff": "cutoffs",
+    "MomentMemo": "search",
+    "SimCutoffPair": "search",
+    "analytic_cutoff_pair": "search",
+    "analyze_sita_cached": "search",
+    "candidate_cutoffs": "search",
+    "clear_search_memo": "search",
+    "search_memo_stats": "search",
+    "sim_cutoff_pair": "search",
+    "HistoryPredictor": "estimation",
+    "misclassify": "estimation",
+    "multiplicative_noise": "estimation",
+    "SlowdownProfile": "fairness",
+    "class_fairness_gap": "fairness",
+    "fairness_gap": "fairness",
+    "slowdown_profile": "fairness",
+    "CentralQueuePolicy": "policies",
+    "EstimatedLWLPolicy": "policies",
+    "GroupedSITAPolicy": "policies",
+    "LeastWorkLeftPolicy": "policies",
+    "Policy": "policies",
+    "RandomPolicy": "policies",
+    "RoundRobinPolicy": "policies",
+    "SITAPolicy": "policies",
+    "ShortestQueuePolicy": "policies",
+    "StatePolicy": "policies",
+    "StaticPolicy": "policies",
+    "TAGSPolicy": "policies",
+    "validate_cutoffs": "policies",
+    "rule_of_thumb_cutoff": "rules",
+    "rule_of_thumb_fit": "rules",
+    "rule_of_thumb_fraction": "rules",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -39,7 +39,7 @@ from ..solvers import brentq
 from ..workloads.distributions import ServiceDistribution
 from ..workloads.traces import Trace
 from .policies.sita import SITAPolicy
-from .search import analytic_cutoff_pair, candidate_cutoffs, sim_cutoff_pair
+from .search import _finite_upper, analytic_cutoff_pair, candidate_cutoffs, sim_cutoff_pair
 
 __all__ = [
     "equal_load_cutoffs",
@@ -56,12 +56,6 @@ __all__ = [
 
 #: Relative tolerance for bisection on the (log) size axis.
 _XTOL = 1e-10
-
-
-def _finite_upper(dist: ServiceDistribution) -> float:
-    """A finite stand-in for the distribution's upper support bound."""
-    u = dist.upper
-    return u if math.isfinite(u) else dist.ppf(1.0 - 1e-12)
 
 
 def _load_below(dist: ServiceDistribution, c: float) -> float:

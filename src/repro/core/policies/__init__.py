@@ -1,29 +1,25 @@
-"""Task assignment policies (the paper's section 1.2 plus extensions)."""
+"""Task assignment policies (the paper's section 1.2 plus extensions).
 
-from .base import Policy, StatePolicy, StaticPolicy
-from .estimated import EstimatedLWLPolicy
-from .classic import (
-    CentralQueuePolicy,
-    LeastWorkLeftPolicy,
-    RandomPolicy,
-    RoundRobinPolicy,
-    ShortestQueuePolicy,
-)
-from .sita import GroupedSITAPolicy, SITAPolicy, validate_cutoffs
-from .tags import TAGSPolicy
+Public names resolve on first access (see :mod:`repro._lazy`).
+"""
 
-__all__ = [
-    "EstimatedLWLPolicy",
-    "Policy",
-    "StatePolicy",
-    "StaticPolicy",
-    "CentralQueuePolicy",
-    "LeastWorkLeftPolicy",
-    "RandomPolicy",
-    "RoundRobinPolicy",
-    "ShortestQueuePolicy",
-    "GroupedSITAPolicy",
-    "SITAPolicy",
-    "validate_cutoffs",
-    "TAGSPolicy",
-]
+from ..._lazy import lazy_exports
+
+_EXPORTS = {
+    "EstimatedLWLPolicy": "estimated",
+    "Policy": "base",
+    "StatePolicy": "base",
+    "StaticPolicy": "base",
+    "CentralQueuePolicy": "classic",
+    "LeastWorkLeftPolicy": "classic",
+    "RandomPolicy": "classic",
+    "RoundRobinPolicy": "classic",
+    "ShortestQueuePolicy": "classic",
+    "GroupedSITAPolicy": "sita",
+    "SITAPolicy": "sita",
+    "validate_cutoffs": "sita",
+    "TAGSPolicy": "tags",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

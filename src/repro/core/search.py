@@ -603,6 +603,7 @@ def _analyze_moments(
 
 
 def _finite_upper(dist: ServiceDistribution) -> float:
+    """A finite stand-in for the distribution's upper support bound."""
     u = dist.upper
     return u if math.isfinite(u) else dist.ppf(1.0 - 1e-12)
 

@@ -1,11 +1,17 @@
 """Experiment drivers — one per paper table/figure, plus ablations.
 
-Importing this package registers every driver; use
-:func:`run_experiment`/:func:`list_experiments` (or the CLI:
-``python -m repro run fig4``).
+Use :func:`run_experiment`/:func:`list_experiments` (or the CLI:
+``python -m repro run fig4``).  Importing this package loads what the
+drivers share; :func:`get_experiment` imports only the driver module
+of the id it is asked for, and :func:`list_experiments` imports every
+driver.
 """
 
-from .plotting import ascii_chart, result_chart
+from .._lazy import lazy_exports
+# What the drivers share loads with the package, so that running one
+# experiment imports nothing but its own driver module.
+from ..workloads import catalog as _catalog  # noqa: F401
+from . import common as _common  # noqa: F401
 from .base import (
     QUICK,
     ExperimentConfig,
@@ -15,23 +21,7 @@ from .base import (
     run_experiment,
 )
 
-# Importing the driver modules registers them.
-from . import table1 as _table1  # noqa: F401
-from . import fig2_3 as _fig2_3  # noqa: F401
-from . import fig4 as _fig4  # noqa: F401
-from . import fig5 as _fig5  # noqa: F401
-from . import fig6 as _fig6  # noqa: F401
-from . import fig7 as _fig7  # noqa: F401
-from . import fig8_9 as _fig8_9  # noqa: F401
-from . import appendix as _appendix  # noqa: F401
-from . import ablations as _ablations  # noqa: F401
-from . import ablations2 as _ablations2  # noqa: F401
-from . import ablations3 as _ablations3  # noqa: F401
-from . import ablations4 as _ablations4  # noqa: F401
-from . import ablations5 as _ablations5  # noqa: F401
-from . import ablations6 as _ablations6  # noqa: F401
-from . import ablations7 as _ablations7  # noqa: F401
-from . import failures as _failures  # noqa: F401
+_EXPORTS = {"ascii_chart": "plotting", "result_chart": "plotting"}
 
 __all__ = [
     "ascii_chart",
@@ -43,3 +33,4 @@ __all__ = [
     "list_experiments",
     "run_experiment",
 ]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

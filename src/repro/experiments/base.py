@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -197,12 +198,50 @@ class ExperimentResult:
 
 _REGISTRY: dict[str, tuple[str, Callable[[ExperimentConfig], ExperimentResult]]] = {}
 
+#: the driver module (in this package) that registers each experiment id;
+#: a new driver's ids go here too, or :func:`get_experiment` cannot
+#: find them before :func:`list_experiments` has run.
+_DRIVERS: dict[str, str] = {
+    "table1": "table1",
+    "fig2": "fig2_3",
+    "fig3": "fig2_3",
+    "fig4": "fig4",
+    "fig5": "fig5",
+    "fig6": "fig6",
+    "fig7": "fig7",
+    "fig8": "fig8_9",
+    "fig9": "fig8_9",
+    "fig10": "appendix",
+    "fig11": "appendix",
+    "fig12": "appendix",
+    "fig13": "appendix",
+    "ablate_rr_sq": "ablations",
+    "ablate_tags": "ablations",
+    "ablate_estimates": "ablations",
+    "ablate_variability": "ablations",
+    "ablate_fast_vs_event": "ablations",
+    "ablate_sjf": "ablations2",
+    "ablate_sessions": "ablations2",
+    "ablate_predictor": "ablations2",
+    "ablate_multicutoff": "ablations3",
+    "ablate_tails": "ablations4",
+    "ablate_hetero": "ablations5",
+    "ablate_objective": "ablations6",
+    "ablate_calibration": "ablations7",
+    "failures": "failures",
+}
+
 
 def experiment(experiment_id: str, title: str):
     """Decorator registering an experiment driver under ``experiment_id``."""
 
     def deco(fn: Callable[[ExperimentConfig], ExperimentResult]):
-        if experiment_id in _REGISTRY:
+        # An id the driver table gives to another module is taken even
+        # before that module is imported.
+        driver = _DRIVERS.get(experiment_id)
+        if experiment_id in _REGISTRY or (
+            driver is not None and fn.__module__ != f"{__package__}.{driver}"
+        ):
             raise ValueError(f"duplicate experiment id {experiment_id!r}")
         _REGISTRY[experiment_id] = (title, fn)
         fn.experiment_id = experiment_id
@@ -213,16 +252,23 @@ def experiment(experiment_id: str, title: str):
 
 
 def get_experiment(experiment_id: str) -> Callable[[ExperimentConfig], ExperimentResult]:
-    """Look up a driver by id."""
+    """Look up a driver by id, importing only the module that defines it."""
+    if experiment_id not in _REGISTRY and experiment_id in _DRIVERS:
+        importlib.import_module(f".{_DRIVERS[experiment_id]}", __package__)
     try:
         return _REGISTRY[experiment_id][1]
     except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
+        known = ", ".join(sorted(_REGISTRY.keys() | _DRIVERS.keys()))
         raise ValueError(f"unknown experiment {experiment_id!r}; known: {known}") from None
 
 
 def list_experiments() -> list[tuple[str, str]]:
-    """All registered ``(id, title)`` pairs, sorted by id."""
+    """All registered ``(id, title)`` pairs, sorted by id.
+
+    Imports every driver module first, so the list is complete.
+    """
+    for module in dict.fromkeys(_DRIVERS.values()):
+        importlib.import_module(f".{module}", __package__)
     return sorted((eid, title) for eid, (title, _) in _REGISTRY.items())
 
 

@@ -21,7 +21,7 @@ import dataclasses
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from ..core.policies import (
     SITAPolicy,
     ShortestQueuePolicy,
 )
-from ..sim.faults import FaultModel
 from ..sim.metrics import Summary
 from ..sim.runner import simulate
 from ..workloads.arrivals import ArrivalProcess
@@ -44,6 +43,9 @@ from ..workloads.synthetic import SyntheticWorkload
 from ..workloads.traces import Trace
 from .base import ExperimentConfig, checkpointed
 from .base import run_point as base_run_point
+
+if TYPE_CHECKING:
+    from ..sim.faults import FaultModel
 
 __all__ = [
     "SweepPoint",

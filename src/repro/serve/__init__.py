@@ -5,23 +5,24 @@ trace"; this package runs the same policies as a *server*: jobs arrive
 one at a time, hosts crash and repair underneath, intake is admission-
 controlled, and the accounting survives SIGKILL.  See
 ``docs/ROBUSTNESS.md`` ("Online dispatch under faults").
+
+Public names resolve on first access (see :mod:`repro._lazy`).
 """
 
-from .admission import AdmissionController, TokenBucket
-from .health import CircuitBreaker, HealthMonitor
-from .refit import CutoffManager, RefitRejected
-from .server import DispatchServer, OnlineDispatchError
-from .snapshot import SnapshotStore, serve_signature
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "CircuitBreaker",
-    "CutoffManager",
-    "DispatchServer",
-    "HealthMonitor",
-    "OnlineDispatchError",
-    "RefitRejected",
-    "SnapshotStore",
-    "TokenBucket",
-    "serve_signature",
-]
+_EXPORTS = {
+    "AdmissionController": "admission",
+    "CircuitBreaker": "health",
+    "CutoffManager": "refit",
+    "DispatchServer": "server",
+    "HealthMonitor": "health",
+    "OnlineDispatchError": "server",
+    "RefitRejected": "refit",
+    "SnapshotStore": "snapshot",
+    "TokenBucket": "admission",
+    "serve_signature": "snapshot",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

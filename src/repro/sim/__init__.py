@@ -1,51 +1,36 @@
-"""Simulation substrate: event engine, distributed server, fast kernels."""
+"""Simulation substrate: event engine, distributed server, fast kernels.
 
-from .engine import (
-    InvariantViolation,
-    SimulationError,
-    Simulator,
-    set_event_hook,
-    strict_from_env,
-)
-from .events import Event, EventHandle
-from .fast import fcfs_waits, lwl_waits, shortest_queue_waits, simulate_fast
-from .faults import FaultInjector, FaultModel
-from .host import FCFSHost
-from .jobs import Job
-from .metrics import (
-    SimulationResult,
-    Summary,
-    array_digest,
-    batch_means_ci,
-    observe_result,
-    set_result_observer,
-)
-from .runner import simulate
-from .server import DistributedServer, SystemState
+Public names resolve on first access (see :mod:`repro._lazy`).
+"""
 
-__all__ = [
-    "InvariantViolation",
-    "SimulationError",
-    "Simulator",
-    "set_event_hook",
-    "strict_from_env",
-    "Event",
-    "EventHandle",
-    "fcfs_waits",
-    "lwl_waits",
-    "shortest_queue_waits",
-    "simulate_fast",
-    "FaultInjector",
-    "FaultModel",
-    "FCFSHost",
-    "Job",
-    "SimulationResult",
-    "Summary",
-    "array_digest",
-    "batch_means_ci",
-    "observe_result",
-    "set_result_observer",
-    "simulate",
-    "DistributedServer",
-    "SystemState",
-]
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "InvariantViolation": "engine",
+    "SimulationError": "engine",
+    "Simulator": "engine",
+    "set_event_hook": "engine",
+    "strict_from_env": "engine",
+    "Event": "events",
+    "EventHandle": "events",
+    "fcfs_waits": "fast",
+    "lwl_waits": "fast",
+    "shortest_queue_waits": "fast",
+    "simulate_fast": "fast",
+    "FaultInjector": "faults",
+    "FaultModel": "faults",
+    "FCFSHost": "host",
+    "Job": "jobs",
+    "SimulationResult": "metrics",
+    "Summary": "metrics",
+    "array_digest": "metrics",
+    "batch_means_ci": "metrics",
+    "observe_result": "metrics",
+    "set_result_observer": "metrics",
+    "simulate": "runner",
+    "DistributedServer": "server",
+    "SystemState": "server",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -17,9 +18,10 @@ from ..workloads.distributions import _as_rng
 from ..workloads.traces import Trace
 from .engine import InvariantViolation
 from .fast import simulate_fast
-from .faults import FaultModel
 from .metrics import SimulationResult
-from .server import DistributedServer
+
+if TYPE_CHECKING:
+    from .faults import FaultModel
 
 __all__ = ["simulate"]
 
@@ -104,6 +106,10 @@ def simulate(
         or faults is not None
         or (backend == "auto" and needs_event)
     ):
+        # The event engine loads on first use: sweeps on the fast
+        # kernels never pay for importing it.
+        from .server import DistributedServer
+
         server = DistributedServer(
             n_hosts, policy, rng, host_speeds=host_speeds, strict=strict,
             faults=faults,
@@ -128,6 +134,8 @@ def simulate(
         # direct event-engine run with the same seed.  (A caller-supplied
         # Generator object cannot be rewound; pass a seed for exact
         # cross-validation of fallback rows.)
+        from .server import DistributedServer
+
         server = DistributedServer(
             n_hosts, policy, _as_rng(seed_arg), host_speeds=host_speeds,
             strict=strict,

@@ -1,77 +1,48 @@
-"""Workload substrate: distributions, arrival processes, traces, catalog."""
+"""Workload substrate: distributions, arrival processes, traces, catalog.
 
-from .arrivals import (
-    ArrivalProcess,
-    MMPP2Arrivals,
-    PoissonArrivals,
-    RenewalArrivals,
-    TraceArrivals,
-    load_for_rate,
-    rate_for_load,
-)
-from .catalog import WORKLOAD_NAMES, c90, ctc, get_workload, j90
-from .distributions import (
-    BoundedPareto,
-    ConditionalDistribution,
-    Deterministic,
-    Empirical,
-    Erlang,
-    Exponential,
-    Hyperexponential,
-    Lognormal,
-    Pareto,
-    ScaledDistribution,
-    ServiceDistribution,
-    Weibull,
-)
-from .synthetic import (
-    SyntheticWorkload,
-    half_load_tail_fraction,
-    half_load_tail_fraction_dist,
-)
-from .stats import (
-    autocorrelation,
-    index_of_dispersion,
-    scv,
-    trace_characterisation,
-)
-from .traces import SWF_FIELDS, Trace, TraceStats, read_swf, write_swf
+Public names resolve on first access (see :mod:`repro._lazy`).
+"""
 
-__all__ = [
-    "ArrivalProcess",
-    "MMPP2Arrivals",
-    "PoissonArrivals",
-    "RenewalArrivals",
-    "TraceArrivals",
-    "load_for_rate",
-    "rate_for_load",
-    "WORKLOAD_NAMES",
-    "c90",
-    "ctc",
-    "get_workload",
-    "j90",
-    "BoundedPareto",
-    "ConditionalDistribution",
-    "Deterministic",
-    "Empirical",
-    "Erlang",
-    "Exponential",
-    "Hyperexponential",
-    "Lognormal",
-    "Pareto",
-    "ScaledDistribution",
-    "ServiceDistribution",
-    "Weibull",
-    "SyntheticWorkload",
-    "half_load_tail_fraction",
-    "half_load_tail_fraction_dist",
-    "autocorrelation",
-    "index_of_dispersion",
-    "scv",
-    "trace_characterisation",
-    "SWF_FIELDS",
-    "Trace",
-    "TraceStats",
-    "read_swf",
-    "write_swf",
-]
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "ArrivalProcess": "arrivals",
+    "MMPP2Arrivals": "arrivals",
+    "PoissonArrivals": "arrivals",
+    "RenewalArrivals": "arrivals",
+    "TraceArrivals": "arrivals",
+    "load_for_rate": "arrivals",
+    "rate_for_load": "arrivals",
+    "WORKLOAD_NAMES": "catalog",
+    "c90": "catalog",
+    "ctc": "catalog",
+    "get_workload": "catalog",
+    "j90": "catalog",
+    "BoundedPareto": "distributions",
+    "ConditionalDistribution": "distributions",
+    "Deterministic": "distributions",
+    "Empirical": "distributions",
+    "Erlang": "distributions",
+    "Exponential": "distributions",
+    "Hyperexponential": "distributions",
+    "Lognormal": "distributions",
+    "Pareto": "distributions",
+    "ScaledDistribution": "distributions",
+    "ServiceDistribution": "distributions",
+    "Weibull": "distributions",
+    "SyntheticWorkload": "synthetic",
+    "half_load_tail_fraction": "synthetic",
+    "half_load_tail_fraction_dist": "synthetic",
+    "autocorrelation": "stats",
+    "index_of_dispersion": "stats",
+    "scv": "stats",
+    "trace_characterisation": "stats",
+    "SWF_FIELDS": "traces",
+    "Trace": "traces",
+    "TraceStats": "traces",
+    "read_swf": "traces",
+    "write_swf": "traces",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
