@@ -47,17 +47,24 @@ __all__ = [
 ]
 
 
-def nearest_live_host(choice: int, up: np.ndarray) -> int:
+def nearest_live_host(choice: int, up) -> int:
     """Closest live host to ``choice`` by index distance (ties → lower index).
 
     The default fault-tolerant re-route: a SITA policy whose designated
     host is down *spills its size interval* to the adjacent live host,
     preserving as much of the size-segregation structure as possible.
+    ``up`` is a sequence of booleans or a boolean ndarray, scanned in
+    plain Python (a handful of hosts).
     """
-    live = np.flatnonzero(up)
-    if live.size == 0:
+    best = -1
+    best_gap = math.inf
+    for i, live in enumerate(up):
+        if live and abs(i - choice) < best_gap:
+            best = i
+            best_gap = abs(i - choice)
+    if best < 0:
         raise ValueError("no live host to dispatch to")
-    return int(live[np.argmin(np.abs(live - choice))])
+    return best
 
 
 def first_live_argmin(values, up) -> int:
@@ -110,13 +117,12 @@ class Policy(ABC):
             f"{type(self).__name__} (kind={self.kind!r}) does not dispatch per-job"
         )
 
-    def choose_live_host(
-        self, job: "Job", state: "SystemState", up: np.ndarray
-    ) -> int:
+    def choose_live_host(self, job: "Job", state: "SystemState", up) -> int:
         """Route one job when some hosts may be down (fault injection).
 
-        ``up`` is a boolean mask over host indices with at least one
-        ``True``; the returned index must be live.  The default makes the
+        ``up`` holds one boolean per host (a tuple on the simulator and
+        serve dispatch paths, or an ndarray), at least one ``True``; the
+        returned index must be live.  The default makes the
         normal choice and, if that host is down, spills to the nearest
         live one — the documented behaviour for SITA variants.
         State-dependent policies override this to re-run their argmin

@@ -101,7 +101,7 @@ class LeastWorkLeftPolicy(StatePolicy):
         return int(np.argmin(state.work_left()))
 
     def choose_live_host(self, job, state, up) -> int:
-        return first_live_argmin(state.work_left(), up)
+        return first_live_argmin(state.work_left_list(), up)
 
 
 class CentralQueuePolicy(Policy):

@@ -150,6 +150,6 @@ class GroupedSITAPolicy(StatePolicy):
         grp = self.group_slice(job.size_estimate <= self.cutoff)
         work = state.work_left()[grp]
         group_up = up[grp]
-        if group_up.any():
+        if any(group_up):
             return grp.start + int(np.argmin(np.where(group_up, work, np.inf)))
         return nearest_live_host(grp.start + int(np.argmin(work)), up)

@@ -34,11 +34,20 @@ starts, completions, waits and host picks are **bit-identical** to the
 event path, whenever and however often the settle runs; the hypothesis
 suite in ``tests/serve/test_fastpath.py`` asserts this.
 
-Completed records stay in those columns.  Counters, the Jain index in
-``status()`` and ``job_table()`` read them directly, so an engaged
-server builds no :class:`~repro.sim.jobs.Job` object per job, not even
-on drain.  A handover writes the completed records to the engine's
-completion log as rows and builds ``Job`` objects only for the jobs
+The columns hold a fixed window of records, not the whole stream.
+Records below the *fold point* ``F = min(m - retain, first record not
+yet complete)`` are folded into running totals
+(:class:`~repro.sim.server.FoldedJobs` plus per-host completion counts
+and busy time) and their rows are reused: when the columns fill, the
+live tail ``[F, m)`` is copied to the front, and they grow only while
+that tail exceeds half of them.  The event path folds its completion
+log by the same rule, so both paths hold the same rows at every read.
+Counters, the Jain index in ``status()`` and ``job_table()`` read the
+totals and the window, so an engaged server builds no
+:class:`~repro.sim.jobs.Job` object per job, not even on drain.  A
+handover writes the window's completed records to the engine's
+completion log as rows, seeds the engine's totals and host accounting
+from the folded ones, and builds ``Job`` objects only for the jobs
 still in flight.
 
 The fast path is *exact* but *narrow*.  It refuses to engage (or hands
@@ -77,6 +86,7 @@ from ..core.policies import (
 )
 from ..sim.fast import fcfs_starts, serve_dispatch_batch
 from ..sim.jobs import Job
+from ..sim.server import FoldedJobs, seq_sum
 
 __all__ = ["FastPathState", "SETTLE_EVERY", "fast_path_mode"]
 
@@ -112,19 +122,26 @@ def fast_path_mode(policy) -> str | None:
 
 
 class FastPathState:
-    """Columnar record of every decision made while the path is engaged.
+    """Columnar record of the decisions made while the path is engaged.
 
     Record ``k`` is the ``k``-th *admitted* job (its engine-path
-    ``Job.index``).  Only :meth:`hand_over` turns records into engine
-    state: completion-log rows for the completed ones and real
-    :class:`~repro.sim.jobs.Job` objects, with every field the event
-    path would have set, for the rest.  In the fixed-host
+    ``Job.index``) and sits in column row ``k - base``.  The columns
+    hold records ``[base, m)``; those below ``folded.at`` are folded
+    (see the module docstring) and only await reuse.  ``retain=None``
+    folds nothing and keeps every record.  ``sim`` is the embedded
+    engine, whose clock an eager fold reads when the columns fill;
+    without it the columns just grow.  Only :meth:`hand_over` turns
+    records into engine state: completion-log rows for the completed
+    ones and real :class:`~repro.sim.jobs.Job` objects, with every field
+    the event path would have set, for the rest.  In the fixed-host
     modes the start and completion columns and ``v`` hold only the
-    first ``_settled`` records; :meth:`settle` brings them up to ``m``,
+    records below ``_settled``; :meth:`settle` brings them up to ``m``,
     and every reader of them calls it first.
     """
 
-    def __init__(self, n_hosts: int, host_speeds, mode: str, policy) -> None:
+    def __init__(
+        self, n_hosts: int, host_speeds, mode: str, policy, retain=None, sim=None
+    ) -> None:
         if mode not in ("lwl", "sita", "seq", "sq"):
             raise ValueError(f"unknown fast-path mode {mode!r}")
         self.mode = mode
@@ -132,6 +149,8 @@ class FastPathState:
         self.n_hosts = int(n_hosts)
         self.speeds = np.ascontiguousarray(host_speeds, dtype=np.float64)
         self._speeds_list = self.speeds.tolist()
+        self.retain = retain
+        self._sim = sim
         #: per-host virtual completion times (the whole host state).
         self.v = np.zeros(self.n_hosts, dtype=np.float64)
         cap = 1024
@@ -141,6 +160,8 @@ class FastPathState:
         self._host = np.empty(cap, dtype=np.int64)
         self._start = np.empty(cap, dtype=np.float64)
         self._comp = np.empty(cap, dtype=np.float64)
+        #: the record in column row 0.
+        self.base = 0
         #: records routed so far (== next engine Job.index).
         self.m = 0
         #: records whose start and completion (and share of ``v``) are
@@ -151,29 +172,47 @@ class FastPathState:
         self._in_system = (
             [deque() for _ in range(self.n_hosts)] if mode == "sq" else None
         )
+        #: totals of the records below ``folded.at`` (all completed),
+        #: with their count and busy time per host.
+        self.folded = FoldedJobs()
+        self._host_folded = [0] * self.n_hosts
+        self._busy_folded = [0.0] * self.n_hosts
+
+    _COLUMNS = ("_arrival", "_size", "_est", "_host", "_start", "_comp")
 
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
 
     def reserve(self, need: int) -> None:
-        """Make room for ``need`` records: double the columns, or grow
-        them to exactly ``need`` when that is more (a caller that knows
-        its stream's length reserves it once, with no copies after)."""
+        """Make room for ``need`` more records.
+
+        When the columns are full, fold up to the engine's clock and
+        copy the live tail ``[folded.at, m)`` to the front; the columns
+        double (or grow to fit) only while that tail would fill more
+        than half of them, so each record is copied O(1) times.
+        """
         cap = self._arrival.shape[0]
-        if need <= cap:
+        if self.m - self.base + need <= cap:
             return
-        cap = max(need, 2 * cap)
-        for name in ("_arrival", "_size", "_est", "_host", "_start", "_comp"):
+        if self._sim is not None:
+            self.fold(self._sim.now)
+        lo = self.folded.at
+        live = self.m - lo
+        if live + need > cap // 2:
+            cap = max(live + need, 2 * cap)
+        a, b = lo - self.base, self.m - self.base
+        for name in self._COLUMNS:
             old = getattr(self, name)
-            new = np.empty(cap, dtype=old.dtype)
-            new[: self.m] = old[: self.m]
+            new = old if old.shape[0] == cap else np.empty(cap, dtype=old.dtype)
+            new[:live] = old[a:b]
             setattr(self, name, new)
+        self.base = lo
 
     def route_one(self, t: float, s: float, est: float) -> int:
         """Route a single admitted job; returns the chosen host."""
+        self.reserve(1)
         m = self.m
-        self.reserve(m + 1)
         mode = self.mode
         v = self.v
         if mode == "lwl":
@@ -210,10 +249,11 @@ class FastPathState:
                 if best_len < 0 or li < best_len:
                     best = i
                     best_len = li
-        self._arrival[m] = t
-        self._size[m] = s
-        self._est[m] = est
-        self._host[m] = best
+        r = m - self.base
+        self._arrival[r] = t
+        self._size[r] = s
+        self._est[r] = est
+        self._host[r] = best
         self.m = m + 1
         if self._defers:
             if self.m - self._settled >= SETTLE_EVERY:
@@ -223,8 +263,8 @@ class FastPathState:
         start = t if vb < t else vb
         comp = start + s / self._speeds_list[best]
         v[best] = comp
-        self._start[m] = start
-        self._comp[m] = comp
+        self._start[r] = start
+        self._comp[r] = comp
         if mode == "sq":
             self._in_system[best].append(comp)
         self._settled = m + 1
@@ -233,16 +273,18 @@ class FastPathState:
     def route_batch(
         self, t: np.ndarray, s: np.ndarray, est: np.ndarray
     ) -> np.ndarray:
-        """Route a whole admitted batch; returns the chosen hosts."""
+        """Route a whole admitted batch; returns the chosen hosts (a view
+        of the host column, valid until the next routing call)."""
         n = t.shape[0]
-        a = self.m
-        self.reserve(a + n)
         if self.mode == "sq":
             # In-system counts change job by job; stays in Python.
             t_l, s_l, e_l = t.tolist(), s.tolist(), est.tolist()
-            for j in range(n):
-                self.route_one(t_l[j], s_l[j], e_l[j])
-            return self._host[a : a + n]
+            return np.array(
+                [self.route_one(t_l[j], s_l[j], e_l[j]) for j in range(n)],
+                dtype=np.int64,
+            )
+        self.reserve(n)
+        a = self.m - self.base
         end = a + n
         self._arrival[a:end] = t
         self._size[a:end] = s
@@ -253,7 +295,7 @@ class FastPathState:
             serve_dispatch_batch(t, s, self.speeds, self.v, hosts, starts)
             # Same elementwise float ops as the scalar path: start + s/speed.
             self._comp[a:end] = starts + s / self.speeds[hosts]
-            self.m = self._settled = end
+            self.m = self._settled = self.m + n
             return hosts
         if self.mode == "seq":
             ch = self.policy.choose_host
@@ -264,6 +306,7 @@ class FastPathState:
             hosts[:] = np.searchsorted(self.policy.cutoffs, est, side="left")
         # Take the records on one settle window at a time, so no more
         # than SETTLE_EVERY are ever unsettled.
+        end = self.m + n
         while end - self._settled >= SETTLE_EVERY:
             self.m = self._settled + SETTLE_EVERY
             self.settle()
@@ -285,7 +328,7 @@ class FastPathState:
         ``size / speed`` and completions ``start + duration`` — the
         engine's own float expressions.
         """
-        a, m = self._settled, self.m
+        a, m = self._settled - self.base, self.m - self.base
         if a == m:
             return
         hosts = self._host[a:m]
@@ -301,35 +344,67 @@ class FastPathState:
             self._start[idx] = starts
             self._comp[idx] = starts + dur
             v[i] = v_end
-        self._settled = m
+        self._settled = self.m
 
     # ------------------------------------------------------------------
-    # lazy accounting
+    # folding and lazy accounting
     # ------------------------------------------------------------------
+
+    def _window(self, *names: str) -> list[np.ndarray]:
+        """Views of columns ``names`` over the unfolded records."""
+        a, b = self.folded.at - self.base, self.m - self.base
+        return [getattr(self, name)[a:b] for name in names]
+
+    def fold(self, now: float) -> None:
+        """Fold the records below the fold point at ``now``.
+
+        ``F = min(m - retain, first record whose completion is after
+        now)``; the records between the old fold point and ``F`` are
+        complete, and their slowdowns, per-host counts and per-host
+        busy times (``size / speed``, the engine's service term) are
+        added in submission order.  Nothing moves in the columns.
+        """
+        if self.retain is None:
+            return
+        folded = self.folded
+        limit = self.m - self.retain
+        if limit <= folded.at:
+            return
+        if limit > self._settled:
+            self.settle()
+        a, b = folded.at - self.base, limit - self.base
+        late = self._comp[a:b] > now
+        at = folded.at + (int(late.argmax()) if late.any() else b - a)
+        if at == folded.at:
+            return
+        b = at - self.base
+        arrival, size = self._arrival[a:b], self._size[a:b]
+        comp, hosts = self._comp[a:b], self._host[a:b]
+        folded.add((comp - arrival) / size)
+        for i in range(self.n_hosts):
+            mine = hosts == i
+            self._host_folded[i] += int(np.count_nonzero(mine))
+            self._busy_folded[i] = seq_sum(
+                self._busy_folded[i], size[mine] / self._speeds_list[i]
+            )
+        folded.at = at
 
     def completed_count(self, now: float) -> int:
         """Records whose completion epoch has been reached by ``now``."""
         self.settle()
-        m = self.m
-        if m == 0:
-            return 0
-        return int(np.count_nonzero(self._comp[:m] <= now))
+        (comp,) = self._window("_comp")
+        return self.folded.completed + int(np.count_nonzero(comp <= now))
 
-    def slowdowns(self, now: float) -> np.ndarray | None:
-        """Per-job slowdowns of completed records, in submission order.
-
-        ``(completion - arrival) / size`` — exactly
-        :attr:`Job.slowdown <repro.sim.jobs.Job.slowdown>`.
-        """
+    def slowdowns(self, now: float) -> np.ndarray:
+        """Slowdowns of the unfolded records completed by ``now``, in
+        submission order: ``(completion - arrival) / size``, exactly
+        :attr:`Job.slowdown <repro.sim.jobs.Job.slowdown>`.  The folded
+        ones are in ``folded``'s totals; fold first for the window the
+        job table shows."""
         self.settle()
-        m = self.m
-        if m == 0:
-            return None
-        c, a, s = self._comp[:m], self._arrival[:m], self._size[:m]
+        c, a, s = self._window("_comp", "_arrival", "_size")
         done = c <= now
         if not done.all():
-            if not done.any():
-                return None
             c, a, s = c[done], a[done], s[done]
         return (c - a) / s
 
@@ -339,35 +414,55 @@ class FastPathState:
         return float(self.v.max()) if self.m else 0.0
 
     def host_seq(self) -> np.ndarray:
-        """Each record's FCFS submission rank on its host.
+        """Each unfolded record's FCFS submission rank on its host.
 
         The stamp the engine path sets as ``Job.host_seq`` (the host's
-        running submission count): a stable sort by host, minus the
-        offset of each host's first record.
+        running submission count): the host's folded records, plus the
+        record's rank among the window's records on that host (a stable
+        sort by host, minus the offset of each host's first record).
         """
-        m = self.m
-        hosts = self._host[:m]
+        (hosts,) = self._window("_host")
+        w = hosts.shape[0]
         order = np.argsort(hosts, kind="stable")
         first = np.zeros(self.n_hosts, dtype=np.int64)
         np.cumsum(np.bincount(hosts, minlength=self.n_hosts)[:-1], out=first[1:])
-        seq = np.empty(m, dtype=np.int64)
-        seq[order] = np.arange(m, dtype=np.int64) - first[hosts[order]]
+        first -= np.asarray(self._host_folded, dtype=np.int64)
+        seq = np.empty(w, dtype=np.int64)
+        seq[order] = np.arange(w, dtype=np.int64) - first[hosts[order]]
         return seq
 
+    def job_table(self, now: float) -> dict[str, np.ndarray]:
+        """The unfolded records completed by ``now``, in submission
+        order, as the server's job-table columns; fold first."""
+        self.settle()
+        arrival, size, hosts, start, comp = self._window(
+            "_arrival", "_size", "_host", "_start", "_comp"
+        )
+        done = comp <= now
+        return {
+            "index": np.arange(self.folded.at, self.m, dtype=np.int64)[done],
+            "arrival": arrival[done],
+            "size": size[done],
+            "host": hosts[done],
+            "host_seq": self.host_seq()[done],
+            "start": start[done],
+            "completion": comp[done],
+        }
+
     def _make_job(self, k: int, hseq: int) -> Job:
-        h = int(self._host[k])
+        r = k - self.base
         job = Job(
             index=k,
-            arrival_time=float(self._arrival[k]),
-            size=float(self._size[k]),
-            size_estimate=float(self._est[k]),
+            arrival_time=float(self._arrival[r]),
+            size=float(self._size[r]),
+            size_estimate=float(self._est[r]),
         )
-        job.assigned_host = h
+        job.assigned_host = int(self._host[r])
         job.host_seq = hseq
         return job
 
     def materialize_completed(self, inner, now: float) -> None:
-        """Write every record completed by ``now`` to ``inner``'s
+        """Write the unfolded records completed by ``now`` to ``inner``'s
         completion log, in bulk and without building a ``Job``.
 
         Rows go in completion order (ties by submission, the calendar's
@@ -378,22 +473,23 @@ class FastPathState:
         columnar.
         """
         self.settle()
-        m = self.m
-        sel = np.flatnonzero(self._comp[:m] <= now)
+        arrival, size, hosts, start, comp = self._window(
+            "_arrival", "_size", "_host", "_start", "_comp"
+        )
+        sel = np.flatnonzero(comp <= now)
         if not sel.size:
             return
-        order = sel[np.argsort(self._comp[sel], kind="stable")]
-        hosts = self._host[order]
-        sizes = self._size[order]
+        order = sel[np.argsort(comp[sel], kind="stable")]
+        sizes = size[order]
         inner.record_completions(
-            index=order,
-            arrival=self._arrival[order],
+            index=order + self.folded.at,
+            arrival=arrival[order],
             size=sizes,
-            host=hosts,
+            host=hosts[order],
             host_seq=self.host_seq()[order],
-            start=self._start[order],
-            completion=self._comp[order],
-            busy=sizes / self.speeds[hosts],
+            start=start[order],
+            completion=comp[order],
+            busy=sizes / self.speeds[hosts[order]],
             wasted=np.zeros(order.size),
         )
 
@@ -404,41 +500,42 @@ class FastPathState:
     def hand_over(self, inner, now: float) -> None:
         """Reconstruct the exact event-engine state at instant ``now``.
 
-        Completed records become completion-log rows; per host, the
+        The folded totals move to ``inner.folded`` and the window's
+        completed records become completion-log rows; per host, the
         first still-pending record (which provably began service at
         ``start <= now``) becomes the running job with its completion
         event re-scheduled at the recorded epoch, and the rest re-enter
         the FCFS queue in submission order.  Host accounting
         (``busy_time``, ``jobs_completed``, ``_submit_seq``,
-        ``_virtual_completion``) and the server's ``_n_arrived`` are
-        rebuilt to the values the event path would hold, so the strict
+        ``_virtual_completion``) starts from the folded per-host totals
+        and adds the window's records, and the server's ``_n_arrived``
+        is set, to the values the event path would hold, so the strict
         invariant sweep and any later crash/drain behave identically.
         The caller discards this object afterwards — the fast path is
         one-way.
         """
-        self.settle()
+        self.fold(now)
         self.materialize_completed(inner, now)
-        m = self.m
-        pend = np.flatnonzero(self._comp[:m] > now)
-        pend_set = set(pend.tolist())
-        n_hosts = self.n_hosts
-        by_host: list[list[int]] = [[] for _ in range(n_hosts)]
-        for k in pend.tolist():
-            by_host[int(self._host[k])].append(k)
-        host_col = self._host[:m].tolist()
-        size_col = self._size[:m].tolist()
+        inner.folded = self.folded
+        lo, m = self.folded.at, self.m
+        hosts, sizes, starts, comps = (
+            col.tolist() for col in self._window("_host", "_size", "_start", "_comp")
+        )
         sp = self._speeds_list
-        busy = [0.0] * n_hosts
-        done_count = [0] * n_hosts
-        total = [0] * n_hosts
-        for k in range(m):
-            h = host_col[k]
+        busy = list(self._busy_folded)
+        done_count = list(self._host_folded)
+        total = list(self._host_folded)
+        by_host: list[list[int]] = [[] for _ in range(self.n_hosts)]
+        for r in range(m - lo):
+            h = hosts[r]
             total[h] += 1
-            if k not in pend_set:
+            if comps[r] > now:
+                by_host[h].append(r)
+            else:
                 # The engine adds one `size/speed` service term per
                 # completion, in completion order == per-host
                 # submission order: identical float accumulation.
-                busy[h] += size_col[k] / sp[h]
+                busy[h] += sizes[r] / sp[h]
                 done_count[h] += 1
         sim = inner.sim
         hseq = self.host_seq().tolist()
@@ -448,17 +545,16 @@ class FastPathState:
             host.jobs_completed = done_count[i]
             host.busy_time = busy[i]
             running_set = False
-            for k in by_host[i]:
-                job = self._make_job(k, hseq[k])
-                start = float(self._start[k])
-                if not running_set and start <= now:
-                    job.start_time = start
+            for r in by_host[i]:
+                job = self._make_job(lo + r, hseq[r])
+                if not running_set and starts[r] <= now:
+                    job.start_time = starts[r]
                     host.running = job
                     host._running_done = 0.0
-                    host._leg_start = start
-                    leg = float(self._size[k]) / sp[i]
+                    host._leg_start = starts[r]
+                    leg = sizes[r] / sp[i]
                     host._finish_handle = sim.schedule(
-                        float(self._comp[k]), host._finish, job, leg
+                        comps[r], host._finish, job, leg
                     )
                     running_set = True
                 else:

@@ -28,8 +28,9 @@ constant, changing only when an observation moves a breaker's routing
 state or when the clock crosses an open breaker's cooldown expiry (the
 first instant its own ``state`` test reads half-open), so
 :meth:`HealthMonitor.up_mask` rebuilds the array only at those points
-and hands out one read-only ndarray in between (the dispatcher calls it
-per decision).
+and hands out one read-only ndarray in between.  The dispatcher calls it
+per decision and routes on the same mask as a tuple,
+:attr:`HealthMonitor.live`.
 """
 
 from __future__ import annotations
@@ -156,9 +157,10 @@ class HealthMonitor:
         self._mask_version = -1
         self._mask_built_at = 0.0
         self._mask_valid_until = 0.0
-        #: whether the mask :meth:`up_mask` last returned has a live
-        #: host — the dispatcher's "defer or route" test, kept with the
-        #: mask so it costs no array reduction per decision.
+        #: the mask :meth:`up_mask` last returned, as a tuple of bools,
+        #: and whether it has a live host — what the dispatcher reads per
+        #: decision, kept with the mask so no decision converts an array.
+        self.live: tuple[bool, ...] = ()
         self.any_live = False
         self._pristine_version = -1
         self._pristine_cache = True
@@ -222,7 +224,8 @@ class HealthMonitor:
         where ``valid_until`` is the earliest
         :meth:`~CircuitBreaker.half_opens_at` among breakers that were
         open at build time (open → half-open is the only transition the
-        clock alone can cause).  :attr:`any_live` is refreshed with it.
+        clock alone can cause).  :attr:`live` and :attr:`any_live` are
+        refreshed with it.
         """
         mask = self._mask_cache
         if (
@@ -245,6 +248,7 @@ class HealthMonitor:
         self._mask_version = self._obs_version
         self._mask_built_at = now
         self._mask_valid_until = valid_until
+        self.live = tuple(live)
         self.any_live = any(live)
         return mask
 

@@ -38,10 +38,19 @@ deterministic, replayable function of its seeds.  Wall-clock enters only
 through the decision-latency totals and histogram, which are
 observability, not state.
 
-Memory does not grow with the stream beyond one compact row per
-completed job: the embedded server drops each ``Job`` once its
-completion-log row is written, and the latency state is a fixed set of
-integer totals and histogram buckets.
+Memory does not grow with the stream.  Per-job rows are kept only for
+the jobs not yet *folded*: every job still in flight plus the most
+recent :data:`RETAINED_JOBS` ones.  The fold point is ``F = min(admitted
+- RETAINED_JOBS, first job still in flight)``; the jobs below it form a
+contiguous prefix of submission order and live on only as running
+totals (completed count, sums of slowdowns and of their squares, and on
+the fast path per-host counts and busy time), added strictly left to
+right in submission order.  Both dispatch paths fold by this rule and
+``job_table()`` folds to ``F`` first, so the paths show the same rows at
+any read; a sequential sum does not depend on where the folds fell, so
+the totals and Jain's index agree bit for bit too.  The embedded server drops each ``Job``
+once its completion-log row is written, and the latency state is a
+fixed set of integer totals and histogram buckets.
 
 The accounting invariant, checked in :meth:`DispatchServer.status` and
 asserted by the soak test::
@@ -65,7 +74,6 @@ from ..core.policies import GroupedSITAPolicy, SITAPolicy
 from ..core.policies.sita import validate_cutoffs
 from ..sim.faults import FaultModel
 from ..sim.jobs import Job
-from ..sim.metrics import jain_fairness_index
 from ..sim.server import DistributedServer
 from .admission import AdmissionController
 from .fastpath import FastPathState, fast_path_mode
@@ -73,7 +81,18 @@ from .health import HealthMonitor
 from .refit import CutoffManager
 from .snapshot import SnapshotStore
 
-__all__ = ["DispatchServer", "OnlineDispatchError"]
+__all__ = ["DispatchServer", "OnlineDispatchError", "RETAINED_JOBS"]
+
+#: Completed jobs whose rows the server keeps beyond those still in
+#: flight.  Older ones are folded into running totals; ``job_table()``
+#: shows the retained ones.  Tables of up to this many jobs are
+#: complete.
+RETAINED_JOBS = 16384
+
+#: Most records :meth:`DispatchServer._offer` routes between two
+#: advances of the engine clock, so the fast path's eager folds see a
+#: current clock however large the offered batch.
+_ROUTE_CHUNK = 4096
 
 
 #: ``job_table()``'s columns, in order.
@@ -220,6 +239,7 @@ class _OnlineServer(DistributedServer):
         backoff_mult: float,
         jitter_rng: np.random.Generator,
         on_crash,
+        retain: int,
     ) -> None:
         super().__init__(
             n_hosts,
@@ -229,6 +249,7 @@ class _OnlineServer(DistributedServer):
             strict=strict,
             faults=faults,
         )
+        self.retain = int(retain)
         self._health = health
         self.max_deferred = int(max_deferred)
         self.max_retries = int(max_retries)
@@ -262,10 +283,11 @@ class _OnlineServer(DistributedServer):
             self.n_given_up += 1
             return
         health = self._health
-        up = health.up_mask(now)
+        health.up_mask(now)
         if not health.any_live:
             self._defer_or_shed(job)
             return
+        up = health.live
         host_idx = int(self.policy.choose_live_host(job, self.state, up))
         if not 0 <= host_idx < len(self.hosts) or not up[host_idx]:
             raise ValueError(
@@ -337,6 +359,9 @@ class _OnlineServer(DistributedServer):
         self._flush_deferred()
 
     # -- accounting ----------------------------------------------------
+
+    def _gone(self) -> list[Job]:
+        return [*self._lost, *self._shed_jobs]
 
     def _dispatcher_held(self) -> dict[str, int]:
         held = super()._dispatcher_held()
@@ -448,6 +473,7 @@ class DispatchServer:
             backoff_mult=backoff_mult,
             jitter_rng=np.random.default_rng(jitter_seq),
             on_crash=self._on_crash,
+            retain=RETAINED_JOBS,
         )
         self.policy = policy
         self.n_accepted = 0
@@ -471,6 +497,8 @@ class DispatchServer:
                 [h.speed for h in self._inner.hosts],
                 mode,
                 policy,
+                retain=RETAINED_JOBS,
+                sim=self._inner.sim,
             )
         self._fastpath_stats = {
             "engaged": self._fastpath is not None,
@@ -682,21 +710,24 @@ class DispatchServer:
         if store is not None and (self._replaying or self.snapshot_every <= 0):
             store = None
         route_before = self._route_ns
+        hosts: list[int] = []
         pos = 0
         while pos < n:
-            end = n
+            end = min(n, pos + _ROUTE_CHUNK)
             if store is not None:
                 # Stop each chunk on the snapshot cadence so resume sees
                 # the same every-k-offers checkpoints as the scalar path.
                 boundary = (self.n_accepted // self.snapshot_every + 1) * self.snapshot_every
-                end = min(n, pos + (boundary - self.n_accepted))
+                end = min(end, pos + (boundary - self.n_accepted))
             chunk = end - pos
             self.admission.admit_batch(chunk)
             self.n_accepted += chunk
             self._next_index += chunk
             r0 = time.perf_counter_ns()
-            fp.route_batch(t[pos:end], s[pos:end], e[pos:end])
+            routed = fp.route_batch(t[pos:end], s[pos:end], e[pos:end])
             self._route_ns += time.perf_counter_ns() - r0
+            if collect:
+                hosts += routed.tolist()
             sim.run(until=float(t[end - 1]))
             if store is not None and self.n_accepted % self.snapshot_every == 0:
                 self._settle(in_decision=True)
@@ -706,10 +737,7 @@ class DispatchServer:
         self._latency.record(t2 - t1, n)
         self._commit_ns += (t2 - t1) - (self._route_ns - route_before)
         if collect:
-            return [
-                {"outcome": "admitted", "reason": "admit", "host": int(h)}
-                for h in fp._host[fp.m - n : fp.m].tolist()
-            ]
+            return [{"outcome": "admitted", "reason": "admit", "host": h} for h in hosts]
         return n
 
     def _settle(self, in_decision: bool = False) -> None:
@@ -786,7 +814,7 @@ class DispatchServer:
                     # O(1) clock advance past the last completion epoch.
                     sim.run(until=horizon)
                 # Completed records stay columnar: counters, status()
-                # and job_table() read the columns directly.
+                # and job_table() read the totals and the window.
                 if self.snapshot_store is not None and not self._replaying:
                     self._write_snapshot()
                 return
@@ -869,30 +897,35 @@ class DispatchServer:
             "crashes": 0 if injector is None else injector.total_crashes,
         }
 
-    def job_table(self) -> dict[str, np.ndarray]:
-        """Columnar per-job outcomes, keyed by local submission index.
-
-        While the fast path is engaged the columns are the record arrays
-        themselves (every routed job, all of them complete after a
-        fault-free drain); on the event path they cover the completed
-        jobs, sorted back into submission order.  ``host_seq`` is the
-        job's FCFS submission rank on its host.  The columns are equal
-        either way, which is what the fast-path bit-identity checks
-        compare.
-        """
+    def _fold(self) -> None:
+        """Fold both paths' per-job rows up to the fold point at ``now``
+        (see the module docstring); every reader of rows calls it."""
         fp = self._fastpath
         if fp is not None:
             self._settle()
-            m = fp.m
-            return {
-                "index": np.arange(m, dtype=np.int64),
-                "arrival": fp._arrival[:m].copy(),
-                "size": fp._size[:m].copy(),
-                "host": fp._host[:m].copy(),
-                "host_seq": fp.host_seq(),
-                "start": fp._start[:m].copy(),
-                "completion": fp._comp[:m].copy(),
-            }
+            fp.fold(self.now)
+        else:
+            self._inner.fold_completed()
+
+    def job_table(self) -> dict[str, np.ndarray]:
+        """Columnar outcomes of the retained completed jobs.
+
+        The rows are the completed jobs not yet folded into the running
+        totals, in submission order: the jobs from the fold point on,
+        which trails the newest admission by at least
+        :data:`RETAINED_JOBS` and never passes a job still in flight.
+        A server that has admitted at most :data:`RETAINED_JOBS` jobs
+        shows every completed one.  ``index`` is the job's local
+        submission index and ``host_seq`` its FCFS submission rank on
+        its host.  Both paths hold the same window and the columns are
+        equal either way, which is what the fast-path bit-identity
+        checks compare.  Totals over every job are in :meth:`counters`
+        and :meth:`status`.
+        """
+        self._fold()
+        fp = self._fastpath
+        if fp is not None:
+            return fp.job_table(self.now)
         columns = self._inner.completed_columns(*_JOB_TABLE_FIELDS)
         return {
             name: col.astype(np.int64) if name in ("index", "host", "host_seq") else col
@@ -950,7 +983,13 @@ class DispatchServer:
         return st
 
     def status(self) -> dict:
-        """Full observability document (counters, breakers, cutoffs…)."""
+        """Full observability document (counters, breakers, cutoffs…).
+
+        Covers every job since start: the counters, and Jain's index of
+        all completed slowdowns read from the running totals plus the
+        retained window (at most about :data:`RETAINED_JOBS` rows, not
+        the stream).
+        """
         now = self.now
         counters = self.counters()
         holds = counters["accepted"] == (
@@ -976,19 +1015,24 @@ class DispatchServer:
         }
 
     def _jain_slowdown(self, now: float) -> float | None:
-        """Jain's index of the completed slowdowns in submission order."""
+        """Jain's index of every completed slowdown, summed in
+        submission order: the folded totals, then the unfolded rows.
+        A sequential sum gives the same bits wherever the fold point
+        is, so the event path reads its log as it stands (its eager
+        folds bound it); the fast path folds first, which keeps the
+        slowdowns pass to the retained window."""
         fp = self._fastpath
         if fp is not None:
             # No Job objects exist while engaged; the columnar records
             # yield the same (completion - arrival) / size slowdowns.
-            slowdowns = fp.slowdowns(now)
-        else:
-            arrival, size, completion = self._inner.completed_columns(
-                "arrival", "size", "completion"
-            )
-            # ``Job.slowdown``'s expression: response time over size.
-            slowdowns = (completion - arrival) / size if size.size else None
-        return None if slowdowns is None else jain_fairness_index(slowdowns)
+            self._fold()
+            return fp.folded.jain(fp.slowdowns(now))
+        inner = self._inner
+        arrival, size, completion = inner.completed_columns(
+            "arrival", "size", "completion"
+        )
+        # ``Job.slowdown``'s expression: response time over size.
+        return inner.folded.jain((completion - arrival) / size)
 
     # ------------------------------------------------------------------
     # snapshots / resume
@@ -1045,7 +1089,7 @@ class DispatchServer:
         refuses to continue.
 
         The stream is read once into arrival and size columns (intake
-        time) and the fast path reserves its records for all of it.
+        time); the server's own state stays within its fixed window.
         ``batch_size > 1`` offers the columns in slices of that size,
         each as :meth:`submit_batch` would; the decisions and counters
         are identical for every batch size (asserted by the
@@ -1056,9 +1100,6 @@ class DispatchServer:
         t0 = time.perf_counter_ns()
         t, s = _stream_columns(jobs)
         n = int(t.shape[0])
-        fp = self._fastpath
-        if fp is not None:
-            fp.reserve(fp.m + n)
         self._latency.intake_ns += time.perf_counter_ns() - t0
         start = 0
         if resume:

@@ -37,7 +37,9 @@ from .host import FCFSHost
 from .jobs import Job
 from .metrics import SimulationResult, observe_result
 
-__all__ = ["COMPLETION_FIELDS", "DistributedServer", "SystemState"]
+__all__ = [
+    "COMPLETION_FIELDS", "DistributedServer", "FoldedJobs", "SystemState", "seq_sum",
+]
 
 #: Fields of one row of the completion log, in order.  ``busy`` is the
 #: time the job occupied its final host (``processing_time``, else
@@ -48,6 +50,62 @@ COMPLETION_FIELDS = (
     "start", "completion", "busy", "wasted",
 )
 _ROW = struct.Struct(f"{len(COMPLETION_FIELDS)}d")
+
+
+def seq_sum(total: float, values: np.ndarray) -> float:
+    """``total`` plus each of ``values`` in turn, strictly left to right.
+
+    ``np.cumsum`` accumulates sequentially (``np.sum`` adds pairwise), so
+    a sequence folded in consecutive parts, each seeded with the total so
+    far, ends on the same bits wherever the parts were cut.
+    """
+    if not values.size:
+        return total
+    acc = np.empty(values.size + 1)
+    acc[0] = total
+    acc[1:] = values
+    return float(np.cumsum(acc, out=acc)[-1])
+
+
+class FoldedJobs:
+    """Running totals of the jobs folded out of per-job storage.
+
+    The folded jobs are every job below index ``at``: a contiguous
+    prefix of submission order.  ``completed`` counts the completed ones
+    among them (the rest were lost or shed), and ``sum_v`` and
+    ``sum_v2`` hold the sum of their slowdowns and of the squares, added
+    by :func:`seq_sum` in submission order.  A sequential sum does not
+    depend on where the fold boundaries fell, so two servers that folded
+    the same prefix at different times hold the same bits.
+    """
+
+    __slots__ = ("at", "completed", "sum_v", "sum_v2")
+
+    def __init__(self) -> None:
+        self.at = 0
+        self.completed = 0
+        self.sum_v = 0.0
+        self.sum_v2 = 0.0
+
+    def add(self, slowdowns: np.ndarray) -> None:
+        """Fold completed slowdowns, given in submission order."""
+        self.completed += int(slowdowns.size)
+        self.sum_v = seq_sum(self.sum_v, slowdowns)
+        self.sum_v2 = seq_sum(self.sum_v2, slowdowns * slowdowns)
+
+    def jain(self, retained: np.ndarray) -> float | None:
+        """Jain's index ``(Σv)² / (n·Σv²)`` of the folded slowdowns
+        followed by ``retained`` (the unfolded completed ones, in
+        submission order); ``None`` before any completion.  The same
+        expression as :func:`~repro.sim.metrics.jain_fairness_index`,
+        with the sums taken sequentially."""
+        n = self.completed + int(retained.size)
+        if n == 0:
+            return None
+        denom = n * seq_sum(self.sum_v2, retained * retained)
+        if denom == 0.0:
+            return math.nan
+        return seq_sum(self.sum_v, retained) ** 2 / denom
 
 
 class SystemState:
@@ -75,9 +133,10 @@ class SystemState:
         """Jobs in system (queued + running) at each host."""
         return np.array([h.n_in_system for h in self._server.hosts])
 
-    def up_mask(self) -> np.ndarray:
-        """Boolean mask of live hosts (all True without fault injection)."""
-        return np.array([h.up for h in self._server.hosts], dtype=bool)
+    def work_left_list(self) -> list[float]:
+        """:meth:`work_left` as a list of floats, with no array built."""
+        now = self._server.sim.now
+        return [h.work_left(now) for h in self._server.hosts]
 
 
 class DistributedServer:
@@ -164,6 +223,16 @@ class DistributedServer:
         #: per completed job, in completion order.  A completed ``Job``
         #: is dropped once its row is written.
         self._done = bytearray()
+        #: rows the log keeps behind the newest arrival before
+        #: :meth:`fold_completed` folds older ones into ``folded``;
+        #: ``None`` (batch runs) keeps every row.
+        self.retain: int | None = None
+        self.folded = FoldedJobs()
+        #: log size in bytes at which the next eager fold runs.
+        self._fold_trigger = 0
+        #: per-host up flags while a fault model runs, rebuilt only after
+        #: a crash or a repair.
+        self._live: tuple[bool, ...] | None = None
         self._lost: list[Job] = []
         #: arrivals held at the dispatcher because every host was down.
         self._deferred: deque[Job] = deque()
@@ -194,8 +263,10 @@ class DistributedServer:
         elif kind == "tags":
             self.hosts[0].submit(job)
         elif self.fault_injector is not None:
-            up = self.state.up_mask()
-            if not up.any():
+            up = self._live
+            if up is None:
+                up = self._live = tuple(h.up for h in self.hosts)
+            if True not in up:
                 # Every host is down; hold the job at the dispatcher and
                 # flush it (FCFS) at the next repair.
                 self._deferred.append(job)
@@ -228,6 +299,8 @@ class DistributedServer:
             job.size if busy is None else busy,
             job.wasted_work,
         )
+        if self.retain is not None and len(self._done) >= self._fold_trigger:
+            self.fold_completed()
         if self.policy.kind == "central":
             self._feed_idle_hosts()
         if self.fault_injector is not None:
@@ -275,6 +348,7 @@ class DistributedServer:
         semantics = self.faults.semantics
         keep = semantics == "resume"
         victim, _done, drained = self.hosts[host_id].crash(keep_progress=keep)
+        self._live = None
         if victim is not None:
             victim.interruptions += 1
         if keep:
@@ -297,6 +371,7 @@ class DistributedServer:
     def repair_host(self, host_id: int) -> None:
         """A host came back; restart its service and drain the dispatcher."""
         self.hosts[host_id].repair()
+        self._live = None
         while self._deferred:
             self._dispatch(self._deferred.popleft())
         if self.policy.kind == "central":
@@ -319,22 +394,81 @@ class DistributedServer:
 
     @property
     def n_completed(self) -> int:
-        """Jobs completed so far (rows in the completion log)."""
-        return len(self._done) // _ROW.size
+        """Jobs completed so far (folded ones plus rows in the log)."""
+        return self.folded.completed + len(self._done) // _ROW.size
+
+    def _rows(self) -> np.ndarray:
+        """The completion log as an ``(n, len(COMPLETION_FIELDS))`` view;
+        the log cannot grow while the view is alive."""
+        return np.frombuffer(self._done, dtype=np.float64).reshape(
+            -1, len(COMPLETION_FIELDS)
+        )
 
     def completed_columns(self, *fields: str) -> list[np.ndarray]:
         """Columns ``fields`` (names from ``COMPLETION_FIELDS``) of the
-        completion log, each a new float64 array in job-index order."""
+        completion log, each a new float64 array in job-index order.
+        Folded jobs have no row (see :meth:`fold_completed`)."""
         picks = [COMPLETION_FIELDS.index(f) for f in fields]
-        # A view, not a copy; the log cannot grow while it is alive.
-        rows = np.frombuffer(self._done, dtype=np.float64).reshape(
-            -1, len(COMPLETION_FIELDS)
-        )
+        rows = self._rows()
         try:
             order = np.argsort(rows[:, 0], kind="stable")
             return [rows[order, i] for i in picks]
         finally:
             del rows
+
+    def _gone(self) -> list[Job]:
+        """Admitted jobs that left without completing (never a row)."""
+        return self._lost
+
+    def fold_completed(self) -> None:
+        """Fold the log's oldest rows into :attr:`folded`.
+
+        The fold point is ``F = min(arrived - retain, first job index
+        still in flight)``, where a job is no longer in flight once it
+        completed, was lost or was shed.  ``F`` never decreases and
+        depends only on the state, so a server that folds at any points
+        of its history holds the same rows and totals at every read.
+        The rows below ``F`` are folded in index order and dropped; the
+        rest keep their completion order.  The next eager fold runs once
+        the log has grown by ``retain`` rows, or reaches ``2 * retain``.
+        """
+        retain = self.retain
+        if retain is None:
+            return
+        folded = self.folded
+        limit = self._n_arrived - retain
+        if limit > folded.at and self._done:
+            rows = self._rows()
+            # Which of the jobs in [F, limit) are finished: log rows and
+            # jobs lost or shed.  Every row has an index >= F.
+            finished = np.zeros(limit - folded.at, dtype=bool)
+            index = rows[:, 0]
+            finished[index[index < limit].astype(np.int64) - folded.at] = True
+            for job in self._gone():
+                if folded.at <= job.index < limit:
+                    finished[job.index - folded.at] = True
+            first = int(finished.argmin())  # the first False, else 0
+            at = folded.at + (finished.size if finished[first] else first)
+            if at > folded.at:
+                below = index < at
+                order = np.argsort(index[below])
+                arrival, size, completion = (
+                    rows[below, COMPLETION_FIELDS.index(f)][order]
+                    for f in ("arrival", "size", "completion")
+                )
+                folded.add((completion - arrival) / size)
+                folded.at = at
+                # Compact the kept rows to the front a block at a time,
+                # so no copy of the whole log is ever alive.
+                kept = 0
+                for i in range(0, below.size, 1024):
+                    block = rows[i : i + 1024][~below[i : i + 1024]]
+                    rows[kept : kept + block.shape[0]] = block
+                    kept += block.shape[0]
+                del rows, index
+                del self._done[kept * _ROW.size :]
+        n_rows = len(self._done) // _ROW.size
+        self._fold_trigger = max(2 * retain, n_rows + retain) * _ROW.size
 
     def record_completions(self, **columns: np.ndarray) -> None:
         """Append completed jobs to the log in bulk, given one

@@ -35,6 +35,9 @@ class State:
     def work_left(self):
         return self._work
 
+    def work_left_list(self):
+        return list(self._work)
+
 
 @st.composite
 def scenarios(draw, single_live=False):

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.policies import (
@@ -249,8 +249,8 @@ class TestBitIdentity:
             elif read == 1:
                 assert nosy.counters() == engine.counters()
             else:
-                table = nosy.job_table()
-                assert table["start"].shape == (pos,)
+                # The completed jobs, as the event path's log holds them.
+                assert_same_jobs(nosy, engine)
         for server in (quiet, nosy, engine):
             server.drain()
         assert nosy.status()["fast_path"]["engaged"]
@@ -479,17 +479,27 @@ class TestStreamErrors:
 
 
 class TestJainOrder:
-    """Jain's index sums the completed jobs' slowdowns in submission
-    order on both paths, so it equals the index recomputed from the job
-    table bit for bit, mid-stream and after drain."""
+    """Jain's index sums the completed jobs' slowdowns strictly left to
+    right in submission order on both paths, so it equals the index
+    recomputed that way from the job table bit for bit, mid-stream and
+    after drain."""
 
     @staticmethod
     def table_jain(server):
+        """Jain's index of the table's slowdowns, summed left to right
+        (the server's running sums); within rounding of
+        ``jain_fairness_index``, whose ``np.sum`` adds pairwise."""
         table = server.job_table()
-        done = table["completion"] <= server.now
+        assert server.n_completed == table["index"].size  # nothing folded
         assert np.all(np.diff(table["index"]) > 0)
         slowdowns = (table["completion"] - table["arrival"]) / table["size"]
-        return jain_fairness_index(slowdowns[done])
+        total = squares = 0.0
+        for v in slowdowns.tolist():
+            total += v
+            squares += v * v
+        jain = total**2 / (slowdowns.size * squares)
+        assert math.isclose(jain, jain_fairness_index(slowdowns), rel_tol=1e-12)
+        return jain
 
     @pytest.mark.parametrize("policy", sorted(POLICIES))
     def test_jain_sums_in_submission_order(self, policy):
@@ -603,8 +613,8 @@ class TestHandover:
         self.check_drain_after_failure(policy)
 
     def check_handover_after_drain(self, policy, first, more, strict):
-        # A drained fast path holds every record as columns only; the
-        # handover must materialise all of them, each exactly once.
+        # A drained fast path holds its window of records as columns
+        # only; the handover must materialise each of them exactly once.
         fast, engine = self.breaker_pair(policy, strict)
         for server in (fast, engine):
             server.submit_batch(*columns(first))
@@ -619,10 +629,14 @@ class TestHandover:
         assert all(status["invariant"].values())
         assert status["counters"]["in_flight"] == 0
         table = fast.job_table()
-        assert np.array_equal(table["index"], np.arange(fast.n_accepted))
+        n = fast.n_accepted
+        kept = min(n, server_module.RETAINED_JOBS)
+        assert np.array_equal(table["index"], np.arange(n - kept, n))
+        # The first stream's rows that are still retained.
+        shared = np.isin(reference["index"], table["index"])
         for column in JOB_COLUMNS:
             assert np.array_equal(
-                table[column][: len(first)], reference[column]
+                table[column][: shared.sum()], reference[column][shared]
             ), column
 
     def test_handover_after_drain(self):
@@ -694,27 +708,209 @@ class TestColumnarDrain:
         assert peak < 8 * 8 * SETTLE_EVERY, peak
 
 
-    def test_run_stream_reserves_its_columns_once(self):
-        # A known-length stream reserves every record up front, so the
-        # columns are never doubled (and never briefly alive twice).
-        n = 200_000
-        jobs = stream(n, 6, size_scale=0.5)
+    @staticmethod
+    def stream_peak(n_jobs):
+        """Traced peak of a 256-batch stream of ``n_jobs``, drained and
+        read; the stream's own columns exist before tracing starts."""
+        rng = np.random.default_rng(6)
+        arrivals = np.cumsum(rng.exponential(1.0, n_jobs))
+        sizes = rng.lognormal(0.0, 1.5, n_jobs) * 0.3
         server = DispatchServer(
             2, SITAPolicy([1.0]), seed=4, heartbeat_interval=10.0
         )
         tracemalloc.start()
         try:
-            server.run_stream(jobs, batch_size=256)
+            for i in range(0, n_jobs, 256):
+                server.submit_batch(arrivals[i : i + 256], sizes[i : i + 256])
+            server.drain()
+            status = server.status()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert status["counters"]["completed"] == n_jobs
+        assert server._fastpath.m == n_jobs
+        return peak
+
+    def test_stream_memory_does_not_grow_with_length(self):
+        # The record columns are a fixed window: four times the stream
+        # peaks within one settle window's temporaries of the shorter.
+        short, long = self.stream_peak(200_000), self.stream_peak(800_000)
+        assert long - short < 8 * 8 * SETTLE_EVERY, (short, long)
+
+    def test_run_stream_holds_a_window_not_the_stream(self):
+        n = 100_000
+        server = DispatchServer(
+            2, SITAPolicy([1.0]), seed=4, heartbeat_interval=10.0
+        )
+        status = server.run_stream(stream(n, 6, size_scale=0.3), batch_size=256)
         fp = server._fastpath
-        assert fp.m == n
-        assert fp._arrival.shape[0] == n
-        # The six 8-byte record columns, the two stream columns, one
-        # settle window's temporaries (eight float64 columns) and slack.
-        bound = 6 * 8 * n + 2 * 8 * n + 8 * 8 * SETTLE_EVERY + 512 * 1024
-        assert peak < bound, (peak, bound)
+        assert status["counters"]["completed"] == fp.m == n
+        assert fp._arrival.shape[0] < n
+        assert fp.folded.at == n - server_module.RETAINED_JOBS
+
+
+class TestFolding:
+    """Both paths keep rows for the jobs past the fold point ``F = min(
+    admitted - RETAINED_JOBS, first job in flight)`` and running totals
+    for the rest.  ``F`` depends only on the state, so servers that
+    folded at different times hold the same rows and the same bits."""
+
+    @pytest.fixture
+    def window(self, monkeypatch):
+        """A 64-job window, so short streams fold many times."""
+        monkeypatch.setattr(server_module, "RETAINED_JOBS", 64)
+        return 64
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        policy=st.sampled_from(sorted(POLICIES)),
+        n_hosts=st.integers(2, 4),
+        split=st.integers(150, 300),
+        seed=st.integers(0, 2**16),
+    )
+    def test_handover_after_folding_agrees_with_engine(
+        self, policy, n_hosts, split, seed
+    ):
+        jobs = stream(400, seed, size_scale=0.5)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(server_module, "RETAINED_JOBS", 64)
+            fast, engine = make_pair(
+                policy, n_hosts, strict=False,
+                health=lambda: HealthMonitor(failure_threshold=1, cooldown=20.0),
+            )
+        for server in (fast, engine):
+            server.submit_batch(*columns(jobs[:split]))
+        assert_same_jobs(fast, engine)
+        assume(fast._fastpath.folded.at > 0)
+        for server in (fast, engine):
+            server.health.probe(0, False, server.now)
+            server.submit_batch(*columns(jobs[split:]))
+        assert not fast.status()["fast_path"]["engaged"]
+        for read in ("mid-stream", "drained"):
+            assert fast.counters() == engine.counters(), read
+            assert_same_jobs(fast, engine)
+            assert (
+                fast.status()["jain_slowdown"] == engine.status()["jain_slowdown"]
+            ), read
+            fast.drain()
+            engine.drain()
+        assert fast.job_table()["index"].size == 64
+
+    @pytest.mark.parametrize("fast_path", [True, False], ids=["fast", "engine"])
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_folded_totals_equal_unfolded_ones(self, policy, fast_path, monkeypatch):
+        # A server folding in a 64-job window against one that never
+        # folds (the stream is shorter than the default window): the
+        # same counters and Jain bits, and the window's rows are the
+        # last of the full table.
+        jobs = stream(1500, 3, size_scale=0.5)
+
+        def run():
+            server = DispatchServer(
+                3, POLICIES[policy](3), seed=4, heartbeat_interval=10.0,
+                fast_path=fast_path,
+            )
+            for i in range(0, len(jobs), 100):
+                server.submit_batch(*columns(jobs[i : i + 100]))
+                if i % 300 == 0:
+                    server.status()
+            server.drain()
+            return server
+
+        full = run()
+        monkeypatch.setattr(server_module, "RETAINED_JOBS", 64)
+        folded = run()
+        assert folded.counters() == full.counters()
+        assert folded.status()["jain_slowdown"] == full.status()["jain_slowdown"]
+        table, whole = folded.job_table(), full.job_table()
+        assert np.array_equal(table["index"], np.arange(len(jobs) - 64, len(jobs)))
+        for column in JOB_COLUMNS:
+            assert np.array_equal(table[column], whole[column][-64:]), column
+
+    @pytest.mark.parametrize("semantics", ["lost", "redispatch"])
+    def test_fold_passes_lost_jobs(self, semantics, monkeypatch):
+        # A lost job never completes but is no longer in flight, so the
+        # event path folds past it; the totals match an unfolded run.
+        from repro.sim.faults import FaultModel
+
+        jobs = stream(3000, 5, size_scale=0.5)
+
+        def run():
+            server = DispatchServer(
+                3, LeastWorkLeftPolicy(), seed=4, heartbeat_interval=10.0,
+                give_up_after=2,
+                faults=FaultModel(mtbf=60.0, mttr=10.0, seed=1, semantics=semantics),
+            )
+            for t, s in jobs:
+                server.submit(s, t)
+            server.drain()
+            return server
+
+        full = run()
+        monkeypatch.setattr(server_module, "RETAINED_JOBS", 64)
+        folded = run()
+        counters = folded.counters()
+        assert counters == full.counters()
+        assert counters["lost"] > 0 and counters["in_flight"] == 0
+        assert folded.status()["jain_slowdown"] == full.status()["jain_slowdown"]
+        table, whole = folded.job_table(), full.job_table()
+        assert folded._inner.folded.at == len(jobs) - 64
+        kept = whole["index"] >= len(jobs) - 64
+        for column in JOB_COLUMNS:
+            assert np.array_equal(table[column], whole[column][kept]), column
+
+    def test_fold_stops_at_the_first_job_in_flight(self, window):
+        # One huge job holds the fold point however far the stream runs.
+        server = DispatchServer(
+            2, LeastWorkLeftPolicy(), seed=4, heartbeat_interval=10.0
+        )
+        server.submit(1e6, 0.0)
+        jobs = stream(5000, 12, size_scale=0.2)
+        server.submit_batch([t + 1.0 for t, _ in jobs], [s for _, s in jobs])
+        table = server.job_table()
+        assert server._fastpath.folded.at == 0
+        assert table["index"].size == server.n_completed > 4900
+        assert table["index"][0] == 1
+        server.drain()
+        assert server.job_table()["index"].size == 64
+
+    def test_seq_sum_is_left_to_right_wherever_split(self):
+        from repro.sim.server import seq_sum
+
+        values = np.random.default_rng(0).lognormal(0.0, 3.0, 10_000)
+        expected = 0.0
+        for v in values.tolist():
+            expected += v
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            cuts = np.sort(rng.integers(0, values.size, 20))
+            total = 0.0
+            for part in np.split(values, cuts):
+                total = seq_sum(total, part)
+            assert total == expected
+
+    def test_running_jain_matches_the_reference_at_one_million(self):
+        # Every completed slowdown, rebuilt independently: SITA's host
+        # choice and each host's FCFS recursion over the whole stream.
+        from repro.sim.fast import fcfs_starts
+
+        n = 1_000_000
+        rng = np.random.default_rng(19)
+        arrivals = np.cumsum(rng.exponential(1.0, n))
+        sizes = rng.lognormal(0.0, 1.5, n) * 0.3
+        server = DispatchServer(2, SITAPolicy([1.0]), seed=4, heartbeat_interval=10.0)
+        for i in range(0, n, 4096):
+            server.submit_batch(arrivals[i : i + 4096], sizes[i : i + 4096])
+        server.drain()
+        jain = server.status()["jain_slowdown"]
+        hosts = np.searchsorted([1.0], sizes, side="left")
+        completion = np.empty(n)
+        for h in (0, 1):
+            mine = hosts == h
+            starts, _ = fcfs_starts(arrivals[mine], sizes[mine], 0.0)
+            completion[mine] = starts + sizes[mine]
+        reference = jain_fairness_index((completion - arrivals) / sizes)
+        assert math.isclose(jain, reference, rel_tol=1e-9), (jain, reference)
 
 
 class TestSigkillBatched:

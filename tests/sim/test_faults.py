@@ -231,6 +231,9 @@ class FakeState:
     def work_left(self):
         return self._work
 
+    def work_left_list(self):
+        return self._work.tolist()
+
 
 class TestFailureAwareDispatch:
     """choose_live_host skips down hosts and is the identity when all up."""
