@@ -10,9 +10,11 @@ Subcommands
     ``--checkpoint DIR`` makes the sweep crash-safe (atomic per-point
     writes) and ``--resume`` picks an interrupted sweep back up;
     ``--timeout``/``--retries`` bound the wall-clock cost of a single
-    point (see ``docs/ROBUSTNESS.md``); ``--workers N`` fans points out
-    over N processes while keeping the rows bit-identical to a serial
-    run (see ``docs/PERFORMANCE.md``).
+    point (see ``docs/ROBUSTNESS.md``); the sweep's cells run on every
+    usable CPU, and ``--workers N`` caps the processes (1 runs in this
+    process) with the same rows (see ``docs/PERFORMANCE.md``).
+``repro all [--out results] [--workers N]``
+    Run every experiment and write ``<id>.txt``/``<id>.csv`` files.
 ``repro workloads``
     Print the calibrated workload catalog (Table-1 style).
 ``repro synth c90 out.swf --load 0.7 --hosts 2 --jobs 50000``
@@ -28,7 +30,7 @@ Subcommands
     result, report the first divergent event on mismatch, and
     cross-check the event engine against the fast kernels; exits 0
     deterministic, 1 divergence, 2 usage error.  ``--workers N`` also
-    checks that a parallel sweep reproduces the serial rows exactly.
+    checks that an N-process sweep reproduces the one-process rows.
 ``repro serve c90 --policy sita --mtbf 2000 --snapshot state.json``
     Fault-tolerant online dispatcher: admission-controlled intake,
     per-host circuit breakers, jittered-backoff retries, crash-safe
@@ -93,15 +95,19 @@ def _add_run_arguments(run_p: argparse.ArgumentParser) -> None:
         default=1,
         help="retries for a timed-out point before giving up (default: 1)",
     )
-    run_p.add_argument(
+    _add_workers_argument(run_p)
+
+
+def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "--workers",
         type=int,
         default=None,
         metavar="N",
         help=(
-            "fan simulated points out over N worker processes; results "
-            "are collected in deterministic submission order, so the rows "
-            "are bit-identical to a serial run (default: serial)"
+            "run the sweep's cells on at most N processes; 1 runs them in "
+            "this process, and the rows are the same for any N "
+            "(default: every usable CPU)"
         ),
     )
 
@@ -112,6 +118,7 @@ def _add_all_arguments(all_p: argparse.ArgumentParser) -> None:
     all_p.add_argument(
         "--out", default="results", help="output directory for <id>.txt/<id>.csv"
     )
+    _add_workers_argument(all_p)
 
 
 def _add_lint_arguments(lint_p: argparse.ArgumentParser) -> None:
@@ -250,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
         for eid, title in list_experiments():
             t0 = time.perf_counter()
             try:
-                result = run_experiment(eid, config)
+                result = run_experiment(eid, config, workers=args.workers)
             except Exception as exc:  # pragma: no cover - surfaced to the user
                 print(f"{eid:22s} FAILED: {exc}")
                 failures += 1

@@ -31,14 +31,12 @@ points instead of recomputing them:
   moments with the exact floating-point operations of the direct path,
   so cached and direct analyses agree bit for bit.
 
-The memo lives **per process**.  Under ``repro run --workers N`` each
-worker therefore builds its own — still a win: a worker computes the
-opt+fair pair for every sweep point it is handed (one shared axis per
-pair), experiments that sweep loads over a fixed distribution hit the
-cross-load cache inside each worker, and the memo holds only scalars so
-duplicating it costs a few kilobytes, not a recomputation.  Sharing it
-across processes would mean locking or serialising distribution objects
-— more expensive than the arithmetic it saves.
+The memo lives **per process**.  When a sweep's cells run on a process
+pool each worker therefore builds its own (a forked worker starts from
+the parent's copy).  The memo holds only scalars, so duplicating it
+costs a few kilobytes, not a recomputation; sharing it across processes
+would mean locking or serialising distribution objects — more expensive
+than the arithmetic it saves.
 
 ``repro.core.cutoffs`` keeps the public entry points (``opt_cutoff``,
 ``fair_cutoff``, ``sim_opt_cutoff``, ``sim_fair_cutoff``) as thin
@@ -386,9 +384,8 @@ class MomentMemo:
     would pin that table (up to about 9 MB per 220k sizes, 1.8 MB for
     each power row that has been read).
 
-    Keyed by distribution **identity** (the same convention as the
-    parallel executor's trace memo — a distribution object is immutable
-    for its lifetime) × the cutoff value.  Entries hold seven scalars
+    Keyed by distribution **identity** (a distribution object is
+    immutable for its lifetime) × the cutoff value.  Entries hold seven scalars
     per slice, so even a full memo is a few hundred kilobytes.
     ``max_dists`` bounds how many distribution objects are kept alive by
     the memo's strong references; ``max_cutoffs`` bounds the

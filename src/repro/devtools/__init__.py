@@ -10,7 +10,7 @@ docstrings:
   per-file AST rules ``SIM001`` … ``SIM007``
   (:mod:`repro.devtools.rules`), the whole-program flow rules
   ``SIM101`` … ``SIM106`` (:mod:`repro.devtools.flow`), and
-  the concurrency rules ``SIM206`` … ``SIM211``
+  the concurrency rules ``SIM208``, ``SIM209`` and ``SIM211``
   (:mod:`repro.devtools.concurrency`); profiles (``--profile
   concurrency|all``) select among them, and the whole-program
   tiers share one project-wide symbol table and call

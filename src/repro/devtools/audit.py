@@ -29,13 +29,14 @@ the event engine and the fast kernels must produce the same waits
 (host identities may legitimately differ on ties, so the comparison is
 ``allclose`` on wait arrays, not a bit-exact digest).
 
-A fourth, optional check (``--workers N``) targets the parallel sweep
-executor: the audited experiment is run once serially and once fanned
-out over an ``N``-process pool, and the resulting rows must be
-**identical** (NaN fields compare equal to NaN — ablation drivers emit
-them legitimately).  This is the runtime enforcement of the guarantee
-documented in :mod:`repro.experiments.parallel` and
-``docs/PERFORMANCE.md``.
+The replays run in this process (``workers=1``), since the observers
+see only the process they are installed in.  A fourth, optional check
+(``--workers N``) targets the cell map: the audited experiment is run
+once with ``workers=1`` and once with its cells fanned out over an
+``N``-process pool, and the resulting rows must be **identical** (NaN
+fields compare equal to NaN — ablation drivers emit them legitimately).
+This is the runtime enforcement of the guarantee documented in
+:func:`repro.experiments.base.map_cells` and ``docs/PERFORMANCE.md``.
 
 CLI::
 
@@ -375,12 +376,12 @@ class ParallelCheck:
 def check_parallel_equivalence(
     ids: list[str], config: ExperimentConfig, workers: int
 ) -> ParallelCheck:
-    """Run every experiment in ``ids`` serially and with ``workers``
+    """Run every experiment in ``ids`` in one process and with ``workers``
     processes; the rows must match exactly (NaN-tolerant, see
     :func:`_row_values_equal`)."""
     n_rows = 0
     for eid in ids:
-        serial = run_experiment(eid, config)
+        serial = run_experiment(eid, config, workers=1)
         parallel = run_experiment(eid, config, workers=workers)
         if len(serial.rows) != len(parallel.rows):
             return ParallelCheck(
@@ -497,7 +498,7 @@ def audit_experiment(
     for _ in range(replays):
         with record_replay() as record:
             for eid in ids:
-                run_experiment(eid, config)
+                run_experiment(eid, config, workers=1)
         records.append(record)
     divergence = None
     for i in range(1, len(records)):
@@ -560,7 +561,7 @@ def add_audit_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help=(
             "also run the audited experiments over an N-process pool and "
-            "require the rows to match the serial run exactly"
+            "require the rows to match a --workers 1 run exactly"
         ),
     )
 

@@ -1,17 +1,14 @@
-"""Concurrency and resource-safety rules (SIM206–SIM211).
+"""Concurrency and resource-safety rules (SIM208, SIM209, SIM211).
 
 The third analysis tier.  The per-file rules (SIM001–SIM007) see one
 module, the flow rules (SIM101–SIM106) see the project graph; these
-rules see *process and thread boundaries*, which the parallel sweep
-executor, the crash-safe sweep harness and the async serve front end
-make load-bearing:
+rules see *thread boundaries* and the crash-safety of files, which the
+crash-safe sweep harness and the async serve front end make
+load-bearing:
 
 =========  ===========================================================
-SIM206     SharedMemory segment without close()/unlink() on every exit path
-SIM207     module-global mutation reachable from pool worker functions
 SIM208     signal.alarm/SIGALRM installed off the main thread
 SIM209     file write in experiments/ bypassing the atomic tmp+fsync+replace pattern
-SIM210     RNG object smuggled through a pickled closure into a worker
 SIM211     await between read and write of shared async-server state, no lock
 =========  ===========================================================
 
@@ -27,7 +24,6 @@ from __future__ import annotations
 
 import ast
 import os
-from typing import Mapping
 
 from .findings import Finding
 from .graph import FunctionInfo, ModuleInfo, ProjectGraph, ProjectRule
@@ -78,7 +74,7 @@ def run_concurrency_rules(
 #: the runner (every registered rule across all three tiers).
 PROFILES: dict[str, frozenset[str]] = {
     "concurrency": frozenset(
-        {"SIM206", "SIM207", "SIM208", "SIM209", "SIM210", "SIM211"}
+        {"SIM208", "SIM209", "SIM211"}
     ),
 }
 
@@ -94,22 +90,6 @@ def _module_units(module: ModuleInfo) -> list[tuple[FunctionInfo | None, list[as
     return _units(module)
 
 
-def _call_owners(
-    graph: ProjectGraph, module: ModuleInfo
-) -> dict[int, FunctionInfo | None]:
-    """Map ``id(call node)`` → enclosing function for one module (memoised)."""
-    cache = graph.analysis_cache.setdefault("call_owners", {})
-    owners = cache.get(module.path)
-    if owners is None:
-        owners = {}
-        for fn, nodes in _module_units(module):
-            for node in nodes:
-                if isinstance(node, ast.Call):
-                    owners[id(node)] = fn
-        cache[module.path] = owners
-    return owners
-
-
 def _kwarg(call: ast.Call, name: str) -> ast.expr | None:
     for kw in call.keywords:
         if kw.arg == name:
@@ -118,167 +98,37 @@ def _kwarg(call: ast.Call, name: str) -> ast.expr | None:
 
 
 # ---------------------------------------------------------------------------
-# SIM206 — SharedMemory lifecycle
+# thread reachability (SIM208)
 # ---------------------------------------------------------------------------
 
 
-@register_concurrency
-class SharedMemoryLifecycleRule(ProjectRule):
-    """SIM206: every SharedMemory segment needs cleanup on every exit path.
-
-    A segment that is created but not closed/unlinked when an exception
-    unwinds leaks a ``/dev/shm`` file for the machine's uptime — across a
-    sweep of thousands of points that exhausts shared memory and every
-    later run fails with ENOSPC.  Acceptable custody chains: a ``with``
-    block, ``close()``/``unlink()`` in a ``finally``, returning the
-    segment, or storing it into an attribute/container whose owner
-    manages the lifetime (the arena pattern).
-    """
-
-    id = "SIM206"
-    summary = "SharedMemory without close()/unlink() on every exit path"
-
-    def applies_module(self, module: ModuleInfo) -> bool:
-        return module.ctx.in_library
-
-    def check(self) -> None:
-        for module in self.modules():
-            parents: dict[int, ast.AST] = {}
-            for parent in ast.walk(module.tree):
-                for child in ast.iter_child_nodes(parent):
-                    parents[id(child)] = parent
-            owners = _call_owners(self.graph, module)
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                if not self._is_shm_ctor(node, module):
-                    continue
-                if self._has_custody(node, parents, owners, module):
-                    continue
-                self.report(
-                    module,
-                    node,
-                    "SharedMemory segment has no cleanup on the exception "
-                    "path: an unwound error leaks the /dev/shm file until "
-                    "reboot — use a with block, close()/unlink() in a "
-                    "finally, or hand the segment to an owning arena",
-                )
-
-    @staticmethod
-    def _is_shm_ctor(node: ast.Call, module: ModuleInfo) -> bool:
-        resolved = module.resolve(_dotted(node.func))
-        if resolved and resolved.endswith("shared_memory.SharedMemory"):
-            return True
-        return _terminal_name(node.func) == "SharedMemory"
-
-    def _has_custody(
-        self,
-        ctor: ast.Call,
-        parents: Mapping[int, ast.AST],
-        owners: Mapping[int, FunctionInfo | None],
-        module: ModuleInfo,
-    ) -> bool:
-        parent = parents.get(id(ctor))
-        if isinstance(parent, ast.withitem):
-            return True
-        if isinstance(parent, ast.Return):
-            return True
-        if isinstance(parent, ast.Call):
-            return True  # passed straight to a consumer: custody transferred
-        if isinstance(parent, ast.Assign):
-            targets = parent.targets
-            if len(targets) == 1 and isinstance(targets[0], ast.Name):
-                name = targets[0].id
-                fn = owners.get(id(ctor))
-                scope = fn.node if fn is not None else module.tree
-                return self._name_has_custody(name, scope)
-            if len(targets) == 1 and isinstance(targets[0], ast.Attribute):
-                return True  # stored on an object: owner manages lifetime
-        return False
-
-    @staticmethod
-    def _name_has_custody(name: str, scope: ast.AST) -> bool:
-        for node in ast.walk(scope):
-            if isinstance(node, ast.Try):
-                for stmt in node.finalbody:
-                    for sub in ast.walk(stmt):
-                        if (
-                            isinstance(sub, ast.Call)
-                            and isinstance(sub.func, ast.Attribute)
-                            and sub.func.attr in ("close", "unlink")
-                            and isinstance(sub.func.value, ast.Name)
-                            and sub.func.value.id == name
-                        ):
-                            return True
-            if isinstance(node, ast.Return) and isinstance(node.value, ast.Name):
-                if node.value.id == name:
-                    return True
-            if isinstance(node, ast.Call):
-                # escape into a container or another object's attribute:
-                # arena/owner patterns (self._segments.append(shm)).
-                for arg in node.args:
-                    if (
-                        isinstance(arg, ast.Name)
-                        and arg.id == name
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr in ("append", "add", "register", "push")
-                    ):
-                        return True
-            if isinstance(node, ast.Assign):
-                if (
-                    isinstance(node.value, ast.Name)
-                    and node.value.id == name
-                    and any(
-                        isinstance(t, (ast.Attribute, ast.Subscript))
-                        for t in node.targets
-                    )
-                ):
-                    return True
-        return False
+_POOL_SUBMIT_TAILS = frozenset({"submit", "map"})
 
 
-# ---------------------------------------------------------------------------
-# worker reachability (shared by SIM207/SIM210)
-# ---------------------------------------------------------------------------
-
-
-_POOL_SUBMIT_TAILS = frozenset(
-    {"submit", "map", "imap", "imap_unordered", "apply_async", "apply"}
-)
-_PROCESS_POOL_CTORS = frozenset({"ProcessPoolExecutor", "Pool"})
-_THREAD_POOL_CTORS = frozenset({"ThreadPoolExecutor"})
-
-
-def _pool_kinds(module: ModuleInfo) -> dict[str, str]:
-    """Local name → "process"/"thread" for every pool-valued binding."""
-    kinds: dict[str, str] = {}
+def _thread_pools(module: ModuleInfo) -> set[str]:
+    """Local names bound to a ``ThreadPoolExecutor``."""
+    names: set[str] = set()
     for node in ast.walk(module.tree):
         value: ast.expr | None = None
-        names: list[str] = []
+        targets: list[str] = []
         if isinstance(node, ast.Assign):
             value = node.value
-            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
         elif isinstance(node, ast.withitem) and node.optional_vars is not None:
             value = node.context_expr
             if isinstance(node.optional_vars, ast.Name):
-                names = [node.optional_vars.id]
-        if value is None or not names:
-            continue
-        tail = _terminal_name(value.func) if isinstance(value, ast.Call) else None
-        if tail in _PROCESS_POOL_CTORS:
-            for name in names:
-                kinds[name] = "process"
-        elif tail in _THREAD_POOL_CTORS:
-            for name in names:
-                kinds[name] = "thread"
-    return kinds
+                targets = [node.optional_vars.id]
+        if (
+            isinstance(value, ast.Call)
+            and _terminal_name(value.func) == "ThreadPoolExecutor"
+        ):
+            names.update(targets)
+    return names
 
 
-def _entry_fqnames(
-    module: ModuleInfo, kind: str
-) -> set[str]:
-    """Fully-qualified functions handed to pools/threads of ``kind``."""
-    kinds = _pool_kinds(module)
+def _thread_entry_fqnames(module: ModuleInfo) -> set[str]:
+    """Fully-qualified functions handed to thread pools or threads."""
+    pools = _thread_pools(module)
     roots: set[str] = set()
 
     def resolve(expr: ast.expr) -> None:
@@ -290,39 +140,30 @@ def _entry_fqnames(
         if not isinstance(node, ast.Call):
             continue
         tail = _terminal_name(node.func)
-        if tail in _POOL_SUBMIT_TAILS and isinstance(node.func, ast.Attribute):
-            receiver = node.func.value
-            if (
-                isinstance(receiver, ast.Name)
-                and kinds.get(receiver.id) == kind
-                and node.args
-            ):
-                resolve(node.args[0])
-        if kind == "process" and tail in _PROCESS_POOL_CTORS:
-            init = _kwarg(node, "initializer")
-            if init is not None:
-                resolve(init)
-        if tail == "Process" and kind == "process":
-            target = _kwarg(node, "target")
-            if target is not None:
-                resolve(target)
-        if tail in ("Thread", "Timer") and kind == "thread":
+        if (
+            tail in _POOL_SUBMIT_TAILS
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in pools
+            and node.args
+        ):
+            resolve(node.args[0])
+        if tail in ("Thread", "Timer"):
             target = _kwarg(node, "target")
             if target is not None:
                 resolve(target)
     return roots
 
 
-def _reachable_functions(graph: ProjectGraph, kind: str) -> set[str]:
-    """Transitive closure of project functions running inside ``kind``
-    workers (memoised on the graph)."""
-    cache_key = f"{kind}_reachable"
-    cached = graph.analysis_cache.get(cache_key)
+def _thread_reachable_functions(graph: ProjectGraph) -> set[str]:
+    """Transitive closure of project functions running on threads
+    (memoised on the graph)."""
+    cached = graph.analysis_cache.get("thread_reachable")
     if cached is not None:
         return cached
     frontier: list[str] = []
     for info in graph.by_path.values():
-        frontier.extend(_entry_fqnames(info, kind))
+        frontier.extend(_thread_entry_fqnames(info))
     reachable: set[str] = set()
     while frontier:
         fq = frontier.pop()
@@ -337,133 +178,8 @@ def _reachable_functions(graph: ProjectGraph, kind: str) -> set[str]:
                 callee = fn.module.resolve(_dotted(node.func))
                 if callee is not None and callee not in reachable:
                     frontier.append(callee)
-    graph.analysis_cache[cache_key] = reachable
+    graph.analysis_cache["thread_reachable"] = reachable
     return reachable
-
-
-# ---------------------------------------------------------------------------
-# SIM207 — module-global mutation reachable from pool workers
-# ---------------------------------------------------------------------------
-
-
-@register_concurrency
-class WorkerGlobalMutationRule(ProjectRule):
-    """SIM207: worker-side global state never reaches the parent.
-
-    A ``ProcessPoolExecutor`` worker runs in a forked/spawned process: a
-    module global it mutates changes *its* copy only.  Code that also
-    reads or writes the same global outside the worker set is relying on
-    shared state that does not exist — the classic lost-update that
-    works single-process and silently drops data in parallel runs.
-    Worker-only globals (the initializer pattern) are fine.  Assigning
-    attributes on an *imported module* from worker code (monkeypatching)
-    is always flagged: with ``fork`` it races the parent, with ``spawn``
-    it diverges from it.
-    """
-
-    id = "SIM207"
-    summary = "module-global mutation reachable from process-pool workers"
-
-    def applies_module(self, module: ModuleInfo) -> bool:
-        return module.ctx.in_library
-
-    def check(self) -> None:
-        workers = _reachable_functions(self.graph, "process")
-        if not workers:
-            return
-        in_scope = {m.name for m in self.modules()}
-        for fq in sorted(workers):
-            fn = self.graph.function(fq)
-            if fn is None or fn.module.name not in in_scope:
-                continue
-            self._check_worker_fn(fn, workers)
-
-    def _check_worker_fn(self, fn: FunctionInfo, workers: set[str]) -> None:
-        module = fn.module
-        global_names: set[str] = set()
-        imported = set(module.imports)
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.Global):
-                global_names.update(node.names)
-            elif isinstance(node, ast.ImportFrom):
-                # function-local imports (the resource_tracker pattern)
-                imported.update(a.asname or a.name for a in node.names)
-            elif isinstance(node, ast.Import):
-                imported.update(
-                    a.asname or a.name.partition(".")[0] for a in node.names
-                )
-        mutated: dict[str, ast.AST] = {}
-        patched: dict[str, ast.AST] = {}
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.AugAssign):
-                target = node.target
-                if isinstance(target, ast.Name) and target.id in global_names:
-                    mutated.setdefault(target.id, node)
-                elif isinstance(target, ast.Subscript):
-                    base = target.value
-                    if isinstance(base, ast.Name) and base.id in module.constants:
-                        mutated.setdefault(base.id, node)
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name) and target.id in global_names:
-                        mutated.setdefault(target.id, node)
-                    elif isinstance(target, ast.Subscript):
-                        base = target.value
-                        if (
-                            isinstance(base, ast.Name)
-                            and base.id in module.constants
-                        ):
-                            mutated.setdefault(base.id, node)
-                    elif isinstance(target, ast.Attribute):
-                        head = _dotted(target.value)[:1]
-                        if head and head[0] in imported:
-                            patched.setdefault(
-                                f"{head[0]}.{target.attr}", node
-                            )
-            elif isinstance(node, ast.Call) and isinstance(
-                node.func, ast.Attribute
-            ):
-                base = node.func.value
-                if (
-                    isinstance(base, ast.Name)
-                    and base.id in module.constants
-                    and node.func.attr
-                    in ("append", "add", "update", "setdefault", "extend", "pop")
-                ):
-                    mutated.setdefault(base.id, node)
-        for name, node in sorted(patched.items()):
-            self.report(
-                module,
-                node,
-                f"worker-reachable `{fn.qualname}` monkeypatches imported "
-                f"module attribute `{name}`: under fork this races the "
-                "parent's copy, under spawn it silently diverges from it — "
-                "pass the behaviour explicitly instead of patching shared "
-                "module state",
-            )
-        for name, node in sorted(mutated.items()):
-            if self._used_outside_workers(module, name, workers):
-                self.report(
-                    module,
-                    node,
-                    f"worker-reachable `{fn.qualname}` mutates module global "
-                    f"`{name}`, which is also used outside the worker set: "
-                    "each pool process mutates its own copy, so the parent "
-                    "never sees the update — return the value or go through "
-                    "the checkpoint store",
-                )
-
-    @staticmethod
-    def _used_outside_workers(
-        module: ModuleInfo, name: str, workers: set[str]
-    ) -> bool:
-        for fn in module.functions.values():
-            if fn.fqname in workers:
-                continue
-            for node in ast.walk(fn.node):
-                if isinstance(node, ast.Name) and node.id == name:
-                    return True
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +197,7 @@ class ThreadSignalRule(ProjectRule):
     SIGALRM handler raises ``ValueError`` at runtime, or worse, arms a
     timer whose handler interrupts an unrelated thread's main loop.  The
     per-point timeout belongs in a *process* pool worker (each worker's
-    main thread), which is exactly what the parallel executor does.
+    main thread), which is where the sweep's cell map runs it.
     """
 
     id = "SIM208"
@@ -493,7 +209,7 @@ class ThreadSignalRule(ProjectRule):
         return module.ctx.in_library
 
     def check(self) -> None:
-        threads = _reachable_functions(self.graph, "thread")
+        threads = _thread_reachable_functions(self.graph)
         if not threads:
             return
         in_scope = {m.name for m in self.modules()}
@@ -616,101 +332,6 @@ class AtomicWriteRule(ProjectRule):
             return False
         resolved = module.resolve(_dotted(node.func))
         return resolved in ("os.replace", "os.rename")
-
-
-# ---------------------------------------------------------------------------
-# SIM210 — RNG state pickled into a worker
-# ---------------------------------------------------------------------------
-
-
-@register_concurrency
-class PickledRngRule(ProjectRule):
-    """SIM210: pass seeds across process boundaries, never Generators.
-
-    Pickling a ``numpy.random.Generator`` into a pool task copies its
-    state: every worker replays the *same* stream, and the parent's
-    generator never advances — the sweep silently loses its independent
-    replications and no longer matches the serial run.  Ship a seed (or
-    a spawned ``SeedSequence``) and construct the Generator inside the
-    worker.
-    """
-
-    id = "SIM210"
-    summary = "RNG object pickled into a process-pool task; pass a seed"
-
-    def applies_module(self, module: ModuleInfo) -> bool:
-        return module.ctx.in_library
-
-    def check(self) -> None:
-        from .flow import _build_scope
-
-        for module in self.modules():
-            kinds = _pool_kinds(module)
-            for fn, nodes in _module_units(module):
-                scope = _build_scope(fn, nodes, module)
-                if not scope.rng_names:
-                    continue
-                for node in nodes:
-                    if not isinstance(node, ast.Call):
-                        continue
-                    if not self._crosses_process(node, kinds):
-                        continue
-                    for name, via in self._rng_payloads(node, scope.rng_names):
-                        self.report(
-                            module,
-                            node,
-                            f"RNG `{name}` is pickled into a process-pool "
-                            f"task{via}: every worker replays the same "
-                            "stream and the parent's generator never "
-                            "advances — pass a seed or spawned SeedSequence "
-                            "and build the Generator in the worker",
-                        )
-
-    @staticmethod
-    def _crosses_process(call: ast.Call, kinds: Mapping[str, str]) -> bool:
-        tail = _terminal_name(call.func)
-        if tail in _POOL_SUBMIT_TAILS and isinstance(call.func, ast.Attribute):
-            receiver = call.func.value
-            return (
-                isinstance(receiver, ast.Name)
-                and kinds.get(receiver.id) == "process"
-            )
-        return tail == "Process"
-
-    @staticmethod
-    def _rng_payloads(
-        call: ast.Call, rng_names: set[str]
-    ) -> list[tuple[str, str]]:
-        payloads: list[tuple[str, str]] = []
-        exprs: list[tuple[ast.expr, str]] = [(a, "") for a in call.args]
-        exprs.extend((kw.value, "") for kw in call.keywords if kw.arg != "target")
-        target = _kwarg(call, "target")
-        for expr, _ in list(exprs):
-            if isinstance(expr, ast.Tuple):
-                exprs.extend((e, "") for e in expr.elts)
-        for expr, _ in exprs:
-            if isinstance(expr, ast.Name) and expr.id in rng_names:
-                payloads.append((expr.id, ""))
-            elif isinstance(expr, ast.Lambda):
-                for sub in ast.walk(expr.body):
-                    if isinstance(sub, ast.Name) and sub.id in rng_names:
-                        payloads.append((sub.id, " (captured by a lambda)"))
-            elif isinstance(expr, ast.Call) and _terminal_name(expr.func) == "partial":
-                for sub in [*expr.args, *(kw.value for kw in expr.keywords)]:
-                    if isinstance(sub, ast.Name) and sub.id in rng_names:
-                        payloads.append((sub.id, " (bound via functools.partial)"))
-        if target is not None:
-            for sub in ast.walk(target):
-                if isinstance(sub, ast.Name) and sub.id in rng_names:
-                    payloads.append((sub.id, " (thread/process target closure)"))
-        # dedupe, keep first mention
-        seen: set[str] = set()
-        out = []
-        for name, via in payloads:
-            if name not in seen:
-                seen.add(name)
-                out.append((name, via))
-        return out
 
 
 # ---------------------------------------------------------------------------

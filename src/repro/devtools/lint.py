@@ -15,7 +15,7 @@ Selection defaults come from ``[tool.repro.lint]`` in ``pyproject.toml``
 (``select``/``ignore`` arrays, plus a ``baseline`` file path), so CI and
 developers run the same configuration with no flags.  ``--profile``
 names one or more curated rule sets, comma-separated (``concurrency`` =
-SIM206–SIM211, ``all`` = every registered rule across all three
+SIM208, SIM209 and SIM211, ``all`` = every registered rule across all three
 tiers); multiple profiles union.  ``--list-rules`` prints every registered rule
 with its tier.  A finding can be suppressed at a single line with the
 pragma::
@@ -391,7 +391,7 @@ def lint_source(
 
     ``path`` drives the path-scoped rules: pass a virtual location like
     ``src/repro/sim/x.py`` to lint a snippet under ``sim`` conventions.
-    The whole-program rules (SIM101+ and SIM206+) run too, over a
+    The whole-program rules (SIM101+ and SIM208+) run too, over a
     one-module graph — flow within the snippet is visible, callers
     outside it are not.
     """
@@ -428,7 +428,7 @@ def lint_paths(
 
     The passes share one parse: the per-file rules see each tree in
     isolation; the whole-program tiers (flow SIM101+ and concurrency
-    SIM206+) both see a single
+    SIM208+) both see a single
     :class:`~repro.devtools.graph.ProjectGraph` built from every parsed
     file — the graph is constructed exactly once per run, and its
     ``analysis_cache`` lets the concurrency rules share the expensive
@@ -612,7 +612,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         type=_profile_arg,
         default=None,
         metavar="NAMES",
-        help="named rule sets, comma-separated: concurrency (SIM206-211), "
+        help="named rule sets, comma-separated: concurrency (SIM208, SIM209, SIM211), "
         "or all registered rules; several profiles union",
     )
     parser.add_argument(

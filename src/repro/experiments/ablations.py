@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 
@@ -32,9 +33,9 @@ from ..core.policies import (
 )
 from ..sim.runner import simulate
 from ..workloads.catalog import get_workload
-from ..workloads.distributions import Hyperexponential
+from ..workloads.distributions import Empirical, Hyperexponential
 from ..workloads.synthetic import SyntheticWorkload
-from .base import ExperimentConfig, ExperimentResult, experiment
+from .base import ExperimentConfig, ExperimentResult, experiment, map_cells
 from .common import (
     balanced_policies,
     evaluate_policy,
@@ -52,16 +53,32 @@ __all__ = [
 ]
 
 
+def _rr_sq_cell(
+    config: ExperimentConfig, workload, load: float, n_jobs: int, seed: int
+) -> list[dict]:
+    _, test = make_split_trace(workload, load, 2, n_jobs, seed)
+    return [
+        evaluate_policy(test, policy, load, 2, config, seed).as_row()
+        for policy in balanced_policies(include_secondary=True)
+    ]
+
+
 @experiment("ablate_rr_sq", "Round-Robin and Shortest-Queue (cut from figure 2)")
 def run_ablate_rr_sq(config: ExperimentConfig) -> ExperimentResult:
     workload = get_workload("c90")
     base_jobs = config.jobs(workload.n_jobs // 2)
-    rows = []
-    for load in config.sweep_loads():
-        seed = point_seed(config, "ablate_rr_sq", load)
-        _, test = make_split_trace(workload, load, 2, base_jobs, seed)
-        for policy in balanced_policies(include_secondary=True):
-            rows.append(evaluate_policy(test, policy, load, 2, config, seed).as_row())
+    cells = [
+        partial(
+            _rr_sq_cell,
+            config,
+            workload,
+            load,
+            base_jobs,
+            point_seed(config, "ablate_rr_sq", load),
+        )
+        for load in config.sweep_loads()
+    ]
+    rows = [row for cell in map_cells(cells) for row in cell]
     return ExperimentResult(
         experiment_id="ablate_rr_sq",
         title="Round-Robin and Shortest-Queue vs Random and LWL, 2 hosts, C90",
@@ -231,24 +248,28 @@ def run_ablate_estimates(config: ExperimentConfig) -> ExperimentResult:
     )
 
 
+def _variability_cell(config: ExperimentConfig, scv: float, seed: int) -> list[dict]:
+    load = 0.7
+    dist = Hyperexponential.fit_balanced(mean=1000.0, scv=scv)
+    workload = SyntheticWorkload(
+        name=f"h2-scv{scv:g}", service_dist=dist, n_jobs=config.jobs(40_000)
+    )
+    train, test = make_split_trace(workload, load, 2, workload.n_jobs, seed)
+    cutoff = equal_load_cutoffs(Empirical(train.service_times), 2)
+    policies = [LeastWorkLeftPolicy(), SITAPolicy(cutoff, name="sita-e")]
+    return [
+        {"scv": scv, **evaluate_policy(test, policy, load, 2, config, seed).as_row()}
+        for policy in policies
+    ]
+
+
 @experiment("ablate_variability", "Best policy vs service-time variability")
 def run_ablate_variability(config: ExperimentConfig) -> ExperimentResult:
-    load = 0.7
-    rows = []
-    for scv in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0):
-        dist = Hyperexponential.fit_balanced(mean=1000.0, scv=scv)
-        workload = SyntheticWorkload(
-            name=f"h2-scv{scv:g}", service_dist=dist, n_jobs=config.jobs(40_000)
-        )
-        seed = point_seed(config, "ablate_variability", scv)
-        train, test = make_split_trace(workload, load, 2, workload.n_jobs, seed)
-        from ..workloads.distributions import Empirical
-
-        cutoff = equal_load_cutoffs(Empirical(train.service_times), 2)
-        policies = [LeastWorkLeftPolicy(), SITAPolicy(cutoff, name="sita-e")]
-        for policy in policies:
-            point = evaluate_policy(test, policy, load, 2, config, seed)
-            rows.append({"scv": scv, **point.as_row()})
+    cells = [
+        partial(_variability_cell, config, scv, point_seed(config, "ablate_variability", scv))
+        for scv in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+    ]
+    rows = [row for cell in map_cells(cells) for row in cell]
     return ExperimentResult(
         experiment_id="ablate_variability",
         title="LWL vs SITA-E as service variability grows (H2 workloads, load 0.7)",
@@ -265,8 +286,6 @@ def run_ablate_fast_vs_event(config: ExperimentConfig) -> ExperimentResult:
     trace = workload.make_trace(
         load=0.7, n_hosts=2, n_jobs=n_jobs, rng=point_seed(config, "fastvsevent")
     )
-    from ..workloads.distributions import Empirical
-
     cutoff = equal_load_cutoffs(Empirical(trace.service_times), 2)
     rows = []
     for policy_factory in (

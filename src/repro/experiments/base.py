@@ -18,6 +18,11 @@ Long sweeps additionally get crash safety (see docs/ROBUSTNESS.md):
   uninterrupted run would have.
 * :func:`run_point` — bounded timeout/retry for a single simulated
   point, so one pathological point cannot hang an entire sweep.
+
+Sweeps also use every CPU: a driver hands its independent (load,
+replication) cells to :func:`map_cells`, which runs them on a fork-started
+process pool and returns their results in cell order, so the rows are
+the ones a one-process run gives.
 """
 
 from __future__ import annotations
@@ -29,13 +34,14 @@ import json
 import math
 import os
 import signal
+import sys
 import threading
 import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 __all__ = [
     "Checkpoint",
@@ -48,9 +54,12 @@ __all__ = [
     "experiment",
     "get_experiment",
     "list_experiments",
+    "map_cells",
     "run_experiment",
     "run_point",
 ]
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -346,13 +355,10 @@ class Checkpoint:
     def __len__(self) -> int:
         """Number of stored entries.
 
-        Deliberately **not cached**: parallel workers write entries into
-        the same directory from other processes, so any in-process count
+        Deliberately **not cached**: pool workers write entries into the
+        same directory from other processes, so any in-process count
         would go stale immediately.  Each call is an O(n) directory scan
-        (no file reads) — call it once and keep the number rather than
-        using ``len()`` inside a loop; for the set of completed *keys*
-        use :meth:`keys`, which the parallel dispatcher calls exactly
-        once per run to pre-filter finished points.
+        (no file reads).
         """
         return sum(1 for _ in self.directory.glob("*.json"))
 
@@ -361,9 +367,7 @@ class Checkpoint:
 
         One O(n) pass reading each entry (corrupt or stale-signature
         files are skipped, matching :meth:`get`), sorted for a
-        deterministic listing.  The parallel dispatcher uses this to
-        pre-filter completed points in a single scan instead of probing
-        :meth:`get` once per sweep point.
+        deterministic listing.
         """
         out = []
         for path in self.directory.glob("*.json"):
@@ -480,6 +484,118 @@ def run_point(
             time.sleep(backoff * attempt)
 
 
+# ----------------------------------------------------------------------
+# the cell map: a sweep's independent cells over every CPU
+# ----------------------------------------------------------------------
+
+
+#: processes :func:`map_cells` may use; :func:`run_experiment` sets it
+#: for the duration of a run (1 = everything in this process).
+_CELL_WORKERS = 1
+#: the cells of the map in flight; pool workers inherit them by fork.
+_CELLS: Sequence[Callable[[], Any]] = ()
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, where there is one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API (macOS)
+        return os.cpu_count() or 1
+
+
+def _run_cell(index: int) -> Any:
+    return _CELLS[index]()
+
+
+def _init_worker() -> None:
+    # A pool worker inherits the parent's cap by fork; a cell that maps
+    # cells of its own runs them here instead of nesting a second pool.
+    global _CELL_WORKERS
+    _CELL_WORKERS = 1
+
+
+def map_cells(cells: Sequence[Callable[[], T]]) -> list[T]:
+    """Run a sweep's independent cells; results come back in cell order.
+
+    A cell is a zero-argument callable, typically one (load,
+    replication) coordinate: it generates its own seeded trace, fits
+    its cutoffs and runs its policies, so no cell depends on another.
+    Inside :func:`run_experiment` the cells run on a ``fork``-started
+    process pool of up to ``workers`` processes.  The children inherit
+    the cells and whatever the driver built before the call (nothing is
+    pickled but each cell's index and its result), and the results are
+    read in submission order, so they equal the in-process ones.
+
+    The cells run in this process instead with one worker or one cell,
+    where ``fork`` does not exist or is unsafe (another thread is
+    running: a forked child would inherit its locks in whatever state
+    they were in), in a daemonic process (which may start no children)
+    and inside one of this map's own workers: a map never nests a pool.
+
+    A cell that raises re-raises here, and a worker that dies fails the
+    map with ``BrokenProcessPool``; either way the other workers are
+    stopped at once, and no child outlives the call.  The per-point
+    checkpoint, its ``--resume`` and the SIGALRM budget work unchanged
+    in the children: each has the active checkpoint and runs its cells
+    on its own main thread.
+    """
+    global _CELLS
+    workers = min(_CELL_WORKERS, len(cells))
+    if workers > 1:
+        import multiprocessing
+
+        if (
+            "fork" not in multiprocessing.get_all_start_methods()
+            or threading.active_count() > 1
+            or multiprocessing.current_process().daemon
+        ):
+            workers = 1
+    if workers <= 1:
+        return [cell() for cell in cells]
+    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+    )
+    if sys.version_info < (3, 14) and not hasattr(pool, "_processes"):
+        # No public call stops the workers before 3.14: without the
+        # pool's map of them a failed cell would wait for every other.
+        pool.shutdown()
+        raise RuntimeError("ProcessPoolExecutor keeps no _processes map")
+    previous, _CELLS = _CELLS, cells
+    try:
+        futures = [pool.submit(_run_cell, i) for i in range(len(cells))]
+        wait(futures, return_when=FIRST_EXCEPTION)
+        for future in futures:
+            if future.done() and future.exception() is not None:
+                future.result()  # the first failed cell re-raises here
+        return [future.result() for future in futures]
+    except BaseException:
+        # Fail now rather than after the cells still running: stop them.
+        if sys.version_info >= (3, 14):
+            pool.terminate_workers()
+        else:
+            for process in list((pool._processes or {}).values()):
+                process.terminate()
+        raise
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+        _CELLS = previous
+
+
+@contextmanager
+def _cell_workers(workers: int) -> Iterator[None]:
+    global _CELL_WORKERS
+    previous, _CELL_WORKERS = _CELL_WORKERS, workers
+    try:
+        yield
+    finally:
+        _CELL_WORKERS = previous
+
+
 def run_experiment(
     experiment_id: str,
     config: ExperimentConfig | None = None,
@@ -498,38 +614,25 @@ def run_experiment(
     directory is cleared first: a fresh run never silently reuses old
     points.
 
-    ``workers`` > 1 fans the experiment's simulated points out over a
-    process pool (see :mod:`repro.experiments.parallel`); results are
-    collected in deterministic submission order and the returned rows
-    are bit-identical to a serial run.  ``None``/1 is the plain serial
-    path.  Checkpointing composes: pool workers write through the same
-    atomic store, and ``resume`` pre-filters completed points before
-    dispatch.
+    ``workers`` caps the processes the driver's :func:`map_cells` may
+    use: ``None`` means every usable CPU (:func:`usable_cpus`), and 1
+    runs everything in this process.  The rows are the same either way.
     """
-    if workers is not None:
-        if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-            raise ValueError(
-                f"workers must be a positive integer or None, got {workers!r}"
-            )
-        if workers > 1:
-            from .parallel import run_parallel_experiment
-
-            return run_parallel_experiment(
-                experiment_id,
-                config,
-                workers=workers,
-                checkpoint_dir=checkpoint_dir,
-                resume=resume,
-            )
+    if workers is None:
+        workers = usable_cpus()
+    elif not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
+        raise ValueError(
+            f"workers must be a positive integer or None, got {workers!r}"
+        )
     fn = get_experiment(experiment_id)
     config = config if config is not None else ExperimentConfig()
-    if checkpoint_dir is None:
-        return fn(config)
-    checkpoint = Checkpoint(
-        Path(checkpoint_dir) / experiment_id,
-        signature=config_signature(experiment_id, config),
-    )
-    if not resume:
-        checkpoint.clear()
-    with active_checkpoint(checkpoint):
+    checkpoint = None
+    if checkpoint_dir is not None:
+        checkpoint = Checkpoint(
+            Path(checkpoint_dir) / experiment_id,
+            signature=config_signature(experiment_id, config),
+        )
+        if not resume:
+            checkpoint.clear()
+    with active_checkpoint(checkpoint), _cell_workers(workers):
         return fn(config)

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -50,18 +49,16 @@ if TYPE_CHECKING:
 __all__ = [
     "SweepPoint",
     "make_split_trace",
-    "memoised_splits",
     "fit_sita_cutoffs",
     "compute_point",
     "evaluate_policy",
-    "placeholder_point",
     "point_key",
-    "set_point_interceptor",
     "balanced_policies",
     "sita_family",
     "grouped_sita",
     "point_seed",
     "aggregate_replications",
+    "aggregate_cells",
 ]
 
 
@@ -124,32 +121,6 @@ class SweepPoint:
         return cls(**{**d, "summary": Summary(**s)})
 
 
-#: (train, test) splits memoised by :func:`memoised_splits`; ``None``
-#: (nothing cached) outside such a block.
-_SPLIT_MEMO: dict[tuple, tuple[Trace, Trace]] | None = None
-
-
-@contextmanager
-def memoised_splits() -> Iterator[None]:
-    """Memoise :func:`make_split_trace` until the block exits.
-
-    The parallel executor walks a driver twice (collect + replay, see
-    :mod:`repro.experiments.parallel`) and installs this around both
-    walks so the replay regenerates no trace.  A serial sweep asks for
-    each (load, seed) coordinate once and caches nothing, so it holds
-    only the point it is computing.  Keys hold strong references to
-    the workload/arrivals objects, so identity-based hashing can never
-    alias a recycled ``id()``.
-    """
-    global _SPLIT_MEMO
-    previous = _SPLIT_MEMO
-    _SPLIT_MEMO = {}
-    try:
-        yield
-    finally:
-        _SPLIT_MEMO = previous
-
-
 def make_split_trace(
     workload: SyntheticWorkload,
     load: float,
@@ -158,30 +129,11 @@ def make_split_trace(
     seed: int,
     arrivals: ArrivalProcess | None = None,
 ) -> tuple[Trace, Trace]:
-    """Generate a trace and split it into (train, test) halves.
-
-    Inside :func:`memoised_splits` repeated calls with the same integer
-    ``seed`` return the same pair; a caller-supplied Generator is never
-    memoised (it mutates as it samples, so two calls legitimately
-    differ).
-    """
-    memo = _SPLIT_MEMO
-    key = None
-    if memo is not None and isinstance(seed, int) and not isinstance(seed, bool):
-        key = (workload, load, n_hosts, n_jobs, seed, arrivals)
-        try:
-            return memo[key]
-        except KeyError:
-            pass
-        except TypeError:  # unhashable workload/arrivals: just recompute
-            key = None
+    """Generate a trace and split it into (train, test) halves."""
     trace = workload.make_trace(
         load=load, n_hosts=n_hosts, n_jobs=n_jobs, rng=seed, arrivals=arrivals
     )
-    split = trace.split(0.5)
-    if key is not None:
-        memo[key] = split
-    return split
+    return trace.split(0.5)
 
 
 def fit_sita_cutoffs(
@@ -218,7 +170,7 @@ def point_key(
     faults: FaultModel | None = None,
     class_cutoff: float | None = None,
 ) -> str:
-    """Canonical checkpoint/dispatch key for one simulated point."""
+    """Canonical checkpoint key for one simulated point."""
     return "|".join(
         [
             f"policy={policy.name}",
@@ -243,11 +195,9 @@ def compute_point(
 ) -> dict:
     """Simulate one point and return its JSON-serialisable SweepPoint.
 
-    The single code path behind both the serial harness and the parallel
-    workers (:mod:`repro.experiments.parallel`) — running it in-process
-    or in a pool worker is bit-identical by construction.  The config's
-    per-point SIGALRM budget applies wherever this runs: in a pool the
-    worker process enforces it on its own main thread.
+    The config's per-point SIGALRM budget applies wherever this runs: in
+    a pool worker (:func:`~repro.experiments.base.map_cells`) the worker
+    process enforces it on its own main thread.
     """
     result = base_run_point(
         lambda: simulate(
@@ -276,66 +226,6 @@ def compute_point(
     ).to_json()
 
 
-def placeholder_point(
-    policy, load: float, n_hosts: int, class_cutoff: float | None = None
-) -> SweepPoint:
-    """A shape-correct stand-in for a not-yet-computed point.
-
-    The parallel executor's collect pass returns these so a driver can
-    complete its sweep structurally (rows are assembled and discarded)
-    while the real simulations are recorded for dispatch.  Coordinates
-    are real; every metric is NaN.  When a fairness ``class_cutoff`` is
-    requested the short/long fields are 0.0 rather than NaN so the
-    placeholder row keeps the same columns a real row would have
-    (``as_row`` drops NaN fairness fields).
-    """
-    nan = math.nan
-    summary = Summary(
-        n_jobs=0,
-        mean_slowdown=nan,
-        var_slowdown=nan,
-        mean_waiting_slowdown=nan,
-        mean_response=nan,
-        var_response=nan,
-        mean_wait=nan,
-        max_slowdown=nan,
-        p95_slowdown=nan,
-        p99_slowdown=nan,
-        host_load_fraction=tuple(0.0 for _ in range(n_hosts)),
-        host_job_fraction=tuple(0.0 for _ in range(n_hosts)),
-    )
-    fair = 0.0 if class_cutoff is not None else nan
-    return SweepPoint(
-        policy=policy.name,
-        load=load,
-        n_hosts=n_hosts,
-        summary=summary,
-        short_slowdown=fair,
-        long_slowdown=fair,
-    )
-
-
-#: hook installed by :mod:`repro.experiments.parallel` to intercept every
-#: simulated point; ``None`` means the plain serial path.
-_POINT_INTERCEPTOR: Callable[..., "SweepPoint"] | None = None
-
-
-def set_point_interceptor(
-    interceptor: Callable[..., "SweepPoint"] | None,
-) -> Callable[..., "SweepPoint"] | None:
-    """Install ``interceptor`` on every :func:`evaluate_policy` call;
-    return the previous one so callers can restore it.
-
-    Not a public extension point; the supported consumer is the parallel
-    sweep executor, which uses it to record points during its collect
-    pass and substitute pool-computed results during replay.
-    """
-    global _POINT_INTERCEPTOR
-    previous = _POINT_INTERCEPTOR
-    _POINT_INTERCEPTOR = interceptor
-    return previous
-
-
 def evaluate_policy(
     test: Trace,
     policy,
@@ -354,21 +244,8 @@ def evaluate_policy(
     from the fast kernels to the event engine (``fallback`` records
     that).  With ``faults`` the point runs under fault injection; with
     ``class_cutoff`` the short/long mean slowdowns are recorded for
-    fairness reporting.  Under an active parallel executor
-    (``run_experiment(..., workers=N)``) the point is dispatched to a
-    worker pool instead — see :mod:`repro.experiments.parallel`.
+    fairness reporting.
     """
-    if _POINT_INTERCEPTOR is not None:
-        return _POINT_INTERCEPTOR(
-            test=test,
-            policy=policy,
-            load=load,
-            n_hosts=n_hosts,
-            config=config,
-            seed=seed,
-            faults=faults,
-            class_cutoff=class_cutoff,
-        )
     key = point_key(policy, load, n_hosts, seed, faults, class_cutoff)
     return SweepPoint.from_json(
         checkpointed(
@@ -414,6 +291,24 @@ def aggregate_replications(rows: list[dict]) -> dict:
         1.96 * np.std(slows, ddof=1) / math.sqrt(len(rows))
     )
     return out
+
+
+def aggregate_cells(cells: list[list[dict]], replications: int) -> list[dict]:
+    """One row per (coordinate, policy) from the rows of sweep cells.
+
+    ``cells`` holds each cell's rows, with the ``replications`` cells of
+    one coordinate next to each other.  Each policy's rows over those
+    cells become one row (:func:`aggregate_replications`), in the order
+    the policies first appear.
+    """
+    rows = []
+    for start in range(0, len(cells), replications):
+        per_policy: dict[str, list[dict]] = {}
+        for cell in cells[start : start + replications]:
+            for row in cell:
+                per_policy.setdefault(row["policy"], []).append(row)
+        rows.extend(aggregate_replications(reps) for reps in per_policy.values())
+    return rows
 
 
 def balanced_policies(include_secondary: bool = False) -> list:

@@ -28,13 +28,14 @@ from the target availability, so the sweep is meaningful at any
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
 from ..core.policies import LeastWorkLeftPolicy
 from ..sim.faults import SEMANTICS, FaultModel
 from ..workloads.catalog import get_workload
-from .base import ExperimentConfig, ExperimentResult, experiment
+from .base import ExperimentConfig, ExperimentResult, experiment, map_cells
 from .common import (
     aggregate_replications,
     evaluate_policy,
@@ -93,7 +94,10 @@ def failure_sweep(
     """Sweep availability × failure semantics over the Figure-4 policies."""
     workload = get_workload(workload_name)
     base_jobs = config.jobs(max(workload.n_jobs, 30_000))
-    rows: list[dict] = []
+    # One cell per point: the replication's trace and cutoffs are built
+    # here once, and the pool's children inherit them.  Each replication
+    # is mapped before the next is built, so memory does not grow with
+    # the number of replications.
     per_policy: dict[tuple, list[dict]] = {}
     for rep in range(config.replications):
         seed = point_seed(config, experiment_id, workload_name, load, rep)
@@ -104,6 +108,8 @@ def failure_sweep(
         # The short/long fairness split is the fitted SITA-E cutoff for
         # every policy, so the gap is comparable across policies.
         class_cutoff = cutoffs["e"]
+        cells = []
+        labels: list[tuple[str, float]] = []
         for semantics in SEMANTICS:
             for availability in AVAILABILITIES:
                 if availability >= 1.0 and semantics != SEMANTICS[0]:
@@ -115,19 +121,22 @@ def failure_sweep(
                     availability, semantics, mean_service, fault_seed
                 )
                 for policy in policies:
-                    point = evaluate_policy(
-                        test, policy, load, n_hosts, config, seed,
-                        faults=faults, class_cutoff=class_cutoff,
+                    cells.append(
+                        partial(
+                            evaluate_policy, test, policy, load, n_hosts, config,
+                            seed, faults=faults, class_cutoff=class_cutoff,
+                        )
                     )
-                    row = point.as_row()
-                    row["semantics"] = (
-                        "none" if faults is None else semantics
+                    labels.append(
+                        ("none" if faults is None else semantics, availability)
                     )
-                    row["availability"] = availability
-                    key = (policy.name, row["semantics"], availability)
-                    per_policy.setdefault(key, []).append(row)
-    for reps in per_policy.values():
-        rows.append(aggregate_replications(reps))
+        for (semantics, availability), point in zip(labels, map_cells(cells)):
+            row = point.as_row()
+            row["semantics"] = semantics
+            row["availability"] = availability
+            key = (point.policy, semantics, availability)
+            per_policy.setdefault(key, []).append(row)
+    rows = [aggregate_replications(reps) for reps in per_policy.values()]
     # Post-process: slowdown penalty vs the policy's failure-free
     # baseline, and the long/short fairness gap.
     baseline = {

@@ -13,13 +13,15 @@ Random is unchanged, and LWL wins at low loads.
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..core.policies import SITAPolicy
 from ..core.cutoffs import equal_load_cutoffs
 from ..workloads.catalog import get_workload
 from ..workloads.distributions import Empirical
-from .base import ExperimentConfig, ExperimentResult, experiment
+from .base import ExperimentConfig, ExperimentResult, experiment, map_cells
 from .common import (
-    aggregate_replications,
+    aggregate_cells,
     balanced_policies,
     evaluate_policy,
     make_split_trace,
@@ -40,6 +42,27 @@ _COLUMNS = [
 ]
 
 
+def _balanced_cell(
+    config: ExperimentConfig,
+    workload,
+    load: float,
+    n_hosts: int,
+    n_jobs: int,
+    seed: int,
+    include_secondary: bool,
+) -> list[dict]:
+    """One (load, replication) cell: every policy's row on one trace."""
+    train, test = make_split_trace(workload, load, n_hosts, n_jobs, seed)
+    cutoffs = equal_load_cutoffs(Empirical(train.service_times), n_hosts)
+    policies = balanced_policies(include_secondary) + [
+        SITAPolicy(cutoffs, name="sita-e")
+    ]
+    return [
+        evaluate_policy(test, policy, load, n_hosts, config, seed).as_row()
+        for policy in policies
+    ]
+
+
 def balanced_policy_sweep(
     config: ExperimentConfig,
     workload_name: str,
@@ -49,26 +72,25 @@ def balanced_policy_sweep(
 ) -> list[dict]:
     """Sweep the load-balancing policies + SITA-E over system loads."""
     workload = get_workload(workload_name)
-    rows = []
     # Small logs (J90/CTC) get a floor so steady-state estimates converge.
     base_jobs = config.jobs(max(workload.n_jobs, 30_000))
-    for load in config.sweep_loads():
-        per_policy: dict[str, list[dict]] = {}
-        for rep in range(config.replications):
-            seed = point_seed(
-                config, experiment_id, workload_name, n_hosts, load, rep
-            )
-            train, test = make_split_trace(workload, load, n_hosts, base_jobs, seed)
-            cutoffs = equal_load_cutoffs(Empirical(train.service_times), n_hosts)
-            policies = balanced_policies(include_secondary) + [
-                SITAPolicy(cutoffs, name="sita-e")
-            ]
-            for policy in policies:
-                point = evaluate_policy(test, policy, load, n_hosts, config, seed)
-                per_policy.setdefault(policy.name, []).append(point.as_row())
-        for reps in per_policy.values():
-            rows.append(aggregate_replications(reps))
-    return rows
+    loads = config.sweep_loads()
+    reps = range(config.replications)
+    cells = [
+        partial(
+            _balanced_cell,
+            config,
+            workload,
+            load,
+            n_hosts,
+            base_jobs,
+            point_seed(config, experiment_id, workload_name, n_hosts, load, rep),
+            include_secondary,
+        )
+        for load in loads
+        for rep in reps
+    ]
+    return aggregate_cells(map_cells(cells), len(reps))
 
 
 @experiment("fig2", "Balanced policies, 2 hosts, C90 (simulation)")

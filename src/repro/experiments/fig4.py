@@ -12,10 +12,12 @@ SITA-U-opt; both improve on SITA-E by 4–10× in mean slowdown and
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..workloads.catalog import get_workload
-from .base import ExperimentConfig, ExperimentResult, experiment
+from .base import ExperimentConfig, ExperimentResult, experiment, map_cells
 from .common import (
-    aggregate_replications,
+    aggregate_cells,
     evaluate_policy,
     fit_sita_cutoffs,
     make_split_trace,
@@ -38,27 +40,40 @@ _COLUMNS = [
 ]
 
 
+def _sita_cell(
+    config: ExperimentConfig, workload, load: float, n_jobs: int, seed: int
+) -> list[dict]:
+    """One (load, replication) cell: fit the cutoffs, run each SITA."""
+    train, test = make_split_trace(workload, load, 2, n_jobs, seed)
+    cutoffs = fit_sita_cutoffs(train, load)
+    rows = []
+    for policy in sita_family(cutoffs):
+        row = evaluate_policy(test, policy, load, 2, config, seed).as_row()
+        row["cutoff"] = float(policy.cutoffs[0])
+        rows.append(row)
+    return rows
+
+
 def sita_sweep(
     config: ExperimentConfig, workload_name: str, experiment_id: str
 ) -> list[dict]:
     """Sweep the SITA family (E / U-opt / U-fair) over system loads, h=2."""
     workload = get_workload(workload_name)
     base_jobs = config.jobs(max(workload.n_jobs, 30_000))
-    rows = []
-    for load in config.sweep_loads():
-        per_policy: dict[str, list[dict]] = {}
-        for rep in range(config.replications):
-            seed = point_seed(config, experiment_id, workload_name, load, rep)
-            train, test = make_split_trace(workload, load, 2, base_jobs, seed)
-            cutoffs = fit_sita_cutoffs(train, load)
-            for policy in sita_family(cutoffs):
-                point = evaluate_policy(test, policy, load, 2, config, seed)
-                row = point.as_row()
-                row["cutoff"] = float(policy.cutoffs[0])
-                per_policy.setdefault(policy.name, []).append(row)
-        for reps in per_policy.values():
-            rows.append(aggregate_replications(reps))
-    return rows
+    reps = range(config.replications)
+    cells = [
+        partial(
+            _sita_cell,
+            config,
+            workload,
+            load,
+            base_jobs,
+            point_seed(config, experiment_id, workload_name, load, rep),
+        )
+        for load in config.sweep_loads()
+        for rep in reps
+    ]
+    return aggregate_cells(map_cells(cells), len(reps))
 
 
 @experiment("fig4", "SITA-E vs SITA-U-opt vs SITA-U-fair, 2 hosts, C90 (simulation)")

@@ -15,10 +15,12 @@ all policies converge.
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..core.policies import LeastWorkLeftPolicy
 from ..workloads.catalog import get_workload
 from ..workloads.distributions import Empirical
-from .base import ExperimentConfig, ExperimentResult, experiment
+from .base import ExperimentConfig, ExperimentResult, experiment, map_cells
 from .common import (
     evaluate_policy,
     fit_sita_cutoffs,
@@ -42,27 +44,42 @@ _COLUMNS = [
 ]
 
 
+def _hosts_cell(
+    config: ExperimentConfig, workload, n_hosts: int, n_jobs: int, seed: int
+) -> list[dict]:
+    """One host count: plain LWL and the three grouped SITAs."""
+    train, test = make_split_trace(workload, _LOAD, n_hosts, n_jobs, seed)
+    cutoffs = fit_sita_cutoffs(train, _LOAD)
+    train_dist = Empirical(train.service_times)
+    policies = [LeastWorkLeftPolicy()]
+    names = {"e": "sita-e+lwl", "opt": "sita-u-opt+lwl", "fair": "sita-u-fair+lwl"}
+    for variant, cutoff in cutoffs.items():
+        policies.append(
+            grouped_sita(cutoff, n_hosts, train_dist, names[variant], load=_LOAD)
+        )
+    return [
+        evaluate_policy(test, policy, _LOAD, n_hosts, config, seed).as_row()
+        for policy in policies
+    ]
+
+
 @experiment("fig6", "Slowdown vs number of hosts at load 0.7 (C90)")
 def run_fig6(config: ExperimentConfig) -> ExperimentResult:
     workload = get_workload("c90")
-    rows = []
-    for n_hosts in _HOST_COUNTS:
-        # Keep per-host statistical effort roughly constant: more hosts
-        # need more jobs for the same steady-state quality.
-        n_jobs = config.jobs(workload.n_jobs * max(1, n_hosts // 4))
-        seed = point_seed(config, "fig6", n_hosts)
-        train, test = make_split_trace(workload, _LOAD, n_hosts, n_jobs, seed)
-        cutoffs = fit_sita_cutoffs(train, _LOAD)
-        train_dist = Empirical(train.service_times)
-        policies = [LeastWorkLeftPolicy()]
-        names = {"e": "sita-e+lwl", "opt": "sita-u-opt+lwl", "fair": "sita-u-fair+lwl"}
-        for variant, cutoff in cutoffs.items():
-            policies.append(
-                grouped_sita(cutoff, n_hosts, train_dist, names[variant], load=_LOAD)
-            )
-        for policy in policies:
-            point = evaluate_policy(test, policy, _LOAD, n_hosts, config, seed)
-            rows.append(point.as_row())
+    cells = [
+        partial(
+            _hosts_cell,
+            config,
+            workload,
+            n_hosts,
+            # Keep per-host statistical effort roughly constant: more
+            # hosts need more jobs for the same steady-state quality.
+            config.jobs(workload.n_jobs * max(1, n_hosts // 4)),
+            point_seed(config, "fig6", n_hosts),
+        )
+        for n_hosts in _HOST_COUNTS
+    ]
+    rows = [row for cell in map_cells(cells) for row in cell]
     return ExperimentResult(
         experiment_id="fig6",
         title="Policies vs number of hosts, system load 0.7, C90",

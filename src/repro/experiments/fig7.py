@@ -20,10 +20,12 @@ on the log's exact burst structure (recorded in EXPERIMENTS.md).
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..core.policies import LeastWorkLeftPolicy
 from ..workloads.arrivals import RenewalArrivals
 from ..workloads.catalog import get_workload
-from .base import ExperimentConfig, ExperimentResult, experiment
+from .base import ExperimentConfig, ExperimentResult, experiment, map_cells
 from .common import (
     evaluate_policy,
     fit_sita_cutoffs,
@@ -48,28 +50,41 @@ _COLUMNS = [
 ]
 
 
+def _bursty_cell(
+    config: ExperimentConfig, workload, arrivals, load: float, n_jobs: int, seed: int
+) -> list[dict]:
+    """One load: LWL and SITA-U on a bursty trace."""
+    train, test = make_split_trace(workload, load, 2, n_jobs, seed, arrivals=arrivals)
+    # Paper protocol: cutoffs from the Poisson analysis (the size
+    # distribution of the training half; arrivals don't enter).
+    cutoffs = fit_sita_cutoffs(train, load, variants=("opt", "fair"))
+    policies = [LeastWorkLeftPolicy()] + sita_family(cutoffs)
+    return [
+        evaluate_policy(test, policy, load, 2, config, seed).as_row()
+        for policy in policies
+    ]
+
+
 @experiment("fig7", "Bursty (scaled-trace-like) arrivals: LWL vs SITA-U (C90)")
 def run_fig7(config: ExperimentConfig) -> ExperimentResult:
     workload = get_workload("c90")
     base_jobs = config.jobs(workload.n_jobs)
-    rows = []
     bursty = RenewalArrivals.bursty(rate=1.0, scv=BURSTY_SCV)
-    for load in _LOADS:
-        if load > max(config.max_load, 0.98):
-            continue
-        seed = point_seed(config, "fig7", load)
-        # Very high loads converge slowly; give them longer runs.
-        n_jobs = base_jobs * (2 if load >= 0.9 else 1)
-        train, test = make_split_trace(
-            workload, load, 2, n_jobs, seed, arrivals=bursty
+    cells = [
+        partial(
+            _bursty_cell,
+            config,
+            workload,
+            bursty,
+            load,
+            # Very high loads converge slowly; give them longer runs.
+            base_jobs * (2 if load >= 0.9 else 1),
+            point_seed(config, "fig7", load),
         )
-        # Paper protocol: cutoffs from the Poisson analysis (the size
-        # distribution of the training half; arrivals don't enter).
-        cutoffs = fit_sita_cutoffs(train, load, variants=("opt", "fair"))
-        policies = [LeastWorkLeftPolicy()] + sita_family(cutoffs)
-        for policy in policies:
-            point = evaluate_policy(test, policy, load, 2, config, seed)
-            rows.append(point.as_row())
+        for load in _LOADS
+        if load <= max(config.max_load, 0.98)
+    ]
+    rows = [row for cell in map_cells(cells) for row in cell]
     return ExperimentResult(
         experiment_id="fig7",
         title=f"Bursty arrivals (interarrival SCV {BURSTY_SCV:g}): LWL vs SITA-U",

@@ -262,7 +262,7 @@ class _OnlineServer(DistributedServer):
         self._parked: dict[int, Job] = {}
         self._attempts: dict[int, int] = {}
         #: jobs shed after admission (deferred-queue overflow).
-        self._shed_jobs: list[Job] = []
+        self.n_shed = 0
         self.n_retries = 0
         self.n_handoff_failures = 0
         self.n_given_up = 0
@@ -278,7 +278,8 @@ class _OnlineServer(DistributedServer):
             # clock forever.  Give up explicitly: the job becomes a
             # "lost" outcome, visible in the counters.
             job.lost = True
-            self._lost.append(job)
+            self.n_lost += 1
+            self._record_gone(job)
             self._attempts.pop(job.index, None)
             self.n_given_up += 1
             return
@@ -326,7 +327,8 @@ class _OnlineServer(DistributedServer):
         if len(self._deferred) < self.max_deferred:
             self._deferred.append(job)
         else:
-            self._shed_jobs.append(job)
+            self.n_shed += 1
+            self._record_gone(job)
 
     def _flush_deferred(self) -> None:
         """One bounded pass over the deferred queue, FCFS.
@@ -360,13 +362,10 @@ class _OnlineServer(DistributedServer):
 
     # -- accounting ----------------------------------------------------
 
-    def _gone(self) -> list[Job]:
-        return [*self._lost, *self._shed_jobs]
-
     def _dispatcher_held(self) -> dict[str, int]:
         held = super()._dispatcher_held()
         held["parked"] = len(self._parked)
-        held["shed"] = len(self._shed_jobs)
+        held["shed"] = self.n_shed
         return held
 
 
@@ -865,12 +864,12 @@ class DispatchServer:
 
     @property
     def n_lost(self) -> int:
-        return len(self._inner._lost)
+        return self._inner.n_lost
 
     @property
     def n_rejected(self) -> int:
         """All sheds: at intake plus deferred-queue overflow."""
-        return self.n_rejected_intake + len(self._inner._shed_jobs)
+        return self.n_rejected_intake + self._inner.n_shed
 
     @property
     def in_flight(self) -> int:
@@ -884,7 +883,7 @@ class DispatchServer:
             "accepted": self.n_accepted,
             "rejected": self.n_rejected,
             "rejected_intake": self.n_rejected_intake,
-            "rejected_overflow": len(inner._shed_jobs),
+            "rejected_overflow": inner.n_shed,
             "completed": self.n_completed,
             "lost": self.n_lost,
             "in_flight": self.in_flight,

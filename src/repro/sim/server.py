@@ -233,7 +233,12 @@ class DistributedServer:
         #: per-host up flags while a fault model runs, rebuilt only after
         #: a crash or a repair.
         self._live: tuple[bool, ...] | None = None
-        self._lost: list[Job] = []
+        #: jobs a crash destroyed (``lost`` semantics).
+        self.n_lost = 0
+        #: indices of the jobs that left without completing (lost, or
+        #: shed by the online server) and are not folded yet; only a
+        #: server that folds (``retain`` set) keeps them.
+        self._gone_at: list[int] = []
         #: arrivals held at the dispatcher because every host was down.
         self._deferred: deque[Job] = deque()
         self._n_arrived = 0
@@ -356,7 +361,8 @@ class DistributedServer:
         if victim is not None:
             if semantics == "lost":
                 victim.lost = True
-                self._lost.append(victim)
+                self.n_lost += 1
+                self._record_gone(victim)
                 self._maybe_finish()
             elif self.policy.kind == "central":
                 # The victim arrived before anything still queued centrally.
@@ -385,7 +391,7 @@ class DistributedServer:
         """
         if self._expected is None:
             return
-        if self.n_completed + len(self._lost) >= self._expected:
+        if self.n_completed + self.n_lost >= self._expected:
             self.sim.stop()
 
     # ------------------------------------------------------------------
@@ -416,9 +422,11 @@ class DistributedServer:
         finally:
             del rows
 
-    def _gone(self) -> list[Job]:
-        """Admitted jobs that left without completing (never a row)."""
-        return self._lost
+    def _record_gone(self, job: Job) -> None:
+        """Note a job that left without completing (it never gets a row):
+        :meth:`fold_completed` needs its index until it is folded."""
+        if self.retain is not None:
+            self._gone_at.append(job.index)
 
     def fold_completed(self) -> None:
         """Fold the log's oldest rows into :attr:`folded`.
@@ -444,9 +452,9 @@ class DistributedServer:
             finished = np.zeros(limit - folded.at, dtype=bool)
             index = rows[:, 0]
             finished[index[index < limit].astype(np.int64) - folded.at] = True
-            for job in self._gone():
-                if folded.at <= job.index < limit:
-                    finished[job.index - folded.at] = True
+            for gone in self._gone_at:
+                if folded.at <= gone < limit:
+                    finished[gone - folded.at] = True
             first = int(finished.argmin())  # the first False, else 0
             at = folded.at + (finished.size if finished[first] else first)
             if at > folded.at:
@@ -458,6 +466,7 @@ class DistributedServer:
                 )
                 folded.add((completion - arrival) / size)
                 folded.at = at
+                self._gone_at = [gone for gone in self._gone_at if gone >= at]
                 # Compact the kept rows to the front a block at a time,
                 # so no copy of the whole log is ever alive.
                 kept = 0
@@ -547,7 +556,7 @@ class DistributedServer:
             "central": len(self.central_queue),
             "deferred": len(self._deferred),
             "completed": self.n_completed,
-            "lost": len(self._lost),
+            "lost": self.n_lost,
         }
 
     # ------------------------------------------------------------------
@@ -590,7 +599,7 @@ class DistributedServer:
             # livelock into a diagnosable error instead of a hung sweep.
             budget = 200 * trace.n_jobs + 100_000
             self.sim.run(max_events=budget)
-            done = self.n_completed + len(self._lost)
+            done = self.n_completed + self.n_lost
             if done != trace.n_jobs:
                 raise RuntimeError(
                     f"simulation ended with {done} of {trace.n_jobs} jobs "
@@ -629,7 +638,7 @@ class DistributedServer:
             host_assignments=hosts.astype(int),
             wasted_work=wasted,
             processing_times=processing,
-            n_lost=len(self._lost),
+            n_lost=self.n_lost,
             n_failures=0 if injector is None else injector.total_crashes,
             host_downtime=(
                 0.0 if injector is None else injector.total_downtime(self.sim.now)

@@ -1,4 +1,4 @@
-"""Positive + negative fixtures for the concurrency tier SIM206–SIM211.
+"""Positive + negative fixtures for the concurrency tier (SIM208, SIM209, SIM211).
 
 Mirrors ``test_flow_rules.py``: every rule registered in
 ``CONCURRENCY_RULES`` must have at least one fixture that triggers it
@@ -8,7 +8,7 @@ test fails when a new rule lands without them.
 Single-module fixtures go through :func:`repro.devtools.lint_source`
 (one-module graph, same path the CLI uses).  The cross-module cases at
 the bottom exercise the part the graph layer exists for: a worker
-defined in one module, handed to a process pool in another.
+defined in one module, handed to a thread pool in another.
 """
 
 from __future__ import annotations
@@ -44,63 +44,6 @@ def concurrency_findings(files: dict[str, str], select=None):
 # ---------------------------------------------------------------------------
 
 FIXTURES = {
-    "SIM206": (
-        # positive: segment created, neither closed nor handed to anyone
-        """\
-from multiprocessing import shared_memory
-
-def leak(n):
-    shm = shared_memory.SharedMemory(create=True, size=n)
-    shm.buf[0] = 1
-""",
-        SIM_PATH,
-        # negative: close/unlink on every exit path via finally
-        """\
-from multiprocessing import shared_memory
-
-def careful(n):
-    shm = shared_memory.SharedMemory(create=True, size=n)
-    try:
-        shm.buf[0] = 1
-    finally:
-        shm.close()
-        shm.unlink()
-""",
-        SIM_PATH,
-    ),
-    "SIM207": (
-        # positive: worker mutates a module global another function reads
-        """\
-from concurrent.futures import ProcessPoolExecutor
-
-COUNTER = 0
-
-def work(x):
-    global COUNTER
-    COUNTER += 1
-    return x
-
-def report():
-    return COUNTER
-
-def run(items):
-    ex = ProcessPoolExecutor()
-    return [ex.submit(work, item) for item in items]
-""",
-        SIM_PATH,
-        # negative: the worker returns its count; the parent aggregates
-        """\
-from concurrent.futures import ProcessPoolExecutor
-
-def work(x):
-    return x + 1
-
-def run(items):
-    ex = ProcessPoolExecutor()
-    return [ex.submit(work, item) for item in items]
-""",
-        SIM_PATH,
-    ),
     "SIM208": (
         # positive: signal.alarm inside thread-pool-reachable code
         """\
@@ -155,36 +98,6 @@ def save(path, rows):
     os.replace(tmp, path)
 """,
         EXP_PATH,
-    ),
-    "SIM210": (
-        # positive: a Generator pickled into a process-pool task
-        """\
-import numpy as np
-from concurrent.futures import ProcessPoolExecutor
-
-def work(rng):
-    return rng.random()
-
-def run(seed, n):
-    rng = np.random.default_rng(seed)
-    ex = ProcessPoolExecutor()
-    return [ex.submit(work, rng) for _ in range(n)]
-""",
-        SIM_PATH,
-        # negative: ship the seed, spawn the stream inside the worker
-        """\
-import numpy as np
-from concurrent.futures import ProcessPoolExecutor
-
-def work(seed):
-    rng = np.random.default_rng(seed)
-    return rng.random()
-
-def run(seed, n):
-    ex = ProcessPoolExecutor()
-    return [ex.submit(work, seed + i) for i in range(n)]
-""",
-        SIM_PATH,
     ),
     "SIM211": (
         # positive: read, await, write-back of shared async-server state
@@ -294,26 +207,22 @@ def test_header_noqa_does_not_leak_past_the_function():
 # ---------------------------------------------------------------------------
 
 _WORKER_MODULE = (
-    "__all__ = ['work', 'report']\n"
+    "import signal\n"
     "\n"
-    "COUNTER = 0\n"
+    "__all__ = ['work']\n"
     "\n"
     "def work(x):\n"
-    "    global COUNTER\n"
-    "    COUNTER += 1\n"
+    "    signal.alarm(5)\n"
     "    return x\n"
-    "\n"
-    "def report():\n"
-    "    return COUNTER\n"
 )
 
 
 def _pool_module(import_line: str, name: str) -> str:
     return (
-        "from concurrent.futures import ProcessPoolExecutor\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
         f"{import_line}\n"
         "def run(items):\n"
-        "    ex = ProcessPoolExecutor()\n"
+        "    ex = ThreadPoolExecutor()\n"
         f"    return [ex.submit({name}, item) for item in items]\n"
     )
 
@@ -324,9 +233,9 @@ def test_cross_module_call_site_checked():
             "src/repro/experiments/worker.py": _WORKER_MODULE,
             "src/repro/experiments/sweep.py": _pool_module("from .worker import work", "work"),
         },
-        select={"SIM207"},
+        select={"SIM208"},
     )
-    assert rules_of(findings) == {"SIM207"}
+    assert rules_of(findings) == {"SIM208"}
     assert findings[0].path == "src/repro/experiments/worker.py"
 
 
@@ -339,9 +248,9 @@ def test_cross_module_aliased_import_checked():
                 "from .worker import work as task", "task"
             ),
         },
-        select={"SIM207"},
+        select={"SIM208"},
     )
-    assert rules_of(findings) == {"SIM207"}
+    assert rules_of(findings) == {"SIM208"}
 
 
 def test_cross_module_clean_call_site():
@@ -355,6 +264,6 @@ def test_cross_module_clean_call_site():
                 "    return [work(item) for item in items]\n"
             ),
         },
-        select={"SIM207"},
+        select={"SIM208"},
     )
     assert findings == []

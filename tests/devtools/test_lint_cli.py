@@ -234,7 +234,7 @@ def test_profile_all_includes_every_tier(concurrency_tree, capsys):
 def test_profile_intersects_with_select(concurrency_tree, capsys):
     target = _save_py(concurrency_tree)
     code = lint_main(
-        [str(target), "--profile", "concurrency", "--select", "SIM206", "--no-baseline"]
+        [str(target), "--profile", "concurrency", "--select", "SIM208", "--no-baseline"]
     )
     assert code == 0
     assert "all clean" in capsys.readouterr().out
@@ -348,25 +348,15 @@ def test_unknown_profile_is_a_usage_error(capsys):
 # comma profiles, tiers, baseline ratchet
 # ---------------------------------------------------------------------------
 
-SHM_LEAK = """\
-from multiprocessing import shared_memory
-
-__all__ = ["leak"]
-
-
-def leak(n):
-    shm = shared_memory.SharedMemory(create=True, size=n)
-    shm.buf[0] = 1
-"""
-
-
 @pytest.fixture
 def combined_tree(tmp_path: Path) -> Path:
-    """One per-file finding (SIM001) plus one concurrency finding (SIM206)."""
+    """One per-file finding (SIM001) plus one concurrency finding (SIM209)."""
     pkg = tmp_path / "src" / "repro" / "sim"
     pkg.mkdir(parents=True)
     (pkg / "rng.py").write_text("import random\n\n__all__ = []\n")
-    (pkg / "shm.py").write_text(SHM_LEAK)
+    exp = tmp_path / "src" / "repro" / "experiments"
+    exp.mkdir(parents=True)
+    (exp / "save.py").write_text(NON_ATOMIC)
     return tmp_path
 
 
@@ -374,10 +364,10 @@ def test_comma_separated_profiles_union(combined_tree, capsys):
     src = str(combined_tree / "src")
     assert lint_main([src, "--profile", "concurrency", "--no-baseline"]) == 1
     out = capsys.readouterr().out
-    assert "SIM206" in out and "SIM001" not in out
+    assert "SIM209" in out and "SIM001" not in out
     assert lint_main([src, "--profile", "concurrency,all", "--no-baseline"]) == 1
     out = capsys.readouterr().out
-    assert "SIM206" in out and "SIM001" in out
+    assert "SIM209" in out and "SIM001" in out
 
 
 def test_comma_profile_rejects_unknown_names(combined_tree):
@@ -395,13 +385,13 @@ def test_list_rules_shows_every_tier(capsys):
     for rule_id, tier in (
         ("SIM001", "file"),
         ("SIM101", "flow"),
-        ("SIM206", "concurrency"),
+        ("SIM208", "concurrency"),
     ):
         line = next(ln for ln in out.splitlines() if ln.startswith(rule_id))
         assert tier in line
     lines = out.splitlines()
     tier3 = [ln.split()[0] for ln in lines if ln.startswith("SIM2")]
-    assert tier3 == [f"SIM2{i:02d}" for i in range(6, 12)]
+    assert tier3 == ["SIM208", "SIM209", "SIM211"]
     assert not any(ln.startswith("SIM30") for ln in lines)
 
 
@@ -465,11 +455,11 @@ def test_stale_baseline_warns_then_strict_fails_then_prunes(
 
 
 def _baseline_both_tiers(combined_tree, capsys) -> Path:
-    """A baseline holding the tree's SIM001 and SIM206 findings."""
+    """A baseline holding the tree's SIM001 and SIM209 findings."""
     baseline = combined_tree / "baseline.json"
     src = str(combined_tree / "src")
     lint_main([src, "--profile", "all", "--baseline", str(baseline), "--update-baseline"])
-    assert {e["rule"] for e in json.loads(baseline.read_text())} == {"SIM001", "SIM206"}
+    assert {e["rule"] for e in json.loads(baseline.read_text())} == {"SIM001", "SIM209"}
     capsys.readouterr()
     return baseline
 
@@ -499,4 +489,4 @@ def test_update_baseline_with_select_keeps_unselected_entries(combined_tree, cap
     # A selected entry whose finding is gone is still pruned.
     (combined_tree / "src" / "repro" / "sim" / "rng.py").write_text("__all__ = []\n")
     lint_main([src, "--select", "SIM001", "--baseline", str(baseline), "--update-baseline"])
-    assert [e["rule"] for e in json.loads(baseline.read_text())] == ["SIM206"]
+    assert [e["rule"] for e in json.loads(baseline.read_text())] == ["SIM209"]

@@ -10,11 +10,11 @@ import pytest
 
 from repro.experiments.base import ExperimentConfig
 from repro.experiments.common import (
+    aggregate_cells,
     aggregate_replications,
     fit_sita_cutoffs,
     grouped_sita,
     make_split_trace,
-    memoised_splits,
     point_seed,
 )
 from repro.workloads.catalog import c90
@@ -58,13 +58,6 @@ class TestMakeSplitTrace:
         del train, test
         gc.collect()
         assert [r() for r in refs] == [None, None]
-
-    def test_memoised_inside_the_block_only(self):
-        workload = c90()
-        with memoised_splits():
-            first = make_split_trace(workload, 0.5, 2, 1000, seed=9)
-            assert make_split_trace(workload, 0.5, 2, 1000, seed=9) is first
-        assert make_split_trace(workload, 0.5, 2, 1000, seed=9) is not first
 
 
 class TestFitSitaCutoffs:
@@ -131,6 +124,25 @@ class TestAggregateReplications:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate_replications([])
+
+    def test_cells_aggregate_per_coordinate_in_policy_order(self):
+        def row(policy, load, slowdown):
+            return {"policy": policy, "load": load, "mean_slowdown": slowdown}
+
+        cells = [
+            [row("a", 0.5, 1.0), row("b", 0.5, 10.0)],
+            [row("a", 0.5, 3.0), row("b", 0.5, 30.0)],
+            [row("a", 0.7, 5.0), row("b", 0.7, 50.0)],
+            [row("a", 0.7, 7.0), row("b", 0.7, 70.0)],
+        ]
+        out = aggregate_cells(cells, 2)
+        assert [(r["policy"], r["load"], r["mean_slowdown"]) for r in out] == [
+            ("a", 0.5, 2.0),
+            ("b", 0.5, 20.0),
+            ("a", 0.7, 6.0),
+            ("b", 0.7, 60.0),
+        ]
+        assert all(r["n_reps"] == 2 for r in out)
 
     def test_replications_through_driver(self):
         from repro.experiments import run_experiment

@@ -46,10 +46,10 @@ FAULTED_ARGS = [
 ]
 
 
-def faulted_server_and_trace(n_jobs: int):
+def faulted_server_and_trace(n_jobs: int, semantics: str = "resume"):
     parser = argparse.ArgumentParser()
     add_serve_arguments(parser)
-    args = parser.parse_args(FAULTED_ARGS)
+    args = parser.parse_args([*FAULTED_ARGS, "--fault-semantics", semantics])
     trace = get_workload(args.workload).make_trace(
         load=args.load, n_hosts=args.hosts, n_jobs=n_jobs, rng=11
     )
@@ -146,6 +146,34 @@ def test_faulted_event_path_in_flat_memory():
     assert counters["completed"] + counters["lost"] + counters["rejected"] == n_jobs
 
 
+def test_lost_semantics_event_path_in_flat_memory():
+    # The serve-faulted configuration with "lost" semantics: about one
+    # job in nine is destroyed by a crash.  Each is counted; none is
+    # kept past the fold point.
+    n_jobs = 120_000
+    server, arrivals, sizes = faulted_server_and_trace(
+        n_jobs, semantics="lost"
+    )
+    peaks = HalfPeaks()
+    try:
+        for k, (t, s) in enumerate(zip(arrivals, sizes)):
+            if k == n_jobs // 2:
+                peaks.halfway()
+            server.submit(s, t)
+            if k % 20_000 == 19_999:
+                assert_accounted(server)
+                if peaks.first is not None:
+                    peaks.check()
+        server.drain()
+        counters = assert_accounted(server)
+        peaks.check()
+    finally:
+        peaks.stop()
+    assert counters["in_flight"] == 0
+    assert counters["lost"] > n_jobs // 20
+    assert counters["completed"] + counters["lost"] + counters["rejected"] == n_jobs
+
+
 def test_event_path_memory_per_completed_job():
     # The event path keeps at most one compact row per retained
     # completed job and drops its Job; the latency state has a fixed
@@ -167,12 +195,6 @@ def test_event_path_memory_per_completed_job():
     per_job = retained / c["completed"]
     assert per_job <= 100, f"{retained} B retained, {per_job:.1f} B per completed job"
     inner = server._inner
-    held = {
-        id(j)
-        for j in (
-            *inner._lost, *inner._deferred, *inner._parked.values(),
-            *inner._shed_jobs,
-        )
-    }
+    held = {id(j) for j in (*inner._deferred, *inner._parked.values())}
     alive = {id(o) for o in gc.get_objects() if isinstance(o, Job)}
     assert alive <= held, f"{len(alive - held)} Job objects survive the drain"

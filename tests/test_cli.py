@@ -18,6 +18,19 @@ class TestParser:
         assert args.experiment == "fig4"
         assert args.scale == 0.2
 
+    @pytest.mark.parametrize("command", [["run", "fig4"], ["all"]])
+    def test_workers_defaults_to_every_cpu(self, command):
+        parser = build_parser()
+        assert parser.parse_args(command).workers is None
+        assert parser.parse_args([*command, "--workers", "1"]).workers == 1
+
+    def test_run_csv_is_the_same_for_any_workers(self, tmp_path, capsys):
+        for workers in ("1", "2"):
+            argv = ["run", "fig2", "--scale", "0.02", "--seed", "3"]
+            csv = tmp_path / f"w{workers}.csv"
+            assert main([*argv, "--workers", workers, "--csv", str(csv)]) == 0
+        assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+
 
 class TestCommands:
     def test_list(self, capsys):

@@ -187,7 +187,7 @@ from repro.experiments import ExperimentConfig, run_experiment
 steps = {"import": repro_modules()}
 for name in ("fig3", "fig4"):
     config = ExperimentConfig(scale=1, seed=11)
-    steps[name] = first_imports(lambda: run_experiment(name, config))
+    steps[name] = first_imports(lambda: run_experiment(name, config, workers=1))
 steps["numpy.ma"] = "numpy.ma" in sys.modules
 print(json.dumps(steps))
 """
@@ -197,6 +197,32 @@ print(json.dumps(steps))
         "fig3": ["repro.experiments.fig2_3"],
         "fig4": ["repro.experiments.fig4"],
         "numpy.ma": False,
+    }
+
+
+def test_pooled_sweep_adds_only_its_driver_and_the_stdlib_pool():
+    # ``multiprocessing`` loads only when a sweep fans its cells out, and
+    # the children's imports stay in the children.
+    out = run_fresh(
+        """
+from repro.experiments import ExperimentConfig, run_experiment
+steps = {"import": repro_modules()}
+new = first_imports(lambda: run_experiment("fig3", ExperimentConfig(scale=0.05), workers=2))
+steps["repro"] = [m for m in new if m.startswith("repro")]
+steps["other"] = sorted(
+    m for m in new
+    if not m.startswith("repro")
+    and m.partition(".")[0] not in sys.stdlib_module_names
+)
+steps["pool"] = "multiprocessing" in new and "concurrent.futures.process" in new
+print(json.dumps(steps))
+"""
+    )
+    assert out == {
+        "import": SWEEP_MODULES,
+        "repro": ["repro.experiments.fig2_3"],
+        "other": ["__mp_main__"],
+        "pool": True,
     }
 
 
@@ -335,7 +361,7 @@ from repro.serve.runner import add_serve_arguments, build_server
 from repro.workloads import c90
 
 for name in ("fig3", "fig4"):
-    run_experiment(name, ExperimentConfig(scale=1, seed=11))
+    run_experiment(name, ExperimentConfig(scale=1, seed=11), workers=1)
 after_sweeps = loaded()
 
 parser = argparse.ArgumentParser()
@@ -376,7 +402,7 @@ for hosts in ("2", "4"):
 get_workload("ctc")
 steps["get_workload ctc"] = loaded()
 for name in ("fig9", "table1"):
-    run_experiment(name, ExperimentConfig(scale=0.05, seed=11))
+    run_experiment(name, ExperimentConfig(scale=0.05, seed=11), workers=1)
     steps[f"run_experiment {name}"] = loaded()
 print(json.dumps(steps))
 """
