@@ -95,9 +95,29 @@ def mg1_metrics(arrival_rate: float, dist: ServiceDistribution) -> MG1Metrics:
     rho = utilisation(arrival_rate, dist)
     if rho >= 1.0:
         raise ValueError(f"unstable queue: utilisation {rho:.4f} >= 1")
-    ew = arrival_rate * dist.second_moment / (2.0 * (1.0 - rho))
-    ew2 = 2.0 * ew**2 + arrival_rate * dist.third_moment / (3.0 * (1.0 - rho))
-    inv1, inv2 = safe_inverse_moments(dist)
+    return _mg1_from_moments(
+        arrival_rate,
+        dist.mean,
+        dist.second_moment,
+        dist.third_moment,
+        *safe_inverse_moments(dist),
+    )
+
+
+def _mg1_from_moments(
+    arrival_rate: float,
+    mean: float,
+    m2: float,
+    m3: float,
+    inv1: float,
+    inv2: float,
+) -> MG1Metrics:
+    """Theorem 1 on the service moments ``E[X^j]``, ``j = 1, 2, 3, −1, −2``
+    (inverse moments ``inf`` where they diverge); the caller has checked
+    ``λ > 0`` and ``ρ < 1``."""
+    rho = arrival_rate * mean
+    ew = arrival_rate * m2 / (2.0 * (1.0 - rho))
+    ew2 = 2.0 * ew**2 + arrival_rate * m3 / (3.0 * (1.0 - rho))
     mean_wslow = ew * inv1
     var_slow = ew2 * inv2 - mean_wslow**2 if math.isfinite(inv2) else math.inf
     return MG1Metrics(
@@ -105,7 +125,7 @@ def mg1_metrics(arrival_rate: float, dist: ServiceDistribution) -> MG1Metrics:
         utilisation=rho,
         mean_wait=ew,
         second_moment_wait=ew2,
-        mean_response=ew + dist.mean,
+        mean_response=ew + mean,
         mean_queue_length=arrival_rate * ew,
         mean_waiting_slowdown=mean_wslow,
         mean_slowdown=1.0 + mean_wslow,

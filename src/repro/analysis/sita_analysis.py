@@ -25,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..workloads.distributions import ServiceDistribution, _as_host_speeds
-from .mg1 import MG1Metrics, mg1_metrics, safe_inverse_moments
+from ..workloads.distributions import Empirical, ServiceDistribution, _as_host_speeds
+from .mg1 import MG1Metrics, _mg1_from_moments, safe_inverse_moments
 
 __all__ = ["SITAHost", "SITAAnalysis", "analyze_sita", "sita_host_loads"]
 
@@ -72,11 +72,9 @@ class SITAAnalysis:
         return tuple(h.class_mean_slowdown for h in self.hosts)
 
 
-def _intervals(
-    dist: ServiceDistribution, cutoffs: Sequence[float]
-) -> list[tuple[float, float]]:
+def _intervals(cutoffs: Sequence[float]) -> list[tuple[float, float]]:
     edges = [0.0, *cutoffs, math.inf]
-    return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
+    return list(zip(edges, edges[1:]))
 
 
 def sita_host_loads(
@@ -84,10 +82,34 @@ def sita_host_loads(
 ) -> np.ndarray:
     """Per-host utilisations ρ_i (cheap feasibility probe for searches)."""
     return np.array(
-        [
-            arrival_rate * dist.partial_moment(1.0, lo, hi)
-            for lo, hi in _intervals(dist, cutoffs)
-        ]
+        [arrival_rate * dist.partial_moment(1.0, lo, hi) for lo, hi in _intervals(cutoffs)]
+    )
+
+
+def _interval_moments(dist: ServiceDistribution, lo: float, hi: float) -> tuple | None:
+    """``(p, work, mean, m2, m3, inv1, inv2)`` of the slice ``(lo, hi]``
+    (``None`` if empty): its job fraction, its unconditional partial first
+    moment, and the moments of the conditional distribution on it.
+
+    Any distribution's interval machinery gives them, each call ranking
+    or integrating its own slice; :meth:`Empirical.cutoff_moments
+    <repro.workloads.distributions.Empirical.cutoff_moments>` reads every
+    slice of a cutoff list off one rank per cutoff, with the same sums
+    and divisions as this path.
+    """
+    p = dist.prob_interval(lo, hi)
+    if p <= 0.0:
+        return None
+    cond = dist.conditional(lo, hi)
+    inv1, inv2 = safe_inverse_moments(cond)
+    return (
+        p,
+        dist.partial_moment(1.0, lo, hi),
+        cond.mean,
+        cond.second_moment,
+        cond.third_moment,
+        inv1,
+        inv2,
     )
 
 
@@ -125,6 +147,29 @@ def analyze_sita(
     if c.size and np.any(np.diff(c) <= 0):
         raise ValueError(f"cutoffs must be strictly increasing, got {c}")
     speeds = _as_host_speeds(host_speeds, c.size + 1)
+    return _analyze(arrival_rate, dist, c, speeds, strict=True)
+
+
+def _analyze(
+    arrival_rate: float,
+    dist: ServiceDistribution,
+    cutoffs: Sequence[float],
+    speeds: Sequence[float],
+    strict: bool = False,
+) -> SITAAnalysis | None:
+    """:func:`analyze_sita` on checked cutoffs and speeds.
+
+    A host with ρ ≥ 1 or a non-positive arrival rate raises
+    ``analyze_sita``'s errors when ``strict``, and gives ``None``
+    otherwise, so a search can score infeasible points without raising.
+    A slice moment that diverges raises its ``ValueError`` either way,
+    before that host's utilisation is checked.
+    """
+    intervals = _intervals(cutoffs)
+    if isinstance(dist, Empirical):
+        slices = dist.cutoff_moments(cutoffs)
+    else:  # lazily, so host i's errors come before host i+1's moments
+        slices = (_interval_moments(dist, lo, hi) for lo, hi in intervals)
     hosts: list[SITAHost] = []
     mean_s = 0.0
     mean_s2 = 0.0
@@ -132,9 +177,8 @@ def analyze_sita(
     mean_resp = 0.0
     mean_wait = 0.0
     total_mean = dist.mean
-    for i, (lo, hi) in enumerate(_intervals(dist, c)):
-        p = dist.prob_interval(lo, hi)
-        if p <= 0.0:
+    for i, ((lo, hi), sl) in enumerate(zip(intervals, slices)):
+        if sl is None:
             hosts.append(
                 SITAHost(
                     host=i, lo=lo, hi=hi, job_fraction=0.0,
@@ -142,18 +186,32 @@ def analyze_sita(
                 )
             )
             continue
+        p, work, mean, m2, m3, inv1, inv2 = sl
         v = float(speeds[i])
-        cond = dist.conditional(lo, hi)
-        served = cond if v == 1.0 else cond.scaled(1.0 / v)
-        lam_i = arrival_rate * p
-        rho_i = lam_i * served.mean
-        if rho_i >= 1.0:
-            raise ValueError(
-                f"infeasible cutoffs {c}: host {i} utilisation {rho_i:.4f} >= 1"
+        # A speed-v host serves X/v: the moments of ScaledDistribution(cond, 1/v).
+        if v == 1.0:
+            served = (mean, m2, m3, inv1, inv2)
+        else:
+            scale = 1.0 / v
+            served = (
+                scale**1 * mean,
+                scale**2 * m2,
+                scale**3 * m3,
+                scale**-1 * inv1 if math.isfinite(inv1) else math.inf,
+                scale**-2 * inv2 if math.isfinite(inv2) else math.inf,
             )
-        m = mg1_metrics(lam_i, served)
+        lam_i = arrival_rate * p
+        rho_i = lam_i * served[0]
+        if rho_i >= 1.0 or lam_i <= 0:
+            if not strict:
+                return None
+            if rho_i >= 1.0:
+                raise ValueError(
+                    f"infeasible cutoffs {cutoffs}: host {i} utilisation {rho_i:.4f} >= 1"
+                )
+            raise ValueError(f"arrival rate must be positive, got {lam_i}")
+        m = _mg1_from_moments(lam_i, *served)
         # Slowdown uses the *nominal* size: S = (W + X/v)/X = W/X + 1/v.
-        inv1, inv2 = safe_inverse_moments(cond)
         es_i = m.mean_wait * inv1 + 1.0 / v
         hosts.append(
             SITAHost(
@@ -161,7 +219,7 @@ def analyze_sita(
                 lo=lo,
                 hi=hi,
                 job_fraction=p,
-                load_fraction=dist.partial_moment(1.0, lo, hi) / total_mean,
+                load_fraction=work / total_mean,
                 utilisation=rho_i,
                 mg1=m,
                 class_mean_slowdown=es_i,
@@ -183,7 +241,7 @@ def analyze_sita(
         else math.inf
     )
     return SITAAnalysis(
-        cutoffs=tuple(float(x) for x in c),
+        cutoffs=tuple(float(x) for x in cutoffs),
         hosts=tuple(hosts),
         mean_slowdown=mean_s,
         var_slowdown=var_s,

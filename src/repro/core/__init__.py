@@ -15,13 +15,9 @@ _EXPORTS = {
     "short_host_load_fraction": "cutoffs",
     "sim_fair_cutoff": "cutoffs",
     "sim_opt_cutoff": "cutoffs",
-    "MomentMemo": "search",
     "SimCutoffPair": "search",
     "analytic_cutoff_pair": "search",
-    "analyze_sita_cached": "search",
     "candidate_cutoffs": "search",
-    "clear_search_memo": "search",
-    "search_memo_stats": "search",
     "sim_cutoff_pair": "search",
     "HistoryPredictor": "estimation",
     "misclassify": "estimation",

@@ -225,9 +225,8 @@ def opt_cutoff(
     speeds, and infeasible grid points simply score ``inf``.
 
     Thin wrapper over :func:`repro.core.search.analytic_cutoff_pair`,
-    which memoises the truncated-distribution moments across loads and
-    across the opt/fair pair; call the pair function directly when both
-    cutoffs are needed.
+    which scores the opt/fair pair off one shared evaluation axis; call
+    the pair function directly when both cutoffs are needed.
     """
     return analytic_cutoff_pair(
         load,
@@ -251,7 +250,7 @@ def fair_cutoff(
     extends the search to heterogeneous pairs.
 
     Thin wrapper over :func:`repro.core.search.analytic_cutoff_pair`
-    (shared evaluation axis + moment memo with the opt search).
+    (shared evaluation axis with the opt search).
     """
     return analytic_cutoff_pair(
         load, dist, want=("fair",), host_speeds=host_speeds

@@ -150,7 +150,7 @@ def fit_sita_cutoffs(
         raise ValueError(f"unknown SITA variant {unknown[0]!r}")
     dist = Empirical(train.service_times)
     # One engine call derives opt and fair off a shared evaluation axis
-    # (and a shared moment memo — see repro.core.search).
+    # (see repro.core.search).
     want = tuple(dict.fromkeys(v for v in variants if v != "e"))
     pair = analytic_cutoff_pair(load, dist, want=want) if want else {}
     out: dict[str, float] = {}

@@ -71,8 +71,7 @@ def run_fig9(config: ExperimentConfig) -> ExperimentResult:
     sita_e = equal_load_cutoffs(dist, 2)
     rows = []
     for load in config.sweep_loads():
-        # One engine call per load; the moment memo carries the
-        # truncated-distribution integrals across the whole sweep.
+        # One engine call per load derives both cutoffs off one axis.
         pair = analytic_cutoff_pair(load, dist)
         variants = {
             "sita-e": sita_e,

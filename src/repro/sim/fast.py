@@ -63,7 +63,6 @@ __all__ = [
     "simulate_fast",
     "SitaScanKernel",
     "SitaScanResult",
-    "sita_scan",
     "fcfs_starts",
     "serve_dispatch_batch",
 ]
@@ -815,22 +814,6 @@ class SitaScanKernel:
             long_slowdown=rows[:, 2],
             gap=rows[:, 3],
         )
-
-
-def sita_scan(
-    trace: Trace,
-    candidates,
-    metric: str = "mean_slowdown",
-    warmup_fraction: float = 0.0,
-) -> SitaScanResult:
-    """Batched 2-host SITA cutoff scan over ``candidates`` on ``trace``.
-
-    One-shot convenience over :class:`SitaScanKernel`; searches that also
-    refine (``repro.core.search.sim_cutoff_pair``) hold on to the kernel
-    so refinement evaluations share its sorted sizes and rank memo.
-    """
-    kernel = SitaScanKernel(trace, metric=metric, warmup_fraction=warmup_fraction)
-    return kernel.scan(candidates)
 
 
 #: refinement rounds :func:`fcfs_starts` runs before its scalar loop

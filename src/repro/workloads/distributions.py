@@ -1002,7 +1002,7 @@ class Empirical(ServiceDistribution):
     each cost a ``searchsorted`` and a subtraction.  A conditional is a
     view on the same sorted sample and shares its table: it is not
     copied, re-sorted or re-validated.  :meth:`cutoff_moments` reads
-    both slices of a SITA cutoff off a single ``searchsorted``.
+    every slice of a SITA cutoff list off one ``searchsorted`` per cutoff.
     """
 
     def __init__(self, values) -> None:
@@ -1045,13 +1045,15 @@ class Empirical(ServiceDistribution):
             return 0.0
         return self._sums.range_sum(j, a, b) / self.n
 
-    def cutoff_moments(self, c: float) -> tuple[tuple | None, tuple | None]:
-        """``(p, work, mean, m2, m3, inv1, inv2)`` of the slices ``(0, c]``
-        and ``(c, ∞)`` (``None`` if empty) off one ``searchsorted``, with
-        the sums and divisions of :meth:`prob_interval`,
-        :meth:`partial_moment` and the :meth:`conditional`'s moments."""
+    def cutoff_moments(self, cutoffs) -> list[tuple | None]:
+        """``(p, work, mean, m2, m3, inv1, inv2)`` of each SITA slice
+        ``(0, c_1], …, (c_{h-1}, ∞)`` (``None`` if empty) off one
+        ``searchsorted`` per cutoff, with the sums and divisions of
+        :meth:`prob_interval`, :meth:`partial_moment` and the
+        :meth:`conditional`'s moments."""
         n, a, sums = self.n, self._offset, self._sums.range_sum
-        k = a + int(np.searchsorted(self.values, c, side="right"))
+        inner = (a + int(np.searchsorted(self.values, c, side="right")) for c in cutoffs)
+        ranks = [a, *inner, a + n]
 
         def moments(lo: int, hi: int) -> tuple | None:
             m = hi - lo
@@ -1061,7 +1063,7 @@ class Empirical(ServiceDistribution):
             rest = (sums(j, lo, hi) / m for j in (2, 3, -1, -2))
             return (float(m) / n, s1 / n, s1 / m, *rest)
 
-        return moments(a, k), moments(k, a + n)
+        return [moments(lo, hi) for lo, hi in zip(ranks, ranks[1:])]
 
     def cdf(self, x: float) -> float:
         return float(np.searchsorted(self.values, x, side="right")) / self.n

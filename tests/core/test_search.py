@@ -10,26 +10,22 @@ from __future__ import annotations
 import gc
 import math
 import weakref
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from repro.analysis.sita_analysis import analyze_sita
+from repro.analysis.mg1 import mg1_metrics
+from repro.analysis.sita_analysis import _interval_moments, analyze_sita
 from repro.core.cutoffs import sim_fair_cutoff, sim_opt_cutoff
 from repro.core.search import (
-    MomentMemo,
-    _interval_moments,
     analytic_cutoff_pair,
-    analyze_sita_cached,
     candidate_cutoffs,
-    clear_search_memo,
-    search_memo_stats,
     sim_cutoff_pair,
     sim_pair_reference,
 )
 from repro.core.policies.sita import SITAPolicy
-from repro.sim.fast import SitaScanKernel, simulate_fast, sita_scan
+from repro.sim.fast import SitaScanKernel, simulate_fast
 from repro.workloads.catalog import c90
 from repro.workloads.distributions import BoundedPareto, Empirical, Lognormal
 from repro.workloads.traces import Trace
@@ -108,7 +104,8 @@ class TestScanVsLoop:
     )
     def test_values_bit_identical_to_summary(self, train, metric):
         candidates = candidate_cutoffs(train, 10)
-        result = sita_scan(train, candidates, metric=metric, warmup_fraction=0.05)
+        kernel = SitaScanKernel(train, metric=metric, warmup_fraction=0.05)
+        result = kernel.scan(candidates)
         for i, c in enumerate(candidates):
             summ = simulate_fast(
                 train, SITAPolicy([float(c)], name="sita-search"), 2, rng=0
@@ -120,7 +117,7 @@ class TestScanVsLoop:
 
     def test_class_slowdowns_bit_identical_to_trimmed(self, train):
         candidates = candidate_cutoffs(train, 10)
-        result = sita_scan(train, candidates, warmup_fraction=0.05)
+        result = SitaScanKernel(train, warmup_fraction=0.05).scan(candidates)
         for i, c in enumerate(candidates):
             trimmed = simulate_fast(
                 train, SITAPolicy([float(c)], name="sita-search"), 2, rng=0
@@ -176,76 +173,27 @@ class TestScanVsLoop:
             kernel.scan(np.array([]))
 
 
-class TestMomentMemo:
-    def test_cached_analysis_bit_identical_to_direct(self, empirical):
-        lam = 2.0 * 0.7 / empirical.mean
-        memo = MomentMemo()
-        for c in (300.0, 15_000.0, 40_000.0):
-            try:
-                direct = analyze_sita(lam, empirical, [c])
-            except ValueError as err:
-                with pytest.raises(ValueError, match="infeasible"):
-                    analyze_sita_cached(lam, empirical, c, memo=memo)
-                assert "infeasible" in str(err)
-                continue
-            for _ in range(2):  # miss path, then hit path
-                cached = analyze_sita_cached(lam, empirical, c, memo=memo)
-                assert cached.mean_slowdown == direct.mean_slowdown
-                assert cached.mean_response == direct.mean_response
-                assert cached.mean_wait == direct.mean_wait
-                assert cached.var_slowdown == direct.var_slowdown
-                assert (
-                    cached.class_mean_slowdowns()
-                    == direct.class_mean_slowdowns()
-                )
+class TestSliceMoments:
+    @staticmethod
+    def generic_slices(dist, cutoffs):
+        """The per-slice path: prob_interval, conditional and
+        partial_moment, each ranking its own slice."""
+        edges = [0.0, *cutoffs, math.inf]
+        return [_interval_moments(dist, lo, hi) for lo, hi in zip(edges, edges[1:])]
 
-    def test_agreement_across_loads_and_distributions(self):
-        from repro.core.cutoffs import feasible_cutoff_range
-
-        memo = MomentMemo()
-        for dist in (BoundedPareto(1.0, 1e5, 1.1), Lognormal(7.0, 2.0)):
-            # feasible at the heaviest load -> feasible at the lighter ones
-            c_min, c_max = feasible_cutoff_range(0.9, dist)
-            cutoff = float(math.sqrt(c_min * c_max))
-            for load in (0.5, 0.7, 0.9):
-                lam = 2.0 * load / dist.mean
-                direct = analyze_sita(lam, dist, [cutoff])
-                cached = analyze_sita_cached(lam, dist, cutoff, memo=memo)
-                assert cached.mean_slowdown == pytest.approx(
-                    direct.mean_slowdown, rel=1e-12
-                )
-        # one cutoff entry per distribution serves every load
-        assert memo.stats()["n_dists"] == 2
-        assert memo.stats()["n_cutoffs"] == 2
-
-    def test_empirical_bypasses_memo(self, empirical):
-        """An Empirical's slice moments are table lookups: the memo
-        neither stores nor counts them, and cutoffs between the same
-        adjacent observed sizes still give bit-equal analyses."""
+    def test_cutoffs_between_adjacent_sizes_analyse_equal(self, empirical):
+        """Cutoffs between the same adjacent observed sizes give the same
+        partition, so bit-equal analyses."""
         lam = 2.0 * 0.7 / empirical.mean
         v = empirical.values
         k = int(0.98 * v.size)
         c_lo, c_hi = float(v[k - 1]), float(v[k])
         assert c_hi > c_lo
-        memo = MomentMemo()
-        before = memo.stats()
-        a = analyze_sita_cached(lam, empirical, c_lo, memo=memo)
-        b = analyze_sita_cached(
-            lam, empirical, 0.5 * (c_lo + c_hi), memo=memo
-        )
-        assert memo.stats() == before
+        a = analyze_sita(lam, empirical, [c_lo])
+        b = analyze_sita(lam, empirical, [0.5 * (c_lo + c_hi)])
         assert a.mean_slowdown == b.mean_slowdown
         assert a.var_slowdown == b.var_slowdown
         assert a.class_mean_slowdowns() == b.class_mean_slowdowns()
-
-    @staticmethod
-    def generic_slices(dist, c):
-        """The per-slice path: prob_interval, conditional and
-        partial_moment, each ranking its own slice."""
-        return tuple(
-            None if im is None else astuple(im)
-            for im in (_interval_moments(dist, 0.0, c), _interval_moments(dist, c, math.inf))
-        )
 
     @pytest.mark.parametrize("view", [False, True])
     def test_rank_once_slices_equal_generic_path(self, empirical, view):
@@ -261,74 +209,69 @@ class TestMomentMemo:
             [v[0] / 2, v[-1] * 2, 0.0, math.inf, -1.0, math.nan],
         ])
         for c in cutoffs.tolist():
-            got = dist.cutoff_moments(c)
-            assert got == self.generic_slices(dist, c), c
-        assert dist.cutoff_moments(v[0] / 2)[0] is None
-        assert dist.cutoff_moments(v[-1])[1] is None
+            got = dist.cutoff_moments([c])
+            assert got == self.generic_slices(dist, [c]), c
+        assert dist.cutoff_moments([v[0] / 2])[0] is None
+        assert dist.cutoff_moments([v[-1]])[1] is None
+        # h = 3 and 4 hosts: increasing draws, repeats (an empty middle
+        # slice) and the special values above included.
+        rng = np.random.default_rng(7)
+        for n_cut in (2, 3):
+            for _ in range(400):
+                cut = np.sort(rng.choice(cutoffs, n_cut)).tolist()
+                got = dist.cutoff_moments(cut)
+                assert len(got) == n_cut + 1
+                assert got == self.generic_slices(dist, cut), cut
+
+    @pytest.mark.parametrize("cutoffs", [[3_000.0], [300.0, 3_000.0], [60.0, 900.0, 9_000.0]])
+    @pytest.mark.parametrize("speeds", [None, "mixed"])
+    def test_analysis_equals_generic_path(self, empirical, monkeypatch, cutoffs, speeds):
+        """analyze_sita on an Empirical reads every slice off one rank per
+        cutoff; feeding it the per-slice moments instead changes no bit."""
+        h = len(cutoffs) + 1
+        host_speeds = None if speeds is None else [0.5, 2.0, 1.5, 3.0][:h]
+        lam = 0.3 * h / empirical.mean
+        rank_once = analyze_sita(lam, empirical, cutoffs, host_speeds)
+        monkeypatch.setattr(Empirical, "cutoff_moments", self.generic_slices)
+        assert analyze_sita(lam, empirical, cutoffs, host_speeds) == rank_once
+
+    @pytest.mark.parametrize(
+        "dist", [BoundedPareto(1.0, 1e5, 1.1), Lognormal(7.0, 2.0)], ids=["bp", "lognormal"]
+    )
+    def test_scaled_hosts_equal_scaled_distribution(self, dist):
+        """A speed-v host is an M/G/1 on ScaledDistribution(cond, 1/v)."""
+        speeds = [0.5, 3.0]
+        c = float(dist.ppf(0.9))
+        lam = 2.0 * 0.4 / dist.mean
+        a = analyze_sita(lam, dist, [c], host_speeds=speeds)
+        for host, (lo, hi), v in zip(a.hosts, [(0.0, c), (c, math.inf)], speeds):
+            p = dist.prob_interval(lo, hi)
+            assert host.mg1 == mg1_metrics(lam * p, dist.conditional(lo, hi).scaled(1.0 / v))
 
     @pytest.mark.parametrize("c", [30.0, 300.0, 3_000.0, 40_000.0, 1e9])
     @pytest.mark.parametrize("load", [0.5, 0.95])
     def test_infeasible_message_equals_direct(self, empirical, c, load):
         lam = 2.0 * load / empirical.mean
-        try:
-            direct = analyze_sita(lam, empirical, [c])
-        except ValueError as err:
-            with pytest.raises(ValueError) as cached:
-                analyze_sita_cached(lam, empirical, c)
-            assert str(cached.value) == str(err)
-            assert str(err).startswith("infeasible cutoffs [")
-        else:
-            assert analyze_sita_cached(lam, empirical, c) == direct
+        rhos = [lam * s[0] * s[2] if s else 0.0 for s in self.generic_slices(empirical, [c])]
+        bad = [i for i, rho in enumerate(rhos) if rho >= 1.0]
+        if not bad:
+            a = analyze_sita(lam, empirical, [c])
+            assert [h.utilisation for h in a.hosts] == rhos
+            return
+        with pytest.raises(ValueError) as err:
+            analyze_sita(lam, empirical, [c])
+        assert str(err.value) == (
+            f"infeasible cutoffs {np.array([c])}: host {bad[0]} "
+            f"utilisation {rhos[bad[0]]:.4f} >= 1"
+        )
+        assert str(err.value).startswith("infeasible cutoffs [")
 
     def test_non_positive_rate_message_equals_direct(self, empirical):
+        p = self.generic_slices(empirical, [300.0])[0][0]
         for lam in (0.0, -1.0):
-            with pytest.raises(ValueError) as direct:
+            with pytest.raises(ValueError) as err:
                 analyze_sita(lam, empirical, [300.0])
-            with pytest.raises(ValueError) as cached:
-                analyze_sita_cached(lam, empirical, 300.0)
-            assert str(cached.value) == str(direct.value)
-
-    def test_bounded_size_and_lru_eviction(self):
-        from repro.core.cutoffs import feasible_cutoff_range
-
-        dist = BoundedPareto(1.0, 1e5, 1.1)
-        lam = 2.0 * 0.7 / dist.mean
-        memo = MomentMemo(max_cutoffs=4)
-        c_min, c_max = feasible_cutoff_range(0.7, dist)
-        feasible = [
-            float(c)
-            for c in np.exp(
-                np.linspace(math.log(c_min * 1.01), math.log(c_max * 0.99), 8)
-            )
-        ]
-        for c in feasible:
-            analyze_sita_cached(lam, dist, c, memo=memo)
-        assert memo.stats()["n_cutoffs"] == 4  # bounded despite 8 inserts
-        # The oldest entry was evicted: revisiting it is a miss again.
-        misses = memo.stats()["misses"]
-        analyze_sita_cached(lam, dist, feasible[0], memo=memo)
-        assert memo.stats()["misses"] == misses + 1
-        # The freshest entry is still a hit.
-        hits = memo.stats()["hits"]
-        analyze_sita_cached(lam, dist, feasible[-1], memo=memo)
-        assert memo.stats()["hits"] == hits + 1
-
-    def test_dist_bound(self):
-        memo = MomentMemo(max_dists=2)
-        dists = [BoundedPareto(1.0, 1e5, a) for a in (1.1, 1.3, 1.5)]
-        for d in dists:
-            analyze_sita_cached(2.0 * 0.5 / d.mean, d, 1_000.0, memo=memo)
-        assert memo.stats()["n_dists"] == 2
-
-    def test_global_memo_clear_and_stats(self):
-        clear_search_memo()
-        assert search_memo_stats()["n_cutoffs"] == 0
-        analytic_cutoff_pair(0.7, Lognormal(7.0, 2.0))
-        stats = search_memo_stats()
-        assert stats["n_cutoffs"] > 0
-        assert stats["hits"] > 0  # opt and fair share the axis evaluations
-        clear_search_memo()
-        assert search_memo_stats()["n_cutoffs"] == 0
+            assert str(err.value) == f"arrival rate must be positive, got {lam * p}"
 
 
 class TestAnalyticPair:
@@ -368,10 +311,20 @@ class TestAnalyticPair:
         with pytest.raises(ValueError, match="unknown cutoff target"):
             analytic_cutoff_pair(0.7, empirical, want=("opt", "median"))
 
+    @pytest.mark.parametrize("speeds", [[1.0, math.nan], [1.0, -1.0], [1.0, 2.0, 3.0]])
+    @pytest.mark.parametrize("entry", ["analytic_cutoff_pair", "opt_cutoff", "fair_cutoff"])
+    def test_rejects_bad_host_speeds(self, entry, speeds):
+        """Bad speeds are the caller's input error, reported as such and
+        not as an infeasible grid."""
+        from repro.core import cutoffs, search
+
+        search_fn = getattr(search, entry, None) or getattr(cutoffs, entry)
+        with pytest.raises(ValueError, match="positive and finite|must have 2 entries"):
+            search_fn(0.5, c90().service_dist, host_speeds=speeds)
+
     def test_search_frees_empirical_without_gc(self, train):
         """A fitted Empirical dies on its last reference, not at the next
-        full GC: the memo does not hold it, and no solver objective closes
-        over it (brentq's self-referencing wrapper would keep the closure
+        full GC: no solver objective closes over it (brentq's self-referencing wrapper would keep the closure
         alive in a reference cycle)."""
         from repro.core.cutoffs import equal_load_cutoffs
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import gc
+import math
 import weakref
 
 import numpy as np
 import pytest
 
+from repro.analysis.sita_analysis import _interval_moments
 from repro.experiments.base import ExperimentConfig
 from repro.experiments.common import (
     aggregate_cells,
@@ -17,7 +19,8 @@ from repro.experiments.common import (
     make_split_trace,
     point_seed,
 )
-from repro.workloads.catalog import c90
+from repro.workloads.catalog import c90, get_workload
+from repro.workloads.distributions import Empirical
 
 
 class TestPointSeed:
@@ -75,6 +78,32 @@ class TestFitSitaCutoffs:
     def test_unknown_variant(self, train):
         with pytest.raises(ValueError):
             fit_sita_cutoffs(train, 0.7, variants=("magic",))
+
+    def test_paper_fits_read_one_rank_per_cutoff(self, monkeypatch):
+        """The SITA-U fits of the paper's sweeps read every slice of a
+        cutoff off one rank of the training sample; the per-slice path
+        (each slice ranked on its own) must give every cutoff bit for bit."""
+
+        def fits():
+            cfg = ExperimentConfig(scale=0.2)
+            out = {}
+            for name in ("c90", "j90", "ctc"):
+                w = get_workload(name)
+                n_jobs = cfg.jobs(max(w.n_jobs, 30_000))
+                for load in cfg.sweep_loads():
+                    train, _ = make_split_trace(w, load, 2, n_jobs, cfg.seed)
+                    out[name, load] = fit_sita_cutoffs(train, load)
+            return out
+
+        def per_slice(dist, cutoffs):
+            edges = [0.0, *cutoffs, math.inf]
+            return [_interval_moments(dist, lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+        shipped = fits()
+        monkeypatch.setattr(Empirical, "cutoff_moments", per_slice)
+        generic = fits()
+        assert len(shipped) == 24
+        assert shipped == generic, [k for k in shipped if shipped[k] != generic[k]]
 
 
 class TestGroupedSitaHelper:

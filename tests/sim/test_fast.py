@@ -12,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.policies import LeastWorkLeftPolicy, SITAPolicy
+from repro.experiments.base import ExperimentConfig
 from repro.sim import fast, simulate
 from repro.sim.engine import InvariantViolation, SimulationError
 from repro.sim.fast import (
+    SitaScanKernel,
     _check_kernel_output,
     _fold_busy_periods,
     _lwl_hosts,
@@ -25,7 +27,7 @@ from repro.sim.fast import (
     lwl_waits,
     shortest_queue_waits,
 )
-from repro.workloads.catalog import c90
+from repro.workloads.catalog import c90, get_workload
 from repro.workloads.traces import Trace
 
 
@@ -297,6 +299,22 @@ class TestLwlHostRecovery:
         assert hosts.min() >= 0 and hosts.max() < h
         with pytest.raises(InvariantViolation, match="non-finite"):
             _check_kernel_output("lwl", waits)
+
+    def test_paper_workloads_stay_on_the_bulk_path(self, monkeypatch):
+        """The labelled heap is for exact ties, non-positive sizes and
+        non-finite values; no paper workload may land on it."""
+
+        def labelled(*args):
+            raise AssertionError("a paper workload took the labelled host path")
+
+        monkeypatch.setattr(fast, "_labelled_lwl_hosts", labelled)
+        cfg = ExperimentConfig(scale=0.2)
+        for name in ("c90", "j90", "ctc"):
+            w = get_workload(name)
+            for h in (2, 4, 8):
+                for load in cfg.sweep_loads():
+                    tr = w.make_trace(load, h, n_jobs=cfg.jobs(w.n_jobs), rng=cfg.seed)
+                    lwl_waits(tr.arrival_times, tr.service_times, h)
 
     @pytest.mark.parametrize("speeds", [None, "hetero"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -850,8 +868,8 @@ KERNEL_CASES = {
     ),
     "shortest_queue_waits": (lambda t, s: shortest_queue_waits(t, s, 3), ()),
     "tags_waits": (fast.tags_waits, (np.array([1.0, 4.0]),)),
-    "sita_scan": (
-        lambda t, s, c: fast.sita_scan(Trace(t, s), c, warmup_fraction=0.05),
+    "SitaScanKernel[scan]": (
+        lambda t, s, c: SitaScanKernel(Trace(t, s), warmup_fraction=0.05).scan(c),
         (np.geomspace(0.05, 20.0, 12),),
     ),
     "fcfs_starts": (lambda t, s: fcfs_starts(t, s, 5.0), ()),
@@ -864,7 +882,7 @@ COERCING = sorted(set(KERNEL_CASES) - {"_fcfs_waits_into"})
 
 
 def test_kernel_cases_cover_every_array_kernel():
-    not_array_kernels = {"simulate_fast", "SitaScanKernel", "SitaScanResult"}
+    not_array_kernels = {"simulate_fast", "SitaScanResult"}
     names = {name.partition("[")[0] for name in KERNEL_CASES}
     assert names == set(fast.__all__) - not_array_kernels | {"_fcfs_waits_into"}
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.analysis.sita_analysis import analyze_sita
 from repro.core.cutoffs import fair_cutoff, opt_cutoff
-from repro.core.search import analyze_sita_cached
+from repro.core.search import analytic_cutoff_pair
 from repro.core.policies import (
     CentralQueuePolicy,
     EstimatedLWLPolicy,
@@ -91,10 +91,11 @@ class TestNonFiniteSpeeds:
             DistributedServer(2, policy, host_speeds=[1.0, bad])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_cached_sita_analysis_rejects(self, bad):
+    def test_analytic_cutoff_search_rejects(self, bad):
         d = c90().service_dist
-        with pytest.raises(ValueError, match="positive and finite"):
-            analyze_sita_cached(0.0001, d, 1000.0, host_speeds=[1.0, bad])
+        for search in (analytic_cutoff_pair, opt_cutoff, fair_cutoff):
+            with pytest.raises(ValueError, match="positive and finite"):
+                search(0.5, d, host_speeds=[1.0, bad])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_sita_analysis_rejects(self, bad):

@@ -30,7 +30,7 @@ from repro.core.cutoffs import (
     equal_load_cutoffs,
     feasible_cutoff_range,
 )
-from repro.core.search import analytic_cutoff_pair, clear_search_memo
+from repro.core.search import analytic_cutoff_pair
 from repro.solvers import _erf, _erfc, brentq, minimize_bounded, ndtr, ndtri
 from repro.workloads import BoundedPareto, Empirical, Lognormal, c90, ctc, j90
 from repro.workloads.catalog import CTC_RUNTIME_CAP
@@ -232,11 +232,7 @@ def with_scipy_solvers(monkeypatch):
             for mod in (cutoffs_mod, search_mod, dist_mod):
                 m.setattr(mod, "brentq", optimize.brentq)
             m.setattr(search_mod, "minimize_bounded", scipy_minimize_bounded)
-            clear_search_memo()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                clear_search_memo()
+            return fn(*args, **kwargs)
 
     return run
 
@@ -271,13 +267,11 @@ def test_opt_and_fair_cutoffs_match_scipy(name, with_scipy_solvers):
     # (brentq on the slowdown gap), on the same shared axis.
     dist = DISTS[name]()
     for load in (0.3, 0.5, 0.7, 0.9):
-        clear_search_memo()
         ours = analytic_cutoff_pair(load, dist)
         ref = with_scipy_solvers(analytic_cutoff_pair, load, dist)
         assert {k: v.hex() for k, v in ours.items()} == {
             k: v.hex() for k, v in ref.items()
         }
-    clear_search_memo()
     ours = analytic_cutoff_pair(0.7, dist, want=("opt",), metric="mean_response")
     ref = with_scipy_solvers(
         analytic_cutoff_pair, 0.7, dist, want=("opt",), metric="mean_response"
@@ -437,11 +431,7 @@ def with_scipy_special(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(dist_mod, "ndtr", special.ndtr)
             m.setattr(dist_mod, "ndtri", special.ndtri)
-            clear_search_memo()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                clear_search_memo()
+            return fn(*args, **kwargs)
 
     return run
 
@@ -487,7 +477,6 @@ def test_lognormal_functions_match_scipy_special(name, with_scipy_special):
 def test_lognormal_cutoffs_match_scipy_special(name, with_scipy_special):
     dist = LOGNORMAL_WORKLOADS[name]().service_dist
     for load in (0.3, 0.5, 0.7, 0.9):
-        clear_search_memo()
         ours = analytic_cutoff_pair(load, dist, want=("opt", "fair"))
         ref = with_scipy_special(analytic_cutoff_pair, load, dist, want=("opt", "fair"))
         assert hexes(ours) == hexes(ref)
