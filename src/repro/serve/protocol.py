@@ -21,6 +21,14 @@ line length (an unbounded ``readline`` is a memory DoS against the
 server) and strict object-shaped JSON.  A line of ``MAX_LINE + 1``
 bytes, newline included, gets an error reply; a longer one closes the
 connection.
+
+:func:`decode_line` is the one definition of what a request line means.
+The socket front end decodes a whole read at once
+(:func:`repro.serve.frontend.decode_read`): it keeps the stdlib C
+scanner's parse of a line only where ``decode_line`` would return the
+same dict, a JSON object that ends exactly at the line's newline and
+carries a string ``op``, and hands every other line to ``decode_line``
+itself, so each line's request or error text is the same either way.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.policies import LeastWorkLeftPolicy
 from repro.serve import DispatchServer
-from repro.serve.frontend import ServeFrontend
+from repro.serve.frontend import ServeFrontend, _split_lines
 from repro.serve.protocol import MAX_LINE, ProtocolError, decode_line, encode
 from repro.serve.runner import add_serve_arguments, build_server
 from repro.workloads.catalog import get_workload
@@ -435,9 +435,61 @@ class TestPipelining:
             if ref is not None:
                 np.testing.assert_array_equal(est, ref)
 
+    @pytest.mark.parametrize("core_name", ["sita-fastpath", "sita-rate-limited"])
+    def test_numbers_at_the_run_bounds_equal_one_at_a_time(self, tmp_path, core_name):
+        """Integers, the largest floats, integers on either side of the
+        float overflow, zero and non-finite estimates, repeated and
+        missing arrivals: in a pipelined run each line gets the bytes
+        and the core the state of the one-request path.  (Cores without
+        faults: a faulted engine would step its heartbeats up to an
+        arrival near the largest float.  Sizes near it stay out: their
+        completions overflow, which is no concern of the front end.)"""
+        big = 1.7976931348623157e308  # the largest float
+        huge = 2**1024 - 2**970  # the smallest integer float() rejects
+        rows = [
+            {"size": 3, "arrival": 1},
+            {"size": 2.5, "arrival": 1},
+            {"size": 4},
+            {"size": 1, "arrival": 2, "size_estimate": 7},
+            {"size": 1.0, "arrival": 2.0, "size_estimate": 0.0},
+            {"size": 1.0, "arrival": 2.0, "size_estimate": -1},
+            {"size": 1.0, "arrival": 2.0, "size_estimate": float("nan")},
+            {"size": 1.0, "arrival": 2.0, "size_estimate": float("inf")},
+            {"size": 1.0, "arrival": 3.0, "size_estimate": big},
+            {"size": huge, "arrival": 4.0},
+            {"size": huge, "arrival": 4.0, "size_estimate": 1.0},
+            {"size": 1.0, "arrival": 0.5},
+            {"size": 1.0, "arrival": 5, "size_estimate": huge - 1},
+            {"size": 1.0, "arrival": 5, "size_estimate": huge},
+            {"size": 2**53 + 1, "arrival": 2**53 + 1},
+            {"size": 1.0, "arrival": 2**53},
+            {"size": 1.0},
+            {"size": 1.0, "arrival": 1e300},
+            {"size": 1.0, "arrival": huge},
+            {"size": 1.0, "arrival": big},
+            {"size": 1.0},
+            {"size": 1.0, "arrival": float("inf")},
+        ]
+        lines = [req(op="submit", **row) for row in rows] + [req(op="status")]
+        cores = [make_core(CORES[core_name]) for _ in range(2)]
+        reference = reference_replies(cores[0], lines)
+        piped, _ = converse(tmp_path, cores[1], pipelined("".join(lines).encode(), []))
+        assert_same_conversation(lines, reference, piped)
+        assert cores[0].counters() == cores[1].counters()
+        tables = [core.job_table() for core in cores]
+        for key in tables[0]:
+            np.testing.assert_array_equal(tables[1][key], tables[0][key], err_msg=key)
+
     @pytest.mark.parametrize(
         ("n_lines", "calls"),
-        [(50, {"submit": 0, "submit_batch": 1}), (1, {"submit": 1, "submit_batch": 0})],
+        [
+            (50, {"submit": 0, "submit_batch": 1}),
+            (1, {"submit": 1, "submit_batch": 0}),
+            # below the measured break-even a run goes scalar
+            (2, {"submit": 2, "submit_batch": 0}),
+            (3, {"submit": 3, "submit_batch": 0}),
+            (4, {"submit": 0, "submit_batch": 1}),
+        ],
     )
     def test_a_run_is_one_batch_and_a_lone_submit_is_scalar(
         self, tmp_path, n_lines, calls
@@ -488,6 +540,37 @@ def status_line(length):
     head = '{"op":"status","pad":"'
     tail = '"}\n'
     return (head + "x" * (length - len(head) - len(tail)) + tail).encode()
+
+
+def find_loop_split(buf):
+    """Reference splitter, one ``find`` per line: complete lines (newline
+    kept), the partial tail, and whether to close."""
+    lines = []
+    start = 0
+    while end := buf.find(b"\n", start) + 1:
+        if end - start > MAX_LINE + 1:
+            return lines, b"", True
+        lines.append(buf[start:end])
+        start = end
+    tail = buf[start:]
+    return lines, tail, len(tail) > MAX_LINE
+
+
+#: line lengths (newline included) around the framing limits.
+LINE_LENGTHS = [1, 2, 40, MAX_LINE - 1, MAX_LINE, MAX_LINE + 1, MAX_LINE + 2]
+TAIL_LENGTHS = [0, 1, 40, MAX_LINE - 1, MAX_LINE, MAX_LINE + 1, MAX_LINE + 2, 2 * MAX_LINE]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_split_equals_the_find_loop(seed):
+    """``_split_lines`` gives the reference's lines (newline stripped),
+    tail and close flag around every framing limit."""
+    rng = random.Random(seed)
+    lengths = [rng.choice(LINE_LENGTHS) for _ in range(rng.randint(0, 6))]
+    body = b"".join(b"x" * (n - 1) + b"\n" for n in lengths)
+    buf = body + b"y" * rng.choice(TAIL_LENGTHS)
+    lines, tail, closing = _split_lines(buf)
+    assert ([line + b"\n" for line in lines], tail, closing) == find_loop_split(buf)
 
 
 class TestFraming:
