@@ -20,8 +20,8 @@ Subcommands
 ``repro synth c90 out.swf --load 0.7 --hosts 2 --jobs 50000``
     Materialise a synthetic trace as a Standard Workload Format file.
 ``repro lint [paths] [--select/--ignore RULES] [--format text|json|github]``
-    Run the simulation-correctness linter (per-file rules SIM001–SIM007
-    plus whole-program flow rules SIM101–SIM106, see
+    Run the simulation-correctness linter (per-file rules SIM004 and
+    SIM006 plus the concurrency rules SIM208, SIM209 and SIM211, see
     ``docs/DEVTOOLS.md``); exits 0 clean, 1 with findings, 2 on usage
     errors.
 ``repro audit --experiment fig2_3 [--replays 2] [--scale 0.1]``
@@ -160,7 +160,7 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None] | None
     ),
     "workloads": ("print the calibrated workload catalog", None),
     "lint": (
-        "run the simulation-correctness linter (SIM001–SIM007, SIM101–SIM106)",
+        "run the simulation-correctness linter (SIM004, SIM006, SIM208, SIM209, SIM211)",
         _add_lint_arguments,
     ),
     "audit": ("replay-divergence determinism audit of an experiment", _add_audit_arguments),

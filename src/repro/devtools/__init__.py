@@ -1,20 +1,16 @@
 """Developer tooling for simulation correctness.
 
 The results in this repository are only as trustworthy as the simulator
-is deterministic, so the conventions that guarantee determinism (seeded
-``np.random.Generator`` everywhere, simulated-time-only clocks, the
-``Policy`` reset protocol) are enforced by tooling rather than left to
-docstrings:
+is deterministic.  Tier-1's pins and equivalence tests catch most ways
+to break that (unseeded or shared RNGs, wall-clock reads, unordered
+iteration or reduction, heap ties, completion-order pool results); this
+package holds what they do not:
 
 * a **static pass** — ``repro lint`` / :func:`lint_paths` — runs the
-  per-file AST rules ``SIM001`` … ``SIM007``
-  (:mod:`repro.devtools.rules`), the whole-program flow rules
-  ``SIM101`` … ``SIM106`` (:mod:`repro.devtools.flow`), and
-  the concurrency rules ``SIM208``, ``SIM209`` and ``SIM211``
-  (:mod:`repro.devtools.concurrency`); profiles (``--profile
-  concurrency|all``) select among them, and the whole-program
-  tiers share one project-wide symbol table and call
-  graph (:mod:`repro.devtools.graph`);
+  per-file AST rules ``SIM004`` and ``SIM006``
+  (:mod:`repro.devtools.rules`) and the concurrency rules ``SIM208``,
+  ``SIM209`` and ``SIM211`` (:mod:`repro.devtools.concurrency`), which
+  share one project-wide symbol table (:mod:`repro.devtools.graph`);
 * a **runtime pass**, in two layers — ``Simulator(strict=True)`` or the
   ``REPRO_SIM_STRICT=1`` environment hook asserts engine invariants
   after every event (see :mod:`repro.sim.engine`), and ``repro audit``
@@ -23,23 +19,13 @@ docstrings:
   event if two replays disagree.
 
 Everything is zero-dependency (stdlib :mod:`ast` + :mod:`hashlib` only)
-and documented rule by rule in ``docs/DEVTOOLS.md``.
+and documented rule by rule in ``docs/DEVTOOLS.md``, with the injected
+defect that justifies each rule.
 """
 
-from .concurrency import (
-    CONCURRENCY_RULES,
-    PROFILES,
-    register_concurrency,
-    run_concurrency_rules,
-)
+from .concurrency import CONCURRENCY_RULES, register_concurrency, run_concurrency_rules
 from .findings import Finding, format_findings, sort_findings
-from .graph import (
-    PROJECT_RULES,
-    ProjectGraph,
-    ProjectRule,
-    register_project,
-    run_project_rules,
-)
+from .graph import ProjectGraph, ProjectRule
 from .lint import (
     LintError,
     LintStats,
@@ -69,15 +55,11 @@ __all__ = [
     "resolve_selection",
     "write_baseline",
     "RULES",
-    "PROJECT_RULES",
     "CONCURRENCY_RULES",
-    "PROFILES",
     "register_concurrency",
     "run_concurrency_rules",
     "ProjectGraph",
     "ProjectRule",
-    "register_project",
-    "run_project_rules",
     "LintContext",
     "Rule",
     "register",

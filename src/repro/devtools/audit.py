@@ -1,11 +1,11 @@
 """Replay-divergence auditor: the runtime half of the determinism stack.
 
-The static rules (SIM001–SIM106) prove the *code* has no known
-nondeterminism pattern; this module tests the *behaviour*: run an
-experiment several times with identical seeds and demand bit-identical
-results.  Divergence between two identically-seeded replays is proof of
+Tier-1's pins compare the code's output with recorded digests; this
+module tests the *behaviour* in one process: run an experiment several
+times with identical seeds and demand bit-identical results.
+Divergence between two identically-seeded replays is proof of
 nondeterminism — an unseeded RNG, an order-unstable iteration, anything
-the static pass missed.
+the pins missed.
 
 Two observation channels, both installed process-wide for the duration
 of a replay and removed afterwards:

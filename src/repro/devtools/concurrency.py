@@ -1,10 +1,9 @@
 """Concurrency and resource-safety rules (SIM208, SIM209, SIM211).
 
-The third analysis tier.  The per-file rules (SIM001–SIM007) see one
-module, the flow rules (SIM101–SIM106) see the project graph; these
-rules see *thread boundaries* and the crash-safety of files, which the
-crash-safe sweep harness and the async serve front end make
-load-bearing:
+The whole-program tier.  The per-file rules (:mod:`repro.devtools.rules`)
+see one module; these rules see the project graph, *thread boundaries*
+and the crash-safety of files, which the crash-safe sweep harness and
+the async serve front end make load-bearing:
 
 =========  ===========================================================
 SIM208     signal.alarm/SIGALRM installed off the main thread
@@ -24,22 +23,21 @@ from __future__ import annotations
 
 import ast
 import os
+from typing import Iterator
 
 from .findings import Finding
 from .graph import FunctionInfo, ModuleInfo, ProjectGraph, ProjectRule
-from .rules import _dotted, _snake_words, _terminal_name
+from .rules import _dotted
 
 __all__ = [
     "CONCURRENCY_RULES",
-    "PROFILES",
     "register_concurrency",
     "run_concurrency_rules",
 ]
 
 
 # ---------------------------------------------------------------------------
-# registry (separate from PROJECT_RULES so each tier stays independently
-# testable and selectable)
+# registry
 # ---------------------------------------------------------------------------
 
 
@@ -70,24 +68,43 @@ def run_concurrency_rules(
     return findings
 
 
-#: named rule sets for ``repro lint --profile``.  ``all`` is resolved by
-#: the runner (every registered rule across all three tiers).
-PROFILES: dict[str, frozenset[str]] = {
-    "concurrency": frozenset(
-        {"SIM208", "SIM209", "SIM211"}
-    ),
-}
+# ---------------------------------------------------------------------------
+# shared AST helpers (names, code units, keyword lookup)
+# ---------------------------------------------------------------------------
 
 
-# ---------------------------------------------------------------------------
-# shared per-module machinery (owners, units, keyword lookup)
-# ---------------------------------------------------------------------------
+def _terminal_name(node: ast.AST) -> str | None:
+    """The identifier a value expression 'ends' in (attribute tail or name)."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
+def _snake_words(name: str) -> set[str]:
+    return {w for w in name.lower().split("_") if w}
+
+
+def _module_level_nodes(tree: ast.Module) -> Iterator[ast.AST]:
+    """Every node of ``tree`` outside its function and class bodies."""
+    stack = list(ast.iter_child_nodes(tree))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
 
 
 def _module_units(module: ModuleInfo) -> list[tuple[FunctionInfo | None, list[ast.AST]]]:
-    from .flow import _units  # late import: flow imports graph, not us
-
-    return _units(module)
+    """Code units of a module: each function/method (nested definitions
+    included), plus the module level."""
+    units: list[tuple[FunctionInfo | None, list[ast.AST]]] = [
+        (fn, list(ast.walk(fn.node))) for fn in module.functions.values()
+    ]
+    units.append((None, list(_module_level_nodes(module.tree))))
+    return units
 
 
 def _kwarg(call: ast.Call, name: str) -> ast.expr | None:

@@ -1,22 +1,18 @@
-"""Project-wide symbol table and import/call graph for whole-program rules.
+"""Project-wide symbol table for the whole-program (concurrency) rules.
 
 The per-file rules in :mod:`repro.devtools.rules` see one ``ast.Module``
-at a time, which is enough for local hazards (a mutable default, a
-wall-clock call) but blind to *flow*: whether a seed ever reaches an RNG
-constructor, or whether any caller restores the order of a parallel map.
-This module supplies the missing context:
+at a time.  The concurrency rules (:mod:`repro.devtools.concurrency`)
+follow a function handed to a thread pool in one module to its
+definition in another, so they need the whole project:
 
 * :class:`ModuleInfo` — one parsed file plus its symbol table: top-level
   functions (including methods, under ``Class.method`` qualnames),
   classes, constants, and an import map from local alias to fully
   qualified name (``np`` → ``numpy``, relative imports resolved against
   the module's package);
-* :class:`ProjectGraph` — every module being linted, an index of call
-  sites keyed by the *resolved* callee (``repro.sim.runner.simulate``,
-  ``numpy.random.default_rng``), and resolution helpers;
-* :class:`ProjectRule` — the base class for whole-program rules
-  (``SIM101`` …, in :mod:`repro.devtools.flow`), registered in
-  :data:`PROJECT_RULES` exactly like the per-file registry.
+* :class:`ProjectGraph` — every module being linted, plus lookup by
+  fully qualified function name;
+* :class:`ProjectRule` — the base class for whole-program rules.
 
 Whole-program rules receive the finished graph and may inspect any
 module; findings still carry the precise file/line so ``noqa`` pragmas
@@ -34,15 +30,11 @@ from .findings import Finding
 from .rules import LintContext
 
 __all__ = [
-    "CallSite",
     "FunctionInfo",
     "ModuleInfo",
-    "PROJECT_RULES",
     "ProjectGraph",
     "ProjectRule",
     "module_name_for_path",
-    "register_project",
-    "run_project_rules",
 ]
 
 
@@ -76,41 +68,6 @@ class FunctionInfo:
     node: ast.FunctionDef | ast.AsyncFunctionDef
     module: "ModuleInfo"
 
-    @property
-    def fqname(self) -> str:
-        return f"{self.module.name}.{self.qualname}"
-
-    @property
-    def is_method(self) -> bool:
-        return "." in self.qualname
-
-    def parameters(self) -> list[ast.arg]:
-        """Positional + keyword-only parameters, ``self``/``cls`` included."""
-        a = self.node.args
-        return [*a.posonlyargs, *a.args, *a.kwonlyargs]
-
-    def default_of(self, name: str) -> ast.expr | None:
-        """The default expression of parameter ``name`` (``None`` if none)."""
-        a = self.node.args
-        positional = [*a.posonlyargs, *a.args]
-        n_defaults = len(a.defaults)
-        for i, arg in enumerate(positional):
-            if arg.arg == name:
-                j = i - (len(positional) - n_defaults)
-                return a.defaults[j] if j >= 0 else None
-        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
-            if arg.arg == name:
-                return default
-        return None
-
-
-@dataclass
-class CallSite:
-    """One resolved call expression somewhere in the project."""
-
-    module: "ModuleInfo"
-    node: ast.Call
-    callee: str  #: fully qualified resolved target
 
 
 @dataclass
@@ -192,32 +149,20 @@ def _index_module(info: ModuleInfo) -> None:
                 info.constants[stmt.target.id] = stmt.value
 
 
-def _dotted_of(node: ast.AST) -> tuple[str, ...]:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return tuple(reversed(parts))
-    return ()
-
-
 class ProjectGraph:
-    """All modules under analysis plus a call index keyed by callee."""
+    """All modules under analysis, by dotted name and by path."""
 
     #: total number of :meth:`build` calls this process has made — the
-    #: ``repro lint --stats`` line proves one build is shared by every
-    #: whole-program pass (flow + concurrency tiers).
+    #: ``repro lint --stats`` line proves one build serves every
+    #: whole-program rule.
     builds_total: ClassVar[int] = 0
 
     def __init__(self) -> None:
         self.modules: dict[str, ModuleInfo] = {}
         self.by_path: dict[str, ModuleInfo] = {}
-        self.calls: dict[str, list[CallSite]] = {}
         #: scratch space for analyses that amortise work across rules in
-        #: one lint run (call owners, worker reachability, …).  Keyed
-        #: by analysis name; owned by whichever pass computes it first.
+        #: one lint run (thread reachability).  Keyed by analysis name;
+        #: owned by whichever pass computes it first.
         self.analysis_cache: dict[str, object] = {}
 
     @classmethod
@@ -235,18 +180,7 @@ class ProjectGraph:
             _index_module(info)
             graph.modules.setdefault(info.name, info)
             graph.by_path[info.path] = info
-        for info in graph.by_path.values():
-            graph._index_calls(info)
         return graph
-
-    def _index_calls(self, info: ModuleInfo) -> None:
-        for node in ast.walk(info.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = _dotted_of(node.func)
-            target = info.resolve(dotted)
-            if target is not None:
-                self.calls.setdefault(target, []).append(CallSite(info, node, target))
 
     # ------------------------------------------------------------------
     # lookups
@@ -264,41 +198,6 @@ class ProjectGraph:
         if info is not None:
             return info.functions.get(f"{cls_name}.{qualname}")
         return None
-
-    def call_sites(self, fqname: str) -> list[CallSite]:
-        """Every resolved call to ``fqname`` anywhere in the project."""
-        return self.calls.get(fqname, [])
-
-    def constant(self, module: ModuleInfo, dotted: tuple[str, ...]) -> ast.expr | None:
-        """The value expression behind a (possibly imported) constant name."""
-        target = module.resolve(dotted)
-        if target is None:
-            if len(dotted) == 1 and dotted[0] in module.constants:
-                return module.constants[dotted[0]]
-            return None
-        owner, _, name = target.rpartition(".")
-        info = self.modules.get(owner)
-        if info is not None:
-            return info.constants.get(name)
-        return None
-
-
-# ---------------------------------------------------------------------------
-# whole-program rule registry
-# ---------------------------------------------------------------------------
-
-
-PROJECT_RULES: dict[str, type["ProjectRule"]] = {}
-
-
-def register_project(cls: type["ProjectRule"]) -> type["ProjectRule"]:
-    """Class decorator adding a whole-program rule to the registry."""
-    if not getattr(cls, "id", None):
-        raise ValueError(f"rule {cls.__name__} has no id")
-    if cls.id in PROJECT_RULES:
-        raise ValueError(f"duplicate project rule id {cls.id}")
-    PROJECT_RULES[cls.id] = cls
-    return cls
 
 
 class ProjectRule:
@@ -344,16 +243,3 @@ class ProjectRule:
             )
         )
 
-
-def run_project_rules(
-    graph: ProjectGraph, select: set[str] | None = None
-) -> list[Finding]:
-    """Run every registered (selected) whole-program rule over ``graph``."""
-    findings: list[Finding] = []
-    for rule_id in sorted(PROJECT_RULES):
-        if select is not None and rule_id not in select:
-            continue
-        rule = PROJECT_RULES[rule_id](graph)
-        rule.check()
-        findings.extend(rule.findings)
-    return findings

@@ -2,8 +2,8 @@
 
 Usage::
 
-    repro lint [paths] [--select SIM001,SIM004] [--ignore SIM006] \\
-               [--profile concurrency|all] [--format text|json] \\
+    repro lint [paths] [--select SIM004,SIM208] [--ignore SIM006] \\
+               [--format text|json|github] \\
                [--baseline FILE | --no-baseline] [--update-baseline] \\
                [--strict-baseline] [--stats] [--list-rules]
     python -m repro.devtools.lint src/repro tests
@@ -13,15 +13,13 @@ Exit codes follow the classic contract: **0** clean, **1** findings,
 
 Selection defaults come from ``[tool.repro.lint]`` in ``pyproject.toml``
 (``select``/``ignore`` arrays, plus a ``baseline`` file path), so CI and
-developers run the same configuration with no flags.  ``--profile``
-names one or more curated rule sets, comma-separated (``concurrency`` =
-SIM208, SIM209 and SIM211, ``all`` = every registered rule across all three
-tiers); multiple profiles union.  ``--list-rules`` prints every registered rule
-with its tier.  A finding can be suppressed at a single line with the
-pragma::
+developers run the same configuration with no flags; with neither,
+every registered rule runs.  ``--list-rules`` prints every registered
+rule with its tier.  A finding can be suppressed at a single line with
+the pragma::
 
-    risky_line()  # repro: noqa SIM003
-    other_line()  # repro: noqa SIM001, SIM005
+    risky_line()  # repro: noqa SIM209
+    other_line()  # repro: noqa SIM004, SIM006
     anything()    # repro: noqa          (suppresses every rule)
 
 An *explicit-rule* pragma on a function's header (its ``def`` line or
@@ -60,10 +58,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from . import flow as _flow  # noqa: F401  (imported to register SIM101+)
-from .concurrency import CONCURRENCY_RULES, PROFILES, run_concurrency_rules
+from .concurrency import CONCURRENCY_RULES, run_concurrency_rules
 from .findings import Finding, format_findings, sort_findings
-from .graph import PROJECT_RULES, ProjectGraph, run_project_rules
+from .graph import ProjectGraph
 from .rules import RULES, LintContext, run_rules
 
 __all__ = [
@@ -103,17 +100,12 @@ class LintError(Exception):
 #: tier label per registry, in rule-number order (``--list-rules``).
 _TIERS: tuple[tuple[str, dict], ...] = (
     ("file", RULES),
-    ("flow", PROJECT_RULES),
     ("concurrency", CONCURRENCY_RULES),
 )
 
 
 def _all_rule_ids() -> set[str]:
-    """Every known rule ID across the three tiers.
-
-    Per-file (SIM00x), whole-program flow (SIM10x) and concurrency
-    (SIM20x).
-    """
+    """Every known rule ID: per-file (SIM00x) and concurrency (SIM20x)."""
     return set().union(*(set(registry) for _, registry in _TIERS))
 
 
@@ -131,52 +123,13 @@ def _validate_rules(ids: Iterable[str], origin: str) -> set[str]:
     return out
 
 
-def _profile_names(profile: str | Iterable[str]) -> list[str]:
-    """Flatten a profile argument into individual names.
-
-    Accepts one name, a comma-separated string (``"concurrency,all"``)
-    or an iterable of either.
-    """
-    items = [profile] if isinstance(profile, str) else list(profile)
-    names: list[str] = []
-    for item in items:
-        names.extend(p.strip() for p in item.split(",") if p.strip())
-    return names
-
-
 def resolve_selection(
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
-    profile: str | Iterable[str] | None = None,
 ) -> set[str]:
-    """Final rule-ID set.
-
-    ``profile`` names the base set — one or more of ``concurrency``
-    and ``all`` (= every registered rule),
-    comma-separated or as an iterable; several profiles union.  Without
-    one the base is every rule.  ``select`` then *narrows* the base
-    (intersection when a profile is active, replacement otherwise — a
-    bare ``--select`` is already an exact request), and ``ignore``
-    always subtracts.
-    """
-    if profile is not None:
-        names = _profile_names(profile)
-        if not names:
-            raise LintError("empty --profile")
-        base: set[str] = set()
-        for name in names:
-            if name == "all":
-                base |= _all_rule_ids()
-            elif name in PROFILES:
-                base |= set(PROFILES[name])
-            else:
-                known = ", ".join([*sorted(PROFILES), "all"])
-                raise LintError(f"unknown profile {name!r} (known: {known})")
-        if select:
-            base &= _validate_rules(select, "--select")
-        chosen = base
-    else:
-        chosen = _validate_rules(select, "--select") if select else _all_rule_ids()
+    """Final rule-ID set: ``select`` (default: every registered rule)
+    minus ``ignore``."""
+    chosen = _validate_rules(select, "--select") if select else _all_rule_ids()
     chosen -= _validate_rules(ignore, "--ignore") if ignore else set()
     return chosen
 
@@ -365,19 +318,14 @@ class LintStats:
 
 
 def _needs_graph(chosen: set[str]) -> bool:
-    return bool(chosen & (set(PROJECT_RULES) | set(CONCURRENCY_RULES)))
+    return bool(chosen & set(CONCURRENCY_RULES))
 
 
 def _run_graph_rules(
     graph: ProjectGraph, chosen: set[str], noqa: dict[str, _Noqa]
 ) -> list[Finding]:
-    """The whole-program tiers (flow + concurrency) on one graph."""
-    findings: list[Finding] = []
-    if chosen & set(PROJECT_RULES):
-        findings.extend(run_project_rules(graph, select=chosen))
-    if chosen & set(CONCURRENCY_RULES):
-        findings.extend(run_concurrency_rules(graph, select=chosen))
-    return _apply_noqa(findings, noqa)
+    """The whole-program (concurrency) rules on one graph."""
+    return _apply_noqa(run_concurrency_rules(graph, select=chosen), noqa)
 
 
 def lint_source(
@@ -385,17 +333,15 @@ def lint_source(
     path: str = "<string>",
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
-    profile: str | None = None,
 ) -> list[Finding]:
     """Lint one source string as if it lived at ``path``.
 
     ``path`` drives the path-scoped rules: pass a virtual location like
     ``src/repro/sim/x.py`` to lint a snippet under ``sim`` conventions.
-    The whole-program rules (SIM101+ and SIM208+) run too, over a
-    one-module graph — flow within the snippet is visible, callers
-    outside it are not.
+    The whole-program rules (SIM208+) run too, over a one-module graph —
+    calls within the snippet are visible, callers outside it are not.
     """
-    chosen = resolve_selection(select, ignore, profile)
+    chosen = resolve_selection(select, ignore)
     findings, tree, suppressed = _lint_one(source, path, chosen)
     if tree is not None and _needs_graph(chosen):
         graph = ProjectGraph.build([(path, tree)])
@@ -421,20 +367,18 @@ def lint_paths(
     paths: Sequence[str | Path],
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
-    profile: str | None = None,
     stats: LintStats | None = None,
 ) -> list[Finding]:
     """Lint every ``.py`` file under ``paths``.
 
     The passes share one parse: the per-file rules see each tree in
-    isolation; the whole-program tiers (flow SIM101+ and concurrency
-    SIM208+) both see a single
+    isolation; the whole-program rules (SIM208+) see a single
     :class:`~repro.devtools.graph.ProjectGraph` built from every parsed
     file — the graph is constructed exactly once per run, and its
-    ``analysis_cache`` lets the concurrency rules share the expensive
-    interprocedural facts (``--stats`` reports the build count).
+    ``analysis_cache`` lets the rules share the interprocedural facts
+    (``--stats`` reports the build count).
     """
-    chosen = resolve_selection(select, ignore, profile)
+    chosen = resolve_selection(select, ignore)
     findings: list[Finding] = []
     parsed: list[tuple[str, ast.Module]] = []
     noqa: dict[str, _Noqa] = {}
@@ -571,20 +515,6 @@ def _split_ids(value: str) -> list[str]:
     return [part for part in re.split(r"[,\s]+", value) if part]
 
 
-def _profile_arg(value: str) -> list[str]:
-    """Validating argparse type for ``--profile`` (comma-separated names)."""
-    names = _profile_names(value)
-    known = ", ".join([*sorted(PROFILES), "all"])
-    if not names:
-        raise argparse.ArgumentTypeError(f"empty profile (known: {known})")
-    for name in names:
-        if name != "all" and name not in PROFILES:
-            raise argparse.ArgumentTypeError(
-                f"unknown profile {name!r} (known: {known})"
-            )
-    return names
-
-
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     """Register the lint options on ``parser`` (shared with ``repro lint``)."""
     parser.add_argument(
@@ -606,14 +536,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="RULES",
         help="comma-separated rule IDs to skip",
-    )
-    parser.add_argument(
-        "--profile",
-        type=_profile_arg,
-        default=None,
-        metavar="NAMES",
-        help="named rule sets, comma-separated: concurrency (SIM208, SIM209, SIM211), "
-        "or all registered rules; several profiles union",
     )
     parser.add_argument(
         "--format",
@@ -701,10 +623,6 @@ def run_from_args(args: argparse.Namespace) -> int:
     # a command-line --select with a configured ignore list surprises.
     if args.select is not None or args.ignore is not None:
         select, ignore = args.select, args.ignore
-    elif args.profile is not None:
-        # an explicit --profile names the complete base set; the pyproject
-        # select/ignore defaults must not narrow it behind the user's back.
-        select = ignore = None
     else:
         select, ignore = config.get("select"), config.get("ignore")
     stats = LintStats() if args.stats else None
@@ -713,7 +631,6 @@ def run_from_args(args: argparse.Namespace) -> int:
             args.paths,
             select=select,
             ignore=ignore,
-            profile=args.profile,
             stats=stats,
         )
         baseline_file = _baseline_path(args, config)
@@ -725,7 +642,7 @@ def run_from_args(args: argparse.Namespace) -> int:
             judged, kept = split_baseline(
                 load_baseline(baseline_file),
                 collect_files(args.paths),
-                resolve_selection(select, ignore, args.profile),
+                resolve_selection(select, ignore),
             )
             if args.update_baseline:
                 count = write_baseline(findings, baseline_file, keep=kept)

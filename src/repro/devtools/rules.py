@@ -1,7 +1,7 @@
 """Domain-specific lint rules for discrete-event-simulation code.
 
 Each rule is a small :class:`ast.NodeVisitor` with a stable ID
-(``SIM001`` …) registered in :data:`RULES` — the same
+(``SIM004`` …) registered in :data:`RULES` — the same
 register-by-declaration idiom as the policy registry in
 :mod:`repro.core.policies`.  Rules are *pure detectors*: they receive a
 :class:`LintContext` (where the file lives inside the package), walk the
@@ -13,13 +13,8 @@ The rules encode the repo's simulation-correctness conventions (see
 ``docs/DEVTOOLS.md`` for rationale and examples):
 
 ========  ============================================================
-SIM001    no global NumPy RNG / stdlib ``random`` — pass a Generator
-SIM002    no wall-clock reads inside ``sim``/``core``/``analysis``
-SIM003    no ``==``/``!=`` on simulated-time or size float expressions
 SIM004    ``Policy`` subclasses set ``kind``/``name``, chain ``reset``
-SIM005    no mutable default arguments
 SIM006    public library module must declare ``__all__``
-SIM007    no bare ``except:`` / silently swallowed ``Exception``
 ========  ============================================================
 """
 
@@ -93,7 +88,7 @@ def register(cls: type["Rule"]) -> type["Rule"]:
 class Rule(ast.NodeVisitor):
     """Base class for lint rules: visit the tree, collect findings."""
 
-    #: stable identifier, e.g. ``"SIM001"`` — used by --select/--ignore/noqa.
+    #: stable identifier, e.g. ``"SIM004"`` — used by --select/--ignore/noqa.
     id: ClassVar[str] = ""
     #: one-line description shown in ``repro lint --explain``-style docs.
     summary: ClassVar[str] = ""
@@ -155,15 +150,6 @@ def _dotted(node: ast.AST) -> tuple[str, ...]:
     return ()
 
 
-def _terminal_name(node: ast.AST) -> str | None:
-    """The identifier a value expression 'ends' in (attribute tail or name)."""
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
 def _is_abstract(cls: ast.ClassDef) -> bool:
     """Heuristic: ABC base or any ``@abstractmethod`` in the body."""
     for base in cls.bases:
@@ -178,221 +164,6 @@ def _is_abstract(cls: ast.ClassDef) -> bool:
                 if _dotted(deco)[-1:] in (("abstractmethod",), ("abstractproperty",)):
                     return True
     return False
-
-
-def _snake_words(name: str) -> set[str]:
-    return {w for w in name.lower().split("_") if w}
-
-
-# ---------------------------------------------------------------------------
-# SIM001 — global randomness
-# ---------------------------------------------------------------------------
-
-
-#: module-level samplers/state of the legacy ``numpy.random`` API.  The
-#: Generator constructors (``default_rng``, ``Generator``, bit generators,
-#: ``SeedSequence``) are the *approved* API and stay allowed.
-_NP_RANDOM_BANNED = frozenset(
-    {
-        "seed", "rand", "randn", "random", "ranf", "random_sample", "sample",
-        "choice", "randint", "random_integers", "shuffle", "permutation",
-        "uniform", "normal", "exponential", "standard_normal",
-        "standard_exponential", "lognormal", "pareto", "weibull", "gamma",
-        "beta", "poisson", "binomial", "geometric", "bytes", "get_state",
-        "set_state", "RandomState",
-    }
-)
-
-
-@register
-class GlobalRandomRule(Rule):
-    """SIM001: global RNG state breaks seeded reproducibility.
-
-    Every stochastic routine must take an explicit
-    ``numpy.random.Generator`` (see ``workloads.distributions._as_rng``)
-    so that equal seeds give equal traces on every backend.  The legacy
-    ``np.random.*`` module functions and stdlib ``random`` mutate hidden
-    global state and are banned inside ``src/repro`` — except in
-    ``workloads/distributions.py``, which owns RNG coercion.
-    """
-
-    id = "SIM001"
-    summary = "global NumPy RNG or stdlib random; pass an np.random.Generator"
-
-    def applies(self) -> bool:
-        return self.ctx.in_library and self.ctx.module != ("workloads", "distributions")
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.name == "random" or alias.name.startswith("random."):
-                self.report(node, "stdlib `random` is banned; use np.random.Generator")
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module == "random":
-            self.report(node, "stdlib `random` is banned; use np.random.Generator")
-        elif node.module in ("numpy.random", "numpy"):
-            for alias in node.names:
-                if alias.name in _NP_RANDOM_BANNED:
-                    self.report(
-                        node,
-                        f"global `numpy.random.{alias.name}` is banned; "
-                        "take an np.random.Generator parameter",
-                    )
-        self.generic_visit(node)
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        dotted = _dotted(node)
-        if (
-            len(dotted) >= 3
-            and dotted[0] in ("np", "numpy")
-            and dotted[1] == "random"
-            and dotted[2] in _NP_RANDOM_BANNED
-        ):
-            self.report(
-                node,
-                f"global `{'.'.join(dotted[:3])}` mutates hidden RNG state; "
-                "take an np.random.Generator parameter",
-            )
-        self.generic_visit(node)
-
-
-# ---------------------------------------------------------------------------
-# SIM002 — wall-clock reads in simulation code
-# ---------------------------------------------------------------------------
-
-
-_WALL_CLOCK_CALLS = frozenset(
-    {
-        ("time", "time"), ("time", "time_ns"), ("time", "perf_counter"),
-        ("time", "perf_counter_ns"), ("time", "monotonic"),
-        ("time", "monotonic_ns"), ("time", "process_time"),
-        ("datetime", "now"), ("datetime", "utcnow"), ("datetime", "today"),
-        ("datetime", "datetime", "now"), ("datetime", "datetime", "utcnow"),
-        ("datetime", "datetime", "today"), ("datetime", "date", "today"),
-    }
-)
-_WALL_CLOCK_NAMES = frozenset(
-    {"perf_counter", "perf_counter_ns", "monotonic", "process_time", "time_ns"}
-)
-
-
-@register
-class WallClockRule(Rule):
-    """SIM002: simulation logic must read only simulated time.
-
-    Inside ``sim/``, ``core/`` and ``analysis/`` the only clock is
-    ``Simulator.now``; a wall-clock read makes results depend on host
-    speed and destroys replay determinism.  Benchmarks, experiments and
-    the CLI legitimately time themselves and are exempt.
-    """
-
-    id = "SIM002"
-    summary = "wall-clock call in simulation code; use the simulated clock"
-
-    def applies(self) -> bool:
-        return self.ctx.in_subpackage("sim", "core", "analysis")
-
-    def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted(node.func)
-        if dotted in _WALL_CLOCK_CALLS or dotted[-2:] in _WALL_CLOCK_CALLS:
-            self.report(
-                node,
-                f"wall-clock call `{'.'.join(dotted)}()` in simulation code; "
-                "use the simulated clock (Simulator.now)",
-            )
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module == "time":
-            for alias in node.names:
-                if alias.name in _WALL_CLOCK_NAMES or alias.name == "time":
-                    self.report(
-                        node,
-                        f"importing wall-clock `time.{alias.name}` in simulation "
-                        "code; use the simulated clock (Simulator.now)",
-                    )
-        self.generic_visit(node)
-
-
-# ---------------------------------------------------------------------------
-# SIM003 — exact float equality on simulated time / size expressions
-# ---------------------------------------------------------------------------
-
-
-_TIMEY_WORDS = frozenset(
-    {
-        "now", "time", "times", "arrival", "arrivals", "completion",
-        "completions", "cutoff", "cutoffs", "deadline", "epoch",
-    }
-)
-#: attribute tails that are *about* a quantity, not the quantity itself.
-_METADATA_TAILS = frozenset({"shape", "size", "ndim", "dtype", "name", "kind", "index"})
-
-
-@register
-class FloatTimeEqualityRule(Rule):
-    """SIM003: ``==``/``!=`` on simulated-time floats is a latent bug.
-
-    Times and cutoffs are accumulated floats; exact comparison silently
-    flips once long horizons lose absolute precision.  Use
-    ``math.isclose`` or an explicit tolerance.  The check is a name
-    heuristic (``now``, ``*_time``, ``arrival*``, ``completion*``,
-    ``cutoff*`` …) on either side of the comparison; boolean and
-    metadata comparisons (``.shape``, counts) are skipped.
-    """
-
-    id = "SIM003"
-    summary = "exact ==/!= on a simulated-time float; use math.isclose"
-
-    def applies(self) -> bool:
-        return self.ctx.in_library
-
-    def _timeyness(self, node: ast.AST) -> str | None:
-        """Return the offending identifier when ``node`` looks time-valued."""
-        if isinstance(node, (ast.Compare, ast.BoolOp)):
-            return None  # boolean, not a time value
-        if isinstance(node, ast.BinOp):
-            return self._timeyness(node.left) or self._timeyness(node.right)
-        if isinstance(node, ast.UnaryOp):
-            return self._timeyness(node.operand)
-        if isinstance(node, ast.Subscript):
-            return self._timeyness(node.value)
-        if isinstance(node, ast.Call):
-            # max(now, t) etc. — look through well-known float combinators.
-            if _terminal_name(node.func) in ("max", "min", "abs", "float", "sum"):
-                for arg in node.args:
-                    hit = self._timeyness(arg)
-                    if hit:
-                        return hit
-            return None
-        name = _terminal_name(node)
-        if name is None or name in _METADATA_TAILS:
-            return None
-        words = _snake_words(name)
-        if words & _TIMEY_WORDS and not words & {"n", "num", "count", "idx", "i"}:
-            return name
-        return None
-
-    def visit_Compare(self, node: ast.Compare) -> None:
-        operands = [node.left, *node.comparators]
-        for op, left, right in zip(node.ops, operands, operands[1:]):
-            if not isinstance(op, (ast.Eq, ast.NotEq)):
-                continue
-            sides = (left, right)
-            if any(
-                isinstance(s, ast.Constant) and (s.value is None or isinstance(s.value, (str, bool)))
-                for s in sides
-            ):
-                continue  # sentinel / label comparison, not arithmetic
-            hit = self._timeyness(left) or self._timeyness(right)
-            if hit:
-                self.report(
-                    node,
-                    f"exact float comparison on `{hit}`; simulated times lose "
-                    "precision — use math.isclose or an explicit tolerance",
-                )
-        self.generic_visit(node)
 
 
 # ---------------------------------------------------------------------------
@@ -518,53 +289,6 @@ class PolicyProtocolRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# SIM005 — mutable default arguments
-# ---------------------------------------------------------------------------
-
-
-_MUTABLE_FACTORIES = frozenset(
-    {"list", "dict", "set", "bytearray", "deque", "defaultdict", "Counter", "OrderedDict"}
-)
-
-
-@register
-class MutableDefaultRule(Rule):
-    """SIM005: a mutable default is shared across every call.
-
-    One simulation run appending to a default ``[]`` poisons the next —
-    precisely the cross-run contamination the reset protocol exists to
-    prevent.  Default to ``None`` and construct inside the function.
-    """
-
-    id = "SIM005"
-    summary = "mutable default argument; default to None and build inside"
-
-    def _check_defaults(self, node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda) -> None:
-        args = node.args
-        for default in [*args.defaults, *args.kw_defaults]:
-            if default is None:
-                continue
-            bad = isinstance(default, (ast.List, ast.Dict, ast.Set)) or (
-                isinstance(default, ast.Call)
-                and _terminal_name(default.func) in _MUTABLE_FACTORIES
-            )
-            if bad:
-                self.report(default, "mutable default argument is shared across calls")
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check_defaults(node)
-        self.generic_visit(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_defaults(node)
-        self.generic_visit(node)
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        self._check_defaults(node)
-        self.generic_visit(node)
-
-
-# ---------------------------------------------------------------------------
 # SIM006 — public modules declare __all__
 # ---------------------------------------------------------------------------
 
@@ -606,61 +330,3 @@ class MissingAllRule(Rule):
                 message="public module does not declare __all__",
             )
         )
-
-
-# ---------------------------------------------------------------------------
-# SIM007 — swallowed exceptions
-# ---------------------------------------------------------------------------
-
-
-@register
-class ExceptionSwallowRule(Rule):
-    """SIM007: a swallowed exception turns a simulator bug into bad data.
-
-    ``SimulationError`` and the strict-mode invariant violations exist to
-    stop a run the moment state is inconsistent; a bare ``except:`` or an
-    ``except Exception: pass`` converts that hard stop into silently
-    wrong results — the worst failure mode a simulation study has.
-    """
-
-    id = "SIM007"
-    summary = "bare except / except Exception with a pass-only body"
-
-    @staticmethod
-    def _is_noop_body(body: list[ast.stmt]) -> bool:
-        return all(
-            isinstance(stmt, ast.Pass)
-            or isinstance(stmt, ast.Continue)
-            or (
-                isinstance(stmt, ast.Expr)
-                and isinstance(stmt.value, ast.Constant)
-                and stmt.value.value is Ellipsis
-            )
-            for stmt in body
-        )
-
-    @staticmethod
-    def _catches_everything(handler: ast.ExceptHandler) -> bool:
-        if handler.type is None:
-            return True
-        types = (
-            handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
-        )
-        return any(
-            _dotted(t)[-1:] in (("Exception",), ("BaseException",)) for t in types
-        )
-
-    def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
-        if node.type is None:
-            self.report(
-                node,
-                "bare `except:` also catches KeyboardInterrupt/SystemExit; "
-                "catch a specific exception",
-            )
-        elif self._catches_everything(node) and self._is_noop_body(node.body):
-            self.report(
-                node,
-                "`except Exception` with a pass-only body swallows simulator "
-                "errors; handle or re-raise",
-            )
-        self.generic_visit(node)

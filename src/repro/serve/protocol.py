@@ -56,9 +56,10 @@ def encode(obj: dict) -> bytes:
 def decode_line(line: bytes) -> dict:
     """Parse and validate one request line.
 
-    Raises :class:`ProtocolError` on over-long lines, invalid JSON,
-    non-object payloads and a missing/non-string ``op`` field — the four
-    ways a client can hand us something we cannot even begin to route.
+    Raises :class:`ProtocolError` on over-long lines, invalid JSON
+    (nesting too deep for the parser included), non-object payloads and
+    a missing/non-string ``op`` field — the four ways a client can hand
+    us something we cannot even begin to route.
     """
     if len(line) > MAX_LINE:
         raise ProtocolError(f"request line exceeds {MAX_LINE} bytes")
@@ -66,6 +67,8 @@ def decode_line(line: bytes) -> dict:
         msg = json.loads(line)
     except ValueError as exc:
         raise ProtocolError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ProtocolError("invalid JSON: nested too deeply") from None
     if not isinstance(msg, dict):
         raise ProtocolError(f"request must be a JSON object, got {type(msg).__name__}")
     op = msg.get("op")

@@ -67,6 +67,21 @@ def seq_sum(total: float, values: np.ndarray) -> float:
     return float(np.cumsum(acc, out=acc)[-1])
 
 
+def _scaled(
+    sums: tuple[float, float, float], values: np.ndarray
+) -> tuple[float, float, float]:
+    """Scaled sums ``(m, Σv/m, Σ(v/m)²)`` extended by ``values``, with
+    ``m`` raised to at least their largest value: no finite input
+    overflows them."""
+    m, s1, s2 = sums
+    top = max(m, float(values.max())) if values.size else m
+    if top == 0.0:
+        return sums
+    r = m / top
+    s = values / top
+    return top, s1 * r + float(np.sum(s)), s2 * r * r + float(np.sum(s * s))
+
+
 class FoldedJobs:
     """Running totals of the jobs folded out of per-job storage.
 
@@ -76,36 +91,57 @@ class FoldedJobs:
     ``sum_v2`` hold the sum of their slowdowns and of the squares, added
     by :func:`seq_sum` in submission order.  A sequential sum does not
     depend on where the fold boundaries fell, so two servers that folded
-    the same prefix at different times hold the same bits.
+    the same prefix at different times hold the same bits.  Once
+    ``sum_v2`` overflows, ``scaled`` also keeps the sums scaled by a
+    bound on the largest slowdown (:func:`_scaled`), which :meth:`jain`
+    falls back to.
     """
 
-    __slots__ = ("at", "completed", "sum_v", "sum_v2")
+    __slots__ = ("at", "completed", "sum_v", "sum_v2", "scaled")
 
     def __init__(self) -> None:
         self.at = 0
         self.completed = 0
         self.sum_v = 0.0
         self.sum_v2 = 0.0
+        self.scaled: tuple[float, float, float] | None = None
+
+    def _scaled_sums(self) -> tuple[float, float, float]:
+        if self.scaled is not None:
+            return self.scaled
+        # sqrt(Σv²) bounds every folded slowdown, and the sums are finite.
+        m = math.sqrt(self.sum_v2)
+        return (m, self.sum_v / m, self.sum_v2 / m / m) if m else (0.0, 0.0, 0.0)
 
     def add(self, slowdowns: np.ndarray) -> None:
         """Fold completed slowdowns, given in submission order."""
         self.completed += int(slowdowns.size)
+        sum_v2 = seq_sum(self.sum_v2, slowdowns * slowdowns)
+        if self.scaled is not None or math.isinf(sum_v2):
+            self.scaled = _scaled(self._scaled_sums(), slowdowns)
         self.sum_v = seq_sum(self.sum_v, slowdowns)
-        self.sum_v2 = seq_sum(self.sum_v2, slowdowns * slowdowns)
+        self.sum_v2 = sum_v2
 
     def jain(self, retained: np.ndarray) -> float | None:
         """Jain's index ``(Σv)² / (n·Σv²)`` of the folded slowdowns
         followed by ``retained`` (the unfolded completed ones, in
         submission order); ``None`` before any completion.  The same
         expression as :func:`~repro.sim.metrics.jain_fairness_index`,
-        with the sums taken sequentially."""
+        with the sums taken sequentially; where that overflows, the same
+        ratio of the sums scaled by a bound on the largest slowdown."""
         n = self.completed + int(retained.size)
         if n == 0:
             return None
         denom = n * seq_sum(self.sum_v2, retained * retained)
         if denom == 0.0:
             return math.nan
-        return seq_sum(self.sum_v, retained) ** 2 / denom
+        if not math.isinf(denom):
+            try:
+                return seq_sum(self.sum_v, retained) ** 2 / denom
+            except OverflowError:
+                pass
+        _, s1, s2 = _scaled(self._scaled_sums(), retained)
+        return s1 * s1 / (n * s2)
 
 
 class SystemState:

@@ -1,9 +1,8 @@
 """Positive + negative fixtures for the concurrency tier (SIM208, SIM209, SIM211).
 
-Mirrors ``test_flow_rules.py``: every rule registered in
-``CONCURRENCY_RULES`` must have at least one fixture that triggers it
-and one adjacent-but-clean fixture that does not — the completeness
-test fails when a new rule lands without them.
+Every rule registered in ``CONCURRENCY_RULES`` must have at least one
+fixture that triggers it and one adjacent-but-clean fixture that does
+not — the completeness test fails when a new rule lands without them.
 
 Single-module fixtures go through :func:`repro.devtools.lint_source`
 (one-module graph, same path the CLI uses).  The cross-module cases at
@@ -19,11 +18,11 @@ import pytest
 
 from repro.devtools import (
     CONCURRENCY_RULES,
-    PROFILES,
     ProjectGraph,
     lint_source,
     run_concurrency_rules,
 )
+from repro.devtools.graph import module_name_for_path
 
 SIM_PATH = "src/repro/sim/fixture.py"
 EXP_PATH = "src/repro/experiments/fixture.py"
@@ -127,10 +126,6 @@ class Frontend:
 
 def test_every_registered_concurrency_rule_has_fixtures():
     assert set(FIXTURES) == set(CONCURRENCY_RULES)
-
-
-def test_concurrency_profile_is_the_whole_tier():
-    assert PROFILES == {"concurrency": frozenset(CONCURRENCY_RULES)}
 
 
 @pytest.mark.parametrize("rule", sorted(FIXTURES))
@@ -267,3 +262,9 @@ def test_cross_module_clean_call_site():
         select={"SIM208"},
     )
     assert findings == []
+
+
+def test_module_name_for_path():
+    assert module_name_for_path("src/repro/sim/engine.py") == "repro.sim.engine"
+    assert module_name_for_path("src/repro/sim/__init__.py") == "repro.sim"
+    assert module_name_for_path("tests/sim/test_engine.py") == "tests.sim.test_engine"

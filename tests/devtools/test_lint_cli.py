@@ -18,7 +18,8 @@ from repro.cli import main as repro_main
 from repro.devtools.lint import main as lint_main
 
 CLEAN = "__all__ = []\nX = 1\n"
-DIRTY = "import random\n\n\ndef f(acc=[]):\n    acc.append(1)\n"
+#: SIM004 (a policy without ``kind``) and SIM006 (no ``__all__``).
+DIRTY = "class NamelessPolicy(Policy):\n    pass\n"
 
 
 @pytest.fixture
@@ -41,7 +42,7 @@ def test_exit_one_with_findings(tree, capsys):
     target = tree / "src" / "repro" / "sim" / "dirty.py"
     assert lint_main([str(target)]) == 1
     out = capsys.readouterr().out
-    assert "SIM001" in out and "SIM005" in out and "SIM006" in out
+    assert "SIM004" in out and "SIM006" in out
 
 
 def test_exit_two_on_unknown_rule(tree, capsys):
@@ -57,15 +58,15 @@ def test_exit_two_on_missing_path(tmp_path, capsys):
 
 def test_select_restricts_rules(tree, capsys):
     target = tree / "src" / "repro" / "sim" / "dirty.py"
-    assert lint_main([str(target), "--select", "SIM005"]) == 1
+    assert lint_main([str(target), "--select", "SIM006"]) == 1
     out = capsys.readouterr().out
-    assert "SIM005" in out and "SIM001" not in out and "SIM006" not in out
+    assert "SIM006" in out and "SIM004" not in out
 
 
 def test_ignore_drops_rules(tree, capsys):
     target = tree / "src" / "repro" / "sim" / "dirty.py"
     assert (
-        lint_main([str(target), "--ignore", "SIM001,SIM005,SIM006"]) == 0
+        lint_main([str(target), "--ignore", "SIM004,SIM006"]) == 0
     )
     assert "all clean" in capsys.readouterr().out
 
@@ -74,7 +75,7 @@ def test_json_format_is_parseable_and_stable(tree, capsys):
     target = tree / "src" / "repro" / "sim" / "dirty.py"
     assert lint_main([str(target), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert {f["rule"] for f in payload} == {"SIM001", "SIM005", "SIM006"}
+    assert {f["rule"] for f in payload} == {"SIM004", "SIM006"}
     for item in payload:
         assert set(item) == {"path", "line", "col", "rule", "message"}
     # sorted by (path, line, col, rule)
@@ -87,7 +88,7 @@ def test_github_format_emits_workflow_commands(tree, capsys):
     assert lint_main([str(target), "--format", "github"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines and all(line.startswith("::error file=") for line in lines)
-    assert any(",title=SIM001::" in line for line in lines)
+    assert any(",title=SIM004::" in line for line in lines)
     # one annotation per finding, each carrying its location properties
     for line in lines:
         assert "line=" in line and "col=" in line
@@ -109,7 +110,7 @@ def test_github_format_escapes_newlines_and_percent():
         path="src/repro/sim/x.py",
         line=1,
         col=0,
-        rule="SIM001",
+        rule="SIM004",
         message="bad%\nworse",
     )
     (line,) = format_findings([finding], fmt="github").splitlines()
@@ -126,36 +127,38 @@ def test_directory_argument_recurses(tree, capsys):
 def test_list_rules(capsys):
     assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("SIM001", "SIM007"):
+    for rule_id in ("SIM004", "SIM211"):
         assert rule_id in out
 
 
 def test_pyproject_defaults_are_picked_up(tree, capsys):
     (tree / "pyproject.toml").write_text(
-        '[tool.repro.lint]\nignore = ["SIM001", "SIM005", "SIM006"]\n'
+        '[tool.repro.lint]\nignore = ["SIM004", "SIM006"]\n'
     )
     target = tree / "src" / "repro" / "sim" / "dirty.py"
     assert lint_main([str(target)]) == 0
     assert "all clean" in capsys.readouterr().out
     # explicit flags override the config
-    assert lint_main([str(target), "--select", "SIM001"]) == 1
+    assert lint_main([str(target), "--select", "SIM004"]) == 1
 
 
-def test_repo_select_lists_every_registered_rule():
-    """The repo's ``select`` is "all rules on": exactly the registries."""
-    from repro.devtools import CONCURRENCY_RULES, PROJECT_RULES, RULES
-    from repro.devtools.lint import load_config
+def test_repo_config_runs_every_registered_rule():
+    """No ``select`` list restates the registries, so the configured run
+    (CI's and pre-commit's) lints with every registered rule."""
+    from repro.devtools import CONCURRENCY_RULES, RULES
+    from repro.devtools.lint import load_config, resolve_selection
 
     config = load_config(Path(__file__).resolve().parents[2])
-    registered = set(RULES) | set(PROJECT_RULES) | set(CONCURRENCY_RULES)
-    assert set(config["select"]) == registered
+    assert "select" not in config
+    chosen = resolve_selection(config.get("select"), config.get("ignore"))
+    assert chosen == set(RULES) | set(CONCURRENCY_RULES)
 
 
 def test_repro_cli_lint_subcommand(tree, capsys):
     target = tree / "src" / "repro" / "sim" / "dirty.py"
-    assert repro_main(["lint", str(target), "--select", "SIM001"]) == 1
-    assert "SIM001" in capsys.readouterr().out
-    assert repro_main(["lint", str(target), "--ignore", "SIM001,SIM005,SIM006"]) == 0
+    assert repro_main(["lint", str(target), "--select", "SIM004"]) == 1
+    assert "SIM004" in capsys.readouterr().out
+    assert repro_main(["lint", str(target), "--ignore", "SIM004,SIM006"]) == 0
 
 
 def test_python_dash_m_entry_point(tree):
@@ -169,11 +172,11 @@ def test_python_dash_m_entry_point(tree):
         env={"PYTHONPATH": str(src_dir), "PATH": "/usr/bin:/bin"},
     )
     assert proc.returncode == 1
-    assert "SIM001" in proc.stdout
+    assert "SIM004" in proc.stdout
 
 
 # ---------------------------------------------------------------------------
-# profiles, baseline, --stats (the whole-program tiers' CLI surface)
+# baseline, --stats (the whole-program tier's CLI surface)
 # ---------------------------------------------------------------------------
 
 #: one SIM209 finding: a results file written in place under experiments/.
@@ -200,6 +203,7 @@ def save(path, rows):
 """
 
 
+
 @pytest.fixture
 def concurrency_tree(tmp_path: Path) -> Path:
     pkg = tmp_path / "src" / "repro" / "experiments"
@@ -212,34 +216,6 @@ def _save_py(root: Path) -> Path:
     return root / "src" / "repro" / "experiments" / "save.py"
 
 
-def test_profile_concurrency_runs_concurrency_rules(concurrency_tree, capsys):
-    target = _save_py(concurrency_tree)
-    assert lint_main([str(target), "--profile", "concurrency", "--no-baseline"]) == 1
-    out = capsys.readouterr().out
-    assert "SIM209" in out
-
-
-def test_profile_concurrency_skips_other_tiers(tree, capsys):
-    target = tree / "src" / "repro" / "sim" / "dirty.py"
-    assert lint_main([str(target), "--profile", "concurrency", "--no-baseline"]) == 0
-    assert "all clean" in capsys.readouterr().out
-
-
-def test_profile_all_includes_every_tier(concurrency_tree, capsys):
-    target = _save_py(concurrency_tree)
-    assert lint_main([str(target), "--profile", "all", "--no-baseline"]) == 1
-    assert "SIM209" in capsys.readouterr().out
-
-
-def test_profile_intersects_with_select(concurrency_tree, capsys):
-    target = _save_py(concurrency_tree)
-    code = lint_main(
-        [str(target), "--profile", "concurrency", "--select", "SIM208", "--no-baseline"]
-    )
-    assert code == 0
-    assert "all clean" in capsys.readouterr().out
-
-
 def test_baseline_roundtrip(concurrency_tree, capsys):
     target = _save_py(concurrency_tree)
     baseline = concurrency_tree / "baseline.json"
@@ -247,8 +223,6 @@ def test_baseline_roundtrip(concurrency_tree, capsys):
         lint_main(
             [
                 str(target),
-                "--profile",
-                "concurrency",
                 "--baseline",
                 str(baseline),
                 "--update-baseline",
@@ -263,13 +237,13 @@ def test_baseline_roundtrip(concurrency_tree, capsys):
     # baselined finding no longer fails the run …
     assert (
         lint_main(
-            [str(target), "--profile", "concurrency", "--baseline", str(baseline)]
+            [str(target), "--baseline", str(baseline)]
         )
         == 0
     )
     capsys.readouterr()
     # … but --no-baseline still surfaces it
-    assert lint_main([str(target), "--profile", "concurrency", "--no-baseline"]) == 1
+    assert lint_main([str(target), "--no-baseline"]) == 1
 
 
 def test_baseline_is_a_multiset(concurrency_tree, capsys):
@@ -284,8 +258,6 @@ def test_baseline_is_a_multiset(concurrency_tree, capsys):
     lint_main(
         [
             str(target),
-            "--profile",
-            "concurrency",
             "--baseline",
             str(baseline),
             "--update-baseline",
@@ -298,7 +270,7 @@ def test_baseline_is_a_multiset(concurrency_tree, capsys):
     baseline.write_text(json.dumps(entries[:1]))
     assert (
         lint_main(
-            [str(target), "--profile", "concurrency", "--baseline", str(baseline)]
+            [str(target), "--baseline", str(baseline)]
         )
         == 1
     )
@@ -310,81 +282,41 @@ def test_baseline_path_from_pyproject(concurrency_tree, capsys):
         f'[tool.repro.lint]\nbaseline = "{baseline}"\n'
     )
     target = _save_py(concurrency_tree)
-    lint_main([str(target), "--profile", "concurrency", "--update-baseline"])
+    lint_main([str(target), "--update-baseline"])
     capsys.readouterr()
     assert baseline.is_file()
-    assert lint_main([str(target), "--profile", "concurrency"]) == 0
+    assert lint_main([str(target)]) == 0
 
 
 def test_stats_reports_a_single_graph_build(concurrency_tree, capsys):
     target = _save_py(concurrency_tree)
-    lint_main([str(target), "--profile", "all", "--stats", "--no-baseline"])
+    lint_main([str(target), "--stats", "--no-baseline"])
     err = capsys.readouterr().err
     assert "graph-builds=1" in err
     assert "files=1" in err
 
 
-def test_unknown_profile_is_a_usage_error(capsys):
-    from repro.devtools.lint import LintError, build_parser, resolve_selection
-
-    # argparse rejects it at parse time; resolve_selection guards API users
-    parser = build_parser()
-    with pytest.raises(SystemExit):
-        parser.parse_args(["--profile", "nope"])
-    with pytest.raises(LintError):
-        resolve_selection(profile="nope")
-    # no SIM30x rules exist, so there is no `compile` profile either, and
-    # the array-contract rules took the `kernels` profile with them
-    for gone in ("compile", "kernels"):
-        with pytest.raises(SystemExit) as exc:
-            lint_main(["--profile", gone])
-        assert exc.value.code == 2
-        assert f"unknown profile {gone!r}" in capsys.readouterr().err
-        with pytest.raises(LintError):
-            resolve_selection(profile=gone)
-
-
 # ---------------------------------------------------------------------------
-# comma profiles, tiers, baseline ratchet
+# tiers, baseline ratchet
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
 def combined_tree(tmp_path: Path) -> Path:
-    """One per-file finding (SIM001) plus one concurrency finding (SIM209)."""
+    """One per-file finding (SIM006) plus one concurrency finding (SIM209)."""
     pkg = tmp_path / "src" / "repro" / "sim"
     pkg.mkdir(parents=True)
-    (pkg / "rng.py").write_text("import random\n\n__all__ = []\n")
+    (pkg / "noall.py").write_text("X = 1\n")
     exp = tmp_path / "src" / "repro" / "experiments"
     exp.mkdir(parents=True)
     (exp / "save.py").write_text(NON_ATOMIC)
     return tmp_path
 
 
-def test_comma_separated_profiles_union(combined_tree, capsys):
-    src = str(combined_tree / "src")
-    assert lint_main([src, "--profile", "concurrency", "--no-baseline"]) == 1
-    out = capsys.readouterr().out
-    assert "SIM209" in out and "SIM001" not in out
-    assert lint_main([src, "--profile", "concurrency,all", "--no-baseline"]) == 1
-    out = capsys.readouterr().out
-    assert "SIM209" in out and "SIM001" in out
-
-
-def test_comma_profile_rejects_unknown_names(combined_tree):
-    from repro.devtools.lint import LintError, build_parser, resolve_selection
-
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["--profile", "concurrency,nope"])
-    with pytest.raises(LintError):
-        resolve_selection(profile=["concurrency", "nope"])
-
-
 def test_list_rules_shows_every_tier(capsys):
     assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule_id, tier in (
-        ("SIM001", "file"),
-        ("SIM101", "flow"),
+        ("SIM004", "file"),
         ("SIM208", "concurrency"),
     ):
         line = next(ln for ln in out.splitlines() if ln.startswith(rule_id))
@@ -403,8 +335,6 @@ def test_stale_baseline_warns_then_strict_fails_then_prunes(
     lint_main(
         [
             str(target),
-            "--profile",
-            "concurrency",
             "--baseline",
             str(baseline),
             "--update-baseline",
@@ -416,7 +346,7 @@ def test_stale_baseline_warns_then_strict_fails_then_prunes(
     # default: still exit 0, but the dead entry is called out on stderr
     assert (
         lint_main(
-            [str(target), "--profile", "concurrency", "--baseline", str(baseline)]
+            [str(target), "--baseline", str(baseline)]
         )
         == 0
     )
@@ -427,8 +357,6 @@ def test_stale_baseline_warns_then_strict_fails_then_prunes(
         lint_main(
             [
                 str(target),
-                "--profile",
-                "concurrency",
                 "--baseline",
                 str(baseline),
                 "--strict-baseline",
@@ -442,8 +370,6 @@ def test_stale_baseline_warns_then_strict_fails_then_prunes(
         lint_main(
             [
                 str(target),
-                "--profile",
-                "concurrency",
                 "--baseline",
                 str(baseline),
                 "--update-baseline",
@@ -455,11 +381,11 @@ def test_stale_baseline_warns_then_strict_fails_then_prunes(
 
 
 def _baseline_both_tiers(combined_tree, capsys) -> Path:
-    """A baseline holding the tree's SIM001 and SIM209 findings."""
+    """A baseline holding the tree's SIM006 and SIM209 findings."""
     baseline = combined_tree / "baseline.json"
     src = str(combined_tree / "src")
-    lint_main([src, "--profile", "all", "--baseline", str(baseline), "--update-baseline"])
-    assert {e["rule"] for e in json.loads(baseline.read_text())} == {"SIM001", "SIM209"}
+    lint_main([src, "--baseline", str(baseline), "--update-baseline"])
+    assert {e["rule"] for e in json.loads(baseline.read_text())} == {"SIM006", "SIM209"}
     capsys.readouterr()
     return baseline
 
@@ -467,15 +393,15 @@ def _baseline_both_tiers(combined_tree, capsys) -> Path:
 def test_select_run_judges_no_entry_of_an_unselected_rule(combined_tree, capsys):
     baseline = _baseline_both_tiers(combined_tree, capsys)
     src = str(combined_tree / "src")
-    args = [src, "--select", "SIM001", "--baseline", str(baseline), "--strict-baseline"]
+    args = [src, "--select", "SIM006", "--baseline", str(baseline), "--strict-baseline"]
     assert lint_main(args) == 0
     assert "stale baseline" not in capsys.readouterr().err
 
 
 def test_narrower_paths_judge_no_entry_outside_them(combined_tree, capsys):
     baseline = _baseline_both_tiers(combined_tree, capsys)
-    rng = str(combined_tree / "src" / "repro" / "sim" / "rng.py")
-    args = [rng, "--profile", "all", "--baseline", str(baseline), "--strict-baseline"]
+    noall = str(combined_tree / "src" / "repro" / "sim" / "noall.py")
+    args = [noall, "--baseline", str(baseline), "--strict-baseline"]
     assert lint_main(args) == 0
     assert "stale baseline" not in capsys.readouterr().err
 
@@ -484,9 +410,9 @@ def test_update_baseline_with_select_keeps_unselected_entries(combined_tree, cap
     baseline = _baseline_both_tiers(combined_tree, capsys)
     before = json.loads(baseline.read_text())
     src = str(combined_tree / "src")
-    lint_main([src, "--select", "SIM001", "--baseline", str(baseline), "--update-baseline"])
+    lint_main([src, "--select", "SIM006", "--baseline", str(baseline), "--update-baseline"])
     assert json.loads(baseline.read_text()) == before
     # A selected entry whose finding is gone is still pruned.
-    (combined_tree / "src" / "repro" / "sim" / "rng.py").write_text("__all__ = []\n")
-    lint_main([src, "--select", "SIM001", "--baseline", str(baseline), "--update-baseline"])
+    (combined_tree / "src" / "repro" / "sim" / "noall.py").write_text("__all__ = []\n")
+    lint_main([src, "--select", "SIM006", "--baseline", str(baseline), "--update-baseline"])
     assert [e["rule"] for e in json.loads(baseline.read_text())] == ["SIM209"]

@@ -1,8 +1,9 @@
-"""One positive and one negative fixture per lint rule (SIM001–SIM007).
+"""One positive and one negative fixture per per-file lint rule (SIM004,
+SIM006).
 
 Each fixture is a source snippet linted under a *virtual path*, so the
-path-scoped rules (SIM001/SIM002/SIM003/SIM006) can be exercised as if
-the snippet lived inside ``src/repro``.  The positive snippet must
+path-scoped rule (SIM006) can be exercised as if the snippet lived
+inside ``src/repro``.  The positive snippet must
 trigger exactly its rule; the negative snippet must not trigger it.
 """
 
@@ -13,47 +14,11 @@ import pytest
 from repro.devtools import RULES, LintContext, lint_source
 from repro.devtools.lint import SYNTAX_RULE
 
-SIM_PATH = "src/repro/sim/fixture.py"
 CORE_PATH = "src/repro/core/fixture.py"
 LIB_PATH = "src/repro/fixture.py"
 
 #: rule id -> (positive snippet, path, negative snippet, path)
 FIXTURES: dict[str, tuple[str, str, str, str]] = {
-    "SIM001": (
-        "import numpy as np\n"
-        "__all__ = []\n"
-        "def sample():\n"
-        "    np.random.seed(0)\n"
-        "    return np.random.rand(10)\n",
-        SIM_PATH,
-        "import numpy as np\n"
-        "__all__ = []\n"
-        "def sample(rng: np.random.Generator):\n"
-        "    return rng.random(10)\n",
-        SIM_PATH,
-    ),
-    "SIM002": (
-        "import time\n"
-        "__all__ = []\n"
-        "def stamp():\n"
-        "    return time.perf_counter()\n",
-        CORE_PATH,
-        "__all__ = []\n"
-        "def stamp(sim):\n"
-        "    return sim.now\n",
-        CORE_PATH,
-    ),
-    "SIM003": (
-        "__all__ = []\n"
-        "def due(job, now):\n"
-        "    return job.completion_time == now\n",
-        SIM_PATH,
-        "import math\n"
-        "__all__ = []\n"
-        "def due(job, now):\n"
-        "    return math.isclose(job.completion_time, now)\n",
-        SIM_PATH,
-    ),
     "SIM004": (
         "__all__ = []\n"
         "class BrokenPolicy(StatePolicy):\n"
@@ -68,36 +33,10 @@ FIXTURES: dict[str, tuple[str, str, str, str]] = {
         "        self.counter = 0\n",
         CORE_PATH,
     ),
-    "SIM005": (
-        "__all__ = []\n"
-        "def run(trace, completed=[]):\n"
-        "    completed.append(trace)\n",
-        LIB_PATH,
-        "__all__ = []\n"
-        "def run(trace, completed=None):\n"
-        "    completed = [] if completed is None else completed\n",
-        LIB_PATH,
-    ),
     "SIM006": (
         "x = 1\n",
         LIB_PATH,
         "__all__ = ['x']\nx = 1\n",
-        LIB_PATH,
-    ),
-    "SIM007": (
-        "__all__ = []\n"
-        "def guarded(f):\n"
-        "    try:\n"
-        "        f()\n"
-        "    except Exception:\n"
-        "        pass\n",
-        LIB_PATH,
-        "__all__ = []\n"
-        "def guarded(f):\n"
-        "    try:\n"
-        "        f()\n"
-        "    except ValueError:\n"
-        "        return None\n",
         LIB_PATH,
     ),
 }
@@ -136,38 +75,6 @@ def test_findings_carry_location_and_message(rule_id):
 # ---------------------------------------------------------------------------
 
 
-def test_sim001_exempts_distributions_module():
-    source = "import numpy as np\n__all__ = []\nnp.random.seed(0)\n"
-    hits = lint_source(source, path="src/repro/workloads/distributions.py")
-    assert not any(f.rule == "SIM001" for f in hits)
-
-
-def test_sim001_allows_default_rng():
-    source = "import numpy as np\n__all__ = []\nr = np.random.default_rng(3)\n"
-    assert not any(f.rule == "SIM001" for f in lint_source(source, path=SIM_PATH))
-
-
-def test_sim002_inactive_outside_simulation_packages():
-    source = "import time\n__all__ = []\nt0 = time.perf_counter()\n"
-    hits = lint_source(source, path="src/repro/experiments/fixture.py")
-    assert not any(f.rule == "SIM002" for f in hits)
-
-
-def test_sim003_skips_boolean_and_metadata_comparisons():
-    source = (
-        "__all__ = []\n"
-        "flipped = (est <= cutoff) != truly_short\n"
-        "bad_shape = a.shape != b.shape\n"
-        "is_poll = mode == 'time'\n"
-    )
-    assert not any(f.rule == "SIM003" for f in lint_source(source, path=SIM_PATH))
-
-
-def test_sim003_sees_through_arithmetic_and_subscripts():
-    source = "__all__ = []\nhit = arrival_times[0] + delta == cutoff\n"
-    assert any(f.rule == "SIM003" for f in lint_source(source, path=SIM_PATH))
-
-
 def test_sim004_direct_policy_subclass_needs_kind():
     source = (
         "__all__ = []\n"
@@ -192,11 +99,6 @@ def test_sim004_skips_abstract_intermediaries():
     assert not any(f.rule == "SIM004" for f in lint_source(source, path=CORE_PATH))
 
 
-def test_sim007_flags_bare_except_even_with_real_body():
-    source = "__all__ = []\ntry:\n    f()\nexcept:\n    raise ValueError('x')\n"
-    assert any(f.rule == "SIM007" for f in lint_source(source, path=LIB_PATH))
-
-
 def test_syntax_error_reported_as_sim000():
     findings = lint_source("def broken(:\n", path=LIB_PATH)
     assert [f.rule for f in findings] == [SYNTAX_RULE]
@@ -207,26 +109,31 @@ def test_syntax_error_reported_as_sim000():
 # ---------------------------------------------------------------------------
 
 
+#: a policy with neither ``kind`` nor ``name`` in a module without
+#: ``__all__``: SIM004 and SIM006 both report line 1.
+NAMELESS = "class NamelessPolicy(Policy):{}\n    pass\n"
+
+
 def test_noqa_suppresses_named_rule_only():
-    source = "import random  # repro: noqa SIM001\n"
-    hits = {f.rule for f in lint_source(source, path=SIM_PATH)}
-    assert "SIM001" not in hits
+    source = NAMELESS.format("  # repro: noqa SIM004")
+    hits = {f.rule for f in lint_source(source, path=CORE_PATH)}
+    assert "SIM004" not in hits
     assert "SIM006" in hits  # still missing __all__ (reported at line 1)
 
 
 def test_noqa_bare_suppresses_everything_on_the_line():
-    source = "import random  # repro: noqa\n"
-    assert lint_source(source, path=SIM_PATH) == []
+    source = NAMELESS.format("  # repro: noqa")
+    assert lint_source(source, path=CORE_PATH) == []
 
 
 def test_noqa_list_of_rules():
-    source = "__all__ = []\ndef f(x=[]):  # repro: noqa SIM005, SIM003\n    return x\n"
-    assert lint_source(source, path=LIB_PATH) == []
+    source = NAMELESS.format("  # repro: noqa SIM004, SIM006")
+    assert lint_source(source, path=CORE_PATH) == []
 
 
 def test_noqa_on_other_line_does_not_leak():
-    source = "# repro: noqa SIM001\n\nimport random\n__all__ = []\n"
-    assert any(f.rule == "SIM001" for f in lint_source(source, path=SIM_PATH))
+    source = "# repro: noqa SIM004\n__all__ = []\n" + NAMELESS.format("")
+    assert any(f.rule == "SIM004" for f in lint_source(source, path=CORE_PATH))
 
 
 def test_select_and_ignore():
@@ -235,7 +142,7 @@ def test_select_and_ignore():
         f.rule == "SIM006" for f in lint_source(source, path=path, select=["SIM006"])
     )
     assert lint_source(source, path=path, ignore=["SIM006"]) == []
-    only = lint_source(source, path=path, select=["SIM001"])
+    only = lint_source(source, path=path, select=["SIM004"])
     assert not any(f.rule == "SIM006" for f in only)
 
 

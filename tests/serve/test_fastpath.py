@@ -48,6 +48,7 @@ from repro.serve import fastpath
 from repro.serve import server as server_module
 from repro.serve.fastpath import SETTLE_EVERY
 from repro.sim.metrics import jain_fairness_index
+from repro.sim.server import FoldedJobs, seq_sum
 
 POLICIES = {
     "lwl": lambda n_hosts: LeastWorkLeftPolicy(),
@@ -517,6 +518,55 @@ class TestJainOrder:
         assert fast.status()["fast_path"]["engaged"]
         assert not engine.status()["fast_path"]["engaged"]
         assert fast.status()["jain_slowdown"] == engine.status()["jain_slowdown"]
+
+    def test_status_survives_slowdowns_whose_squares_overflow(self):
+        # The third job waits behind 1e300 of work: its slowdown squared
+        # overflows a float, and so did every status after it.
+        server = DispatchServer(2, LeastWorkLeftPolicy())
+        server.submit_batch([0.0, 0.0, 0.0], [1e300, 1e300, 1.0])
+        server.drain()
+        with np.errstate(over="ignore"):
+            for _ in range(2):
+                status = server.status()
+                assert math.isclose(status["jain_slowdown"], 1 / 3)
+        assert status["fast_path"]["engaged"]
+
+    @staticmethod
+    def unscaled_jain(values):
+        """The index as the sums give it, before any overflow fallback;
+        ``None`` where those sums overflow."""
+        denom = values.size * seq_sum(0.0, values * values)
+        if math.isinf(denom):
+            return None
+        try:
+            return seq_sum(0.0, values) ** 2 / denom
+        except OverflowError:
+            return None
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(st.floats(1.0, 1e6), st.floats(1e150, 1.7e308)),
+            min_size=1,
+            max_size=40,
+        ),
+        cuts=st.lists(st.integers(0, 40), max_size=4),
+    )
+    def test_jain_is_the_unscaled_index_unless_it_overflows(self, values, cuts):
+        v = np.array(values)
+        folded = FoldedJobs()
+        start = 0
+        with np.errstate(over="ignore"):
+            for cut in sorted(min(c, v.size) for c in cuts):
+                folded.add(v[start:cut])
+                start = cut
+            folded.at = start
+            jain = folded.jain(v[start:])
+            expected = self.unscaled_jain(v)
+        if expected is not None:
+            assert jain == expected
+        else:
+            assert (1 - 1e-9) / v.size <= jain <= 1 + 1e-9
 
 
 class TestHandover:

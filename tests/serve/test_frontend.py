@@ -480,6 +480,22 @@ class TestPipelining:
         for key in tables[0]:
             np.testing.assert_array_equal(tables[1][key], tables[0][key], err_msg=key)
 
+    def test_a_deeply_nested_line_gets_an_error_reply(self, tmp_path):
+        """A line nested deeper than the JSON parser recurses gets one
+        error reply; the good lines read in the same block get theirs."""
+        deep = '{"op":"status","x":' + "[" * 30_000 + "\n"
+        lines = [
+            req(op="submit", size=1.0, arrival=0.0),
+            deep,
+            req(op="submit", size=2.0, arrival=1.0),
+        ]
+        core = make_core(CORES["sita-fastpath"])
+        replies, _ = converse(tmp_path, core, pipelined("".join(lines).encode(), []))
+        docs = [json.loads(reply) for reply in replies]
+        assert [doc["ok"] for doc in docs] == [True, False, True]
+        assert docs[1]["error"] == "invalid JSON: nested too deeply"
+        assert replies == reference_replies(make_core(CORES["sita-fastpath"]), lines)
+
     @pytest.mark.parametrize(
         ("n_lines", "calls"),
         [

@@ -1,6 +1,6 @@
 """Property-based tests of the engine's event-ordering contract.
 
-The determinism stack (SIM105, the replay auditor) leans on one promise
+The determinism stack (these tests, the replay auditor) leans on one promise
 from :mod:`repro.sim.events`: events fire in ``(time, seq)`` order —
 simultaneous events in exactly the order they were scheduled — and a
 cancelled event never fires, whether cancelled before its time, at its
