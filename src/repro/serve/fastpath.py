@@ -17,9 +17,10 @@ completion) while the embedded engine's calendar stays empty
 columns are filled depends on whether the host choice reads ``V``:
 
 * Least-Work-Left and Shortest-Queue read the host state for every
-  decision, so they advance ``V`` as they route — LWL through the
-  :func:`~repro.sim.fast.serve_dispatch_batch` kernel, O(1) scalar
-  updates per decision, batched over the intake.
+  decision, so they advance ``V`` as they route, one call per batch to
+  the kernels ``simulate_fast`` runs, resumed from the live state:
+  :func:`~repro.sim.fast.least_work_dispatch` and
+  :func:`~repro.sim.fast.shortest_queue_dispatch`.
 * SITA, Random and Round-Robin pick a host from the job (or the
   policy's own RNG / rotation) alone.  Routing only records the choice;
   :meth:`FastPathState.settle` later fills the start and completion
@@ -75,6 +76,7 @@ decision while every breaker is pristine.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 
 import numpy as np
 
@@ -84,7 +86,7 @@ from ..core.policies import (
     RoundRobinPolicy,
     SITAPolicy,
 )
-from ..sim.fast import fcfs_starts, serve_dispatch_batch
+from ..sim.fast import fcfs_starts, least_work_dispatch, shortest_queue_dispatch
 from ..sim.jobs import Job
 from ..sim.server import FoldedJobs, seq_sum
 
@@ -100,13 +102,12 @@ SETTLE_EVERY = 16384
 def fast_path_mode(policy) -> str | None:
     """The fast-path routing mode for ``policy``, or ``None``.
 
-    ``"lwl"`` routes inside the kernel; ``"sita"`` maps the whole batch
-    through the policy's cutoffs; ``"seq"`` (Random/Round-Robin) draws
-    hosts one at a time in Python so the policy's RNG or rotation
-    pointer advances exactly as on the engine path; ``"sita"`` and
-    ``"seq"`` records settle in bulk later.  ``"sq"`` (Shortest-Queue)
-    tracks per-host in-system counts with completion-time deques in
-    Python.  Anything else — notably :class:`GroupedSITAPolicy`, whose
+    ``"lwl"`` and ``"sq"`` (Shortest-Queue) route inside their dispatch
+    kernels; ``"sita"`` maps the whole batch through the policy's
+    cutoffs; ``"seq"`` (Random/Round-Robin) draws hosts one at a time
+    in Python so the policy's RNG or rotation pointer advances exactly
+    as on the engine path; ``"sita"`` and ``"seq"`` records settle in
+    bulk later.  Anything else — notably :class:`GroupedSITAPolicy`, whose
     spill rule reads the live-host mask — stays on the event path.
     """
     if isinstance(policy, GroupedSITAPolicy):
@@ -116,9 +117,7 @@ def fast_path_mode(policy) -> str | None:
     if isinstance(policy, (RandomPolicy, RoundRobinPolicy)):
         return "seq"
     hint = getattr(policy, "fast_hint", None)
-    if hint in ("lwl", "sq"):
-        return hint
-    return None
+    return hint if hint in ("lwl", "sq") else None
 
 
 class FastPathState:
@@ -152,7 +151,7 @@ class FastPathState:
         self.retain = retain
         self._sim = sim
         #: per-host virtual completion times (the whole host state).
-        self.v = np.zeros(self.n_hosts, dtype=np.float64)
+        self.v = [0.0] * self.n_hosts
         cap = 1024
         self._arrival = np.empty(cap, dtype=np.float64)
         self._size = np.empty(cap, dtype=np.float64)
@@ -167,11 +166,17 @@ class FastPathState:
         #: records whose start and completion (and share of ``v``) are
         #: filled in; below ``m`` only in the fixed-host modes.
         self._settled = 0
-        self._defers = mode in ("sita", "seq")
-        #: "sq" only: per-host completion epochs of in-system jobs.
-        self._in_system = (
-            [deque() for _ in range(self.n_hosts)] if mode == "sq" else None
-        )
+        #: "lwl" and "sq": the dispatch kernel over ``(t, s)``, resuming
+        #: from ``v`` (and, for "sq", per-host completion epochs); the
+        #: fixed-host modes ("sita", "seq") have none and settle later.
+        self._dispatch = None
+        if mode == "lwl":
+            self._dispatch = partial(least_work_dispatch, host_speeds=self.speeds, v=self.v)
+        elif mode == "sq":
+            self._dispatch = partial(
+                shortest_queue_dispatch, host_speeds=self.speeds, v=self.v,
+                in_system=[deque() for _ in range(self.n_hosts)],
+            )
         #: totals of the records below ``folded.at`` (all completed),
         #: with their count and busy time per host.
         self.folded = FoldedJobs()
@@ -212,62 +217,31 @@ class FastPathState:
     def route_one(self, t: float, s: float, est: float) -> int:
         """Route a single admitted job; returns the chosen host."""
         self.reserve(1)
-        m = self.m
         mode = self.mode
-        v = self.v
-        if mode == "lwl":
-            best = 0
-            best_key = v[0] - t
-            if best_key < 0.0:
-                best_key = 0.0
-            for i in range(1, self.n_hosts):
-                key = v[i] - t
-                if key < 0.0:
-                    key = 0.0
-                if key < best_key:
-                    best = i
-                    best_key = key
-            best = int(best)
-        elif mode == "sita":
+        if mode == "sita":
             # The policy's own expression, on its *current* cutoffs —
             # degraded-mode re-fit may retune them between any two jobs.
-            best = int(
-                np.searchsorted(self.policy.cutoffs, est, side="left")
-            )
+            best = int(np.searchsorted(self.policy.cutoffs, est, side="left"))
         elif mode == "seq":
             # Random/Round-Robin ignore both arguments; calling through
             # the policy keeps its RNG / rotation pointer exact.
             best = int(self.policy.choose_host(None, None))
-        else:  # sq
-            best = 0
-            best_len = -1
-            for i in range(self.n_hosts):
-                qi = self._in_system[i]
-                while qi and qi[0] <= t:
-                    qi.popleft()
-                li = len(qi)
-                if best_len < 0 or li < best_len:
-                    best = i
-                    best_len = li
-        r = m - self.base
+        else:
+            hosts, starts = self._dispatch((t,), (s,))
+            best, start = int(hosts[0]), float(starts[0])
+        r = self.m - self.base
         self._arrival[r] = t
         self._size[r] = s
         self._est[r] = est
         self._host[r] = best
-        self.m = m + 1
-        if self._defers:
+        self.m += 1
+        if self._dispatch is None:
             if self.m - self._settled >= SETTLE_EVERY:
                 self.settle()
-            return best
-        vb = float(v[best])
-        start = t if vb < t else vb
-        comp = start + s / self._speeds_list[best]
-        v[best] = comp
-        self._start[r] = start
-        self._comp[r] = comp
-        if mode == "sq":
-            self._in_system[best].append(comp)
-        self._settled = m + 1
+        else:
+            self._start[r] = start
+            self._comp[r] = start + s / self._speeds_list[best]
+            self._settled = self.m
         return best
 
     def route_batch(
@@ -276,13 +250,6 @@ class FastPathState:
         """Route a whole admitted batch; returns the chosen hosts (a view
         of the host column, valid until the next routing call)."""
         n = t.shape[0]
-        if self.mode == "sq":
-            # In-system counts change job by job; stays in Python.
-            t_l, s_l, e_l = t.tolist(), s.tolist(), est.tolist()
-            return np.array(
-                [self.route_one(t_l[j], s_l[j], e_l[j]) for j in range(n)],
-                dtype=np.int64,
-            )
         self.reserve(n)
         a = self.m - self.base
         end = a + n
@@ -290,11 +257,12 @@ class FastPathState:
         self._size[a:end] = s
         self._est[a:end] = est
         hosts = self._host[a:end]
-        if self.mode == "lwl":
-            starts = self._start[a:end]
-            serve_dispatch_batch(t, s, self.speeds, self.v, hosts, starts)
-            # Same elementwise float ops as the scalar path: start + s/speed.
-            self._comp[a:end] = starts + s / self.speeds[hosts]
+        if self._dispatch is not None:
+            routed, starts = self._dispatch(t, s)
+            hosts[:] = routed
+            self._start[a:end] = starts
+            # The engine's completion, start + size/speed, elementwise.
+            self._comp[a:end] = starts + s / self.speeds[routed]
             self.m = self._settled = self.m + n
             return hosts
         if self.mode == "seq":
@@ -411,7 +379,7 @@ class FastPathState:
     def max_completion(self) -> float:
         """Latest completion epoch on record (0.0 with no records)."""
         self.settle()
-        return float(self.v.max()) if self.m else 0.0
+        return max(self.v) if self.m else 0.0
 
     def host_seq(self) -> np.ndarray:
         """Each unfolded record's FCFS submission rank on its host.
@@ -540,7 +508,7 @@ class FastPathState:
         sim = inner.sim
         hseq = self.host_seq().tolist()
         for i, host in enumerate(inner.hosts):
-            host._virtual_completion = float(self.v[i])
+            host._virtual_completion = self.v[i]
             host._submit_seq = total[i]
             host.jobs_completed = done_count[i]
             host.busy_time = busy[i]

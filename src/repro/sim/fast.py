@@ -26,17 +26,29 @@ a time per host):
    however long the trace; every operation and its order are those of
    one unchunked walk.
 
-Every kernel is cross-validated against the event engine in
-``tests/sim/test_fast_vs_engine.py`` — per-job waiting times must agree to
-floating-point accuracy.  (Host *identities* may differ on exact ties,
-e.g. among simultaneously idle hosts; waits are unaffected.)
+4. **State-reading policies resume from the host state.**  Unequal
+   speeds, Shortest-Queue and estimate-driven LWL route through two
+   resumable kernels, :func:`least_work_dispatch` and
+   :func:`shortest_queue_dispatch`, which the serve fast path runs too.
 
-Array inputs are checked by plain code, not a declared ABI: the batch
-kernels coerce them with ``np.asarray(..., dtype=float)``, every kernel
-raises ``ValueError`` when its per-job inputs differ in length, and only
-the two workspace kernels (:func:`_fcfs_waits_into`,
-:func:`serve_dispatch_batch`) write, into buffers their single caller
-allocates.  ``tests/sim/test_fast.py`` holds every kernel to that on
+These two and the entry points built on them are ``==`` the event
+engine on start epochs and hosts: they use its float expressions
+(``start = t if v < t else v``, ``v = start + size/speed``), and
+``tests/sim/test_fast.py`` holds them to ``DistributedServer.run_trace``
+on continuous-time streams (on an exact completion/arrival tie
+``run_trace`` takes the arrival first, the shortest-queue kernel the
+completion).  :func:`fcfs_starts` is the engine's per-host recursion,
+exactly.  :func:`fcfs_waits` and what is built on it (the static path,
+:func:`tags_waits`, :class:`SitaScanKernel`) and the identical-host
+:func:`lwl_waits` heap, whose hosts may differ on exact ties, agree on
+waits to floating-point accuracy (``tests/sim/test_fast_vs_engine.py``).
+
+Array inputs are checked by plain code, not a declared ABI: the kernels
+coerce them with ``np.asarray(..., dtype=float)`` and raise
+``ValueError`` when per-job inputs differ in length.  Only
+:func:`_fcfs_waits_into` writes into buffers (workspaces its one caller
+allocates), and only the dispatch kernels update the host state they are
+handed.  ``tests/sim/test_fast.py`` holds every kernel to that on
 read-only, float32 and strided inputs.
 """
 
@@ -64,7 +76,8 @@ __all__ = [
     "SitaScanKernel",
     "SitaScanResult",
     "fcfs_starts",
-    "serve_dispatch_batch",
+    "least_work_dispatch",
+    "shortest_queue_dispatch",
 ]
 
 
@@ -136,8 +149,8 @@ def lwl_waits(
     Kiefer–Wolfowitz via a min-heap of per-host virtual completion times:
     each job is matched with the earliest-free host, ``O(n log h)``.
     With ``host_speeds`` the choice among idle hosts changes every later
-    wait, so hosts are scanned per job.  (The LWL ≡ Central-Queue
-    equivalence holds only for identical hosts.)
+    wait, so :func:`least_work_dispatch` routes job by job.  (The LWL ≡
+    Central-Queue equivalence holds only for identical hosts.)
 
     Returns ``(waits, hosts)``.  On identical hosts each job goes to the
     host with the smallest ``(V, host index)`` pair — the earliest
@@ -182,36 +195,93 @@ def lwl_waits(
         done = np.add(start, s, out=start)
         hosts = _lwl_hosts(t, s, done, n_hosts)
     else:
-        # Heterogeneous speeds: replicate the policy's exact rule — least
-        # work left, lowest index on ties — as a scan over plain floats.
-        speed_list = speeds.tolist()
-        waits_list, hosts_list = [], []
-        v = [0.0] * n_hosts
-        for tj, sj in zip(t.tolist(), s.tolist()):
-            i, wait = _least_work(v, tj)
-            waits_list.append(wait)
-            hosts_list.append(i)
-            v[i] = tj + wait + sj / speed_list[i]
-        waits, hosts = np.asarray(waits_list, dtype=float), np.asarray(hosts_list, dtype=int)
-        done = t + waits + s / speeds[hosts]
+        hosts, start = least_work_dispatch(t, s, speeds, [0.0] * n_hosts)
+        waits = np.subtract(start, t)
+        done = np.add(start, s / speeds[hosts], out=start)
     # A non-finite completion hidden from every wait drops its host silently.
     if not np.isfinite(done).all() and np.isfinite(waits).all():
         raise InvariantViolation("least-work-left kernel produced a non-finite completion")
     return waits, hosts
 
 
-def _least_work(v: list[float], tj: float) -> tuple[int, float]:
-    """``(i, work)``: ``argmin(max(v − tj, 0))`` over plain floats, lowest
-    index on ties (strict ``<``; the first idle host cannot be beaten)."""
-    i = 0
-    work = v[0] - tj
-    for k in range(1, len(v)):
-        if work <= 0.0:
-            break
-        w = v[k] - tj
-        if w < work:
-            i, work = k, w
-    return i, (0.0 if work < 0.0 else work)
+def _dispatch_columns(arrival_times, sizes, host_speeds, v: list[float]):
+    """The job columns and speeds as checked plain-float lists (no boxing in the loops)."""
+    t = np.asarray(arrival_times, dtype=float)
+    s = np.asarray(sizes, dtype=float)
+    speeds = np.asarray(host_speeds, dtype=float)
+    if t.shape != s.shape or t.ndim != 1 or speeds.shape != (len(v),):
+        raise ValueError("need equal-length 1-D arrival_times and sizes, one v per speed")
+    return t.tolist(), s.tolist(), speeds.tolist()
+
+
+def least_work_dispatch(
+    arrival_times: np.ndarray, sizes: np.ndarray, host_speeds: np.ndarray, v: list[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Route jobs by Least-Work-Left from the hosts' state, exactly.
+
+    ``v`` lists the hosts' virtual completion times and is updated in
+    place, so calls chain.  Each job goes to the host with the least
+    work left, ``max(0, v − t)``, lowest index on ties, and advances it
+    by the engine's ``start = t if v < t else v``, ``v = start +
+    size/speed``.  Returns ``(hosts, starts)``.
+    """
+    t_list, s_list, sp = _dispatch_columns(arrival_times, sizes, host_speeds, v)
+    n_hosts = len(v)
+    hosts = [0] * len(t_list)
+    starts = [0.0] * len(t_list)
+    for j, tj in enumerate(t_list):
+        # Strict ``<``: the first idle host cannot be beaten.
+        i = 0
+        work = v[0] - tj
+        for k in range(1, n_hosts):
+            if work <= 0.0:
+                break
+            w = v[k] - tj
+            if w < work:
+                i, work = k, w
+        vi = v[i]
+        start = tj if vi < tj else vi
+        hosts[j] = i
+        starts[j] = start
+        v[i] = start + s_list[j] / sp[i]
+    return np.array(hosts, dtype=np.int64), np.array(starts, dtype=float)
+
+
+def shortest_queue_dispatch(
+    arrival_times: np.ndarray,
+    sizes: np.ndarray,
+    host_speeds: np.ndarray,
+    v: list[float],
+    in_system: list[deque[float]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Route jobs by Shortest-Queue from the hosts' state, exactly.
+
+    As :func:`least_work_dispatch`, but each job goes to the host with
+    the fewest jobs in system, lowest index on ties.  ``in_system[i]``
+    holds host ``i``'s completion epochs in order; one ``<= t`` is gone.
+    ``v`` and ``in_system`` are updated in place.
+    """
+    t_list, s_list, sp = _dispatch_columns(arrival_times, sizes, host_speeds, v)
+    if len(in_system) != len(v):
+        raise ValueError("in_system must have one deque per host")
+    hosts = [0] * len(t_list)
+    starts = [0.0] * len(t_list)
+    for j, tj in enumerate(t_list):
+        i = 0
+        fewest = -1
+        for k, d in enumerate(in_system):
+            while d and d[0] <= tj:
+                d.popleft()
+            if fewest < 0 or len(d) < fewest:
+                i, fewest = k, len(d)
+        vi = v[i]
+        start = tj if vi < tj else vi
+        done = start + s_list[j] / sp[i]
+        hosts[j] = i
+        starts[j] = start
+        v[i] = done
+        in_system[i].append(done)
+    return np.array(hosts, dtype=np.int64), np.array(starts, dtype=float)
 
 
 def _lwl_hosts(t: np.ndarray, s: np.ndarray, done: np.ndarray, n_hosts: int) -> np.ndarray:
@@ -272,48 +342,16 @@ def shortest_queue_waits(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Waits and assignments under Shortest-Queue (fewest jobs in system).
 
-    Per host we keep the virtual completion time and a FIFO of departure
-    epochs (monotone, so expiry is an amortised O(1) pop).  Ties go to the
-    lowest host index, matching :class:`ShortestQueuePolicy`.
+    :func:`shortest_queue_dispatch` from empty hosts: per host, the
+    virtual completion time and a FIFO of departure epochs (monotone, so
+    expiry is an amortised O(1) pop).  Ties go to the lowest host index,
+    matching :class:`ShortestQueuePolicy`.
     """
-    t = np.asarray(arrival_times, dtype=float)
-    s = np.asarray(sizes, dtype=float)
-    if t.shape != s.shape or t.ndim != 1:
-        raise ValueError("arrival_times and sizes must be equal-length 1-D")
     speeds = _as_host_speeds(host_speeds, n_hosts)
-    n = t.size
-    # Python-float loop state throughout (see the identical-host branch
-    # of :func:`lwl_waits`): pre-extracted lists avoid per-iteration
-    # np.float64 boxing, ``enumerate`` over the deque list avoids an
-    # index lookup per host, and the per-host expiry loop pops on a
-    # locally bound deque.  Values are bit-identical to the NumPy
-    # indexing version.
-    t_list = t.tolist()
-    s_list = s.tolist()
-    speeds_list = speeds.tolist()
-    waits_list = [0.0] * n
-    hosts_list = [0] * n
-    v = [0.0] * n_hosts
-    departures: list[deque[float]] = [deque() for _ in range(n_hosts)]
-    for j in range(n):
-        tj = t_list[j]
-        best = 0
-        best_count = -1
-        for i, d in enumerate(departures):
-            while d and d[0] <= tj:
-                d.popleft()
-            count = len(d)
-            if best_count < 0 or count < best_count:
-                best, best_count = i, count
-        wait = v[best] - tj
-        if wait < 0.0:
-            wait = 0.0
-        waits_list[j] = wait
-        hosts_list[j] = best
-        done = tj + wait + s_list[j] / speeds_list[best]
-        v[best] = done
-        departures[best].append(done)
-    return np.asarray(waits_list), np.asarray(hosts_list, dtype=int)
+    hosts, starts = shortest_queue_dispatch(
+        arrival_times, sizes, speeds, [0.0] * n_hosts, [deque() for _ in range(n_hosts)]
+    )
+    return np.subtract(starts, arrival_times, out=starts), hosts
 
 
 def estimated_lwl_waits(
@@ -334,27 +372,15 @@ def estimated_lwl_waits(
     e = np.asarray(estimates, dtype=float)
     if not (t.shape == s.shape == e.shape) or t.ndim != 1:
         raise ValueError("arrival_times, sizes and estimates must match")
-    if n_hosts < 1:
-        raise ValueError(f"n_hosts must be >= 1, got {n_hosts}")
-    n = t.size
-    t_list, s_list, e_list = t.tolist(), s.tolist(), e.tolist()
-    waits = [0.0] * n
-    hosts = [0] * n
-    believed = [0.0] * n_hosts
-    true_v = [0.0] * n_hosts
-    for j in range(n):
-        tj = t_list[j]
-        # Least believed work left, lowest index on ties, matching
-        # EstimatedLWLPolicy.choose_host.
-        i, _ = _least_work(believed, tj)
-        believed[i] = max(believed[i], tj) + e_list[j]
-        wait = true_v[i] - tj
-        if wait < 0.0:
-            wait = 0.0
-        waits[j] = wait
-        hosts[j] = i
-        true_v[i] = tj + wait + s_list[j]
-    return np.asarray(waits), np.asarray(hosts, dtype=int)
+    # Least believed work left, matching EstimatedLWLPolicy.choose_host
+    # (its ``max(V̂, t) + ŝ`` is the kernel's expression at speed 1), then
+    # each host's FCFS recursion over the true sizes.
+    hosts, starts = least_work_dispatch(t, e, _as_host_speeds(None, n_hosts), [0.0] * n_hosts)
+    for i in range(n_hosts):
+        idx = np.flatnonzero(hosts == i)
+        if idx.size:
+            starts[idx], _ = fcfs_starts(t[idx], s[idx], 0.0)
+    return np.subtract(starts, t, out=starts), hosts
 
 
 def tags_waits(
@@ -484,11 +510,9 @@ def simulate_fast(
         if assignment.min() < 0 or assignment.max() >= n_hosts:
             raise ValueError("assign_batch returned out-of-range host index")
         waits, durations = _static_waits(t, s, assignment, n_hosts, speeds)
-    elif kind == "central" or hint == "lwl":
-        waits, assignment = lwl_waits(t, s, n_hosts, host_speeds=speeds)
-        durations = s / speeds[assignment]
-    elif hint == "sq":
-        waits, assignment = shortest_queue_waits(t, s, n_hosts, host_speeds=speeds)
+    elif kind == "central" or hint in ("lwl", "sq"):
+        kernel = shortest_queue_waits if hint == "sq" else lwl_waits
+        waits, assignment = kernel(t, s, n_hosts, host_speeds=speeds)
         durations = s / speeds[assignment]
     elif hint == "lwl-est":
         waits, assignment = estimated_lwl_waits(t, s, est, n_hosts)
@@ -885,7 +909,8 @@ def fcfs_starts(
     ``v = v0``) and returns ``(starts, v)`` with ``v`` the host's
     virtual completion time after the last job, so calls chain: feed
     the ``v`` of one call to the next.  The serve fast path settles its
-    fixed-host records through this (see :mod:`repro.serve.fastpath`).
+    fixed-host records through this (see :mod:`repro.serve.fastpath`),
+    and :func:`estimated_lwl_waits` times each host's jobs with it.
 
     Three steps, vectorised:
 
@@ -942,58 +967,3 @@ def fcfs_starts(
         v = start + d_list[j]
     starts[lo:] = tail
     return starts, v
-
-
-def serve_dispatch_batch(
-    arrival_times: np.ndarray,
-    sizes: np.ndarray,
-    host_speeds: np.ndarray,
-    v: np.ndarray,
-    hosts: np.ndarray,
-    starts: np.ndarray,
-) -> None:
-    """Route one arrival batch by Least-Work-Left, O(1) per job.
-
-    The online dispatcher's fault-free fast path for LWL (see
-    :mod:`repro.serve.fastpath`): instead of scheduling an event per
-    job, each job scans the per-host virtual completion times ``v`` for
-    the first minimum of ``max(0, v - t)`` (``np.argmin`` tie-breaking)
-    and advances the chosen host by the event engine's own float
-    expressions (``start = max(v[h], t)``, ``v[h] = start +
-    size/speed``).  Chosen hosts and start epochs are written into
-    ``hosts`` and ``starts``, so the implied completions ``starts +
-    sizes/speeds[hosts]`` are bit-identical to the engine path.
-    Fixed-host policies, whose choice never reads ``v``, settle in bulk
-    through :func:`fcfs_starts` instead.
-    """
-    shape = arrival_times.shape
-    if not (shape == sizes.shape == hosts.shape == starts.shape) or (
-        v.shape != host_speeds.shape
-    ):
-        raise ValueError(
-            "arrival_times, sizes, hosts and starts must be equal-length, "
-            "and v must have one entry per host speed"
-        )
-    n = shape[0]
-    if n == 0:
-        return
-    # Plain-float loops (tolist) with the engine's IEEE-754 arithmetic
-    # — see lwl_waits on why this beats ndarray indexing in a tight
-    # loop.
-    t_list = arrival_times.tolist()
-    s_list = sizes.tolist()
-    v_list = v.tolist()
-    sp_list = host_speeds.tolist()
-    hosts_out = [0] * n
-    starts_out = [0.0] * n
-    for j in range(n):
-        tj = t_list[j]
-        best, _ = _least_work(v_list, tj)
-        vb = v_list[best]
-        start = tj if vb < tj else vb
-        starts_out[j] = start
-        hosts_out[j] = best
-        v_list[best] = start + s_list[j] / sp_list[best]
-    hosts[:] = hosts_out
-    starts[:] = starts_out
-    v[:] = v_list

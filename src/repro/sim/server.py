@@ -116,10 +116,11 @@ class FoldedJobs:
     def add(self, slowdowns: np.ndarray) -> None:
         """Fold completed slowdowns, given in submission order."""
         self.completed += int(slowdowns.size)
-        sum_v2 = seq_sum(self.sum_v2, slowdowns * slowdowns)
-        if self.scaled is not None or math.isinf(sum_v2):
-            self.scaled = _scaled(self._scaled_sums(), slowdowns)
-        self.sum_v = seq_sum(self.sum_v, slowdowns)
+        with np.errstate(over="ignore"):  # an infinite Σv² turns on ``scaled``
+            sum_v2 = seq_sum(self.sum_v2, slowdowns * slowdowns)
+            if self.scaled is not None or math.isinf(sum_v2):
+                self.scaled = _scaled(self._scaled_sums(), slowdowns)
+            self.sum_v = seq_sum(self.sum_v, slowdowns)
         self.sum_v2 = sum_v2
 
     def jain(self, retained: np.ndarray) -> float | None:
@@ -132,14 +133,15 @@ class FoldedJobs:
         n = self.completed + int(retained.size)
         if n == 0:
             return None
-        denom = n * seq_sum(self.sum_v2, retained * retained)
-        if denom == 0.0:
-            return math.nan
-        if not math.isinf(denom):
-            try:
-                return seq_sum(self.sum_v, retained) ** 2 / denom
-            except OverflowError:
-                pass
+        with np.errstate(over="ignore"):  # an infinite sum falls back below
+            denom = n * seq_sum(self.sum_v2, retained * retained)
+            if denom == 0.0:
+                return math.nan
+            if not math.isinf(denom):
+                try:
+                    return seq_sum(self.sum_v, retained) ** 2 / denom
+                except OverflowError:
+                    pass
         _, s1, s2 = _scaled(self._scaled_sums(), retained)
         return s1 * s1 / (n * s2)
 

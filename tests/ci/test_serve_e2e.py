@@ -54,3 +54,28 @@ def test_batch_invariance_through_the_cli_stream_columns():
     for key in ("counters", "clock", "jain_slowdown"):
         assert one[key] == many[key], (key, one[key], many[key])
     assert one["counters"]["in_flight"] == 0, one["counters"]
+
+
+def test_fast_path_at_least_10x_the_faulted_engine(tmp_path):
+    """The fault-free fast path stays at least 10x the faulted event
+    path, in decisions over the wall time of ``run_stream`` (the e2e
+    benchmark's quick runs of serve-stream and serve-faulted)."""
+    rate = {}
+    for workload in ("serve-stream", "serve-faulted"):
+        out = tmp_path / f"{workload}.json"
+        run("-m", "benchmarks.e2e", "run", "--workload", workload, "--quick",
+            "--out", str(out))
+        doc = json.loads(out.read_text())["runs"][0]
+        assert doc["correct"] is True and doc["failed"] == 0, doc
+        rate[workload] = doc["metrics"]["decisions_per_s"]["median"]
+    assert rate["serve-stream"] >= 10 * rate["serve-faulted"], rate
+
+
+def test_faulted_serve_on_the_event_engine():
+    """serve-faulted at full size for 5 s: ``--quick`` has no reference
+    outputs for it, so this run checks the event engine's counters and
+    Jain index against the committed references for the default seed."""
+    out = run("-m", "benchmarks.e2e", "run", "--workload", "serve-faulted",
+              "--seconds", "5")
+    doc = json.loads(out.strip().splitlines()[-1])
+    assert doc["correct"] is True and doc["failed"] == 0, doc

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as repro_main
+from repro.devtools.lint import DEFAULT_BASELINE, load_baseline, write_baseline
 from repro.devtools.lint import main as lint_main
 
 CLEAN = "__all__ = []\nX = 1\n"
@@ -378,6 +379,17 @@ def test_stale_baseline_warns_then_strict_fails_then_prunes(
         == 0
     )
     assert json.loads(baseline.read_text()) == []
+
+
+def test_committed_baseline_is_in_the_writer_format(tmp_path):
+    """The committed baseline is byte-equal to what ``--update-baseline``
+    writes for its own entries: sorted, two-space JSON, a final newline.
+    ``--strict-baseline`` already fails on stale entries; this catches a
+    hand-edited file, with no second lint of the tree."""
+    committed = Path(__file__).resolve().parents[2] / DEFAULT_BASELINE
+    rewritten = tmp_path / DEFAULT_BASELINE
+    write_baseline([], rewritten, keep=load_baseline(committed))
+    assert committed.read_bytes() == rewritten.read_bytes()
 
 
 def _baseline_both_tiers(combined_tree, capsys) -> Path:

@@ -29,6 +29,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -173,7 +174,7 @@ class TestBitIdentity:
         assert_same_jobs(batch, engine)
         assert_same_jobs(scalar, engine)
 
-    @pytest.mark.parametrize("policy", ["lwl", "sita"])
+    @pytest.mark.parametrize("policy", ["lwl", "sq", "sita"])
     def test_batched_heterogeneous_speeds(self, policy):
         # Completions are start + size/speed on both paths.
         jobs = stream(400, 17)
@@ -522,10 +523,12 @@ class TestJainOrder:
     def test_status_survives_slowdowns_whose_squares_overflow(self):
         # The third job waits behind 1e300 of work: its slowdown squared
         # overflows a float, and so did every status after it.
+        # Each status is right and prints no warning.
         server = DispatchServer(2, LeastWorkLeftPolicy())
         server.submit_batch([0.0, 0.0, 0.0], [1e300, 1e300, 1.0])
         server.drain()
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             for _ in range(2):
                 status = server.status()
                 assert math.isclose(status["jain_slowdown"], 1 / 3)

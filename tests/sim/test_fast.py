@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import tracemalloc
+from collections import deque
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.policies import LeastWorkLeftPolicy, SITAPolicy
+from repro.core.estimation import multiplicative_noise
+from repro.core.policies import (
+    EstimatedLWLPolicy,
+    LeastWorkLeftPolicy,
+    ShortestQueuePolicy,
+    SITAPolicy,
+)
 from repro.experiments.base import ExperimentConfig
 from repro.sim import fast, simulate
 from repro.sim.engine import InvariantViolation, SimulationError
@@ -24,9 +31,12 @@ from repro.sim.fast import (
     estimated_lwl_waits,
     fcfs_starts,
     fcfs_waits,
+    least_work_dispatch,
     lwl_waits,
+    shortest_queue_dispatch,
     shortest_queue_waits,
 )
+from repro.sim.server import DistributedServer
 from repro.workloads.catalog import c90, get_workload
 from repro.workloads.traces import Trace
 
@@ -71,43 +81,6 @@ def reference_heap_lwl(arrivals, sizes, h):
         hosts[j] = i
         heapq.heappush(free, (start + sj, i))
     return np.asarray(waits), np.asarray(hosts, dtype=int)
-
-
-def numpy_speeds_lwl(arrivals, sizes, h, speeds):
-    """The per-job NumPy form of the heterogeneous-speed LWL loop:
-    ``argmin(max(V − t, 0))``, lowest index on ties."""
-    waits = np.empty(arrivals.size)
-    hosts = np.empty(arrivals.size, dtype=int)
-    v = np.zeros(h)
-    for j in range(arrivals.size):
-        tj = arrivals[j]
-        i = int(np.argmin(np.maximum(v - tj, 0.0)))
-        wait = v[i] - tj
-        if wait < 0.0:
-            wait = 0.0
-        waits[j] = wait
-        hosts[j] = i
-        v[i] = tj + wait + sizes[j] / speeds[i]
-    return waits, hosts
-
-
-def numpy_estimated_lwl(arrivals, sizes, estimates, h):
-    """The per-job NumPy form of the estimate-driven LWL loop."""
-    waits = np.empty(arrivals.size)
-    hosts = np.empty(arrivals.size, dtype=int)
-    believed = np.zeros(h)
-    true_v = np.zeros(h)
-    for j in range(arrivals.size):
-        tj = arrivals[j]
-        i = int(np.argmin(np.maximum(believed - tj, 0.0)))
-        believed[i] = max(believed[i], tj) + estimates[j]
-        wait = true_v[i] - tj
-        if wait < 0.0:
-            wait = 0.0
-        waits[j] = wait
-        hosts[j] = i
-        true_v[i] = tj + wait + sizes[j]
-    return waits, hosts
 
 
 def reference_mask_static(arrivals, sizes, assignment, h, speeds):
@@ -425,30 +398,90 @@ class TestLwlHostRecovery:
         assert peak / (8 * n) <= 2.6
 
 
-class TestPlainFloatScans:
-    """The list scans of the heterogeneous LWL branch and estimate-driven
-    LWL against their per-job NumPy forms."""
+def c90_stream(n=2000):
+    """The first ``n`` jobs of 50,000 C90 jobs at load 0.9 on 2 hosts,
+    seed 11.  A continuous-time stream on which the float expression
+    matters: from job 76 on, a Shortest-Queue recursion that advances
+    hosts by ``t + wait + size``, not ``start + size``, leaves the
+    engine's starts."""
+    trace = c90().make_trace(0.9, 2, n_jobs=50_000, rng=11)
+    return Trace(trace.arrival_times[:n], trace.service_times[:n])
+
+
+def random_stream(n=2000):
+    return Trace(*random_jobs(np.random.default_rng(7), n))
+
+
+def tie_heavy_stream(n=2000):
+    return Trace(*tie_heavy_jobs(np.random.default_rng(7), n))
+
+
+def unequal_speeds(h):
+    """Speeds for ``h`` hosts, never all ones: [2, 1] and [1, 1, 0.5] at
+    h = 2 and 3."""
+    return {2: [2.0, 1.0], 3: [1.0, 1.0, 0.5]}.get(h, ([2.0, 1.0, 0.5, 1.0] * 2)[:h])
+
+
+class TestDispatchKernelsEqualEngine:
+    """Both dispatch kernels, and the ``simulate_fast`` entry points
+    built on them, against the event engine: starts and hosts ``==``
+    ``DistributedServer.run_trace``'s start and host columns, waits
+    ``==`` its ``start − arrival``.  Least work left does not depend on
+    the order of simultaneous events, so its streams include exact
+    ties.  Shortest-Queue's run on continuous time only: on an exact
+    completion/arrival tie ``run_trace`` handles the arrival first and
+    the kernel the completion."""
+
+    @staticmethod
+    def engine(trace, policy, n_hosts, speeds=None, estimates=None):
+        server = DistributedServer(n_hosts, policy, rng=1, host_speeds=speeds)
+        server.run_trace(trace, size_estimates=estimates)
+        start, host = server.completed_columns("start", "host")
+        t = trace.arrival_times - trace.arrival_times[0]
+        return t, trace.service_times, start, host.astype(np.int64)
 
     @pytest.mark.parametrize("h", range(1, 9))
-    def test_speeds_lwl_equals_numpy_loop(self, h):
-        rng = np.random.default_rng(h)
-        speeds = rng.choice([0.5, 1.0, 2.0], h)
-        speeds[0] = 2.0  # never all ones: the scan branch runs
-        for t, s in (random_jobs(rng, 1500), tie_heavy_jobs(rng, 1500)):
-            waits, hosts = lwl_waits(t, s, h, host_speeds=speeds)
-            ref_waits, ref_hosts = numpy_speeds_lwl(t, s, h, speeds)
-            assert np.array_equal(waits, ref_waits)
-            assert np.array_equal(hosts, ref_hosts)
+    def test_least_work(self, h):
+        speeds = unequal_speeds(h)
+        for stream in (c90_stream, random_stream, tie_heavy_stream):
+            t, s, start, host = self.engine(stream(), LeastWorkLeftPolicy(), h, speeds)
+            hosts, starts = least_work_dispatch(t, s, speeds, [0.0] * h)
+            assert np.array_equal(starts, start)
+            assert np.array_equal(hosts, host)
+            waits, hosts = lwl_waits(t, s, h, np.array(speeds))
+            assert np.array_equal(waits, start - t)
+            assert np.array_equal(hosts, host)
+
+    @pytest.mark.parametrize(
+        "speeds", [None, [1.0, 2.0, 0.5]], ids=["identical", "heterogeneous"]
+    )
+    def test_shortest_queue(self, speeds):
+        h = 2 if speeds is None else len(speeds)
+        for stream in (c90_stream, random_stream):
+            t, s, start, host = self.engine(
+                stream(), ShortestQueuePolicy(), h, speeds
+            )
+            hosts, starts = shortest_queue_dispatch(
+                t, s, np.ones(h) if speeds is None else speeds,
+                [0.0] * h, [deque() for _ in range(h)],
+            )
+            assert np.array_equal(starts, start)
+            assert np.array_equal(hosts, host)
+            waits, hosts = shortest_queue_waits(t, s, h, speeds)
+            assert np.array_equal(waits, start - t)
+            assert np.array_equal(hosts, host)
 
     @pytest.mark.parametrize("h", range(1, 9))
-    def test_estimated_lwl_equals_numpy_loop(self, h):
-        rng = np.random.default_rng([h, 1])
-        for t, s in (random_jobs(rng, 1500), tie_heavy_jobs(rng, 1500)):
-            for e in (s, s * rng.choice([0.5, 1.0, 2.0], s.size)):
-                waits, hosts = estimated_lwl_waits(t, s, e, h)
-                ref_waits, ref_hosts = numpy_estimated_lwl(t, s, e, h)
-                assert np.array_equal(waits, ref_waits)
-                assert np.array_equal(hosts, ref_hosts)
+    def test_estimated_least_work(self, h):
+        for stream in (c90_stream, random_stream, tie_heavy_stream):
+            trace = stream()
+            est = multiplicative_noise(trace.service_times, 4.0, rng=h)
+            t, s, start, host = self.engine(
+                trace, EstimatedLWLPolicy(), h, estimates=est
+            )
+            waits, hosts = estimated_lwl_waits(t, s, est, h)
+            assert np.array_equal(waits, start - t)
+            assert np.array_equal(hosts, host)
 
 
 class TestStaticWaits:
@@ -842,12 +875,16 @@ _N = 600  # above _FCFS_VECTOR_FROM, so fcfs_starts takes its vector path
 _SPEEDS = np.array([1.0, 2.0, 0.5])
 
 
-def _serve_dispatch(t, s, speeds):
+def _least_work(t, s, speeds):
     v = np.array([0.5, 0.0, 2.0])
-    hosts = np.empty(t.shape, dtype=np.int64)
-    starts = np.empty(t.shape)
-    fast.serve_dispatch_batch(t, s, speeds, v, hosts, starts)
-    return v, hosts, starts
+    return (v, *least_work_dispatch(t, s, speeds, v))
+
+
+def _shortest_queue(t, s, speeds):
+    v = np.array([0.5, 0.0, 2.0])
+    in_system = [deque([0.5]), deque(), deque([1.0, 2.0])]
+    hosts, starts = shortest_queue_dispatch(t, s, speeds, v, in_system)
+    return v, hosts, starts, np.array([len(d) for d in in_system])
 
 
 def _fcfs_waits_into(t, s):
@@ -873,7 +910,8 @@ KERNEL_CASES = {
         (np.geomspace(0.05, 20.0, 12),),
     ),
     "fcfs_starts": (lambda t, s: fcfs_starts(t, s, 5.0), ()),
-    "serve_dispatch_batch": (_serve_dispatch, (_SPEEDS,)),
+    "least_work_dispatch": (_least_work, (_SPEEDS,)),
+    "shortest_queue_dispatch": (_shortest_queue, (_SPEEDS,)),
     "_fcfs_waits_into": (_fcfs_waits_into, ()),
 }
 #: the workspace kernel's inputs are float64 by construction (its one
@@ -967,21 +1005,31 @@ class TestEntryLengthChecks:
             fcfs_starts(np.arange(3.0), np.ones(5), 0.0)
 
     @pytest.mark.parametrize(
-        "bad",
-        ["sizes", "host_speeds", "v", "hosts", "starts"],
+        "bad,kernel",
+        [
+            (bad, kernel)
+            for bad in ("sizes", "host_speeds", "v")
+            for kernel in ("least_work_dispatch", "shortest_queue_dispatch")
+        ],
     )
-    def test_serve_dispatch_batch_rejects_wrong_extents(self, bad):
+    def test_dispatch_kernels_reject_wrong_extents(self, bad, kernel):
         args = {
             "arrival_times": np.arange(3.0),
             "sizes": np.ones(3),
             "host_speeds": np.ones(2),
             "v": np.zeros(2),
-            "hosts": np.empty(3, dtype=np.int64),
-            "starts": np.empty(3),
         }
+        if kernel == "shortest_queue_dispatch":
+            args["in_system"] = [deque(), deque()]
         args[bad] = np.resize(args[bad], args[bad].size + 1)
         with pytest.raises(ValueError, match="equal-length"):
-            fast.serve_dispatch_batch(**args)
+            getattr(fast, kernel)(**args)
+
+    def test_shortest_queue_dispatch_needs_a_deque_per_host(self):
+        with pytest.raises(ValueError, match="one deque per host"):
+            shortest_queue_dispatch(
+                np.arange(3.0), np.ones(3), np.ones(2), np.zeros(2), [deque()]
+            )
 
 
 class TestHostSpeedChecks:
