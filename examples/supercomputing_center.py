@@ -29,7 +29,8 @@ from repro.workloads.distributions import Empirical
 
 def pick_policies(train, load, n_hosts):
     """Fit cutoffs on the training half and build the candidate set."""
-    # One batched scan serves both searches (and refines the winners).
+    # One simulation per candidate cutoff scores both searches (and the
+    # golden-section refinement sharpens each winner).
     pair = sim_cutoff_pair(train, n_candidates=30)
     c_opt, c_fair = pair.opt, pair.fair
     dist = Empirical(train.service_times)

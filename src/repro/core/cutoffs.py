@@ -34,12 +34,10 @@ from typing import Callable
 import numpy as np
 
 from ..analysis.sita_analysis import analyze_sita, sita_host_loads
-from ..sim.fast import SCAN_METRICS, simulate_fast
 from ..solvers import brentq
 from ..workloads.distributions import ServiceDistribution
 from ..workloads.traces import Trace
-from .policies.sita import SITAPolicy
-from .search import _finite_upper, analytic_cutoff_pair, candidate_cutoffs, sim_cutoff_pair
+from .search import _finite_upper, _sim_scorer, _sim_winner, analytic_cutoff_pair, candidate_cutoffs
 
 __all__ = [
     "equal_load_cutoffs",
@@ -411,24 +409,6 @@ def optimal_group_split(
 # ----------------------------------------------------------------------
 
 
-#: Historical private alias — the guarded implementation lives in
-#: :func:`repro.core.search.candidate_cutoffs`.
-_candidate_cutoffs = candidate_cutoffs
-
-
-def _sim_sita_metric(
-    trace: Trace, cutoff: float, metric: str, warmup: float
-) -> float:
-    policy = SITAPolicy([cutoff], name="sita-search")
-    try:
-        result = simulate_fast(trace, policy, 2, rng=0)
-    except ValueError:
-        return math.inf
-    summ = result.summary(warmup_fraction=warmup)
-    value = getattr(summ, metric)
-    return value if math.isfinite(value) else math.inf
-
-
 def sim_opt_cutoff(
     train: Trace,
     metric: str = "mean_slowdown",
@@ -438,31 +418,17 @@ def sim_opt_cutoff(
     """Simulation-searched SITA-U-opt cutoff on a training trace.
 
     Evaluates a log-spaced candidate grid by direct (fast) simulation and
-    returns the argmin — the paper's "experimental cutoff" procedure.
-    Degenerate cutoffs (all jobs on one host) simply score badly and lose.
+    returns the argmin of the ``Summary`` field ``metric`` — the paper's
+    "experimental cutoff" procedure.  Degenerate cutoffs (all jobs on one
+    host) simply score badly and lose.
 
-    Thin wrapper over :func:`repro.core.search.sim_cutoff_pair`'s batched
-    scan (grid argmin is bit-identical to the historical per-candidate
-    ``simulate_fast`` loop); call the pair function directly when both
-    the opt and fair cutoffs are needed — it derives them from one scan.
+    The grid half of :func:`repro.core.search.sim_cutoff_pair`'s opt
+    search (same runs, same argmin); call the pair function directly
+    when both the opt and fair cutoffs are needed.
     """
-    if metric in SCAN_METRICS:
-        return sim_cutoff_pair(
-            train,
-            metric=metric,
-            n_candidates=n_candidates,
-            warmup_fraction=warmup_fraction,
-            refine=False,
-        ).opt
-    # Metrics outside the scan kernel (e.g. tail percentiles) take the
-    # historical per-candidate summary loop.
-    candidates = _candidate_cutoffs(train, n_candidates)
-    scores = np.array(
-        [_sim_sita_metric(train, c, metric, warmup_fraction) for c in candidates]
-    )
-    if not np.any(np.isfinite(scores)):
-        raise ValueError("no candidate cutoff produced a finite metric")
-    return float(candidates[int(np.nanargmin(scores))])
+    score = _sim_scorer(train, metric, warmup_fraction)
+    candidates = candidate_cutoffs(train, n_candidates)
+    return _sim_winner(candidates, lambda c: score(c)[0], False, "a finite metric")[0]
 
 
 def sim_fair_cutoff(
@@ -473,15 +439,9 @@ def sim_fair_cutoff(
     """Simulation-searched SITA-U-fair cutoff on a training trace.
 
     Scores each candidate by the absolute log-ratio of short/long mean
-    slowdowns and returns the most balanced one.
-
-    Thin wrapper over :func:`repro.core.search.sim_cutoff_pair` (same
-    batched scan as :func:`sim_opt_cutoff`; grid argmin bit-identical to
-    the historical loop).
+    slowdowns and returns the most balanced one: the grid half of
+    :func:`repro.core.search.sim_cutoff_pair`'s fair search.
     """
-    return sim_cutoff_pair(
-        train,
-        n_candidates=n_candidates,
-        warmup_fraction=warmup_fraction,
-        refine=False,
-    ).fair
+    score = _sim_scorer(train, "mean_slowdown", warmup_fraction)
+    candidates = candidate_cutoffs(train, n_candidates)
+    return _sim_winner(candidates, lambda c: score(c)[1], False, "two non-empty classes")[0]

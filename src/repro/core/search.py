@@ -6,13 +6,12 @@ by *searches* over the cutoff axis, and the opt/fair pair walks the
 simulation-based and the analytic searches share their interior points
 instead of recomputing them:
 
-* **Simulation pair** (:func:`sim_cutoff_pair`): one batched
-  :class:`~repro.sim.fast.SitaScanKernel` pass scores every candidate for
-  the opt metric *and* the fair gap — no per-candidate
-  ``SimulationResult``/``Summary`` — and a golden-section refinement then
-  sharpens each winner inside its grid bracket, reusing the kernel's
-  partition memo (the objectives are step functions of the cutoff, so
-  most refinement evaluations are cache hits).
+* **Simulation pair** (:func:`sim_cutoff_pair`): one ``simulate_fast``
+  run per candidate cutoff scores it for the opt metric *and* the fair
+  gap, and a golden-section refinement then sharpens each winner inside
+  its grid bracket.  Scores are memoised by the cutoff's size rank (the
+  objectives are step functions of the cutoff), so most refinement
+  evaluations are memo hits.
 
 * **Analytic pair** (:func:`analytic_cutoff_pair`): ``opt_cutoff`` and
   ``fair_cutoff`` read one evaluation of the SITA analysis per point of
@@ -34,23 +33,24 @@ wrappers over this engine with unchanged signatures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..analysis.sita_analysis import SITAAnalysis, _analyze
-from ..sim.fast import SitaScanKernel, SitaScanResult, simulate_fast
+from ..sim.fast import simulate_fast
+from ..sim.metrics import Summary
 from ..solvers import brentq, minimize_bounded
 from ..workloads.distributions import ServiceDistribution, _as_host_speeds
 from ..workloads.traces import Trace
+from .policies.sita import SITAPolicy
 
 __all__ = [
     "SimCutoffPair",
     "analytic_cutoff_pair",
     "candidate_cutoffs",
     "sim_cutoff_pair",
-    "sim_pair_reference",
 ]
 
 #: Refinement tolerance on the log-size axis for the analytic searches
@@ -62,7 +62,7 @@ _XTOL = 1e-10
 #: (they only change when the cutoff crosses an observed size), so there
 #: is nothing to resolve below the inter-size spacing; 1e-2 is ~40× finer
 #: than a 40-point grid over four decades while keeping the refinement to
-#: about ten evaluations per objective — some of them partition-memo hits.
+#: about ten evaluations per objective — some of them size-rank memo hits.
 _SIM_REFINE_TOL = 1e-2
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -152,15 +152,84 @@ class SimCutoffPair:
     opt: float
     #: refined fair cutoff.
     fair: float
-    #: grid argmin indices — bit-identical to the per-candidate loop's.
+    #: grid argmin indices.
     opt_index: int
     fair_index: int
     candidates: np.ndarray
     #: metric value at ``opt`` / gap value at ``fair``.
     opt_metric: float
     fair_gap: float
-    #: the full per-candidate scan (shared by both searches).
-    scan: SitaScanResult
+
+
+#: ``Summary`` fields a simulation search can minimise.
+_SIM_METRICS = tuple(f.name for f in fields(Summary) if f.type in (float, "float"))
+
+
+def _sim_scorer(
+    train: Trace, metric: str, warmup_fraction: float
+) -> Callable[[float], tuple[float, float]]:
+    """``cutoff -> (metric, gap)`` for a 2-host SITA run of ``train``.
+
+    One ``simulate_fast`` per cutoff gives both scores: the ``Summary``
+    field ``metric`` (``inf`` where it is not finite) and the fair
+    objective ``abs(log(s_short / s_long))`` over the trimmed class mean
+    slowdowns (``inf`` where a size class is empty).  Cutoffs between
+    the same adjacent observed sizes route every job alike, so scores
+    are memoised by the cutoff's size rank: a golden-section refinement
+    that revisits a flat step of the objective costs nothing.
+    """
+    if metric not in _SIM_METRICS:
+        raise ValueError(f"metric must be one of {_SIM_METRICS}, got {metric!r}")
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ValueError(f"warmup_fraction must be in [0,1), got {warmup_fraction}")
+    sorted_sizes = np.sort(train.service_times)
+    memo: dict[int, tuple[float, float]] = {}
+
+    def score(cutoff: float) -> tuple[float, float]:
+        rank = int(np.searchsorted(sorted_sizes, cutoff, side="right"))
+        if rank not in memo:
+            result = simulate_fast(train, SITAPolicy([cutoff], name="sita-search"), 2, rng=0)
+            value = getattr(result.summary(warmup_fraction), metric)
+            try:
+                s_short, s_long = result.trimmed(warmup_fraction).class_mean_slowdowns(cutoff)
+            except ValueError:  # an empty size class
+                gap = math.inf
+            else:
+                gap = abs(math.log(s_short / s_long))
+            memo[rank] = (value if math.isfinite(value) else math.inf, gap)
+        return memo[rank]
+
+    return score
+
+
+def _sim_winner(
+    candidates: np.ndarray,
+    objective: Callable[[float], float],
+    refine: bool,
+    nothing: str,
+) -> tuple[float, int, float]:
+    """``(cutoff, grid index, objective there)`` of the grid argmin.
+
+    With ``refine`` the winner is sharpened by golden section inside its
+    grid bracket; the grid candidate is kept bit-identical unless a
+    refined point is strictly better.
+    """
+    values = np.array([objective(float(c)) for c in candidates])
+    if not np.any(np.isfinite(values)):
+        raise ValueError(f"no candidate cutoff produced {nothing}")
+    index = int(np.argmin(values))
+    x0, f0 = float(candidates[index]), float(values[index])
+    if refine:
+        lo = float(candidates[max(0, index - 1)])
+        hi = float(candidates[min(candidates.size - 1, index + 1)])
+        log_best, best_f = _golden_min(
+            lambda log_c: objective(math.exp(log_c)),
+            math.log(lo), math.log(hi), _SIM_REFINE_TOL, math.log(x0), f0,
+        )
+        # exp(log(x)) need not round-trip, so map back only on a strict gain.
+        if best_f < f0:
+            return float(math.exp(log_best)), index, best_f
+    return x0, index, f0
 
 
 def sim_cutoff_pair(
@@ -170,126 +239,30 @@ def sim_cutoff_pair(
     warmup_fraction: float = 0.05,
     refine: bool = True,
 ) -> SimCutoffPair:
-    """Run the opt and fair simulation searches off **one** batched scan.
+    """Run the opt and fair simulation searches off one set of runs.
 
-    The scan scores every candidate for both objectives in a single pass
-    (two subset Lindley recursions per distinct partition); the grid
-    argmins are bit-identical to the historical per-candidate
-    ``simulate_fast`` loops on the same grid.  With ``refine=True`` each
-    winner is sharpened by golden section inside its grid bracket — the
-    refinement shares the kernel's partition memo, so revisiting a flat
-    step of the objective is free.
+    Each candidate on the log-spaced grid is simulated once, and that
+    run scores it for both the opt ``metric`` and the fair gap.  With
+    ``refine=True`` each winner is sharpened by golden section inside
+    its grid bracket, through the same memoised scorer.
     """
     candidates = candidate_cutoffs(train, n_candidates)
-    kernel = SitaScanKernel(train, metric=metric, warmup_fraction=warmup_fraction)
-    scan = kernel.scan(candidates)
-
-    scores = scan.values
-    if not np.any(np.isfinite(scores)):
-        raise ValueError("no candidate cutoff produced a finite metric")
-    opt_index = int(np.argmin(scores))
-
-    gaps = scan.gap
-    if not np.any(np.isfinite(gaps)):
-        raise ValueError("no candidate cutoff produced two non-empty classes")
-    fair_index = int(np.argmin(gaps))
-
-    opt_c, opt_f = float(candidates[opt_index]), float(scores[opt_index])
-    fair_c, fair_f = float(candidates[fair_index]), float(gaps[fair_index])
-    if refine:
-        opt_c, opt_f = _refine_sim(
-            kernel, candidates, opt_index, opt_c, opt_f,
-            lambda row: row[0],
-        )
-        fair_c, fair_f = _refine_sim(
-            kernel, candidates, fair_index, fair_c, fair_f,
-            lambda row: row[3],
-        )
+    score = _sim_scorer(train, metric, warmup_fraction)
+    opt, opt_index, opt_metric = _sim_winner(
+        candidates, lambda c: score(c)[0], refine, "a finite metric"
+    )
+    fair, fair_index, fair_gap = _sim_winner(
+        candidates, lambda c: score(c)[1], refine, "two non-empty classes"
+    )
     return SimCutoffPair(
-        opt=opt_c,
-        fair=fair_c,
+        opt=opt,
+        fair=fair,
         opt_index=opt_index,
         fair_index=fair_index,
         candidates=candidates,
-        opt_metric=opt_f,
-        fair_gap=fair_f,
-        scan=scan,
+        opt_metric=opt_metric,
+        fair_gap=fair_gap,
     )
-
-
-def _refine_sim(
-    kernel: SitaScanKernel,
-    candidates: np.ndarray,
-    index: int,
-    x0: float,
-    f0: float,
-    objective: Callable[[tuple], float],
-) -> tuple[float, float]:
-    """Golden-section sharpening of a grid winner inside its bracket."""
-    lo = float(candidates[max(0, index - 1)])
-    hi = float(candidates[min(candidates.size - 1, index + 1)])
-
-    def f(log_c: float) -> float:
-        return objective(kernel.evaluate(math.exp(log_c)))
-
-    log_best, best_f = _golden_min(
-        f, math.log(lo), math.log(hi), _SIM_REFINE_TOL, math.log(x0), f0
-    )
-    # The incumbent is tracked in log space; map back through the cutoff
-    # only if refinement strictly improved, keeping the grid candidate
-    # bit-identical otherwise (exp(log(x)) need not round-trip).
-    if best_f < f0:
-        return float(math.exp(log_best)), best_f
-    return x0, f0
-
-
-def sim_pair_reference(
-    train: Trace,
-    metric: str = "mean_slowdown",
-    n_candidates: int = 40,
-    warmup_fraction: float = 0.05,
-) -> tuple[float, float]:
-    """The pre-engine per-candidate search pair, kept as the reference.
-
-    Two full ``simulate_fast`` passes (policy, Lindley, result, summary)
-    per candidate — exactly the historical ``sim_opt_cutoff`` +
-    ``sim_fair_cutoff`` loops.  The scan-vs-loop equivalence tests
-    hold the batched scan's grid argmins to it.
-    """
-    from .policies.sita import SITAPolicy
-
-    candidates = candidate_cutoffs(train, n_candidates)
-    scores = []
-    for c in candidates:
-        policy = SITAPolicy([c], name="sita-search")
-        try:
-            result = simulate_fast(train, policy, 2, rng=0)
-        except ValueError:
-            scores.append(math.inf)
-            continue
-        value = getattr(result.summary(warmup_fraction=warmup_fraction), metric)
-        scores.append(value if math.isfinite(value) else math.inf)
-    score_arr = np.array(scores)
-    if not np.any(np.isfinite(score_arr)):
-        raise ValueError("no candidate cutoff produced a finite metric")
-    opt_c = float(candidates[int(np.nanargmin(score_arr))])
-
-    best_c = None
-    best_gap = math.inf
-    for c in candidates:
-        policy = SITAPolicy([c], name="sita-search")
-        result = simulate_fast(train, policy, 2, rng=0)
-        trimmed = result.trimmed(warmup_fraction)
-        try:
-            s_short, s_long = trimmed.class_mean_slowdowns(c)
-        except ValueError:
-            continue  # degenerate split
-        gap = abs(math.log(s_short / s_long))
-        if gap < best_gap:
-            best_gap, best_c = gap, float(c)
-    if best_c is None:
-        raise ValueError("no candidate cutoff produced two non-empty classes")
-    return opt_c, best_c
 
 
 # ----------------------------------------------------------------------

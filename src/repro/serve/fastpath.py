@@ -17,10 +17,11 @@ completion) while the embedded engine's calendar stays empty
 columns are filled depends on whether the host choice reads ``V``:
 
 * Least-Work-Left and Shortest-Queue read the host state for every
-  decision, so they advance ``V`` as they route, one call per batch to
-  the kernels ``simulate_fast`` runs, resumed from the live state:
+  decision, so they advance ``V`` as they route, one call per batch (or
+  scalar submit) to the loop of the kernels ``simulate_fast`` runs,
   :func:`~repro.sim.fast.least_work_dispatch` and
-  :func:`~repro.sim.fast.shortest_queue_dispatch`.
+  :func:`~repro.sim.fast.shortest_queue_dispatch`, on plain lists and
+  resumed from the live state.
 * SITA, Random and Round-Robin pick a host from the job (or the
   policy's own RNG / rotation) alone.  Routing only records the choice;
   :meth:`FastPathState.settle` later fills the start and completion
@@ -86,7 +87,7 @@ from ..core.policies import (
     RoundRobinPolicy,
     SITAPolicy,
 )
-from ..sim.fast import fcfs_starts, least_work_dispatch, shortest_queue_dispatch
+from ..sim.fast import _least_work_loop, _shortest_queue_loop, fcfs_starts
 from ..sim.jobs import Job
 from ..sim.server import FoldedJobs, seq_sum
 
@@ -166,15 +167,16 @@ class FastPathState:
         #: records whose start and completion (and share of ``v``) are
         #: filled in; below ``m`` only in the fixed-host modes.
         self._settled = 0
-        #: "lwl" and "sq": the dispatch kernel over ``(t, s)``, resuming
-        #: from ``v`` (and, for "sq", per-host completion epochs); the
-        #: fixed-host modes ("sita", "seq") have none and settle later.
+        #: "lwl" and "sq": the dispatch kernel's loop over plain lists
+        #: ``(t, s)``, resuming from ``v`` (and, for "sq", per-host
+        #: completion epochs); the fixed-host modes ("sita", "seq") have
+        #: none and settle later.
         self._dispatch = None
         if mode == "lwl":
-            self._dispatch = partial(least_work_dispatch, host_speeds=self.speeds, v=self.v)
+            self._dispatch = partial(_least_work_loop, sp=self._speeds_list, v=self.v)
         elif mode == "sq":
             self._dispatch = partial(
-                shortest_queue_dispatch, host_speeds=self.speeds, v=self.v,
+                _shortest_queue_loop, sp=self._speeds_list, v=self.v,
                 in_system=[deque() for _ in range(self.n_hosts)],
             )
         #: totals of the records below ``folded.at`` (all completed),
@@ -227,8 +229,8 @@ class FastPathState:
             # the policy keeps its RNG / rotation pointer exact.
             best = int(self.policy.choose_host(None, None))
         else:
-            hosts, starts = self._dispatch((t,), (s,))
-            best, start = int(hosts[0]), float(starts[0])
+            hosts, starts = self._dispatch([t], [s])
+            best, start = hosts[0], starts[0]
         r = self.m - self.base
         self._arrival[r] = t
         self._size[r] = s
@@ -258,11 +260,11 @@ class FastPathState:
         self._est[a:end] = est
         hosts = self._host[a:end]
         if self._dispatch is not None:
-            routed, starts = self._dispatch(t, s)
+            routed, starts = self._dispatch(t.tolist(), s.tolist())
             hosts[:] = routed
             self._start[a:end] = starts
             # The engine's completion, start + size/speed, elementwise.
-            self._comp[a:end] = starts + s / self.speeds[routed]
+            self._comp[a:end] = self._start[a:end] + s / self.speeds[hosts]
             self.m = self._settled = self.m + n
             return hosts
         if self.mode == "seq":

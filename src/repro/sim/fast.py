@@ -38,17 +38,16 @@ engine on start epochs and hosts: they use its float expressions
 on continuous-time streams (on an exact completion/arrival tie
 ``run_trace`` takes the arrival first, the shortest-queue kernel the
 completion).  :func:`fcfs_starts` is the engine's per-host recursion,
-exactly.  :func:`fcfs_waits` and what is built on it (the static path,
-:func:`tags_waits`, :class:`SitaScanKernel`) and the identical-host
-:func:`lwl_waits` heap, whose hosts may differ on exact ties, agree on
-waits to floating-point accuracy (``tests/sim/test_fast_vs_engine.py``).
+exactly.  :func:`fcfs_waits` and what is built on it (the static path
+and :func:`tags_waits`) and the identical-host :func:`lwl_waits` heap,
+whose hosts may differ on exact ties, agree on waits to floating-point
+accuracy (``tests/sim/test_fast_vs_engine.py``).
 
 Array inputs are checked by plain code, not a declared ABI: the kernels
 coerce them with ``np.asarray(..., dtype=float)`` and raise
-``ValueError`` when per-job inputs differ in length.  Only
-:func:`_fcfs_waits_into` writes into buffers (workspaces its one caller
-allocates), and only the dispatch kernels update the host state they are
-handed.  ``tests/sim/test_fast.py`` holds every kernel to that on
+``ValueError`` when per-job inputs differ in length.  No kernel writes
+into its inputs; only the dispatch kernels update the host state they
+are handed.  ``tests/sim/test_fast.py`` holds every kernel to that on
 read-only, float32 and strided inputs.
 """
 
@@ -57,7 +56,6 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,8 +71,6 @@ __all__ = [
     "shortest_queue_waits",
     "tags_waits",
     "simulate_fast",
-    "SitaScanKernel",
-    "SitaScanResult",
     "fcfs_starts",
     "least_work_dispatch",
     "shortest_queue_dispatch",
@@ -225,7 +221,15 @@ def least_work_dispatch(
     by the engine's ``start = t if v < t else v``, ``v = start +
     size/speed``.  Returns ``(hosts, starts)``.
     """
-    t_list, s_list, sp = _dispatch_columns(arrival_times, sizes, host_speeds, v)
+    hosts, starts = _least_work_loop(*_dispatch_columns(arrival_times, sizes, host_speeds, v), v)
+    return np.array(hosts, dtype=np.int64), np.array(starts, dtype=float)
+
+
+def _least_work_loop(
+    t_list: list[float], s_list: list[float], sp: list[float], v: list[float]
+) -> tuple[list[int], list[float]]:
+    """:func:`least_work_dispatch`'s loop, on plain lists of floats; the
+    serve fast path calls it directly, with no array conversions."""
     n_hosts = len(v)
     hosts = [0] * len(t_list)
     starts = [0.0] * len(t_list)
@@ -244,7 +248,7 @@ def least_work_dispatch(
         hosts[j] = i
         starts[j] = start
         v[i] = start + s_list[j] / sp[i]
-    return np.array(hosts, dtype=np.int64), np.array(starts, dtype=float)
+    return hosts, starts
 
 
 def shortest_queue_dispatch(
@@ -261,9 +265,21 @@ def shortest_queue_dispatch(
     holds host ``i``'s completion epochs in order; one ``<= t`` is gone.
     ``v`` and ``in_system`` are updated in place.
     """
-    t_list, s_list, sp = _dispatch_columns(arrival_times, sizes, host_speeds, v)
+    columns = _dispatch_columns(arrival_times, sizes, host_speeds, v)
     if len(in_system) != len(v):
         raise ValueError("in_system must have one deque per host")
+    hosts, starts = _shortest_queue_loop(*columns, v, in_system)
+    return np.array(hosts, dtype=np.int64), np.array(starts, dtype=float)
+
+
+def _shortest_queue_loop(
+    t_list: list[float],
+    s_list: list[float],
+    sp: list[float],
+    v: list[float],
+    in_system: list[deque[float]],
+) -> tuple[list[int], list[float]]:
+    """:func:`shortest_queue_dispatch`'s loop, on plain lists of floats."""
     hosts = [0] * len(t_list)
     starts = [0.0] * len(t_list)
     for j, tj in enumerate(t_list):
@@ -281,7 +297,7 @@ def shortest_queue_dispatch(
         starts[j] = start
         v[i] = done
         in_system[i].append(done)
-    return np.array(hosts, dtype=np.int64), np.array(starts, dtype=float)
+    return hosts, starts
 
 
 def _lwl_hosts(t: np.ndarray, s: np.ndarray, done: np.ndarray, n_hosts: int) -> np.ndarray:
@@ -567,277 +583,6 @@ def simulate_fast(
     )
     observe_result(result)
     return result
-
-
-# ----------------------------------------------------------------------
-# batched SITA cutoff scan (the cutoff-search engine's simulation kernel)
-# ----------------------------------------------------------------------
-
-#: Summary metrics :class:`SitaScanKernel` can score candidates by.  Any
-#: other ``Summary`` field still needs the full per-candidate
-#: ``simulate_fast`` path (see ``repro.core.cutoffs.sim_opt_cutoff``).
-SCAN_METRICS = (
-    "mean_slowdown",
-    "mean_response",
-    "mean_wait",
-    "mean_waiting_slowdown",
-)
-
-#: (metric value, short_slowdown, long_slowdown, gap, n_short) for one
-#: cutoff.
-_ScanRow = tuple[float, float, float, float, int]
-
-
-def _fcfs_waits_into(
-    t: np.ndarray,
-    s: np.ndarray,
-    out: np.ndarray,
-    work1: np.ndarray,
-    work2: np.ndarray,
-) -> np.ndarray:
-    """:func:`fcfs_waits` into caller-provided storage.
-
-    Bit-identical to ``fcfs_waits(t, s)`` — every intermediate is the
-    same elementwise expression, only written into reusable workspaces
-    instead of fresh allocations (the scan kernel runs this twice per
-    candidate, where allocation churn would dominate).  ``out``/``work2``
-    must hold ``t.size`` elements and ``work1`` one fewer; ``t`` and
-    ``s`` must not alias the workspaces.
-    """
-    if t.shape != s.shape:
-        raise ValueError("t and s must be equal-length")
-    n = t.size
-    if n == 0:
-        return out[:0]
-    d = np.subtract(t[1:], t[:-1], out=work1[: n - 1])  # np.diff(t)
-    u = np.subtract(s[: n - 1], d, out=d)
-    prefix = work2[:n]
-    prefix[0] = 0.0
-    np.cumsum(u, out=prefix[1:])
-    m = np.minimum.accumulate(prefix, out=out[:n])
-    return np.subtract(prefix, m, out=m)
-
-
-@dataclass(frozen=True)
-class SitaScanResult:
-    """Per-candidate scores from one batched SITA cutoff scan.
-
-    Every array is indexed by candidate.  ``values`` is bit-identical to
-    ``getattr(simulate_fast(...).summary(warmup_fraction), metric)`` for
-    a 2-host :class:`~repro.core.policies.sita.SITAPolicy` at that
-    cutoff (non-finite values mapped to ``inf``, as the per-candidate
-    loop did); ``short_slowdown``/``long_slowdown``/``gap`` are
-    bit-identical to ``result.trimmed(...).class_mean_slowdowns(cutoff)``
-    and the fair search's ``abs(log(s_short/s_long))`` score.  Degenerate
-    candidates (one size class empty after warmup) carry NaN class
-    slowdowns and an infinite ``gap``, mirroring the loop's skip.
-    """
-
-    #: the ``Summary`` field ``values`` holds (one of ``SCAN_METRICS``).
-    metric: str
-    candidates: np.ndarray
-    #: number of jobs routed short (``size <= cutoff``) per candidate.
-    n_short: np.ndarray
-    values: np.ndarray
-    short_slowdown: np.ndarray
-    long_slowdown: np.ndarray
-    #: ``abs(log(short_slowdown / long_slowdown))`` — the fair objective.
-    gap: np.ndarray
-
-
-class SitaScanKernel:
-    """Shared state for scoring many 2-host SITA cutoffs on one trace.
-
-    The per-candidate search loop used to pay a full ``simulate_fast``
-    pass per cutoff — policy construction, assignment, Lindley, a
-    :class:`SimulationResult` and a percentile-heavy ``Summary`` — twice
-    over for an opt+fair pair.  This kernel sorts the job sizes **once**;
-    each cutoff then maps to its size rank ``k`` via ``searchsorted``,
-    the short/long classes follow directly, and only the two subset
-    Lindley recursions (:func:`fcfs_waits` arithmetic) plus a handful of
-    means run per candidate, all through preallocated scratch buffers.
-    Because any two cutoffs falling between the same adjacent observed
-    sizes induce the *same* partition, rows are memoised by ``k`` — a
-    golden-section refinement that revisits a flat step of the
-    (piecewise-constant) objective costs nothing.
-
-    All arithmetic replicates the ``simulate_fast`` static path op for op
-    (same shifted arrival axis, same reduce order), so the scores — and
-    therefore any argmin over them — are bit-identical to the
-    per-candidate loop.  The scratch buffers make a kernel instance
-    stateful: share one per search, not across threads.
-    """
-
-    def __init__(
-        self,
-        trace: Trace,
-        metric: str = "mean_slowdown",
-        warmup_fraction: float = 0.0,
-    ) -> None:
-        if metric not in SCAN_METRICS:
-            raise ValueError(
-                f"metric {metric!r} is not scan-supported; expected one of "
-                f"{SCAN_METRICS}"
-            )
-        if not 0.0 <= warmup_fraction < 1.0:
-            raise ValueError(
-                f"warmup_fraction must be in [0,1), got {warmup_fraction}"
-            )
-        self._metric = metric
-        self._t = trace.arrival_times - trace.arrival_times[0]
-        self._s = trace.service_times
-        self._sorted_sizes = np.sort(self._s)
-        self._start = int(self._s.size * warmup_fraction)
-        self._rows: dict[int, _ScanRow] = {}
-        n = self._s.size
-        self._short = np.empty(n, dtype=bool)
-        self._long = np.empty(n, dtype=bool)
-        #: interleaved-order scatter target for the metric mean.
-        self._full = np.empty(n)
-        # short/long subset arrival times, sizes and waits.
-        self._sub_t0 = np.empty(n)
-        self._sub_s0 = np.empty(n)
-        self._sub_w0 = np.empty(n)
-        self._sub_t1 = np.empty(n)
-        self._sub_s1 = np.empty(n)
-        self._sub_w1 = np.empty(n)
-        # Lindley workspaces, reused as class-slowdown buffers afterwards.
-        self._scr0 = np.empty(n)
-        self._scr1 = np.empty(n)
-        # per-metric subset scratch (response / waiting-slowdown values).
-        self._cls0 = np.empty(n)
-        self._cls1 = np.empty(n)
-
-    @property
-    def metric(self) -> str:
-        return self._metric
-
-    @property
-    def n_jobs(self) -> int:
-        return self._s.size
-
-    def cutoff_rank(self, cutoff: float) -> int:
-        """Number of jobs with ``size <= cutoff`` (the partition key)."""
-        return int(np.searchsorted(self._sorted_sizes, cutoff, side="right"))
-
-    def evaluate(self, cutoff: float) -> _ScanRow:
-        """Score one cutoff (memoised by its size rank)."""
-        if not (math.isfinite(cutoff) and cutoff > 0.0):
-            raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
-        k = self.cutoff_rank(cutoff)
-        row = self._rows.get(k)
-        if row is None:
-            row = self._evaluate_rank(k)
-            self._rows[k] = row
-        return row
-
-    def _evaluate_rank(self, k: int) -> _ScanRow:
-        t, s = self._t, self._s
-        n = s.size
-        start = self._start
-        short, long_mask = self._short, self._long
-        if k <= 0:
-            short.fill(False)
-        else:
-            # Same membership as ``sizes <= cutoff`` for every cutoff of
-            # rank k: boolean-mask selection preserves arrival order, so
-            # the subset Lindley inputs match _static_waits exactly.
-            np.less_equal(s, self._sorted_sizes[k - 1], out=short)
-        np.logical_not(short, out=long_mask)
-        ss = ws = self._sub_s0[:0]
-        sl = wl = self._sub_s1[:0]
-        if k > 0:
-            ts = np.compress(short, t, out=self._sub_t0[:k])
-            ss = np.compress(short, s, out=self._sub_s0[:k])
-            ws = _fcfs_waits_into(ts, ss, self._sub_w0, self._scr0, self._scr1)
-            _check_kernel_output("sita-search", ws)
-        if k < n:
-            tl = np.compress(long_mask, t, out=self._sub_t1[: n - k])
-            sl = np.compress(long_mask, s, out=self._sub_s1[: n - k])
-            wl = _fcfs_waits_into(tl, sl, self._sub_w1, self._scr0, self._scr1)
-            _check_kernel_output("sita-search", wl)
-        # Per-job slowdowns, computed subset-side: each job's
-        # ``(wait + size) / size`` uses the same operands whether the
-        # waits sit in subset or scattered order, so the values — and the
-        # class means over them — match the ``simulate_fast`` path bit
-        # for bit.  Only the *system* mean needs the interleaved arrival
-        # order (``np.mean`` is pairwise, so summation order matters);
-        # exactly one array is scattered back for it.
-        cs = np.add(ws, ss, out=self._scr0[:k])
-        np.divide(cs, ss, out=cs)
-        cl = np.add(wl, sl, out=self._scr1[: n - k])
-        np.divide(cl, sl, out=cl)
-        full = self._full
-        if self._metric == "mean_slowdown":
-            full[short] = cs
-            full[long_mask] = cl
-        elif self._metric == "mean_response":
-            full[short] = np.add(ws, ss, out=self._cls0[:k])
-            full[long_mask] = np.add(wl, sl, out=self._cls1[: n - k])
-        elif self._metric == "mean_wait":
-            full[short] = ws
-            full[long_mask] = wl
-        else:  # mean_waiting_slowdown
-            full[short] = np.divide(ws, ss, out=self._cls0[:k])
-            full[long_mask] = np.divide(wl, sl, out=self._cls1[: n - k])
-        value = float(np.mean(full[start:]))
-        # Class mean slowdowns: the trimmed short class is the short
-        # subset minus its first k0 (warmup) jobs, in the same arrival
-        # order as the scattered ``slow[start:][mask]`` selection.
-        k0 = int(np.count_nonzero(short[:start]))
-        l0 = start - k0
-        if k0 < k and l0 < n - k:
-            s_short = float(np.mean(cs[k0:]))
-            s_long = float(np.mean(cl[l0:]))
-            gap = abs(math.log(s_short / s_long))
-        else:
-            s_short = s_long = math.nan
-            gap = math.inf
-        return (
-            value if math.isfinite(value) else math.inf,
-            s_short,
-            s_long,
-            gap,
-            k,
-        )
-
-    def waits_for_cutoff(self, cutoff: float) -> np.ndarray:
-        """Untrimmed per-job waits at ``cutoff``, in a fresh array.
-
-        The equivalence-test entry point (scratch-free, unmemoised):
-        compares directly against ``simulate_fast(...).wait_times``.
-        """
-        k = self.cutoff_rank(cutoff)
-        n = self._s.size
-        if k <= 0:
-            short = np.zeros(n, dtype=bool)
-        else:
-            short = self._s <= self._sorted_sizes[k - 1]
-        waits = np.empty(n)
-        if k > 0:
-            waits[short] = fcfs_waits(self._t[short], self._s[short])
-        if k < n:
-            long_mask = ~short
-            waits[long_mask] = fcfs_waits(self._t[long_mask], self._s[long_mask])
-        return waits
-
-    def scan(self, candidates) -> SitaScanResult:
-        """Score every candidate cutoff in one pass over the sorted sizes."""
-        c_arr = np.asarray(candidates, dtype=float)
-        if c_arr.ndim != 1 or c_arr.size == 0:
-            raise ValueError("candidates must be a non-empty 1-D array")
-        if not np.all(np.isfinite(c_arr)) or np.any(c_arr <= 0):
-            raise ValueError("candidate cutoffs must be positive and finite")
-        rows = np.asarray([self.evaluate(float(c)) for c in c_arr], dtype=float)
-        return SitaScanResult(
-            metric=self._metric,
-            candidates=c_arr,
-            n_short=rows[:, 4].astype(int),
-            values=rows[:, 0],
-            short_slowdown=rows[:, 1],
-            long_slowdown=rows[:, 2],
-            gap=rows[:, 3],
-        )
 
 
 #: refinement rounds :func:`fcfs_starts` runs before its scalar loop

@@ -79,3 +79,18 @@ def test_faulted_serve_on_the_event_engine():
               "--seconds", "5")
     doc = json.loads(out.strip().splitlines()[-1])
     assert doc["correct"] is True and doc["failed"] == 0, doc
+
+
+def test_degraded_refit_falls_back_on_a_contaminated_window():
+    """``repro serve --refit`` under crashes refuses to re-fit on a
+    fault-contaminated window: it keeps the last-known-good cutoff and
+    reports the fallback."""
+    doc = json.loads(run(*(
+        "-m repro serve c90 --policy sita --hosts 2 --load 0.7 --jobs 8000 --seed 5 --mtbf 20000 "
+        "--mttr 2000 --fault-semantics redispatch --refit --refit-window 2048 --refit-every 512"
+    ).split()))
+    cut = doc["cutoffs"]
+    assert cut is not None, doc
+    assert cut["mode"] == "fallback", cut
+    assert cut["contaminated"], cut
+    assert cut["fallbacks"] > 0, cut

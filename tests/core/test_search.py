@@ -1,31 +1,22 @@
-"""Tests for the shared-computation cutoff-search engine.
-
-The scan-vs-loop class runs under ``REPRO_SIM_STRICT=1`` in CI — the
-kernel routes every subset Lindley pass through the same invariant
-checks as ``simulate_fast``.
-"""
+"""Tests for the shared-computation cutoff-search engine."""
 
 from __future__ import annotations
 
 import gc
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from repro.analysis.mg1 import mg1_metrics
 from repro.analysis.sita_analysis import _interval_moments, analyze_sita
+from repro.core import search
 from repro.core.cutoffs import sim_fair_cutoff, sim_opt_cutoff
-from repro.core.search import (
-    analytic_cutoff_pair,
-    candidate_cutoffs,
-    sim_cutoff_pair,
-    sim_pair_reference,
-)
-from repro.core.policies.sita import SITAPolicy
-from repro.sim.fast import SitaScanKernel, simulate_fast
+from repro.core.search import analytic_cutoff_pair, candidate_cutoffs, sim_cutoff_pair
+from repro.sim.fast import simulate_fast
+from repro.sim.metrics import SimulationResult
 from repro.workloads.catalog import c90
 from repro.workloads.distributions import BoundedPareto, Empirical, Lognormal
 from repro.workloads.traces import Trace
@@ -85,58 +76,35 @@ class TestCandidateCutoffs:
             candidate_cutoffs(train, 1)
 
 
-class TestScanVsLoop:
-    """The batched scan must reproduce the per-candidate loop exactly."""
+#: ``sim_cutoff_pair(train, metric, refine=refine)``'s (opt, fair,
+#: opt_index, fair_index, opt_metric, fair_gap) on the ``train`` fixture,
+#: as recorded from the batched scan kernel this search replaced.
+PAIR_PINS = {
+    ("mean_slowdown", False): (6037.380789882734, 12292.032787120212, 26, 28, 15.667823059965944, 0.3915407542391818),
+    ("mean_slowdown", True): (7577.948771104651, 10762.376277244879, 26, 28, 13.113189346133815, 0.013783763512252335),
+    ("mean_response", False): (17539.260591736238, 12292.032787120212, 29, 28, 18182.248571292414, 0.3915407542391818),
+    ("mean_response", True): (19916.649742756872, 10762.376277244879, 29, 28, 16194.932639896082, 0.013783763512252335),
+    ("mean_wait", False): (17539.260591736238, 12292.032787120212, 29, 28, 13481.205088723593, 0.3915407542391818),
+    ("mean_wait", True): (19916.649742756872, 10762.376277244879, 29, 28, 11493.889157327265, 0.013783763512252335),
+    ("mean_waiting_slowdown", False): (6037.380789882734, 12292.032787120212, 26, 28, 14.667823059965944, 0.3915407542391818),
+    ("mean_waiting_slowdown", True): (7577.948771104651, 10762.376277244879, 26, 28, 12.113189346133815, 0.013783763512252335),
+}
 
-    def test_waits_bit_identical_to_simulate_fast(self, train):
-        kernel = SitaScanKernel(train)
-        for c in candidate_cutoffs(train, 12)[::3]:
-            expected = simulate_fast(
-                train, SITAPolicy([float(c)], name="sita-search"), 2, rng=0
-            ).wait_times
-            np.testing.assert_array_equal(
-                kernel.waits_for_cutoff(float(c)), expected
-            )
 
-    @pytest.mark.parametrize(
-        "metric",
-        ["mean_slowdown", "mean_response", "mean_wait", "mean_waiting_slowdown"],
-    )
-    def test_values_bit_identical_to_summary(self, train, metric):
-        candidates = candidate_cutoffs(train, 10)
-        kernel = SitaScanKernel(train, metric=metric, warmup_fraction=0.05)
-        result = kernel.scan(candidates)
-        for i, c in enumerate(candidates):
-            summ = simulate_fast(
-                train, SITAPolicy([float(c)], name="sita-search"), 2, rng=0
-            ).summary(warmup_fraction=0.05)
-            expected = getattr(summ, metric)
-            if not math.isfinite(expected):
-                expected = math.inf
-            assert result.values[i] == expected
+class TestSimSearch:
+    """The simulation search: one ``simulate_fast`` run per size rank."""
 
-    def test_class_slowdowns_bit_identical_to_trimmed(self, train):
-        candidates = candidate_cutoffs(train, 10)
-        result = SitaScanKernel(train, warmup_fraction=0.05).scan(candidates)
-        for i, c in enumerate(candidates):
-            trimmed = simulate_fast(
-                train, SITAPolicy([float(c)], name="sita-search"), 2, rng=0
-            ).trimmed(0.05)
-            try:
-                s_short, s_long = trimmed.class_mean_slowdowns(float(c))
-            except ValueError:
-                assert math.isnan(result.short_slowdown[i])
-                assert math.isinf(result.gap[i])
-                continue
-            assert result.short_slowdown[i] == s_short
-            assert result.long_slowdown[i] == s_long
-            assert result.gap[i] == abs(math.log(s_short / s_long))
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("metric", sorted({m for m, _ in PAIR_PINS}))
+    def test_pair_is_pinned(self, train, metric, refine):
+        pair = sim_cutoff_pair(train, metric=metric, refine=refine)
+        got = (pair.opt, pair.fair, pair.opt_index, pair.fair_index, pair.opt_metric, pair.fair_gap)
+        assert got == PAIR_PINS[metric, refine]
 
-    def test_grid_argmins_bit_identical_to_reference_loop(self, train):
-        pair = sim_cutoff_pair(train, refine=False)
-        ref_opt, ref_fair = sim_pair_reference(train)
-        assert pair.opt == ref_opt
-        assert pair.fair == ref_fair
+    def test_wrappers_are_pinned(self, train):
+        assert sim_opt_cutoff(train, metric="p95_slowdown") == 8614.620282842907
+        assert sim_opt_cutoff(train) == 6037.380789882734
+        assert sim_fair_cutoff(train) == 12292.032787120212
 
     def test_wrappers_match_pair(self, train):
         pair = sim_cutoff_pair(train, n_candidates=25, refine=False)
@@ -154,23 +122,60 @@ class TestScanVsLoop:
         hi = cands[min(len(cands) - 1, grid.opt_index + 1)]
         assert lo <= refined.opt <= hi
 
-    def test_kernel_memoises_partition_revisits(self, train):
-        kernel = SitaScanKernel(train)
-        c = float(candidate_cutoffs(train, 10)[5])
-        row = kernel.evaluate(c)
-        # Same partition rank via a nearby cutoff -> same cached row object.
-        assert kernel.evaluate(c * (1.0 + 1e-12)) is row
+    def test_one_run_per_size_rank(self, train, monkeypatch):
+        cutoffs = []
 
-    def test_kernel_input_validation(self, train):
-        with pytest.raises(ValueError, match="not scan-supported"):
-            SitaScanKernel(train, metric="p99_slowdown")
-        with pytest.raises(ValueError, match="warmup_fraction"):
-            SitaScanKernel(train, warmup_fraction=1.0)
-        kernel = SitaScanKernel(train)
-        with pytest.raises(ValueError, match="positive and finite"):
-            kernel.evaluate(-1.0)
-        with pytest.raises(ValueError, match="candidates"):
-            kernel.scan(np.array([]))
+        def counting(trace, policy, *args, **kwargs):
+            cutoffs.append(float(policy.cutoffs[0]))
+            return simulate_fast(trace, policy, *args, **kwargs)
+
+        monkeypatch.setattr(search, "simulate_fast", counting)
+        sim_cutoff_pair(train)
+        ranks = np.searchsorted(np.sort(train.service_times), cutoffs, side="right")
+        assert len(set(ranks.tolist())) == len(cutoffs) > 0
+
+    def test_memo_by_size_rank_is_exact(self, train):
+        """Cutoffs between the same adjacent observed sizes score alike."""
+        v = np.unique(train.service_times)
+        for k in (1, v.size // 2, v.size - 2):
+            lo, mid = float(v[k]), float((v[k] + v[k + 1]) / 2)
+            fresh = [search._sim_scorer(train, "mean_slowdown", 0.05) for _ in "ab"]
+            assert fresh[0](lo) == fresh[1](mid)
+
+    def test_opt_ignores_gaps_and_fair_raises_on_them(self):
+        # Once the first half is trimmed, every job kept has size 10, so
+        # each grid cutoff leaves one size class empty.
+        trace = Trace(np.arange(8.0) * 20.0, np.array([1.0, 100.0, 3.0, 50.0] + [10.0] * 4))
+        assert math.isfinite(sim_opt_cutoff(trace, n_candidates=6, warmup_fraction=0.5))
+        for search_fn in (sim_fair_cutoff, sim_cutoff_pair):
+            with pytest.raises(ValueError, match="two non-empty classes"):
+                search_fn(trace, n_candidates=6, warmup_fraction=0.5)
+
+    def test_opt_raises_without_a_finite_metric(self, train, monkeypatch):
+        real = SimulationResult.summary
+        monkeypatch.setattr(
+            SimulationResult, "summary",
+            lambda self, w=0.0: replace(real(self, w), mean_slowdown=math.nan),
+        )
+        for search_fn in (sim_opt_cutoff, sim_cutoff_pair):
+            with pytest.raises(ValueError, match="no candidate cutoff produced a finite metric"):
+                search_fn(train, n_candidates=4)
+        assert sim_fair_cutoff(train, n_candidates=4) > 0.0
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [({"warmup_fraction": w}, "warmup_fraction") for w in (-0.1, 1.0, math.nan)]
+        + [({"metric": m}, "metric must be one of") for m in ("p50_slowdown", "host_load_fraction")],
+    )
+    def test_rejects_bad_arguments_at_entry(self, bad, match, monkeypatch):
+        monkeypatch.setattr(search, "simulate_fast", None)  # never reached
+        stub = _StubTrace(np.array([1.0, 10.0]))
+        entries = [sim_cutoff_pair, sim_opt_cutoff]
+        if "metric" not in bad:  # the fair search takes no metric
+            entries.append(sim_fair_cutoff)
+        for search_fn in entries:
+            with pytest.raises(ValueError, match=match):
+                search_fn(stub, **bad)
 
 
 class TestSliceMoments:

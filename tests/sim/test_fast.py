@@ -23,7 +23,6 @@ from repro.experiments.base import ExperimentConfig
 from repro.sim import fast, simulate
 from repro.sim.engine import InvariantViolation, SimulationError
 from repro.sim.fast import (
-    SitaScanKernel,
     _check_kernel_output,
     _fold_busy_periods,
     _lwl_hosts,
@@ -887,11 +886,6 @@ def _shortest_queue(t, s, speeds):
     return v, hosts, starts, np.array([len(d) for d in in_system])
 
 
-def _fcfs_waits_into(t, s):
-    n = t.shape[0]
-    return fast._fcfs_waits_into(t, s, np.empty(n), np.empty(n - 1), np.empty(n))
-
-
 #: name -> (kernel over its input arrays, extra inputs).  Every kernel
 #: takes the job columns ``t, s`` first; the extra inputs follow.
 #: Buffers a kernel writes are allocated inside the call.
@@ -905,24 +899,15 @@ KERNEL_CASES = {
     ),
     "shortest_queue_waits": (lambda t, s: shortest_queue_waits(t, s, 3), ()),
     "tags_waits": (fast.tags_waits, (np.array([1.0, 4.0]),)),
-    "SitaScanKernel[scan]": (
-        lambda t, s, c: SitaScanKernel(Trace(t, s), warmup_fraction=0.05).scan(c),
-        (np.geomspace(0.05, 20.0, 12),),
-    ),
     "fcfs_starts": (lambda t, s: fcfs_starts(t, s, 5.0), ()),
     "least_work_dispatch": (_least_work, (_SPEEDS,)),
     "shortest_queue_dispatch": (_shortest_queue, (_SPEEDS,)),
-    "_fcfs_waits_into": (_fcfs_waits_into, ()),
 }
-#: the workspace kernel's inputs are float64 by construction (its one
-#: caller slices them out of float64 buffers), so it does not coerce.
-COERCING = sorted(set(KERNEL_CASES) - {"_fcfs_waits_into"})
 
 
 def test_kernel_cases_cover_every_array_kernel():
-    not_array_kernels = {"simulate_fast", "SitaScanResult"}
     names = {name.partition("[")[0] for name in KERNEL_CASES}
-    assert names == set(fast.__all__) - not_array_kernels | {"_fcfs_waits_into"}
+    assert names == set(fast.__all__) - {"simulate_fast"}
 
 
 def _kernel_inputs(name):
@@ -938,8 +923,6 @@ def _kernel_inputs(name):
 
 
 def _outputs(result):
-    if isinstance(result, fast.SitaScanResult):
-        return list(vars(result).values())
     return list(result) if isinstance(result, tuple) else [result]
 
 
@@ -972,7 +955,7 @@ class TestKernelInputs:
         assert [x.tobytes() for x in inputs] == before
         assert [x.tobytes() for x in copies] == before
 
-    @pytest.mark.parametrize("name", COERCING)
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
     def test_float32_inputs_match_their_float64_copies(self, name):
         kernel = KERNEL_CASES[name][0]
         narrow = [x.astype(np.float32) for x in _kernel_inputs(name)]
