@@ -27,15 +27,16 @@ The dispatch mask is cached: as a function of time it is piecewise
 constant, changing only when an observation moves a breaker's routing
 state or when the clock crosses an open breaker's cooldown expiry (the
 first instant its own ``state`` test reads half-open), so
-:meth:`HealthMonitor.up_mask` rebuilds the array only at those points
-and hands out one read-only ndarray in between.  The dispatcher calls it
-per decision and routes on the same mask as a tuple,
-:attr:`HealthMonitor.live`.
+:meth:`HealthMonitor.refresh` recomputes it only at those points.  The
+dispatcher calls it per decision and routes on the mask as a tuple,
+:attr:`HealthMonitor.live`; :meth:`HealthMonitor.up_mask` builds a
+read-only ndarray of it for callers that ask.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -153,13 +154,15 @@ class HealthMonitor:
         #: on the success counters, so the per-handoff success probes the
         #: dispatcher feeds back do not thrash the caches below.
         self._obs_version = 0
+        #: the array :meth:`up_mask` hands out, built on first request
+        #: after each recomputation of the mask.
         self._mask_cache: np.ndarray | None = None
         self._mask_version = -1
         self._mask_built_at = 0.0
         self._mask_valid_until = 0.0
-        #: the mask :meth:`up_mask` last returned, as a tuple of bools,
+        #: the mask :meth:`refresh` last computed, as a tuple of bools,
         #: and whether it has a live host — what the dispatcher reads per
-        #: decision, kept with the mask so no decision converts an array.
+        #: decision.
         self.live: tuple[bool, ...] = ()
         self.any_live = False
         self._pristine_version = -1
@@ -196,12 +199,42 @@ class HealthMonitor:
 
     def probe(self, host_id: int, healthy: bool, now: float) -> None:
         """Fold one observation (heartbeat or handoff outcome) in."""
-        breaker = self.breaker(host_id)
+        try:
+            breaker = self._breakers[host_id]
+        except KeyError:
+            breaker = self.breaker(host_id)  # raises, naming the roster
         if healthy and breaker.failures == 0 and breaker.opened_at is None:
             # A success on a clean closed breaker changes nothing but the
             # tally; this is the per-handoff common case.
             breaker.n_successes += 1
             return
+        self._observe(breaker, healthy, now)
+
+    def probe_all(self, healthy: Sequence[bool], now: float) -> None:
+        """One heartbeat round: ``probe(i, healthy[i], now)`` for every
+        host ``i`` in order."""
+        breakers = self._breakers
+        for host_id, ok in enumerate(healthy):
+            try:
+                breaker = breakers[host_id]
+            except KeyError:
+                breaker = self.breaker(host_id)
+            opened_at = breaker.opened_at
+            if opened_at is None:
+                if ok and breaker.failures == 0:
+                    breaker.n_successes += 1  # clean success: tally only
+                    continue
+            elif now - opened_at < breaker.cooldown:
+                # An open breaker ignores every observation but its tally
+                # (the ``state == "open"`` returns of ``record_*``).
+                if ok:
+                    breaker.n_successes += 1
+                else:
+                    breaker.n_failures += 1
+                continue
+            self._observe(breaker, ok, now)
+
+    def _observe(self, breaker: CircuitBreaker, healthy: bool, now: float) -> None:
         before = (breaker.failures, breaker.opened_at)
         if healthy:
             breaker.record_success(now)
@@ -214,42 +247,50 @@ class HealthMonitor:
     # the dispatch mask
     # ------------------------------------------------------------------
 
-    def up_mask(self, now: float) -> np.ndarray:
-        """Believed-live mask over hosts 0..n-1 (closed or half-open).
+    def refresh(self, now: float) -> tuple[bool, ...]:
+        """Bring :attr:`live` and :attr:`any_live` up to ``now`` and
+        return :attr:`live`: the believed-live mask over hosts 0..n-1
+        (closed or half-open) as a tuple, with no array built.
 
-        The returned array is **read-only** and shared between calls:
-        it is rebuilt only when an observation changed a breaker's
-        routing state, or when ``now`` leaves the window over which the
-        cached mask is provably constant — ``[built_at, valid_until)``
+        The mask is recomputed only when an observation changed a
+        breaker's routing state, or when ``now`` leaves the window over
+        which it is provably constant — ``[built_at, valid_until)``
         where ``valid_until`` is the earliest
         :meth:`~CircuitBreaker.half_opens_at` among breakers that were
         open at build time (open → half-open is the only transition the
-        clock alone can cause).  :attr:`live` and :attr:`any_live` are
-        refreshed with it.
+        clock alone can cause).
         """
-        mask = self._mask_cache
         if (
-            mask is not None
-            and self._mask_version == self._obs_version
+            self._mask_version == self._obs_version
             and self._mask_built_at <= now < self._mask_valid_until
         ):
-            return mask
+            return self.live
         live = []
         valid_until = math.inf
-        for i in self.host_ids:
-            breaker = self._breakers[i]
+        for _, breaker in sorted(self._breakers.items()):
             allows = breaker.allows(now)
             live.append(allows)
             if not allows:
                 valid_until = min(valid_until, breaker.half_opens_at())
-        mask = np.array(live, dtype=bool)
-        mask.setflags(write=False)
-        self._mask_cache = mask
+        self._mask_cache = None
         self._mask_version = self._obs_version
         self._mask_built_at = now
         self._mask_valid_until = valid_until
         self.live = tuple(live)
         self.any_live = any(live)
+        return self.live
+
+    def up_mask(self, now: float) -> np.ndarray:
+        """:meth:`refresh`'s mask as a bool ndarray.
+
+        The returned array is **read-only** and shared between calls
+        until :meth:`refresh` recomputes the mask.
+        """
+        live = self.refresh(now)
+        mask = self._mask_cache
+        if mask is None:
+            mask = self._mask_cache = np.array(live, dtype=bool)
+            mask.setflags(write=False)
         return mask
 
     def pristine(self) -> bool:

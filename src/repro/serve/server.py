@@ -270,7 +270,7 @@ class _OnlineServer(DistributedServer):
     # -- dispatch ------------------------------------------------------
 
     def _dispatch(self, job: Job) -> None:
-        now = self.sim.now
+        now = self.sim._now
         if job.interruptions > self.give_up_after:
             # Under "redispatch" semantics a job larger than the typical
             # up-period loses its progress at every crash and can
@@ -280,15 +280,15 @@ class _OnlineServer(DistributedServer):
             job.lost = True
             self.n_lost += 1
             self._record_gone(job)
-            self._attempts.pop(job.index, None)
+            if self._attempts:
+                self._attempts.pop(job.index, None)
             self.n_given_up += 1
             return
         health = self._health
-        health.up_mask(now)
+        up = health.refresh(now)
         if not health.any_live:
             self._defer_or_shed(job)
             return
-        up = health.live
         host_idx = int(self.policy.choose_live_host(job, self.state, up))
         if not 0 <= host_idx < len(self.hosts) or not up[host_idx]:
             raise ValueError(
@@ -297,7 +297,8 @@ class _OnlineServer(DistributedServer):
             )
         host = self.hosts[host_idx]
         if host.up:
-            self._attempts.pop(job.index, None)
+            if self._attempts:
+                self._attempts.pop(job.index, None)
             health.probe(host_idx, True, now)
             host.submit(job)
             return
@@ -339,7 +340,7 @@ class _OnlineServer(DistributedServer):
         """
         health = self._health
         for _ in range(len(self._deferred)):
-            health.up_mask(self.sim.now)
+            health.refresh(self.sim._now)
             if not health.any_live:
                 return
             self._dispatch(self._deferred.popleft())
@@ -357,7 +358,7 @@ class _OnlineServer(DistributedServer):
         self.hosts[host_id].repair()
         # A repaired host announces itself: one successful probe.  An
         # open breaker still waits out its cooldown before trusting it.
-        self._health.probe(host_id, True, self.sim.now)
+        self._health.probe(host_id, True, self.sim._now)
         self._flush_deferred()
 
     # -- accounting ----------------------------------------------------
@@ -535,11 +536,11 @@ class DispatchServer:
             self.cutoff_manager.mark_contaminated()
 
     def _heartbeat(self) -> None:
-        now = self._inner.sim.now
-        for i, host in enumerate(self._inner.hosts):
-            self.health.probe(i, host.up, now)
-        self._inner._flush_deferred()
-        self._inner.sim.schedule_after(self.heartbeat_interval, self._heartbeat)
+        inner = self._inner
+        self.health.probe_all([host.up for host in inner.hosts], inner.sim._now)
+        if inner._deferred:
+            inner._flush_deferred()
+        inner.sim.schedule_after(self.heartbeat_interval, self._heartbeat)
 
     def _apply_cutoff(self, cutoff: float) -> None:
         policy = self.policy
@@ -575,7 +576,8 @@ class DispatchServer:
         now = float(arrival)
         if not math.isfinite(now):
             raise ValueError(f"arrival must be finite, got {now}")
-        sim = self._inner.sim
+        inner = self._inner
+        sim = inner.sim
         if now < sim.now:
             raise ValueError(
                 f"arrivals must be non-decreasing: got {now} at server "
@@ -587,7 +589,7 @@ class DispatchServer:
             fp = None
         sim.run(until=now)
         self.n_accepted += 1
-        decision = self.admission.admit(now, len(self._inner._deferred))
+        decision = self.admission.admit(now, len(inner._deferred))
         t1 = time.perf_counter_ns()
         if decision != "admit":
             self.n_rejected_intake += 1
@@ -601,11 +603,10 @@ class DispatchServer:
             if fp is not None:
                 host = fp.route_one(now, size, est)
             else:
-                job = Job(
-                    index=self._next_index, arrival_time=now, size=size, size_estimate=est
-                )
-                sim.schedule(now, self._inner._handle_arrival, job)
-                sim.run(until=now)
+                job = Job(self._next_index, now, size, est)
+                # The arrival is the next event at ``now``: the clock is
+                # there and nothing due by then is pending.
+                sim.fire(inner._handle_arrival, job)
                 host = job.assigned_host
             self._next_index += 1
             record = {"outcome": "admitted", "reason": "admit", "host": host}
@@ -614,7 +615,9 @@ class DispatchServer:
         lat.intake_ns += t1 - t0
         lat.record(t2 - t1, 1)
         self._route_ns += t2 - t1
-        self._deferred_peak = max(self._deferred_peak, len(self._inner._deferred))
+        depth = len(inner._deferred)
+        if depth > self._deferred_peak:
+            self._deferred_peak = depth
         if (
             self.snapshot_store is not None
             and not self._replaying

@@ -12,7 +12,6 @@ _EXPORTS = {
     "set_event_hook": "engine",
     "strict_from_env": "engine",
     "Event": "events",
-    "EventHandle": "events",
     "fcfs_waits": "fast",
     "lwl_waits": "fast",
     "shortest_queue_waits": "fast",

@@ -17,7 +17,7 @@ import math
 import os
 from typing import Any, Callable
 
-from .events import Event, EventHandle
+from .events import Event
 
 __all__ = [
     "Simulator",
@@ -159,8 +159,12 @@ class Simulator:
 
     def schedule(
         self, time: float, callback: Callable[..., None], *args: Any
-    ) -> EventHandle:
-        """Schedule ``callback(*args)`` at absolute simulated ``time``."""
+    ) -> Event:
+        """Schedule ``callback(*args)`` at absolute simulated ``time``.
+
+        The returned :class:`~repro.sim.events.Event` is the handle:
+        ``cancel()`` it to skip it.
+        """
         if not math.isfinite(time):
             raise SimulationError(f"event time must be finite, got {time}")
         if time < self._now:
@@ -171,15 +175,56 @@ class Simulator:
         self._seq = seq + 1
         event = Event(time, seq, callback, args)
         heapq.heappush(self._heap, (time, seq, event))
-        return EventHandle(event)
+        return event
 
     def schedule_after(
         self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``callback(*args)`` ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"delay must be >= 0, got {delay}")
-        return self.schedule(self._now + delay, callback, *args)
+        time = self._now + delay
+        if not time < math.inf:  # inf or NaN
+            raise SimulationError(f"event time must be finite, got {time}")
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time, seq, callback, args)
+        heapq.heappush(self._heap, (time, seq, event))
+        return event
+
+    def fire(self, callback: Callable[..., None], *args: Any) -> None:
+        """Run ``callback(*args)`` now, as the next event.
+
+        The same as ``schedule(now, callback, *args)`` followed by
+        ``run(until=now)`` when nothing is pending at or before ``now``:
+        the call takes the next ``seq``, counts in
+        :attr:`events_processed`, is seen by the event hook and followed
+        by the strict checkers, and any event it schedules at ``now``
+        runs before this returns.  It builds no calendar entry, and no
+        :class:`~repro.sim.events.Event` unless a hook is installed.
+        Raises :class:`SimulationError` if an event at or before ``now``
+        is still pending, since the round trip would run that one first.
+        """
+        heap = self._heap
+        now = self._now
+        while heap and heap[0][0] <= now:
+            if not heap[0][2].cancelled:
+                raise SimulationError(
+                    f"cannot fire at {now}: an event at {heap[0][0]} is pending"
+                )
+            heapq.heappop(heap)
+        self._stopped = False
+        seq = self._seq
+        self._seq = seq + 1
+        self._events_processed += 1
+        if _EVENT_HOOK is not None:
+            _EVENT_HOOK(Event(now, seq, callback, args))
+        callback(*args)
+        if self._strict:
+            for checker in self._checkers:
+                checker(self)
+        if heap and heap[0][0] <= now and not self._stopped:
+            self._loop(now, None)
 
     def step(self) -> bool:
         """Run the next non-cancelled event.  Returns False if none remain."""
@@ -197,9 +242,12 @@ class Simulator:
             Safety valve: stop after this many callbacks.
         """
         self._stopped = False
-        if self._heap:
+        heap = self._heap
+        # ``not >`` rather than ``<=``: a NaN ``until`` runs the loop.
+        if heap and (until is None or not heap[0][0] > until):
             self._loop(until, max_events)
         elif until is not None:
+            # Nothing is due by ``until``: only the clock moves.
             self._now = max(self._now, until)
 
     def _loop(self, until: float | None, max_events: int | None) -> int:

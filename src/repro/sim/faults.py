@@ -60,6 +60,9 @@ SEMANTICS = ("lost", "redispatch", "resume")
 #: supported up/down duration distributions.
 FAULT_DISTRIBUTIONS = ("exponential", "deterministic")
 
+#: standard exponential variates each host's stream yields per refill.
+DRAW_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class FaultModel:
@@ -169,6 +172,8 @@ class FaultInjector:
         self._streams = {
             host: np.random.default_rng(seq) for host, seq in zip(targets, seeds)
         }
+        #: each host's prefetched standard exponential variates, next last.
+        self._blocks: dict[int, list[float]] = {h: [] for h in targets}
         # The attached DistributedServer (duck-typed to avoid a cycle).
         self._server: Any = None
         #: crashes injected so far, per host.
@@ -182,9 +187,20 @@ class FaultInjector:
     # ------------------------------------------------------------------
 
     def _draw(self, host: int, mean: float) -> float:
+        """The host's next duration with mean ``mean``.
+
+        ``Generator.exponential(mean)`` is ``mean`` times the stream's
+        next standard exponential variate, so ``mean * x`` over a block
+        of them drawn at once gives the same bits as one
+        ``exponential(mean)`` call per draw, for any mix of means.
+        """
         if self.model.distribution == "deterministic":
             return mean
-        return float(self._streams[host].exponential(mean))
+        block = self._blocks[host]
+        if not block:
+            block += self._streams[host].standard_exponential(DRAW_BLOCK).tolist()
+            block.reverse()
+        return mean * block.pop()
 
     # ------------------------------------------------------------------
     # event-plumbing
@@ -218,14 +234,14 @@ class FaultInjector:
 
     def _crash(self, host: int) -> None:
         self.n_crashes[host] += 1
-        self._down_since[host] = self._server.sim.now
+        self._down_since[host] = self._server.sim._now
         self._server.crash_host(host)
         self._server.sim.schedule_after(
             self._draw(host, self.model.mttr), self._repair, host
         )
 
     def _repair(self, host: int) -> None:
-        self.downtime[host] += self._server.sim.now - self._down_since.pop(host)
+        self.downtime[host] += self._server.sim._now - self._down_since.pop(host)
         self._server.repair_host(host)
         self._server.sim.schedule_after(
             self._draw(host, self.model.mtbf), self._crash, host

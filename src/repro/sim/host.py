@@ -31,7 +31,7 @@ from collections import deque
 from typing import Callable
 
 from .engine import Simulator
-from .events import EventHandle
+from .events import Event
 from .jobs import Job
 
 __all__ = ["FCFSHost"]
@@ -93,7 +93,7 @@ class FCFSHost:
         #: ("resume" failure semantics).
         self.interrupted: Job | None = None
         self._interrupted_done = 0.0
-        self._finish_handle: EventHandle | None = None
+        self._finish_handle: Event | None = None
         self._leg_start = 0.0
         self._running_done = 0.0
         self._submit_seq = 0
@@ -135,10 +135,6 @@ class FCFSHost:
     # job flow
     # ------------------------------------------------------------------
 
-    def _service_here(self, job: Job) -> float:
-        """Wall-clock time ``job`` will occupy this host (up to eviction)."""
-        return min(job.size, self.limit) / self.speed
-
     def submit(self, job: Job) -> None:
         """Enqueue ``job``; starts immediately if the host is idle."""
         if not self.up:
@@ -148,8 +144,10 @@ class FCFSHost:
         job.assigned_host = self.host_id
         job.host_seq = self._submit_seq
         self._submit_seq += 1
-        now = self.sim.now
-        self._virtual_completion = max(self._virtual_completion, now) + self._service_here(job)
+        self._virtual_completion = (
+            max(self._virtual_completion, self.sim._now)
+            + min(job.size, self.limit) / self.speed
+        )
         self.queue.append(job)
         if self.running is None:
             self._start_next()
@@ -159,16 +157,17 @@ class FCFSHost:
         if not self.queue:
             return
         job = self.queue.popleft()
-        job.start_time = self.sim.now
+        job.start_time = self.sim._now
         self._begin(job, done=0.0)
 
     def _begin(self, job: Job, done: float) -> None:
         """Put ``job`` in service with ``done`` work units already banked."""
+        sim = self.sim
         self.running = job
         self._running_done = done
-        self._leg_start = self.sim.now
+        self._leg_start = sim._now
         leg = (min(job.size, self.limit) - done) / self.speed
-        self._finish_handle = self.sim.schedule_after(leg, self._finish, job, leg)
+        self._finish_handle = sim.schedule_after(leg, self._finish, job, leg)
 
     def _finish(self, job: Job, service: float) -> None:
         assert self.running is job
@@ -186,7 +185,7 @@ class FCFSHost:
                 )
         else:
             self.busy_time += service
-            job.completion_time = self.sim.now
+            job.completion_time = self.sim._now
             if self.speed != 1.0:
                 # Total occupancy across every resumed leg; service alone
                 # would under-count a job interrupted by a crash.
@@ -194,7 +193,8 @@ class FCFSHost:
             self.jobs_completed += 1
         # Start the next queued job before notifying, so simultaneous
         # re-dispatch (central queue) sees a consistent host state.
-        self._start_next()
+        if self.queue:
+            self._start_next()
         if evicted:
             self.on_eviction(self, job)
         else:
@@ -234,7 +234,7 @@ class FCFSHost:
             self._finish_handle.cancel()
             self._finish_handle = None
             self.running = None
-            elapsed = self.sim.now - self._leg_start
+            elapsed = self.sim._now - self._leg_start
             done = self._running_done + elapsed * self.speed
             if keep_progress:
                 self.busy_time += elapsed
@@ -249,7 +249,7 @@ class FCFSHost:
         drained = list(self.queue)
         self.queue.clear()
         # Nothing is left on the host; remaining work drops to zero.
-        self._virtual_completion = self.sim.now
+        self._virtual_completion = self.sim._now
         return victim, done, drained
 
     def repair(self) -> Job | None:
@@ -261,11 +261,12 @@ class FCFSHost:
         if self.up:
             raise RuntimeError(f"host {self.host_id} is not down")
         self.up = True
-        now = self.sim.now
+        now = self.sim._now
         resumed = self.interrupted
         # Remaining work moved wholesale past the repair: recompute the
         # virtual completion instead of patching it leg by leg.
-        backlog = sum(self._service_here(j) for j in self.queue)
+        limit, speed = self.limit, self.speed
+        backlog = sum([min(j.size, limit) / speed for j in self.queue])
         if resumed is not None:
             self.interrupted = None
             done = self._interrupted_done

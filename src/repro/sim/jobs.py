@@ -7,7 +7,7 @@ from dataclasses import dataclass
 __all__ = ["Job"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Job:
     """One batch job.
 

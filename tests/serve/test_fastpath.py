@@ -30,6 +30,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,7 @@ from repro.serve import DispatchServer, HealthMonitor, SnapshotStore, serve_sign
 from repro.serve import fastpath
 from repro.serve import server as server_module
 from repro.serve.fastpath import SETTLE_EVERY
+from repro.sim.fast import shortest_queue_dispatch
 from repro.sim.metrics import jain_fairness_index
 from repro.sim.server import FoldedJobs, seq_sum
 
@@ -287,6 +289,32 @@ class TestBitIdentity:
             assert fp.unsettled < SETTLE_EVERY
         assert seen[:3] == [SETTLE_EVERY] * 3
         assert max(seen) <= SETTLE_EVERY
+
+
+class TestExactTies:
+    """Integer streams, where a departure and an arrival often share an
+    instant: the online event path, the online fast path and the
+    Shortest-Queue kernel all count a departure at exactly ``t`` as gone
+    before the arrival at ``t`` is routed."""
+
+    def test_shortest_queue_agrees_job_by_job(self):
+        rng = np.random.default_rng(7)
+        t = np.cumsum(rng.integers(0, 3, 3000)).astype(float)
+        s = rng.integers(1, 6, 3000).astype(float)
+        hosts, starts = shortest_queue_dispatch(
+            t, s, np.ones(2), [0.0, 0.0], [deque(), deque()]
+        )
+        fast, engine = make_pair("sq", 2, strict=False)
+        for server, engaged in ((fast, True), (engine, False)):
+            records = server.submit_batch(t, s, collect=True)
+            assert [r["host"] for r in records] == hosts.tolist()
+            assert server.fast_path_status()["engaged"] is engaged
+            server.drain()
+            table = server.job_table()
+            assert np.array_equal(table["host"], hosts)
+            assert np.array_equal(table["start"], starts)
+            assert np.array_equal(table["completion"], starts + s)
+        assert fast.counters() == engine.counters()
 
 
 class TestBatchInvariance:

@@ -218,3 +218,50 @@ class TestMaskCache:
         assert not mon.pristine()
         mon.probe(0, True, 2.0)
         assert mon.pristine()  # streak cleared: evidence gone
+
+    def test_refresh_builds_no_array(self):
+        mon = self.make(3, failure_threshold=1, cooldown=10.0)
+        mon.probe(1, False, 0.0)
+        assert mon.refresh(1.0) == (True, False, True)
+        assert mon.any_live and mon._mask_cache is None
+        mask = mon.up_mask(1.0)
+        assert mask.tolist() == [True, False, True]
+        assert mon.refresh(2.0) == (True, False, True)
+        assert mon.up_mask(2.0) is mask
+
+
+def breaker_fields(mon: HealthMonitor) -> list[tuple]:
+    return [
+        tuple(getattr(mon.breaker(i), name) for name in CircuitBreaker.__slots__)
+        for i in mon.host_ids
+    ]
+
+
+class TestProbeAll:
+    """A heartbeat round folds in exactly what one probe per host does."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_one_probe_per_host(self, seed):
+        rng = np.random.default_rng(seed)
+        one_call, per_host = HealthMonitor(2, 5.0), HealthMonitor(2, 5.0)
+        for mon in (one_call, per_host):
+            for i in range(4):
+                mon.register_host(i)
+        now = 0.0
+        for _ in range(2000):
+            now += float(rng.choice([0.0, 0.5, 1.0, 3.0]))
+            healthy = (rng.random(4) < 0.7).tolist()
+            one_call.probe_all(healthy, now)
+            for i, ok in enumerate(healthy):
+                per_host.probe(i, ok, now)
+            assert breaker_fields(one_call) == breaker_fields(per_host)
+            assert one_call.refresh(now) == per_host.refresh(now)
+            assert one_call.pristine() == per_host.pristine()
+        trips = sum(one_call.breaker(i).n_trips for i in range(4))
+        assert trips > 0
+
+    def test_unregistered_host_raises_with_roster(self):
+        mon = HealthMonitor()
+        mon.register_host(0)
+        with pytest.raises(KeyError, match=r"never registered.*\[0\]"):
+            mon.probe_all([True, True], 0.0)

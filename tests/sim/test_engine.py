@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -98,6 +99,30 @@ class TestCancellation:
         sim = Simulator()
         h = sim.schedule(7.5, lambda: None)
         assert h.time == 7.5
+
+    def test_the_event_is_its_own_handle(self):
+        sim = Simulator()
+        fired = []
+        seen = []
+        handle = sim.schedule_after(1.0, fired.append, "x")
+        previous = set_event_hook(seen.append)
+        try:
+            sim.run()
+        finally:
+            set_event_hook(previous)
+        assert seen == [handle]
+
+    def test_cancel_after_firing_does_nothing(self):
+        sim = Simulator()
+        fired = []
+        handle = sim.schedule(1.0, fired.append, "x")
+        sim.schedule(2.0, fired.append, "y")
+        sim.run(until=1.5)
+        handle.cancel()
+        sim.run()
+        assert fired == ["x", "y"]
+        assert sim.events_processed == 2
+        assert sim.pending == 0
 
 
 class TestRunControl:
@@ -264,6 +289,110 @@ class TestLoopSemantics:
         sim.schedule(6.0, lambda: None)
         sim.run(until=4.0)
         assert sim.now == 5.0
+
+
+def fire_calendar(seed: int, via_fire: bool):
+    """One random calendar, run up to a random instant, then an arrival
+    offered there through :meth:`Simulator.fire` (``via_fire``) or
+    through ``schedule(now)`` followed by ``run(until=now)``.
+
+    The arrival and every event schedule random follow-ons, some at
+    their own instant (so at ``now`` too), some later, and some cancel
+    a pending event.  Returns what the two ways must agree on: the
+    hook's ``(time, seq, qualname)`` stream and the checker calls up to
+    the moment the arrival call returns and after a full drain, the
+    callbacks run at ``now``, ``events_processed`` and the clock.
+    """
+    rng = random.Random(seed)
+    sim = Simulator(strict=True)
+    hooked = []
+    checks = []
+    fired = []
+    handles = []
+    sim.add_invariant_checker(lambda s: checks.append((s.now, s.events_processed)))
+
+    def spawn(tag: str, depth: int) -> None:
+        fired.append((tag, sim.now))
+        if depth >= 3:
+            return
+        for k in range(rng.randint(0, 3)):
+            delay = rng.choice([0.0, 0.0, rng.uniform(0.0, 5.0)])
+            handles.append(sim.schedule_after(delay, spawn, f"{tag}.{k}", depth + 1))
+        if handles and rng.random() < 0.2:
+            handles[rng.randrange(len(handles))].cancel()
+
+    for i in range(rng.randint(0, 12)):
+        handles.append(sim.schedule(float(rng.randint(0, 10)), spawn, f"pre{i}", 1))
+        if rng.random() < 0.2:
+            handles[-1].cancel()
+    if rng.random() < 0.2:
+        sim.schedule(float(rng.randint(0, 10)), sim.stop)
+    previous = set_event_hook(
+        lambda e: hooked.append((e.time, e.seq, e.callback.__qualname__))
+    )
+    try:
+        sim.run(until=float(rng.randint(0, 10)))
+        while sim.stopped and sim.pending and sim._heap[0][0] <= sim.now:
+            sim.run(until=sim.now)
+        now = sim.now
+        before = len(fired)
+        if via_fire:
+            sim.fire(spawn, "arrival", 0)
+        else:
+            sim.schedule(now, spawn, "arrival", 0)
+            sim.run(until=now)
+        at_return = (
+            list(hooked), list(checks), fired[before:], sim.events_processed,
+            sim.now, sim.stopped,
+        )
+        sim.run()
+    finally:
+        set_event_hook(previous)
+    return at_return, (hooked, checks, fired, sim.events_processed, sim.now)
+
+
+class TestFire:
+    """``fire`` is ``schedule(now)`` followed by ``run(until=now)``."""
+
+    def test_equals_the_calendar_round_trip(self):
+        runs_at_now = []
+        for seed in range(300):
+            fired = fire_calendar(seed, via_fire=True)
+            assert fired == fire_calendar(seed, via_fire=False), seed
+            runs_at_now.append(len(fired[0][2]))
+        # Some arrivals schedule follow-ons at ``now`` and some do not.
+        assert max(runs_at_now) > 1 and min(runs_at_now) == 1
+
+    def test_raises_while_an_event_at_now_is_pending(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, sim.stop)
+        sim.schedule(1.0, fired.append, "pending")
+        sim.run(until=1.0)
+        assert sim.now == 1.0 and sim.pending == 1
+        with pytest.raises(SimulationError, match="pending"):
+            sim.fire(fired.append, "arrival")
+        assert fired == []
+        assert sim.events_processed == 1
+
+    def test_a_cancelled_event_at_now_does_not_block(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, sim.stop)
+        sim.schedule(1.0, fired.append, "dead").cancel()
+        sim.run(until=1.0)
+        sim.fire(fired.append, "arrival")
+        assert fired == ["arrival"]
+        assert sim.pending == 0
+
+    def test_builds_no_event_without_a_hook(self, monkeypatch):
+        import repro.sim.engine as engine
+
+        built = []
+        monkeypatch.setattr(engine, "Event", lambda *a: built.append(a))
+        sim = Simulator()
+        sim.fire(lambda: None)
+        assert built == [] and sim.events_processed == 1
 
 
 @given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=200))

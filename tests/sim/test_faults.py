@@ -18,7 +18,8 @@ from repro.core.policies import (
 )
 from repro.core.policies.base import nearest_live_host
 from repro.core.policies.sita import GroupedSITAPolicy
-from repro.sim.faults import FaultInjector, FaultModel
+from repro.sim.engine import Simulator
+from repro.sim.faults import DRAW_BLOCK, FaultInjector, FaultModel
 from repro.sim.jobs import Job
 from repro.sim.runner import simulate
 from repro.sim.server import DistributedServer
@@ -62,6 +63,73 @@ class TestFaultModel:
         assert fm.describe() == FaultModel(
             mtbf=10.0, mttr=2.0, semantics="lost", seed=3
         ).describe()
+
+
+class EpochRecorder:
+    """The two server entry points a :class:`FaultInjector` calls, on a
+    bare :class:`Simulator`: each records its host's epochs."""
+
+    def __init__(self, n_hosts: int) -> None:
+        self.sim = Simulator()
+        self.hosts = [None] * n_hosts
+        self.epochs: dict[int, list[tuple[str, float]]] = {
+            h: [] for h in range(n_hosts)
+        }
+
+    def crash_host(self, host: int) -> None:
+        self.epochs[host].append(("crash", self.sim.now))
+
+    def repair_host(self, host: int) -> None:
+        self.epochs[host].append(("repair", self.sim.now))
+
+
+def reference_epochs(model: FaultModel, targets, horizon: float) -> dict:
+    """Each targeted host's crash and repair epochs up to ``horizon``,
+    with one ``Generator.exponential(mean)`` call per draw from the
+    host's spawned stream, summed as ``schedule_after`` sums them."""
+    epochs = {}
+    seeds = np.random.SeedSequence(model.seed).spawn(len(targets))
+    for host, seq in zip(targets, seeds):
+        stream = np.random.default_rng(seq)
+        out = []
+        t = 0.0
+        kind = "crash"
+        while True:
+            mean = model.mtbf if kind == "crash" else model.mttr
+            if model.distribution == "deterministic":
+                t = t + mean
+            else:
+                t = t + float(stream.exponential(mean))
+            if t > horizon:
+                break
+            out.append((kind, t))
+            kind = "repair" if kind == "crash" else "crash"
+        epochs[host] = out
+    return epochs
+
+
+class TestBlockDraws:
+    """The injector draws its durations a block at a time; its epochs
+    equal one ``exponential(mean)`` call per draw, bit for bit."""
+
+    @pytest.mark.parametrize("distribution", ["exponential", "deterministic"])
+    @pytest.mark.parametrize("hosts", [None, (1, 3)])
+    def test_epochs_equal_one_draw_per_call(self, distribution, hosts):
+        model = FaultModel(
+            mtbf=50.0, mttr=7.0, seed=9, hosts=hosts, distribution=distribution
+        )
+        recorder = EpochRecorder(4)
+        injector = FaultInjector(model, 4)
+        injector.attach(recorder)
+        # About 3.5 blocks of draws per host: two draws per up/down cycle.
+        horizon = 1.75 * DRAW_BLOCK * (model.mtbf + model.mttr)
+        recorder.sim.run(until=horizon)
+        expected = reference_epochs(model, injector.targets, horizon)
+        for host in range(4):
+            assert recorder.epochs[host] == expected.get(host, []), host
+        for host in injector.targets:
+            assert len(expected[host]) > 3 * DRAW_BLOCK
+            assert injector.n_crashes[host] == (len(expected[host]) + 1) // 2
 
 
 class TestDisabledFaultsBitIdentity:
